@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundViolation, CapacityError
-from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank, span_ints
+from .gf2 import BitMatrix, BitVector, kernel_basis, lex_order, mat_vec_mul, rank, span_ints
 from .hashing import build_toeplitz
 
 
@@ -289,7 +289,7 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
         # Decoder candidates: dual-subcode words with part-0 coordinates zero.
         cand = [w for w in c2perp if w & ((1 << n0) - 1) == 0]
         cand_arr = np.array(cand, dtype=np.uint64)
-        order = _lex_order(cand_arr, n)
+        order = lex_order(cand_arr, n)
         cand_arr = cand_arr[order]
         good = np.array([1 if int(w) in c1perp else 0 for w in cand_arr],
                         dtype=np.uint8)
@@ -307,10 +307,3 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
             f"decoding failure {empirical_max} exceeds bound {bound}")
     return DecodingCheck(empirical_mean, empirical_max, bound,
                          n_seeds, len(ys))
-
-
-def _lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
-    keys = np.zeros(len(words), dtype=np.uint64)
-    for i in range(n_bits):
-        keys = (keys << np.uint64(1)) | ((words >> np.uint64(i)) & np.uint64(1))
-    return np.argsort(keys, kind="stable")

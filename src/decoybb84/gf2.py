@@ -38,6 +38,14 @@ def lex_key(bits: int, length: int) -> int:
     return key
 
 
+def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Stable argsort of packed words by :func:`lex_key`, vectorized."""
+    keys = np.zeros(len(words), dtype=np.uint64)
+    for i in range(n_bits):
+        keys = (keys << np.uint64(1)) | ((words >> np.uint64(i)) & np.uint64(1))
+    return np.argsort(keys, kind="stable")
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable bit vector over GF(2), packed into one integer."""
@@ -65,10 +73,6 @@ class BitVector:
             value |= b << n
             n += 1
         return cls(n, value)
-
-    @classmethod
-    def from_int(cls, length: int, value: int) -> "BitVector":
-        return cls(length, value)
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -286,6 +290,16 @@ def span_ints(basis: Sequence[int], guard: int = DEFAULT_SPAN_GUARD) -> list[int
     return out
 
 
+def span_array(basis: Sequence[int], dtype=np.uint64) -> np.ndarray:
+    """All 2^k XOR combinations as an array; element i combines the basis
+    vectors at the set bits of i.  Built by doubling: the second half of
+    each step is the first half XOR the next basis vector."""
+    out = np.zeros(1 << len(basis), dtype=dtype)
+    for j, b in enumerate(basis):
+        np.bitwise_xor(out[:1 << j], dtype(b), out=out[1 << j:2 << j])
+    return out
+
+
 def span_vectors(basis: Sequence[BitVector], length: int | None = None,
                  guard: int = DEFAULT_SPAN_GUARD) -> list[BitVector]:
     """All elements of the span of ``basis`` as BitVectors."""
@@ -297,17 +311,6 @@ def span_vectors(basis: Sequence[BitVector], length: int | None = None,
         if b.length != length:
             raise DimensionMismatch("mixed vector lengths in basis")
     return [BitVector(length, x) for x in span_ints([b.bits for b in basis], guard)]
-
-
-def column_space(m: BitMatrix, guard: int = DEFAULT_SPAN_GUARD) -> list[int]:
-    """All packed elements of ``Im M`` (the span of M's columns)."""
-    cols = [0] * m.cols
-    for i, row in enumerate(m.row_bits):
-        for j in range(m.cols):
-            cols[j] |= ((row >> j) & 1) << i
-    # Reduce to an independent set first so the guard reflects the true size.
-    reduced = [r for r in _eliminate(cols, m.rows)[0] if r]
-    return span_ints(reduced, guard)
 
 
 def min_distance_decode(received: BitVector,

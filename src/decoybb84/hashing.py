@@ -157,11 +157,6 @@ class RandomMatrixHash:
         return mat_vec_mul(self.matrix_bits, z)
 
 
-def sample_random_matrix(rng: np.random.Generator, l: int, m: int) -> RandomMatrixHash:
-    rows = rng.integers(0, 2, size=(l, l + m))
-    return RandomMatrixHash(l, m, BitMatrix.from_rows(rows.tolist()))
-
-
 def random_matrix_universality_profile(l: int, m: int,
                                        guard_bits: int = 16) -> dict[int, Fraction]:
     """Exact membership fractions for the fully random matrix family.

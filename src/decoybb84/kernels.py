@@ -1,21 +1,28 @@
-"""Hot enumeration kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot enumeration kernels.
 
-The exhaustive loops that dominate runtime live here: Hamming-distance
-decode tables, Toeplitz image counting over all seeds, and the restricted
-minimum-weight scans of the decoding-error verifier.  Each kernel has two
-implementations:
+The exhaustive loops that dominate runtime live here.  Two decode kernels
+are numpy-only structural algorithms, one function each:
+
+* ``decode_table``, a breadth-first search over the n-cube that labels
+  every received word with its nearest codeword,
+* ``nearest_index``, one vectorized distance scan for a single word.
+
+Both break ties toward the lex-smallest codeword (coordinate 0 most
+significant): ``decode_table`` by the smallest index of a lex-sorted code,
+``nearest_index`` by ``gf2.lex_key`` on whatever order it is given.
+
+The Toeplitz image counting over all seeds and the restricted
+minimum-weight scans of the decoding-error verifier (and the popcount they
+share) have two implementations each:
 
 * ``*_numba``, an ``@njit`` loop (compiled lazily on first call),
 * ``*_numpy``, a vectorized fallback with identical results.
 
-The active backend is numba when importable, unless the environment
+Their active backend is numba when importable, unless the environment
 variable ``DECOYBB84_NO_NUMBA=1`` is set, in which case the numpy path is
-used.  Both paths stay importable so the parity tests and
-``benchmarks/bench_kernels.py`` can compare them directly.
-
-All codeword arrays passed in must already be sorted by lexicographic key
-(coordinate 0 most significant); "first index wins" then implements the
-package-wide lexicographic tie-break.
+used.  Both paths stay importable so the parity tests can compare them.
+``restricted_decode_flags`` expects lex-sorted candidates; "first index
+wins" then implements the package-wide lexicographic tie-break.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ import os
 
 import numpy as np
 
+from .gf2 import lex_key
+
 try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     HAVE_NUMBA = False
 
 USE_NUMBA = HAVE_NUMBA and os.environ.get("DECOYBB84_NO_NUMBA", "") != "1"
@@ -55,26 +64,48 @@ def popcount64_numpy(x: np.ndarray) -> np.ndarray:
     )
 
 
-def decode_table_numpy(code: np.ndarray, n_bits: int) -> np.ndarray:
+def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
     """Index of the nearest codeword for every received word in F_2^n.
 
-    ``code`` must be sorted by lexicographic key; the first minimum wins.
+    Ties go to the smallest index, which is the lex-smallest nearest
+    codeword when ``code`` is lex-sorted.  A multi-source breadth-first
+    search over the n-cube: every codeword starts labelled with its index,
+    and a word at distance d+1 from the code takes the smallest label among
+    its neighbours at distance d: their nearest codewords, taken together,
+    are exactly its own.  Costs O(n 2^n radius) and needs no linearity.
     """
-    code = np.ascontiguousarray(code, dtype=np.uint64)
+    code = np.asarray(code, dtype=np.int64)
+    if code.size == 0:
+        raise ValueError("empty code")
     size = 1 << n_bits
-    out = np.empty(size, dtype=np.uint32)
-    ys = np.arange(size, dtype=np.uint64)
-    chunk = max(1, (1 << 22) // max(len(code), 1))
-    for s in range(0, size, chunk):
-        block = ys[s:s + chunk, None] ^ code[None, :]
-        out[s:s + chunk] = np.argmin(popcount64_numpy(block), axis=1)
+    none = np.iinfo(np.uint32).max
+    out = np.full(size, none, dtype=np.uint32)
+    words, first = np.unique(code, return_index=True)
+    out[words] = first
+    best = np.empty_like(out)
+    for _ in range(n_bits):  # no word lies farther than n_bits from the code
+        todo = out == none
+        if not todo.any():
+            break
+        best.fill(none)
+        for b in range(n_bits):
+            # Seen in blocks of 2^(b+1), y ^ 2^b swaps the two halves of y's block.
+            blocks = (-1, 2, 1 << b)
+            best_blocks = best.reshape(blocks)
+            np.minimum(best_blocks, out.reshape(blocks)[:, ::-1], out=best_blocks)
+        out[todo] = best[todo]
     return out
 
 
-def nearest_index_numpy(code: np.ndarray, y: int) -> int:
-    """Index of the codeword nearest to a single received word."""
+def nearest_index(code: np.ndarray, y: int, n_bits: int) -> int:
+    """Index of the codeword nearest to a single received word.
+
+    Ties go to the lex-smallest codeword, whatever the order of ``code``.
+    """
     code = np.asarray(code, dtype=np.uint64)
-    return int(np.argmin(popcount64_numpy(code ^ np.uint64(y))))
+    dist = popcount64_numpy(code ^ np.uint64(y))
+    tied = np.flatnonzero(dist == dist.min())
+    return int(min(tied, key=lambda i: lex_key(int(code[i]), n_bits)))
 
 
 def toeplitz_image_counts_numpy(l: int, m: int) -> np.ndarray:
@@ -139,31 +170,6 @@ if HAVE_NUMBA:
             out[i] = _popcount64_scalar(x[i], table)
 
     @njit(cache=True)
-    def _decode_table(code, n_bits, table, out):
-        size = 1 << n_bits
-        for y in range(size):
-            yy = np.uint64(y)
-            best = np.int64(65)
-            arg = 0
-            for j in range(code.size):
-                d = _popcount64_scalar(code[j] ^ yy, table)
-                if d < best:
-                    best = d
-                    arg = j
-            out[y] = arg
-
-    @njit(cache=True)
-    def _nearest_index(code, y, table):
-        best = np.int64(65)
-        arg = 0
-        for j in range(code.size):
-            d = _popcount64_scalar(code[j] ^ y, table)
-            if d < best:
-                best = d
-                arg = j
-        return arg
-
-    @njit(cache=True)
     def _toeplitz_image_counts(l, m, counts):
         n_seeds = 1 << (l + m - 1)
         mask = np.uint64((1 << m) - 1)
@@ -202,16 +208,6 @@ if HAVE_NUMBA:
         _popcount64_arr(x.ravel(), _POP16, out.ravel())
         return out
 
-    def decode_table_numba(code: np.ndarray, n_bits: int) -> np.ndarray:
-        code = np.ascontiguousarray(code, dtype=np.uint64)
-        out = np.empty(1 << n_bits, dtype=np.uint32)
-        _decode_table(code, n_bits, _POP16, out)
-        return out
-
-    def nearest_index_numba(code: np.ndarray, y: int) -> int:
-        code = np.ascontiguousarray(code, dtype=np.uint64)
-        return int(_nearest_index(code, np.uint64(y), _POP16))
-
     def toeplitz_image_counts_numba(l: int, m: int) -> np.ndarray:
         counts = np.zeros(1 << (l + m), dtype=np.int64)
         _toeplitz_image_counts(l, m, counts)
@@ -227,23 +223,17 @@ if HAVE_NUMBA:
 
 else:  # pragma: no cover - exercised only when numba is absent
     popcount64_numba = None
-    decode_table_numba = None
-    nearest_index_numba = None
     toeplitz_image_counts_numba = None
     restricted_decode_flags_numba = None
 
 
 if USE_NUMBA:
     popcount64 = popcount64_numba
-    decode_table = decode_table_numba
-    nearest_index = nearest_index_numba
     toeplitz_image_counts = toeplitz_image_counts_numba
     restricted_decode_flags = restricted_decode_flags_numba
     BACKEND = "numba"
 else:
     popcount64 = popcount64_numpy
-    decode_table = decode_table_numpy
-    nearest_index = nearest_index_numpy
     toeplitz_image_counts = toeplitz_image_counts_numpy
     restricted_decode_flags = restricted_decode_flags_numpy
     BACKEND = "numpy"

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionMismatch
-from .gf2 import BitMatrix, _eliminate, kernel_basis, mat_vec_mul, rank, span_ints
+from .gf2 import (BitMatrix, _eliminate, kernel_basis, lex_order, mat_vec_mul, rank,
+                  span_array, span_ints)
 
 ORACLE_GUARD_L = 4
 REDUCE_GUARD_N = 12
@@ -250,37 +251,12 @@ def dense_trace_norm(a: np.ndarray) -> float:
 # Reduction from an N-qubit channel and a code pair to the logical level.
 
 
-def _column_masks(m: BitMatrix) -> list[int]:
-    cols = [0] * m.cols
-    for i, row in enumerate(m.row_bits):
-        for j in range(m.cols):
-            cols[j] |= ((row >> j) & 1) << i
-    return cols
-
-
 def _enumerate_image_with_labels(m_e: BitMatrix, m_p: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All codewords M_e Z with their key labels M_p Z, Gray-code walk over Z."""
-    ncode = 1 << m_e.cols
-    cols_e = _column_masks(m_e)
-    cols_p = _column_masks(m_p)
-    words = np.zeros(ncode, dtype=np.uint64)
-    labels = np.zeros(ncode, dtype=np.uint32)
-    w = 0
-    lab = 0
-    for i in range(1, ncode):
-        bit = (i & -i).bit_length() - 1
-        w ^= cols_e[bit]
-        lab ^= cols_p[bit]
-        words[i] = w
-        labels[i] = lab
-    return words, labels
-
-
-def _lex_sort(words: np.ndarray, n_bits: int) -> np.ndarray:
-    keys = np.zeros(len(words), dtype=np.uint64)
-    for i in range(n_bits):
-        keys = (keys << np.uint64(1)) | ((words >> np.uint64(i)) & np.uint64(1))
-    return np.argsort(keys, kind="stable")
+    """All codewords M_e Z with their key labels M_p Z, lex-sorted by codeword."""
+    words = span_array(m_e.transpose().row_bits)
+    labels = span_array(m_p.transpose().row_bits, dtype=np.uint32)
+    order = lex_order(words, m_e.rows)
+    return words[order], labels[order]
 
 
 def _normalize_channel(channel, n: int) -> tuple[str, object]:
@@ -338,8 +314,6 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
 
     # --- key-error side: code Im(m_e), labels M_p Z ------------------
     words, labels = _enumerate_image_with_labels(m_e, m_p)
-    order = _lex_sort(words, n)
-    words, labels = words[order], labels[order]
     dx = kernels.decode_table(words, n)
 
     # --- phase-error side: dual pair -------------------------------
@@ -365,15 +339,11 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
     if len(chosen) != l:
         raise ValueError("code pair does not expose l logical phase bits")
 
-    z_words = np.empty(len(c1_ints) << l, dtype=np.uint64)
-    z_labels = np.empty(len(c1_ints) << l, dtype=np.uint32)
-    rep_span = span_ints(chosen)
-    for lbl, rep in enumerate(rep_span):
-        base = lbl * len(c1_ints)
-        for i, c in enumerate(c1_ints):
-            z_words[base + i] = c ^ rep
-            z_labels[base + i] = lbl
-    order = _lex_sort(z_words, n)
+    # Coset lbl of C1perp, shifted by the lbl-th logical representative.
+    rep_span = np.array(span_ints(chosen), dtype=np.uint64)
+    z_words = (rep_span[:, None] ^ np.array(c1_ints, dtype=np.uint64)).ravel()
+    z_labels = np.repeat(np.arange(1 << l, dtype=np.uint32), len(c1_ints))
+    order = lex_order(z_words, n)
     z_words, z_labels = z_words[order], z_labels[order]
     dz = kernels.decode_table(z_words, n)
 
@@ -398,11 +368,16 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
 
     # --- joint pattern law ------------------------------------------
     if kind == "product":
-        joint = np.array([[1.0]])
-        for site in law:
-            joint = np.kron(site, joint)
-        p_z = joint.sum(axis=0)
-        logical = ax.T @ joint @ az
+        # The law is the Kronecker product of the site laws (site i on bit i,
+        # which is axis N-1-i of a C-order reshape), so it is applied to az
+        # one site at a time instead of being built as a 2^N x 2^N array.
+        az_by_site = az.reshape((2,) * n + (n_lab,))
+        p_z = np.ones(1)
+        for i, site in enumerate(law):
+            axis = n - 1 - i
+            az_by_site = np.moveaxis(np.tensordot(site, az_by_site, axes=(1, axis)), 0, axis)
+            p_z = np.kron(site.sum(axis=0), p_z)
+        logical = ax.T @ az_by_site.reshape(size, n_lab)
     else:
         p_z = np.zeros(size)
         logical = np.zeros((1 << l, 1 << l))

@@ -42,7 +42,7 @@ from .channel import (ChannelStrategy, ClassCounts, DARK, MULTI, NORMAL,
 from .decoy import (ObservedRates, SourceDistribution,
                     estimate_interval_symmetric, estimate_vacuum_single)
 from .errors import CapacityError, DimensionMismatch, SessionAborted
-from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve
+from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import shannon_eta
 
@@ -169,27 +169,6 @@ def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> B
             return mat
 
 
-def _enumerate_codewords(m_e: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All codewords M_e z as packed ints plus the generating z, lex-sorted."""
-    cols = [0] * m_e.cols
-    for i, row in enumerate(m_e.row_bits):
-        for j in range(m_e.cols):
-            cols[j] |= ((row >> j) & 1) << i
-    ncode = 1 << m_e.cols
-    words = np.zeros(ncode, dtype=np.uint64)
-    w = 0
-    for i in range(1, ncode):
-        w ^= cols[(i & -i).bit_length() - 1]
-        words[i] = w
-    zs_gray = np.arange(ncode, dtype=np.uint64)
-    zs_gray ^= zs_gray >> np.uint64(1)
-    keys = np.zeros(ncode, dtype=np.uint64)
-    for i in range(m_e.rows):
-        keys = (keys << np.uint64(1)) | ((words >> np.uint64(i)) & np.uint64(1))
-    order = np.argsort(keys, kind="stable")
-    return words[order], zs_gray[order]
-
-
 def decode_to_seed(m_e: BitMatrix, received: BitVector,
                    guard: int = 1 << 20) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
@@ -203,9 +182,9 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     if 1 << m_e.cols > guard:
         raise CapacityError(
             f"exhaustive decode of 2^{m_e.cols} codewords exceeds guard {guard}")
-    words, zs = _enumerate_codewords(m_e)
-    idx = kernels.nearest_index(words, received.bits)
-    return BitVector(m_e.cols, int(zs[idx]))
+    # Word z of the span of M_e's columns is M_e z, so its index is the seed.
+    words = span_array(m_e.transpose().row_bits)
+    return BitVector(m_e.cols, kernels.nearest_index(words, received.bits, m_e.rows))
 
 
 def forward_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,

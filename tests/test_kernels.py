@@ -1,9 +1,10 @@
-"""Parity between the numba kernels and their pure-numpy fallbacks."""
+"""Decode kernels against brute force; numba kernels against their numpy fallbacks."""
 
 import numpy as np
 import pytest
 
 from decoybb84 import kernels
+from decoybb84.gf2 import lex_key, lex_order
 
 
 requires_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
@@ -26,30 +27,55 @@ def test_popcount_backends_agree():
         kernels.popcount64_numpy(xs).tolist()
 
 
-@requires_numba
-def test_decode_table_backends_agree():
+def _brute_nearest(code, y, n_bits):
+    """Index of the nearest codeword, ties to the lex-smallest, by plain Python."""
+    return min(range(len(code)),
+               key=lambda i: ((int(code[i]) ^ y).bit_count(), lex_key(int(code[i]), n_bits)))
+
+
+def _random_lex_sorted_code(rng, n_bits, size):
+    code = np.unique(rng.integers(0, 1 << n_bits, size=size, dtype=np.uint64))
+    return code[lex_order(code, n_bits)]
+
+
+def test_decode_table_matches_brute_force():
+    # Random word sets are non-linear; sizes run from a one-word code to dense codes.
     rng = np.random.default_rng(2)
-    for n_bits in (4, 6, 8):
-        code = np.unique(rng.integers(0, 1 << n_bits, size=10, dtype=np.uint64))
-        a = kernels.decode_table_numpy(code, n_bits)
-        b = kernels.decode_table_numba(code, n_bits)
-        assert np.array_equal(a, b)
+    for n_bits in range(1, 11):
+        for size in (1, 2, 5, 1 << (n_bits // 2), 1 << (n_bits - 1)):
+            code = _random_lex_sorted_code(rng, n_bits, size)
+            table = kernels.decode_table(code, n_bits)
+            want = [_brute_nearest(code, y, n_bits) for y in range(1 << n_bits)]
+            assert table.tolist() == want, (n_bits, code.tolist())
 
 
 def test_decode_table_first_minimum_wins():
     code = np.array([0b00, 0b11], dtype=np.uint64)
-    table = kernels.decode_table_numpy(code, 2)
+    table = kernels.decode_table(code, 2)
     # 0b01 is at distance 1 from both; the first (index 0) must win.
     assert table[0b01] == 0 and table[0b10] == 0
 
 
-@requires_numba
-def test_nearest_index_backends_agree():
+def test_decode_table_rejects_empty_code():
+    with pytest.raises(ValueError):
+        kernels.decode_table(np.array([], dtype=np.uint64), 3)
+
+
+def test_nearest_index_matches_brute_force():
     rng = np.random.default_rng(3)
-    code = np.unique(rng.integers(0, 1 << 12, size=50, dtype=np.uint64))
-    for y in rng.integers(0, 1 << 12, size=40):
-        assert kernels.nearest_index_numpy(code, int(y)) == \
-            kernels.nearest_index_numba(code, int(y))
+    for n_bits in (4, 8, 12):
+        code = np.unique(rng.integers(0, 1 << n_bits, size=50, dtype=np.uint64))
+        rng.shuffle(code)
+        for y in rng.integers(0, 1 << n_bits, size=40).tolist():
+            assert kernels.nearest_index(code, y, n_bits) == _brute_nearest(code, y, n_bits)
+
+
+def test_nearest_index_tie_goes_to_lex_smallest_on_unsorted_input():
+    # 0b0001 is the tuple (1,0,0,0) and 0b1000 is (0,0,0,1): both lie at
+    # distance 1 from 0, and (0,0,0,1) is lex-smaller though listed last.
+    code = np.array([0b0001, 0b0110, 0b1000], dtype=np.uint64)
+    assert kernels.nearest_index(code, 0, 4) == 2
+    assert kernels.nearest_index(code[::-1], 0, 4) == 0
 
 
 @requires_numba

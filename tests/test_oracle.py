@@ -324,6 +324,32 @@ class TestReduceCodeChannel:
         assert pph_j == pytest.approx(pph_p, abs=1e-12)
         assert np.allclose(dist_j.probs, dist_p.probs, atol=1e-12)
 
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_product_law_matches_explicit_kron_joint(self, n):
+        rng = np.random.default_rng(n)
+        from decoybb84.gf2 import rank
+        lm, l = n - 1, 2
+        while True:
+            m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
+            if rank(m_e) == lm:
+                break
+        while True:
+            m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
+            if rank(m_p) == l:
+                break
+        sites = [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(n)]
+        joint = np.array([[1.0]])
+        for site in sites:  # site i on bit i of the packed patterns
+            joint = np.kron(site, joint)
+        explicit = {(ex, ez): float(joint[ex, ez])
+                    for ex in range(1 << n) for ez in range(1 << n)}
+        laws = [{(x, z): float(site[x, z]) for x in (0, 1) for z in (0, 1)}
+                for site in sites]
+        dist_p, pph_p = reduce_code_channel(laws, m_e, m_p)
+        dist_j, pph_j = reduce_code_channel(explicit, m_e, m_p)
+        assert abs(pph_p - pph_j) <= 1e-12
+        assert np.abs(dist_p.probs - dist_j.probs).max() <= 1e-12
+
     def test_guard(self):
         m_e = BitMatrix.identity(13)
         m_p = BitMatrix.from_rows([[1] * 13])

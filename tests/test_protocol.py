@@ -8,10 +8,11 @@ import pytest
 from decoybb84.channel import ChannelStrategy, noiseless_strategy
 from decoybb84.decoy import SourceDistribution
 from decoybb84.errors import SessionAborted
-from decoybb84.gf2 import BitMatrix, BitVector
+from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, min_distance_decode
 from decoybb84.protocol import (SessionConfig, config_from_text,
-                                config_to_text, extract_experiment_data,
-                                forward_error_correct, reverse_error_correct,
+                                config_to_text, decode_to_seed,
+                                extract_experiment_data, forward_error_correct,
+                                random_full_rank_matrix, reverse_error_correct,
                                 run_session)
 
 
@@ -203,6 +204,18 @@ class TestErrorCorrection:
         z_a, z_b, ok = reverse_error_correct(x, x, m_e,
                                              np.random.default_rng(3))
         assert ok and z_a == z_b
+
+    def test_decode_to_seed_matches_min_distance_decode(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(3, 11))
+            lm = int(rng.integers(1, min(n, 6) + 1))
+            m_e = random_full_rank_matrix(rng, n, lm)
+            code = [mat_vec_mul(m_e, BitVector(lm, z)) for z in range(1 << lm)]
+            for y in rng.integers(0, 1 << n, size=16).tolist():
+                received = BitVector(n, y)
+                want = min_distance_decode(received, code)
+                assert mat_vec_mul(m_e, decode_to_seed(m_e, received)) == want
 
 
 class TestExperimentData:
