@@ -10,8 +10,8 @@ Library layout:
 * :mod:`decoybb84.decoy`    decoy-method channel-parameter estimation
 * :mod:`decoybb84.rates`    asymptotic key-generation rates
 * :mod:`decoybb84.protocol` seeded end-to-end session simulation
-* :mod:`decoybb84.kernels`  hot loops: numpy decode kernels, optional numba
-  for the Toeplitz and restricted-decode kernels
+* :mod:`decoybb84.kernels`  hot loops: numpy decode, Toeplitz-count and
+  restricted-decode kernels
 """
 
 from .bounds import (BoundInputs, averaged_eve_info_bound, averaged_success_bound,

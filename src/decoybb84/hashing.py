@@ -8,14 +8,17 @@ sacrifices m bits.
 
 The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
-computes that fraction exactly (as a rational number) for every nonzero Z
-by enumerating all 2^(l+m-1) seeds.  A completely random binary matrix is
+gives that fraction exactly (as a rational number) for every nonzero Z,
+over all 2^(l+m-1) seeds, from one small elimination per y-part
+(``kernels.toeplitz_image_counts``), and ``profile_summary`` checks it on
+the integer counts.  A completely random binary matrix is
 provided behind the same interface for comparison; the security condition
 is all the downstream bounds need, so both families are interchangeable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,51 +93,59 @@ def transpose_image_membership(h: ToeplitzHash, z: BitVector) -> bool:
     return acc == x_part
 
 
-def universality_profile(l: int, m: int,
-                         guard: int = DEFAULT_SEED_GUARD) -> dict[int, Fraction]:
-    """Exact membership fraction for every nonzero Z, over all seeds.
+class UniversalityProfile(Mapping):
+    """Read-only map from each nonzero packed Z to its exact seed fraction.
 
-    Keys are packed Z values (x-part in the low m bits, y-part above);
-    values are exact rationals with denominator 2^(l+m-1).
+    Keys are packed Z values (x-part in the low m bits, y-part above) in
+    increasing order; ``profile[z]`` is ``Fraction(counts[z], denom)`` with
+    ``denom = 2^(l+m-1)``, built on access from the integer ``counts``.
     """
+
+    def __init__(self, l: int, m: int, counts: np.ndarray):
+        self.l = l
+        self.m = m
+        self.counts = counts
+        self.denom = 1 << (l + m - 1)
+
+    def __getitem__(self, z: int) -> Fraction:
+        if not 0 < z < len(self.counts):
+            raise KeyError(z)
+        return Fraction(int(self.counts[z]), self.denom)
+
+    def __iter__(self):
+        return iter(range(1, len(self.counts)))
+
+    def __len__(self) -> int:
+        return len(self.counts) - 1
+
+
+def universality_profile(l: int, m: int,
+                         guard: int = DEFAULT_SEED_GUARD) -> UniversalityProfile:
+    """Exact membership fraction for every nonzero Z, over all seeds."""
     if l + m - 1 > guard:
         raise CapacityError(
             f"seed space 2^{l + m - 1} exceeds guard 2^{guard}")
-    counts = kernels.toeplitz_image_counts(l, m)
-    denom = 1 << (l + m - 1)
-    return {z: Fraction(int(counts[z]), denom) for z in range(1, 1 << (l + m))}
+    return UniversalityProfile(l, m, kernels.toeplitz_image_counts(l, m))
 
 
-def profile_summary(profile: dict[int, Fraction], m: int) -> dict:
+def profile_summary(profile: UniversalityProfile, m: int) -> dict:
     """Classify a profile against the 2^-m condition.
 
     Returns the worst fraction, whether the bound holds for every nonzero Z,
     and the three structural facts used in the exhaustive verification:
     zero fraction when the y-part vanishes, exact 2^-m when both parts are
-    nonzero.
+    nonzero.  Works on the integer counts; only the reported fractions are
+    built.
     """
-    bound = Fraction(1, 1 << m)
-    worst = Fraction(0)
-    ok = True
-    xonly_zero = True
-    mixed_sharp = True
-    xmask = (1 << m) - 1
-    for z, frac in profile.items():
-        worst = max(worst, frac)
-        if frac > bound:
-            ok = False
-        x_part = z & xmask
-        y_part = z >> m
-        if y_part == 0 and x_part != 0 and frac != 0:
-            xonly_zero = False
-        if y_part != 0 and x_part != 0 and frac != bound:
-            mixed_sharp = False
+    denom = profile.denom
+    grid = profile.counts.reshape(-1, 1 << m)  # grid[y, x]
+    worst = int(grid.reshape(-1)[1:].max())
     return {
-        "bound": bound,
-        "max_fraction": worst,
-        "within_bound": ok,
-        "zero_when_y_zero": xonly_zero,
-        "sharp_when_both_nonzero": mixed_sharp,
+        "bound": Fraction(1, 1 << m),
+        "max_fraction": Fraction(worst, denom),
+        "within_bound": worst << m <= denom,
+        "zero_when_y_zero": not grid[0, 1:].any(),
+        "sharp_when_both_nonzero": bool((grid[1:, 1:] == denom >> m).all()),
     }
 
 

@@ -288,9 +288,10 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
 
     transcript: list[str] = []
 
-    def announce(step: int, who: str, what: str):
+    def announce(step: int, who: str, what: Callable[[], str]):
+        # ``what`` builds the message only when the transcript is kept.
         if cfg.record_transcript:
-            transcript.append(f"{step} {who} {what}")
+            transcript.append(f"{step} {who} {what()}")
 
     # Step 1: Alice draws kinds and photon classes; nothing is public yet.
     kinds = rng.choice(n_kinds, size=cfg.n_prime, p=np.asarray(cfg.p_bar))
@@ -356,14 +357,14 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     bob_bits = bob_bits ^ flip_det.astype(np.int8)
 
     # Step 2: Alice announces the kinds.
-    announce(2, "alice", "kinds " + ",".join(map(str, kinds.tolist())))
+    announce(2, "alice", lambda: "kinds " + ",".join(map(str, kinds.tolist())))
 
     # Step 3: Bob announces detections, common-basis positions, counts.
     c_counts = np.bincount(kinds[detected], minlength=n_kinds)
     e_counts = np.bincount(kinds[common], minlength=n_kinds)
-    announce(3, "bob", "detected " + _hexbits(detected))
-    announce(3, "bob", "common " + _hexbits(common))
-    announce(3, "bob", "counts C=" + ",".join(map(str, c_counts.tolist()))
+    announce(3, "bob", lambda: "detected " + _hexbits(detected))
+    announce(3, "bob", lambda: "common " + _hexbits(common))
+    announce(3, "bob", lambda: "counts C=" + ",".join(map(str, c_counts.tolist()))
              + " E=" + ",".join(map(str, e_counts.tolist())))
 
     truth: dict = {}
@@ -373,7 +374,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                          strategy.p_dark)
 
     def finish_abort(step: int, reason: str) -> SessionOutcome:
-        announce(step, "both", f"abort {reason}")
+        announce(step, "both", lambda: f"abort {reason}")
         return SessionOutcome(
             status="aborted", abort_step=step, abort_reason=reason,
             plus=None, times=None,
@@ -399,11 +400,11 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         raw_positions[kind] = pos[keep]
         errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
         h_counts[kind] = errs
-        announce(4, "alice", f"check-{tag} positions "
+        announce(4, "alice", lambda: f"check-{tag} positions "
                  + ",".join(map(str, check_pos.tolist())))
-        announce(4, "alice", f"check-{tag} bits "
+        announce(4, "alice", lambda: f"check-{tag} bits "
                  + _hexbits(alice_bits[check_pos]))
-        announce(4, "bob", f"H[{kind}]={errs}")
+        announce(4, "bob", lambda: f"H[{kind}]={errs}")
 
     # Step 5: remaining kinds are fully announced on their common positions.
     for kind in range(1, n_kinds):
@@ -412,8 +413,8 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         pos = np.flatnonzero(common & (kinds == kind))
         errs = int((alice_bits[pos] != bob_bits[pos]).sum())
         h_counts[kind] = errs
-        announce(5, "alice", f"bits kind={kind} " + _hexbits(alice_bits[pos]))
-        announce(5, "bob", f"bits kind={kind} " + _hexbits(bob_bits[pos])
+        announce(5, "alice", lambda: f"bits kind={kind} " + _hexbits(alice_bits[pos]))
+        announce(5, "bob", lambda: f"bits kind={kind} " + _hexbits(bob_bits[pos])
                  + f" H[{kind}]={errs}")
 
     experiment = DExperimental(tuple(c_counts.tolist()),
@@ -454,7 +455,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         if lm - m_bits > cfg.n_bar:
             m_bits = lm - cfg.n_bar
             clamped = True
-        announce(6, "both", f"{name} lm={lm} m={m_bits} l={lm - m_bits}"
+        announce(6, "both", lambda: f"{name} lm={lm} m={m_bits} l={lm - m_bits}"
                  + (" clamped" if clamped else ""))
         results[name] = BasisResult(observed_error=float(err), lm=lm,
                                     m=m_bits, length=lm - m_bits,
@@ -468,21 +469,20 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         x_alice = _bv_from_array(alice_bits[pos])
         x_bob = _bv_from_array(bob_bits[pos])
         m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
-        digest = hashlib.sha256(
-            b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16]
-        announce(step_ec, "both", f"{name} code {digest}")
+        announce(step_ec, "both", lambda: f"{name} code " + hashlib.sha256(
+            b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16])
         if cfg.ec_direction == "forward":
             z_alice, z_bob, ok = forward_error_correct(
                 x_alice, x_bob, m_e, rng, cfg.decode_guard)
-            announce(step_ec, "alice", f"{name} masked "
+            announce(step_ec, "alice", lambda: f"{name} masked "
                      + format(mat_vec_xor(m_e, z_alice, x_alice).bits, "x"))
         else:
             z_alice, z_bob, ok = reverse_error_correct(
                 x_alice, x_bob, m_e, rng, cfg.decode_guard)
-            announce(step_ec, "bob", f"{name} masked "
+            announce(step_ec, "bob", lambda: f"{name} masked "
                      + format(mat_vec_xor(m_e, z_bob, x_bob).bits, "x"))
         hash_fn = sample_seed(rng, res.length, res.m)
-        announce(step_pa, "both", f"{name} pa-seed " + format(hash_fn.seed.bits, "x"))
+        announce(step_pa, "both", lambda: f"{name} pa-seed " + format(hash_fn.seed.bits, "x"))
         res.alice_key = hash_fn.apply(z_alice)
         res.bob_key = hash_fn.apply(z_bob)
         res.ec_success = ok

@@ -65,6 +65,29 @@ class TestVerifyToeplitz:
     def test_capacity_guard_exit_2(self, capsys):
         assert main(["verify-toeplitz", "--l", "20", "--m", "10"]) == 2
 
+    # Manifest digests of the exact payloads, with and without --full.
+    PINNED = {
+        (1, 1, False): "7505ed04ae73c785f5f38a5c0a2ee0706e8968b599280fb09e67da5abcd91bd0",
+        (1, 1, True): "b8ee962d8a20e7c705fd78d7c0600277245fcb9eb1f5608e356d89c54c568658",
+        (2, 3, False): "112c705001219b63c5a23e38c3fdc4510f389a4c3f5ef22ead8a7802efa96aba",
+        (2, 3, True): "616322fff7af978c2da0a9e3af5ee3cc8caa86168b1a53921c752bab668a4e8d",
+        (3, 3, False): "c52ed3683d9949b942992eb17655b1c64d791975e7605d54e7c24cf24a974106",
+        (3, 3, True): "74ca9c9c051c783f37c554ce82924be10a7ec2cdb95627d4e1e4a2ed8646ad4d",
+        (4, 4, False): "012bbf956be97c64be00d477d1847ba699709648a46decd55711076f9753f11b",
+        (4, 4, True): "24764c28f84c61a395b4b867656016d6172d35240295ef30046699ce9ca32157",
+    }
+
+    @pytest.mark.parametrize("l,m,full", sorted(PINNED))
+    def test_pinned_digest(self, tmp_path, l, m, full):
+        out = tmp_path / "r.json"
+        rc = main(["--format", "json", "--out", str(out), "verify-toeplitz",
+                   "--l", str(l), "--m", str(m)] + (["--full"] if full else []))
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["manifest"]["digest"] == self.PINNED[(l, m, full)]
+        if full:
+            assert len(report["payload"]["profile"]) == (1 << (l + m)) - 1
+
 
 class TestOracleCheck:
     def test_provable_subset_passes(self, capsys):

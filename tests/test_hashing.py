@@ -7,8 +7,8 @@ import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis
-from decoybb84.hashing import (RandomMatrixHash, ToeplitzHash, build_toeplitz,
-                               hash_key, profile_summary,
+from decoybb84.hashing import (RandomMatrixHash, ToeplitzHash, UniversalityProfile,
+                               build_toeplitz, hash_key, profile_summary,
                                random_matrix_universality_profile, sample_seed,
                                transpose_image_membership, universality_profile)
 
@@ -107,6 +107,33 @@ class TestUniversalityProfile:
         with pytest.raises(CapacityError):
             universality_profile(15, 10, guard=20)
 
+    def test_mapping_keys(self):
+        for l, m in ((1, 0), (1, 1), (2, 3), (4, 2)):
+            profile = universality_profile(l, m)
+            size = 1 << (l + m)
+            assert len(profile) == size - 1
+            assert list(profile) == list(range(1, size))
+            assert [z for z, _ in profile.items()] == list(range(1, size))
+            for z in (0, size, -1):
+                assert z not in profile
+                with pytest.raises(KeyError):
+                    profile[z]
+
+    def test_summary_matches_fraction_loop(self):
+        rng = np.random.default_rng(3)
+        for l in range(1, 11):
+            for m in range(0, 11 - l):
+                profile = universality_profile(l, m)
+                got = profile_summary(profile, m)
+                assert got == _summary_by_fractions(profile, m), (l, m)
+                assert all(type(v) in (bool, Fraction) for v in got.values())
+                # One count moved off the Toeplitz value, so the flags can fail.
+                counts = profile.counts.copy()
+                z = int(rng.integers(1, len(counts)))
+                counts[z] = (counts[z] + 1) if rng.integers(2) else profile.denom
+                broken = UniversalityProfile(l, m, counts)
+                assert profile_summary(broken, m) == _summary_by_fractions(broken, m), (l, m, z)
+
     def test_membership_equals_kernel_orthogonality(self):
         # Z in Im M_p^T iff Z is orthogonal to Ker M_p.
         rng = np.random.default_rng(7)
@@ -119,6 +146,24 @@ class TestUniversalityProfile:
                 zv = BitVector(l + m, z)
                 ortho = all((k.bits & z).bit_count() % 2 == 0 for k in kern)
                 assert transpose_image_membership(h, zv) == ortho
+
+
+def _summary_by_fractions(profile, m):
+    """The 2^-m classification by one Fraction comparison per nonzero Z."""
+    bound = Fraction(1, 1 << m)
+    worst = Fraction(0)
+    ok = xonly_zero = mixed_sharp = True
+    xmask = (1 << m) - 1
+    for z, frac in profile.items():
+        worst = max(worst, frac)
+        ok = ok and frac <= bound
+        x_part, y_part = z & xmask, z >> m
+        if y_part == 0 and x_part != 0 and frac != 0:
+            xonly_zero = False
+        if y_part != 0 and x_part != 0 and frac != bound:
+            mixed_sharp = False
+    return {"bound": bound, "max_fraction": worst, "within_bound": ok,
+            "zero_when_y_zero": xonly_zero, "sharp_when_both_nonzero": mixed_sharp}
 
 
 class TestSampleSeed:

@@ -1,4 +1,4 @@
-"""Decode kernels against brute force; numba kernels against their numpy fallbacks."""
+"""Kernels against brute-force and walk oracles."""
 
 import numpy as np
 import pytest
@@ -7,24 +7,12 @@ from decoybb84 import kernels
 from decoybb84.gf2 import lex_key, lex_order
 
 
-requires_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                    reason="numba not importable")
-
-
 def test_popcount_numpy_matches_python():
     rng = np.random.default_rng(0)
     xs = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
     got = kernels.popcount64_numpy(xs)
     want = [int(x).bit_count() for x in xs]
     assert got.tolist() == want
-
-
-@requires_numba
-def test_popcount_backends_agree():
-    rng = np.random.default_rng(1)
-    xs = rng.integers(0, 1 << 63, size=500, dtype=np.uint64)
-    assert kernels.popcount64_numba(xs).tolist() == \
-        kernels.popcount64_numpy(xs).tolist()
 
 
 def _brute_nearest(code, y, n_bits):
@@ -78,12 +66,31 @@ def test_nearest_index_tie_goes_to_lex_smallest_on_unsorted_input():
     assert kernels.nearest_index(code[::-1], 0, 4) == 0
 
 
-@requires_numba
-def test_toeplitz_counts_backends_agree():
-    for l, m in ((1, 1), (2, 2), (3, 2), (4, 3)):
-        a = kernels.toeplitz_image_counts_numpy(l, m)
-        b = kernels.toeplitz_image_counts_numba(l, m)
-        assert np.array_equal(a, b)
+def _walk_toeplitz_counts(l, m):
+    """Membership counts by walking every seed: X^T u is accumulated over a
+    Gray-code walk of u, one seed-array XOR per step."""
+    n_seeds = 1 << (l + m - 1)
+    mask = np.uint64((1 << m) - 1)
+    seeds = np.arange(n_seeds, dtype=np.uint64)
+    counts = np.zeros(1 << (l + m), dtype=np.int64)
+    x = np.zeros(n_seeds, dtype=np.uint64)
+    counts[0] = n_seeds  # u = 0 puts Z = 0 in the image for every seed
+    gray_prev = 0
+    for i in range(1, 1 << l):
+        gray = i ^ (i >> 1)
+        flip = (gray ^ gray_prev).bit_length() - 1
+        x ^= (seeds >> np.uint64(flip)) & mask
+        z = x | np.uint64(gray << m)
+        counts += np.bincount(z.astype(np.int64), minlength=1 << (l + m))
+        gray_prev = gray
+    return counts
+
+
+def test_toeplitz_counts_match_seed_walk():
+    for l in range(1, 13):
+        for m in range(0, 13 - l):
+            assert np.array_equal(kernels.toeplitz_image_counts(l, m),
+                                  _walk_toeplitz_counts(l, m)), (l, m)
 
 
 def test_toeplitz_counts_brute_force():
@@ -104,45 +111,18 @@ def test_toeplitz_counts_brute_force():
             span |= {s ^ r for s in span}
         for z in span:
             counts[z] += 1
-    assert np.array_equal(counts, kernels.toeplitz_image_counts_numpy(l, m))
+    assert np.array_equal(counts, kernels.toeplitz_image_counts(l, m))
 
 
-@requires_numba
-def test_restricted_decode_backends_agree():
+def test_restricted_decode_flags_matches_brute_force():
     rng = np.random.default_rng(4)
     cands = np.unique(rng.integers(0, 1 << 10, size=30, dtype=np.uint64))
+    cands = cands[lex_order(cands, 10)]
     good = rng.integers(0, 2, size=len(cands)).astype(np.uint8)
     ys = rng.integers(0, 1 << 10, size=64, dtype=np.uint64)
     mask1 = 0b1111100
-    a = kernels.restricted_decode_flags_numpy(cands, good, mask1, ys)
-    b = kernels.restricted_decode_flags_numba(cands, good, mask1, ys)
-    assert np.array_equal(a, b)
-
-
-def test_env_flag_selects_numpy():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # The child must import the same copy of the package as this process,
-    # installed or not, so its parent directory goes first on PYTHONPATH.
-    pkg_root = str(Path(kernels.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items() if k != "DECOYBB84_NO_NUMBA"}
-    base["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, base.get("PYTHONPATH")) if p)
-
-    def run_child(env):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import decoybb84.kernels as k; print(k.BACKEND)"],
-            env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        return out
-
-    out = run_child({**base, "DECOYBB84_NO_NUMBA": "1"})
-    assert out.stdout.strip() == "numpy"
-    # Without the flag the backend follows numba's availability, so on a
-    # machine with numba the flag is what selected numpy above.
-    out = run_child(base)
-    assert out.stdout.strip() == ("numba" if kernels.HAVE_NUMBA else "numpy")
+    # First minimum of the masked weight wins.
+    want = [1 - int(good[min(range(len(cands)),
+                             key=lambda i: ((int(cands[i]) ^ int(y)) & mask1).bit_count())])
+            for y in ys]
+    assert kernels.restricted_decode_flags(cands, good, mask1, ys).tolist() == want

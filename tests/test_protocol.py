@@ -1,6 +1,8 @@
 """End-to-end session behavior: aborts, clamps, determinism, statistics."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,6 +273,19 @@ class TestExperimentData:
                                + strat.p_dark * 0.5)) / p_sig
         sigma = math.sqrt(err_true * (1 - err_true) / n_check)
         assert abs(d_e.h[2] / n_check - err_true) < 5 * sigma
+        # Not recording changes nothing but the transcript.  These seeds and
+        # sizes give step-4 and step-6 aborts and sessions whose keys match
+        # and mismatch, on either EC direction.
+        assert out.transcript == ()
+        for n_prime, seed, direction in itertools.product(
+                (150, 4000), range(11, 15), ("forward", "reverse")):
+            quiet = replace(cfg, n_prime=n_prime, rng_seed=seed, ec_direction=direction)
+            kept = run_session(replace(quiet, record_transcript=True), strat)
+            got = run_session(quiet, strat)
+            assert got.transcript == () and kept.transcript
+            assert (got.status, got.abort_step, got.abort_reason) == \
+                (kept.status, kept.abort_step, kept.abort_reason)
+            assert (got.plus, got.times) == (kept.plus, kept.times)
 
     def test_keys_equal_whenever_ec_succeeds(self):
         # Marginal noise regime: error correction sometimes fails, but
