@@ -30,8 +30,10 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundViolation, CapacityError
-from .gf2 import BitMatrix, BitVector, kernel_basis, lex_order, mat_vec_mul, rank, span_ints
-from .hashing import build_toeplitz
+from .gf2 import BitMatrix, rank, span_array
+# Bound here only so that perfbench/tracer.py's LAYER_MAP finds them in this module.
+from .gf2 import kernel_basis, mat_vec_mul, span_ints  # noqa: F401
+from .hashing import build_toeplitz  # noqa: F401
 
 
 def hbar(x: float) -> float:
@@ -229,14 +231,6 @@ def _random_full_rank(rng: np.random.Generator, rows: int, cols: int) -> BitMatr
             return mat
 
 
-def _weight_limited_patterns(n_bits: int, max_w: int, offset: int) -> list[int]:
-    out = []
-    for v in range(1 << n_bits):
-        if v.bit_count() <= max_w:
-            out.append(v << offset)
-    return out
-
-
 def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
                                 c1_dim: int, m: int,
                                 rng: np.random.Generator | None = None,
@@ -265,45 +259,49 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     rng = rng or np.random.default_rng(0)
 
     m_e = _random_full_rank(rng, n, c1_dim)
-    c1perp = set(span_ints([v.bits for v in kernel_basis(m_e.transpose())]))
-
     n_seed_bits = c1_dim - 1
     if (1 << n_seed_bits) <= max_seeds:
-        seeds = range(1 << n_seed_bits)
+        seeds = np.arange(1 << n_seed_bits)
     else:
-        seeds = [int(s) for s in
-                 rng.integers(0, 1 << n_seed_bits, size=max_seeds)]
+        seeds = rng.integers(0, 1 << n_seed_bits, size=max_seeds)
 
-    mask1 = ((1 << n1) - 1) << n0
-    part1 = _weight_limited_patterns(n1, t, n0)
-    part2 = [v << (n0 + n1) for v in range(1 << n2)]
-    ys = np.array([e1 | e2 for e2 in part2 for e1 in part1], dtype=np.uint64)
+    # Word j stands for j << n0: the words with part 0 zero.  v[j] = M_e^T w.
+    v = span_array(m_e.row_bits[n0:], dtype=np.int64)
+    good = v == 0  # w in C1-perp
+    words = np.arange(1 << n1)
+    part1 = words[np.bitwise_count(words) <= t]
+    ys = ((np.arange(1 << n2)[:, None] << n1) | part1).ravel()
 
-    fail_sum = np.zeros(len(ys))
-    n_seeds = 0
-    for seed_bits in seeds:
-        hash_m = build_toeplitz(l, m, BitVector(c1_dim - 1, seed_bits))
-        sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in kernel_basis(hash_m))
-        c2perp = span_ints(
-            [v.bits for v in kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))])
-        # Decoder candidates: dual-subcode words with part-0 coordinates zero.
-        cand = [w for w in c2perp if w & ((1 << n0) - 1) == 0]
-        cand_arr = np.array(cand, dtype=np.uint64)
-        order = lex_order(cand_arr, n)
-        cand_arr = cand_arr[order]
-        good = np.array([1 if int(w) in c1perp else 0 for w in cand_arr],
-                        dtype=np.uint8)
-        fail_sum += kernels.restricted_decode_flags(cand_arr, good, mask1, ys)
-        n_seeds += 1
+    fails = np.zeros(len(ys), dtype=np.int64)
+    block = max(1, (1 << 20) // len(v))  # bounds the (seeds, words) arrays
+    for lo in range(0, len(seeds), block):
+        cands = _dual_subcode_candidates(seeds[lo:lo + block], v, l, m)
+        fails += kernels.restricted_decode_flags(cands, good, (1 << n1) - 1, ys, n - n0)
 
-    fail_rate = fail_sum / n_seeds
+    fail_rate = fails / len(seeds)
     bound = 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m)
 
-    per_pattern = fail_rate.reshape(len(part2), len(part1))
+    per_pattern = fail_rate.reshape(1 << n2, len(part1))
     empirical_mean = float(per_pattern.mean(axis=1).max())
     empirical_max = float(fail_rate.max())
     if empirical_max > bound + 1e-12:
         raise BoundViolation(
             f"decoding failure {empirical_max} exceeds bound {bound}")
     return DecodingCheck(empirical_mean, empirical_max, bound,
-                         n_seeds, len(ys))
+                         len(seeds), len(ys))
+
+
+def _dual_subcode_candidates(seeds: np.ndarray, v: np.ndarray, l: int, m: int) -> np.ndarray:
+    """Row s: the words j with M_e^T w in the row space of H_s = (X_s, I),
+    i.e. w in C2-perp, padded with the zero word.
+
+    Row i of H_s is (seed >> i) & (2^m - 1) | 1 << (m + i), so the one
+    row-space word with identity part u has X part span[u, s].
+    """
+    low = (seeds[None, :] >> np.arange(l)[:, None]) & ((1 << m) - 1)
+    span = span_array(low, dtype=np.int64)
+    seed, word = np.nonzero((span[v >> m] == (v & ((1 << m) - 1))[:, None]).T)
+    counts = np.bincount(seed, minlength=len(seeds))
+    cands = np.zeros((len(seeds), counts.max()), dtype=np.intp)
+    cands[seed, np.arange(len(seed)) - (np.cumsum(counts) - counts)[seed]] = word
+    return cands

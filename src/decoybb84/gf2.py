@@ -290,13 +290,15 @@ def span_ints(basis: Sequence[int], guard: int = DEFAULT_SPAN_GUARD) -> list[int
     return out
 
 
-def span_array(basis: Sequence[int], dtype=np.uint64) -> np.ndarray:
+def span_array(basis: Sequence[int] | np.ndarray, dtype=np.uint64) -> np.ndarray:
     """All 2^k XOR combinations as an array; element i combines the basis
     vectors at the set bits of i.  Built by doubling: the second half of
-    each step is the first half XOR the next basis vector."""
-    out = np.zeros(1 << len(basis), dtype=dtype)
+    each step is the first half XOR the next basis vector.  A (k, ...)
+    array spans k basis arrays elementwise into a (2^k, ...) array."""
+    basis = np.asarray(basis, dtype=dtype)
+    out = np.zeros((1 << len(basis),) + basis.shape[1:], dtype=dtype)
     for j, b in enumerate(basis):
-        np.bitwise_xor(out[:1 << j], dtype(b), out=out[1 << j:2 << j])
+        np.bitwise_xor(out[:1 << j], b, out=out[1 << j:2 << j])
     return out
 
 

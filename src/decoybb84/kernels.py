@@ -20,27 +20,6 @@ import numpy as np
 
 from .gf2 import _eliminate, lex_key, span_array
 
-# 16-bit popcount lookup.
-_POP16 = (
-    (np.arange(1 << 16, dtype=np.uint32)[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1
-).sum(axis=1).astype(np.uint8)
-
-_U16 = np.uint64(16)
-_U32 = np.uint64(32)
-_U48 = np.uint64(48)
-_MASK16 = np.uint64(0xFFFF)
-
-
-def popcount64_numpy(x: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    x = np.asarray(x, dtype=np.uint64)
-    return (
-        _POP16[(x & _MASK16).astype(np.intp)].astype(np.int64)
-        + _POP16[((x >> _U16) & _MASK16).astype(np.intp)]
-        + _POP16[((x >> _U32) & _MASK16).astype(np.intp)]
-        + _POP16[(x >> _U48).astype(np.intp)]
-    )
-
 
 def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
     """Index of the nearest codeword for every received word in F_2^n.
@@ -81,7 +60,7 @@ def nearest_index(code: np.ndarray, y: int, n_bits: int) -> int:
     Ties go to the lex-smallest codeword, whatever the order of ``code``.
     """
     code = np.asarray(code, dtype=np.uint64)
-    dist = popcount64_numpy(code ^ np.uint64(y))
+    dist = np.bitwise_count(code ^ np.uint64(y))
     tied = np.flatnonzero(dist == dist.min())
     return int(min(tied, key=lambda i: lex_key(int(code[i]), n_bits)))
 
@@ -105,22 +84,30 @@ def toeplitz_image_counts(l: int, m: int) -> np.ndarray:
     return counts
 
 
-def restricted_decode_flags(cands: np.ndarray, good: np.ndarray,
-                            mask1: int, ys: np.ndarray) -> np.ndarray:
-    """Decode each y by minimum weight on the masked coordinates only.
+def restricted_decode_flags(cands: np.ndarray, good: np.ndarray, mask1: int,
+                            ys: np.ndarray, n_bits: int) -> np.ndarray:
+    """Decoding failures of every error pattern, summed over hash seeds.
 
-    ``cands`` is the (lex-sorted) candidate array, ``good[i]`` marks
-    candidates whose decoding counts as success.  Returns 1 where decoding
-    fails (first-minimum tie-break).
+    Words are ``n_bits``-bit integers.  Row s of ``cands`` lists seed s's
+    decoder candidates, padded with the zero word (always a candidate);
+    ``good[w]`` marks the words whose decoding counts as success.  For the
+    error y, seed s decodes to the candidate c of least weight of
+    (y ^ c) & mask1, ties going to the first minimum among lex-sorted
+    candidates.  Returns, per y, the number of seeds whose winner is not good.
     """
-    cands = np.asarray(cands, dtype=np.uint64)
-    ys = np.asarray(ys, dtype=np.uint64)
-    good = np.asarray(good, dtype=np.uint8)
-    out = np.empty(len(ys), dtype=np.uint8)
-    chunk = max(1, (1 << 22) // max(len(cands), 1))
-    m1 = np.uint64(mask1)
-    for s in range(0, len(ys), chunk):
-        block = (ys[s:s + chunk, None] ^ cands[None, :]) & m1
-        idx = np.argmin(popcount64_numpy(block), axis=1)
-        out[s:s + chunk] = 1 - good[idx]
-    return out
+    cands = np.asarray(cands, dtype=np.intp)
+    ys = np.asarray(ys, dtype=np.intp)
+    words = np.arange(1 << n_bits, dtype=np.intp)
+    kind = np.int32 if (n_bits + 1) << n_bits < 1 << 31 else np.int64
+    weight = np.bitwise_count(words & mask1).astype(kind) << n_bits
+    rank = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=kind)  # lex_key
+    n_pairs = len(cands) * len(ys)
+    fails = np.zeros(len(ys), dtype=np.int64)
+    step = max(1, (1 << 16) // cands.shape[1])
+    for lo in range(0, n_pairs, step):
+        seed, y = np.divmod(np.arange(lo, min(lo + step, n_pairs)), len(ys))
+        row = cands[seed]
+        best = np.argmin(weight[row ^ ys[y, None]] | rank[row], axis=1)
+        bad = ~good[np.take_along_axis(row, best[:, None], axis=1)[:, 0]]
+        fails += np.bincount(y[bad], minlength=len(ys))
+    return fails

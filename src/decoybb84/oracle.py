@@ -120,7 +120,7 @@ def eve_mutual_information(dist: PauliErrorDistribution) -> float:
 def _sign_matrix(l: int) -> np.ndarray:
     """S[d, z] = (-1)^(popcount(d & z)), the parity character table."""
     idx = np.arange(1 << l, dtype=np.uint64)
-    par = kernels.popcount64_numpy(idx[:, None] & idx[None, :]) & 1
+    par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
     return 1.0 - 2.0 * par
 
 

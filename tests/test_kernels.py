@@ -7,14 +7,6 @@ from decoybb84 import kernels
 from decoybb84.gf2 import lex_key, lex_order
 
 
-def test_popcount_numpy_matches_python():
-    rng = np.random.default_rng(0)
-    xs = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
-    got = kernels.popcount64_numpy(xs)
-    want = [int(x).bit_count() for x in xs]
-    assert got.tolist() == want
-
-
 def _brute_nearest(code, y, n_bits):
     """Index of the nearest codeword, ties to the lex-smallest, by plain Python."""
     return min(range(len(code)),
@@ -116,13 +108,17 @@ def test_toeplitz_counts_brute_force():
 
 def test_restricted_decode_flags_matches_brute_force():
     rng = np.random.default_rng(4)
-    cands = np.unique(rng.integers(0, 1 << 10, size=30, dtype=np.uint64))
-    cands = cands[lex_order(cands, 10)]
-    good = rng.integers(0, 2, size=len(cands)).astype(np.uint8)
-    ys = rng.integers(0, 1 << 10, size=64, dtype=np.uint64)
-    mask1 = 0b1111100
-    # First minimum of the masked weight wins.
-    want = [1 - int(good[min(range(len(cands)),
-                             key=lambda i: ((int(cands[i]) ^ int(y)) & mask1).bit_count())])
-            for y in ys]
-    assert kernels.restricted_decode_flags(cands, good, mask1, ys).tolist() == want
+    n_bits, mask1 = 7, 0b11100
+    cands = np.zeros((5, 12), dtype=np.intp)  # zero padding, as the decoder pads
+    for row, size in zip(cands, (12, 9, 1, 4, 12)):
+        row[:size] = np.concatenate(([0], rng.choice(np.arange(1, 1 << n_bits), size - 1,
+                                                     replace=False)))
+    good = rng.integers(0, 2, size=1 << n_bits).astype(bool)
+    good[0] = True
+    ys = rng.integers(0, 1 << n_bits, size=40)
+    # Least masked weight wins, ties to the lex-smallest candidate.
+    want = [sum(not good[min(set(row.tolist()), key=lambda c: (
+        ((c ^ int(y)) & mask1).bit_count(), lex_key(c, n_bits)))] for row in cands)
+        for y in ys]
+    got = kernels.restricted_decode_flags(cands, good, mask1, ys, n_bits)
+    assert got.tolist() == want
