@@ -15,7 +15,9 @@ single-photon detections, and the sacrifice-bit budget m:
 ``verify_proposition_decoding`` replays the underlying decoding-error
 argument at desk scale: it enumerates hash seeds and error patterns and
 checks the averaged decoding error of the part-restricted minimum-distance
-decoder against the analytic exponent, raising on any violation.
+decoder against the analytic exponent, raising on any violation.  The
+decoder sees only the coset of the error; all seeds' candidates are built
+from arrays and decoded in one batched ``kernels.restricted_decode_flags``.
 
 All logarithms are base 2; information is in bits.
 """
@@ -30,9 +32,8 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundViolation, CapacityError
-from .gf2 import BitMatrix, rank, span_array
-# Bound here only so that perfbench/tracer.py's LAYER_MAP finds them in this module.
-from .gf2 import kernel_basis, mat_vec_mul, span_ints  # noqa: F401
+# kernel_basis, mat_vec_mul, span_ints, build_toeplitz: unused, kept for perfbench's LAYER_MAP.
+from .gf2 import BitMatrix, kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
 from .hashing import build_toeplitz  # noqa: F401
 
 
@@ -239,12 +240,16 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     """Replay the decoding-error bound 2^(n1 hbar(t/n1) + n2 - m) exactly.
 
     Coordinates are split into a noiseless part (n0 bits), a part with at
-    most t flips (n1 bits) and an unconstrained part (n2 bits).  For every
-    hash seed the m-dimensional subcode is derived from a Toeplitz matrix;
-    the decoder pins the part-0 bits and minimizes weight on part 1 over
-    the dual subcode.  The seed-averaged failure rate is computed for every
-    error pattern; a BoundViolation is raised if any pattern beats the
-    analytic bound.
+    most t flips (n1 bits) and an unconstrained part (n2 bits).  C1 is the
+    image of a random full-rank M_e; every hash seed s gives the subcode
+    C2 = M_e ker H_s with H_s = (X_s, I) Toeplitz.  The decoder knows only
+    the coset y + C2-perp of the error y: among the estimates y ^ c with c
+    in C2-perp and part 0 zero it takes the one of least part-1 weight,
+    ties to the lex-smallest estimate, and fails unless c lies in C1-perp.
+    From structure: w is in C2-perp exactly when M_e^T w lies in the row
+    space of H_s, and in C1-perp exactly when M_e^T w = 0.  A
+    BoundViolation is raised if any pattern's seed-averaged failure rate
+    beats the analytic bound.
     """
     n = n0 + n1 + n2
     if n > guard_n:
@@ -281,8 +286,7 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     fail_rate = fails / len(seeds)
     bound = 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m)
 
-    per_pattern = fail_rate.reshape(1 << n2, len(part1))
-    empirical_mean = float(per_pattern.mean(axis=1).max())
+    empirical_mean = float(fail_rate.reshape(1 << n2, len(part1)).mean(axis=1).max())
     empirical_max = float(fail_rate.max())
     if empirical_max > bound + 1e-12:
         raise BoundViolation(

@@ -5,13 +5,15 @@
 * ``nearest_index``, one vectorized distance scan for a single word,
 * ``toeplitz_image_counts``, the exact Toeplitz membership counts from the
   nullity of one small linear map per y-part,
-* ``restricted_decode_flags``, the minimum-weight scans of the
-  decoding-error verifier.
+* ``restricted_decode_flags``, the minimum-weight decodes of the
+  decoding-error verifier for all hash seeds and error patterns at once.
 
-Ties go toward the lex-smallest codeword (coordinate 0 most significant):
-``decode_table`` by the smallest index of a lex-sorted code,
-``nearest_index`` by ``gf2.lex_key`` on whatever order it is given, and
-``restricted_decode_flags`` by "first index wins" on lex-sorted candidates.
+Ties go toward the lex-smallest word (coordinate 0 most significant):
+``decode_table`` by the smallest index of a lex-sorted code and
+``nearest_index`` by ``gf2.lex_key`` of the codeword on whatever order it
+is given.  ``restricted_decode_flags`` breaks ties by ``gf2.lex_key`` of
+the error estimate y ^ c, not of c, so its decode depends only on the
+coset of y.
 """
 
 from __future__ import annotations
@@ -91,23 +93,26 @@ def restricted_decode_flags(cands: np.ndarray, good: np.ndarray, mask1: int,
     Words are ``n_bits``-bit integers.  Row s of ``cands`` lists seed s's
     decoder candidates, padded with the zero word (always a candidate);
     ``good[w]`` marks the words whose decoding counts as success.  For the
-    error y, seed s decodes to the candidate c of least weight of
-    (y ^ c) & mask1, ties going to the first minimum among lex-sorted
-    candidates.  Returns, per y, the number of seeds whose winner is not good.
+    error y, seed s takes the error estimate y ^ c of least weight on mask1,
+    ties going to the lex-smallest estimate, so the decoder sees only the
+    coset y + C_s and never y itself.  Returns, per y, the number of seeds
+    whose winning c is not good.
     """
     cands = np.asarray(cands, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)
-    words = np.arange(1 << n_bits, dtype=np.intp)
+    good = np.asarray(good, dtype=bool)
     kind = np.int32 if (n_bits + 1) << n_bits < 1 << 31 else np.int64
-    weight = np.bitwise_count(words & mask1).astype(kind) << n_bits
-    rank = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=kind)  # lex_key
-    n_pairs = len(cands) * len(ys)
+    # lex_key of every word; bit reversal, so it is its own inverse.
+    lex = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=kind)
+    key = np.bitwise_count(np.arange(1 << n_bits) & mask1).astype(kind) << n_bits | lex
+    n_seeds, width = cands.shape
     fails = np.zeros(len(ys), dtype=np.int64)
-    step = max(1, (1 << 16) // cands.shape[1])
-    for lo in range(0, n_pairs, step):
-        seed, y = np.divmod(np.arange(lo, min(lo + step, n_pairs)), len(ys))
-        row = cands[seed]
-        best = np.argmin(weight[row ^ ys[y, None]] | rank[row], axis=1)
-        bad = ~good[np.take_along_axis(row, best[:, None], axis=1)[:, 0]]
-        fails += np.bincount(y[bad], minlength=len(ys))
+    y_step = max(1, min(len(ys), (1 << 16) // width))
+    s_step = max(1, (1 << 16) // (y_step * width))
+    for y0 in range(0, len(ys), y_step):
+        y = ys[y0:y0 + y_step, None]
+        for s0 in range(0, n_seeds, s_step):
+            # (y, seed) minimum key -> its estimate e -> the winning c = y ^ e.
+            least = key[cands[None, s0:s0 + s_step] ^ y[:, :, None]].min(axis=2)
+            fails[y0:y0 + y_step] += (~good[lex[least & ((1 << n_bits) - 1)] ^ y]).sum(axis=1)
     return fails

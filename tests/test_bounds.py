@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from decoybb84.bounds import (BoundInputs, averaged_eve_info_bound,
+from decoybb84 import bounds
+from decoybb84.bounds import (BoundInputs, DecodingCheck, averaged_eve_info_bound,
                               averaged_success_bound, binary_entropy,
                               distinguishability_bounds, eve_info_bound,
                               forward_bound, hbar, max_bound_over_inputs,
@@ -11,6 +12,8 @@ from decoybb84.bounds import (BoundInputs, averaged_eve_info_bound,
                               reverse_bound, success_bound, twoway_bound,
                               verify_proposition_decoding, worst_case_t_bound)
 from decoybb84.errors import CapacityError
+from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul, span_ints
+from decoybb84.hashing import build_toeplitz
 
 
 class TestHbar:
@@ -311,6 +314,39 @@ class TestPropositionDecoding:
                                           rng=np.random.default_rng(2))
         assert res.empirical_mean <= res.empirical_max <= res.bound + 1e-12
 
+    def test_part2_error_alone_makes_decoding_fail(self):
+        # With t = 0 the only part-1 pattern is zero, so every failure comes
+        # from a part-2 error; a decoder that saw the true error never fails.
+        res = verify_proposition_decoding(n0=0, n1=4, n2=2, t=0,
+                                          c1_dim=5, m=3,
+                                          rng=np.random.default_rng(0))
+        assert res.n_patterns == 4
+        assert res.empirical_max == 0.25
+        assert res.bound == 0.5
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2])
+    def test_matches_per_seed_brute_force(self, rng_seed):
+        configs = [(n0, n1, n2, t, c1_dim, m)
+                   for n0 in (0, 1, 2) for n1 in (1, 2, 3, 4) for n2 in (0, 1, 2)
+                   if n0 + n1 + n2 <= 7
+                   for t in sorted({0, min(n1, 2)}) for m in (1, 2, 3)
+                   for c1_dim in range(m + 1, min(n0 + n1 + n2, m + 3) + 1)]
+        rng = np.random.default_rng(rng_seed)
+        for cfg in configs:
+            state = rng.integers(1 << 32)
+            want = _brute_force_check(*cfg, np.random.default_rng(state))
+            got = verify_proposition_decoding(*cfg, rng=np.random.default_rng(state))
+            assert got == want, cfg
+
+    def test_sampled_seeds_match_per_seed_brute_force(self):
+        for cfg in [(0, 3, 2, 1, 5, 2), (1, 3, 2, 1, 6, 3), (2, 2, 2, 2, 6, 2)]:
+            for max_seeds in (3, 8):
+                want = _brute_force_check(*cfg, np.random.default_rng(9), max_seeds=max_seeds)
+                got = verify_proposition_decoding(*cfg, rng=np.random.default_rng(9),
+                                                  max_seeds=max_seeds)
+                assert got.n_seeds == max_seeds < 1 << (cfg[4] - 1)
+                assert got == want, (cfg, max_seeds)
+
     def test_guard(self):
         with pytest.raises(CapacityError):
             verify_proposition_decoding(8, 8, 0, 1, 10, 4, guard_n=14)
@@ -319,3 +355,32 @@ class TestPropositionDecoding:
         assert binary_entropy(0.5) == pytest.approx(1.0)
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
+
+
+def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng, max_seeds=8192):
+    """The decoding replay seed by seed: C2 = M_e ker H_s from the Toeplitz
+    matrix, its dual by kernel_basis and span_ints, and a plain-Python
+    minimum over the candidates by (part-1 weight, lex_key of the estimate)."""
+    n, l = n0 + n1 + n2, c1_dim - m
+    m_e = bounds._random_full_rank(rng, n, c1_dim)
+    c1perp = set(span_ints([v.bits for v in kernel_basis(m_e.transpose())]))
+    if 1 << (c1_dim - 1) <= max_seeds:
+        seeds = range(1 << (c1_dim - 1))
+    else:
+        seeds = [int(s) for s in rng.integers(0, 1 << (c1_dim - 1), size=max_seeds)]
+    mask1 = ((1 << n1) - 1) << n0
+    part1 = [e << n0 for e in range(1 << n1) if e.bit_count() <= t]
+    ys = [e1 | e2 << (n0 + n1) for e2 in range(1 << n2) for e1 in part1]
+    fails = [0] * len(ys)
+    for seed in seeds:
+        hash_m = build_toeplitz(l, m, BitVector(c1_dim - 1, seed))
+        sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in kernel_basis(hash_m))
+        c2perp = span_ints([v.bits for v in kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))])
+        cands = [w for w in c2perp if w & ((1 << n0) - 1) == 0]
+        for i, y in enumerate(ys):
+            c = min(cands, key=lambda w: (((y ^ w) & mask1).bit_count(), lex_key(y ^ w, n)))
+            fails[i] += c not in c1perp
+    rate = np.array(fails) / len(seeds)
+    return DecodingCheck(float(rate.reshape(1 << n2, len(part1)).mean(axis=1).max()),
+                         float(rate.max()), 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m),
+                         len(seeds), len(ys))

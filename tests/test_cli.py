@@ -1,6 +1,8 @@
 """CLI: exit codes, report envelopes, golden-byte reproducibility."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,20 @@ class TestSimulate:
         assert main(["--out", str(a)] + args) == 0
         assert main(["--out", str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paths = []
+        for name in ("session.cfg", "strategy.cfg"):
+            block = re.search(rf"```\n(# {re.escape(name)}\n.*?)```", readme, re.S)
+            assert block, f"README has no {name} block"
+            paths.append(tmp_path / name)
+            paths[-1].write_text(block.group(1))
+        out = tmp_path / "r.json"
+        rc = main(["--format", "json", "--out", str(out), "simulate", "--config",
+                   str(paths[0]), "--strategy", str(paths[1]), "--trials", "20"])
+        assert rc == 0  # an n = 64, n_prime = 512 session exits 2 within 20 trials
+        assert json.loads(out.read_text())["payload"]["statuses"]["completed"] == 20
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

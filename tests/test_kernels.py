@@ -108,17 +108,21 @@ def test_toeplitz_counts_brute_force():
 
 def test_restricted_decode_flags_matches_brute_force():
     rng = np.random.default_rng(4)
-    n_bits, mask1 = 7, 0b11100
-    cands = np.zeros((5, 12), dtype=np.intp)  # zero padding, as the decoder pads
-    for row, size in zip(cands, (12, 9, 1, 4, 12)):
-        row[:size] = np.concatenate(([0], rng.choice(np.arange(1, 1 << n_bits), size - 1,
-                                                     replace=False)))
-    good = rng.integers(0, 2, size=1 << n_bits).astype(bool)
-    good[0] = True
-    ys = rng.integers(0, 1 << n_bits, size=40)
-    # Least masked weight wins, ties to the lex-smallest candidate.
-    want = [sum(not good[min(set(row.tolist()), key=lambda c: (
-        ((c ^ int(y)) & mask1).bit_count(), lex_key(c, n_bits)))] for row in cands)
-        for y in ys]
-    got = kernels.restricted_decode_flags(cands, good, mask1, ys, n_bits)
-    assert got.tolist() == want
+    mask1 = 0b1111100
+    for n_bits, sizes, n_ys in [
+        (10, (1000, 700, 1, 40, 1000), 80),  # chunks of 65 patterns of one seed
+        (7, tuple(range(1, 13)) * 25, 40),   # chunks of 136 seeds of all patterns
+    ]:
+        cands = np.zeros((len(sizes), max(sizes)), dtype=np.intp)  # padded as the decoder pads
+        for row, size in zip(cands, sizes):
+            row[:size] = np.concatenate(([0], rng.choice(np.arange(1, 1 << n_bits), size - 1,
+                                                         replace=False)))
+        good = rng.integers(0, 2, size=1 << n_bits).astype(bool)
+        good[0] = True
+        ys = rng.integers(0, 1 << n_bits, size=n_ys)
+        # The estimate y ^ c of least masked weight wins, ties to the lex-smallest estimate.
+        want = [sum(not good[min(set(row.tolist()), key=lambda c: (
+            ((c ^ int(y)) & mask1).bit_count(), lex_key(c ^ int(y), n_bits)))] for row in cands)
+            for y in ys]
+        got = kernels.restricted_decode_flags(cands, good, mask1, ys, n_bits)
+        assert got.tolist() == want
