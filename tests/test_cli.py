@@ -1,5 +1,6 @@
 """CLI: exit codes, report envelopes, golden-byte reproducibility."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -45,6 +46,61 @@ OBSERVATIONS = {
 RATE_PARAMS = {
     "nu": [0.5, 0.5, 0.0], "q1": 0.2, "r1": 0.0875, "p0": 0.01,
     "p_dark": 0.001, "p_nu_plus": 0.1055, "s_nu_plus": 0.109,
+}
+
+# A strategy that takes every channel branch: dark counts, spurious vacuum
+# clicks, both single-photon laws and multi-photon flips in both bases.
+PIN_STRATEGY = """\
+p_dark = 0.01
+q_vacuum = 0.02
+q_single = 0.6
+q_multi_times = 0.8
+q_multi_plus = 0.7
+single_error_times = [0.93, 0.04, 0.02, 0.01]
+single_error_plus = [0.9, 0.06, 0.01, 0.03]
+multi_flip_times = 0.03
+multi_flip_plus = 0.06
+"""
+
+# Two decoy distributions with multi-photon weight, detector errors in both
+# bases.  The default m-rule aborts every session at step 6.
+PIN_SESSION = """\
+n = 16
+n_bar = 16
+n_under = 2
+n_prime = 3000
+nus = [[0.05, 0.75, 0.2], [0.4, 0.5, 0.1]]
+i0 = 1
+p_bar = [0.1, 0.25, 0.2, 0.25, 0.2]
+p_s = 0.01
+p_s_tilde = 0.02
+"""
+
+PIN_CONSTANT_M = 'm_rule = "constant:6"\n'
+
+# name -> (session config, strategy, trials)
+PIN_CASES = {
+    "forward": (PIN_SESSION + PIN_CONSTANT_M, PIN_STRATEGY, 4),
+    "reverse": (PIN_SESSION + PIN_CONSTANT_M + 'ec_direction = "reverse"\n',
+                PIN_STRATEGY, 4),
+    "step6-abort": (PIN_SESSION, PIN_STRATEGY, 2),
+    "step4-abort": (PIN_SESSION.replace("n_prime = 3000", "n_prime = 200"),
+                    PIN_STRATEGY, 3),
+    "noiseless": (SESSION_CONFIG, NOISELESS_STRATEGY, 2),
+}
+
+# name -> (manifest digest, SHA-256 of the trial-0 transcript file)
+PINNED_SIMULATE = {
+    "forward": ("14b4a87651e51090b6cbd4208bef526c656f6d84140032a148cb117c507befe3",
+                "497e9aa55b35de64da2f3d2e2476410870d4f00ded2c4de662fd4041215fa088"),
+    "reverse": ("f5d8447475a9108b9116cb83e1f8d694c3978884dfd2bdf286f966efae5f91c9",
+                "59f5dc57034aa70754597a0e42d9225ffdedf2eca8d9f7a14e293d048ed34f9d"),
+    "step6-abort": ("4a3fb96698cf3d95a416f22369f6097b5c17c5f636f2337c9decb55f6357c678",
+                    "8fcf405fb7ebe96b7bf1b564118dde37b3d55d6adf811a39d08b1e748c872ae1"),
+    "step4-abort": ("6b4ffeea95041392a175f4845478239c99dd1bf8ffaa7439448409a591437cb1",
+                    "cbdcb17153ce22fcfb8fd52cdb04363de3540445757430bc35552b7e7a1a71e3"),
+    "noiseless": ("bb588a2d5986ba248eb01670d2fc724cac2c4dc550be52d9c9f92ddf4c5e27fc",
+                  "cf6494bf02af4d8db9775f9cf9c331346841b4261491a42a4aff151b457f2f50"),
 }
 
 
@@ -145,6 +201,21 @@ class TestSimulate:
         assert main(["--out", str(a)] + args) == 0
         assert main(["--out", str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(PIN_CASES))
+    def test_pinned_outputs(self, tmp_path, name):
+        session, strategy, trials = PIN_CASES[name]
+        cfg, strat = tmp_path / "session.cfg", tmp_path / "strategy.cfg"
+        cfg.write_text(session)
+        strat.write_text(strategy)
+        out, log = tmp_path / "r.json", tmp_path / "t.log"
+        rc = main(["--format", "json", "--out", str(out), "simulate",
+                   "--config", str(cfg), "--strategy", str(strat),
+                   "--trials", str(trials), "--transcript", str(log)])
+        assert rc == 0
+        digest = json.loads(out.read_text())["manifest"]["digest"]
+        transcript = hashlib.sha256(log.read_bytes()).hexdigest()
+        assert (digest, transcript) == PINNED_SIMULATE[name]
 
     def test_readme_example_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
