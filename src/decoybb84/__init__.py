@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`decoybb84.gf2`      bit-packed GF(2) linear algebra
 * :mod:`decoybb84.hashing`  Toeplitz privacy amplification + universality
-* :mod:`decoybb84.channel`  reduced Pauli-channel model and sampling
+* :mod:`decoybb84.channel`  reduced Pauli-channel model and array sampling
 * :mod:`decoybb84.oracle`   exact Eve figures and the code-channel reduction
 * :mod:`decoybb84.bounds`   closed-form security bounds and verifications
 * :mod:`decoybb84.decoy`    decoy-method channel-parameter estimation
@@ -18,13 +18,11 @@ from .bounds import (BoundInputs, averaged_eve_info_bound, averaged_success_boun
                      distinguishability_bounds, eve_info_bound, forward_bound, hbar,
                      min_decoding_bound, per_bit_eve_info_bound, reverse_bound,
                      success_bound, twoway_bound, verify_proposition_decoding)
-from .channel import (ChannelStrategy, ClassCounts, PulseLabel, apply_bit_errors,
-                      classify, count_phase_errors, sample_error_pattern)
+from .channel import ChannelStrategy, ClassCounts, apply_bit_errors, classify, sample_flips
 from .decoy import (EstimateInterval, ObservedRates, SourceDistribution,
                     correct_detector_error, estimate_interval_symmetric,
                     estimate_vacuum_single, feasibility_check, minimize_key_term)
-from .gf2 import (BitMatrix, BitVector, dual_code_basis, image_membership,
-                  kernel_basis, mat_vec_mul, min_distance_decode, rank)
+from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
 from .hashing import (ToeplitzHash, build_toeplitz, hash_key, sample_seed,
                       universality_profile)
 from .oracle import (EveFigures, PauliErrorDistribution, eve_mutual_information,

@@ -1,21 +1,27 @@
-"""Reduced Pauli-channel model: pulse classes, error symbols, sampling.
+"""Reduced Pauli-channel model: integer pulse codes and array sampling.
 
-Every pulse carries a photon class (vacuum, single photon, or multi photon
-with a basis tag) and a detection tag (undetected, normal count, dark
-count).  The channel acts classically on this reduced description:
+Every pulse carries a photon class (``VACUUM``, ``SINGLE`` or ``MULTI``),
+Alice's basis (``PLUS`` or ``TIMES``; -1 for the vacuum decoy) and a
+detection tag (``UNDETECTED``, ``NORMAL`` or ``DARK``).  All three are small
+integer codes held in numpy arrays, one entry per pulse.  The channel acts
+classically on this reduced description:
 
-* vacuum pulses give the outcome ``v`` (no click) or ``s`` (a click that
-  carries no signal, i.e. a uniformly random bit at the receiver),
-* single photons suffer a joint (bit, phase) error ``(x, z)``,
-* multi photons are pinched: the symbol 0/1 says whether the receiver's
-  bit is flipped, and the eavesdropper keeps a perfect copy,
-* dark counts always give ``d`` (a uniformly random, Eve-inaccessible bit).
+* a single photon with a normal count suffers a joint (bit, phase) flip
+  ``(x, z)`` drawn from the law of its basis,
+* a multi-photon pulse with a normal count is pinched: only its bit flips
+  (``z`` stays 0), and the eavesdropper keeps a perfect copy,
+* a dark count, a normal count from a vacuum pulse (a spurious click) and a
+  signal measured in the wrong basis give the receiver a fair coin.
 
 A :class:`ChannelStrategy` is the adversary's conditional distribution:
 per-class detection probabilities and per-class error laws.  Strategies
 with 0/1 probabilities and point-mass error laws are exactly the extremal
 points of the strategy polytope, so no separate representation is needed
 for worst-case searches.
+
+The samplers draw from one numpy Generator in the session's order:
+:func:`sample_detection`, then (the receiver's basis, drawn by the
+protocol) :func:`sample_flips`, then :func:`apply_bit_errors`.
 
 Strategy files are flat ``key = value`` text; see ``STRATEGY_KEYS``.
 """
@@ -29,55 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gf2 import BitVector
 
-VACUUM = "vacuum"
-SINGLE = "single"
-MULTI = "multi"
-
-UNDETECTED = "undetected"
-NORMAL = "normal"
-DARK = "dark"
-
-SYMBOL_NONE = "v"
-SYMBOL_SPURIOUS = "s"
-SYMBOL_DARK = "d"
-
-
-@dataclass(frozen=True)
-class PulseLabel:
-    """Photon class and detection tag of one pulse."""
-
-    photon_class: str
-    detection: str
-    n: int = 1
-    basis: str | None = None  # "+" or "x" for multi-photon pulses
-
-    def __post_init__(self):
-        if self.photon_class not in (VACUUM, SINGLE, MULTI):
-            raise ValueError(f"unknown photon class {self.photon_class!r}")
-        if self.detection not in (UNDETECTED, NORMAL, DARK):
-            raise ValueError(f"unknown detection tag {self.detection!r}")
-        if self.photon_class == MULTI:
-            if self.n < 2:
-                raise ValueError("multi-photon pulses need n >= 2")
-            if self.basis not in ("+", "x"):
-                raise ValueError("multi-photon pulses need a basis tag")
-        if self.photon_class == VACUUM and self.n != 0:
-            object.__setattr__(self, "n", 0)
-
-
-def admissible_symbols(label: PulseLabel) -> tuple:
-    """Error symbols the channel may emit for this pulse."""
-    if label.detection == DARK:
-        return (SYMBOL_DARK,)
-    if label.detection == UNDETECTED:
-        return (SYMBOL_NONE,)
-    if label.photon_class == VACUUM:
-        return (SYMBOL_SPURIOUS,)
-    if label.photon_class == SINGLE:
-        return ((0, 0), (0, 1), (1, 0), (1, 1))
-    return (0, 1)
+VACUUM, SINGLE, MULTI = 0, 1, 2
+UNDETECTED, NORMAL, DARK = 0, 1, 2
+PLUS, TIMES = 0, 1
 
 
 @dataclass(frozen=True)
@@ -103,28 +64,23 @@ class ClassCounts:
         return (self.j0, self.j1, self.j2, self.j3, self.j4, self.j5)
 
 
-def classify(labels: Sequence[PulseLabel]) -> ClassCounts:
-    """Count detected pulses into the K and J parts (t is left at zero).
+def classify(labels: np.ndarray, z: np.ndarray) -> ClassCounts:
+    """Count detected pulses into the K and J parts, and t.
 
-    Undetected pulses are skipped: the classification applies to the code
-    positions, which are detected by construction.
+    ``labels`` holds one code ``cls + 3 * det`` per pulse; undetected pulses
+    are skipped.  ``z`` holds the phase flips of the same pulses; ``t`` is
+    the number of normal-count single photons with ``z = 1`` (a bit flip
+    does not mask a phase flip).
     """
-    if not labels:
+    labels = np.asarray(labels)
+    if len(labels) == 0:
         raise ValueError("no labels to classify")
-    k = [0, 0, 0]
-    j = [0] * 6
-    cls_index = {VACUUM: 0, SINGLE: 1, MULTI: 2}
-    for lab in labels:
-        if lab.detection == UNDETECTED:
-            continue
-        c = cls_index[lab.photon_class]
-        k[c] += 1
-        j[c + (3 if lab.detection == DARK else 0)] += 1
-    return ClassCounts(k0=k[0], k1=k[1], k2=k[2],
-                       j0=j[0], j1=j[1], j2=j[2], j3=j[3], j4=j[4], j5=j[5])
+    if len(z) != len(labels):
+        raise DimensionMismatch("labels and phase flips differ in length")
+    j = np.bincount(labels, minlength=9)[3 * NORMAL:].tolist()
+    t = int(np.count_nonzero(z[labels == SINGLE + 3 * NORMAL]))
+    return ClassCounts(j[0] + j[3], j[1] + j[4], j[2] + j[5], *j, t=t)
 
-
-_SINGLE_SYMBOLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 STRATEGY_KEYS = (
     "p_dark", "q_vacuum", "q_single", "q_multi_times", "q_multi_plus",
@@ -140,7 +96,8 @@ class ChannelStrategy:
     ``q_*`` are normal-count probabilities per photon class (dark counts
     add ``p_dark`` on top, so counting rates are ``q + p_dark``); the
     single-photon laws are distributions over the four (bit, phase) flips
-    in the pulse's own basis frame; multi-photon flips are Bernoulli.
+    ``(0,0), (0,1), (1,0), (1,1)`` in the pulse's own basis frame;
+    multi-photon flips are Bernoulli.
     """
 
     p_dark: float = 0.0
@@ -162,37 +119,14 @@ class ChannelStrategy:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         for name in ("single_error_times", "single_error_plus"):
             law = tuple(float(p) for p in getattr(self, name))
-            if len(law) != 4 or any(p < 0 for p in law) or abs(sum(law) - 1.0) > 1e-9:
+            # Written so that NaN fails every comparison and is rejected.
+            if len(law) != 4 or not all(p >= 0 for p in law) \
+                    or not abs(sum(law) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must be 4 probabilities summing to 1")
             object.__setattr__(self, name, law)
         for q in (self.q_vacuum, self.q_single, self.q_multi_times, self.q_multi_plus):
             if q + self.p_dark > 1.0 + 1e-12:
                 raise ValueError("q + p_dark exceeds 1 for some class")
-
-    def detection_probs(self, photon_class: str, basis: str | None) -> tuple[float, float]:
-        """(normal, dark) detection probabilities for a pulse class."""
-        if photon_class == VACUUM:
-            q = self.q_vacuum
-        elif photon_class == SINGLE:
-            q = self.q_single
-        else:
-            q = self.q_multi_times if basis == "x" else self.q_multi_plus
-        return q, self.p_dark
-
-    def single_error_law(self, basis: str | None) -> tuple[float, float, float, float]:
-        return self.single_error_times if basis == "x" else self.single_error_plus
-
-    def multi_flip(self, basis: str | None) -> float:
-        return self.multi_flip_times if basis == "x" else self.multi_flip_plus
-
-    def phase_flip_rate(self, basis: str = "+") -> float:
-        """Probability of z = 1 among the single-photon law for a basis."""
-        law = self.single_error_law("x" if basis == "x" else "+")
-        return law[1] + law[3]
-
-    def bit_flip_rate(self, basis: str = "+") -> float:
-        law = self.single_error_law("x" if basis == "x" else "+")
-        return law[2] + law[3]
 
 
 def noiseless_strategy() -> ChannelStrategy:
@@ -200,99 +134,92 @@ def noiseless_strategy() -> ChannelStrategy:
     return ChannelStrategy()
 
 
-def sample_detection(strategy: ChannelStrategy, photon_class: str,
-                     basis: str | None, rng: np.random.Generator) -> str:
-    q, pd = strategy.detection_probs(photon_class, basis)
-    u = rng.random()
-    if u < q:
-        return NORMAL
-    if u < q + pd:
-        return DARK
-    return UNDETECTED
+def sample_detection(strategy: ChannelStrategy, cls: np.ndarray, basis: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Detection tag per pulse from one uniform draw each.
 
-
-def sample_error_pattern(strategy: ChannelStrategy,
-                         labels: Sequence[PulseLabel],
-                         rng: np.random.Generator) -> list:
-    """Draw one channel outcome per pulse from the conditional laws.
-
-    Draws are batched per (class, basis) group in a fixed order, so the
-    result is a pure function of (strategy, labels, rng state).
+    A draw below the class's yield q is a normal count, one in the next
+    ``p_dark`` a dark count, anything above undetected.
     """
-    out: list = [None] * len(labels)
-    singles: dict[str, list[int]] = {"+": [], "x": []}
-    multis: dict[str, list[int]] = {"+": [], "x": []}
-    for i, lab in enumerate(labels):
-        if lab.detection == DARK:
-            out[i] = SYMBOL_DARK
-        elif lab.detection == UNDETECTED:
-            out[i] = SYMBOL_NONE
-        elif lab.photon_class == VACUUM:
-            out[i] = SYMBOL_SPURIOUS
-        elif lab.photon_class == SINGLE:
-            singles["x" if lab.basis == "x" else "+"].append(i)
-        else:
-            multis["x" if lab.basis == "x" else "+"].append(i)
-    for basis in ("+", "x"):
-        idx = singles[basis]
-        if idx:
-            draws = rng.choice(4, size=len(idx),
-                               p=np.asarray(strategy.single_error_law(basis)))
-            for i, d in zip(idx, draws):
-                out[i] = _SINGLE_SYMBOLS[d]
-        idx = multis[basis]
-        if idx:
-            flips = rng.random(len(idx)) < strategy.multi_flip(basis)
-            for i, f in zip(idx, flips):
-                out[i] = int(f)
+    q = np.select([cls == VACUUM, cls == SINGLE, basis == TIMES],
+                  [strategy.q_vacuum, strategy.q_single, strategy.q_multi_times],
+                  strategy.q_multi_plus)
+    u = rng.random(len(cls))
+    det = np.full(len(cls), UNDETECTED, dtype=np.int8)
+    det[u < q] = NORMAL
+    det[(u >= q) & (u < q + strategy.p_dark)] = DARK
+    return det
+
+
+def sample_flips(strategy: ChannelStrategy, cls: np.ndarray, det: np.ndarray,
+                 basis: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Bit flips ``x`` and phase flips ``z`` of the normal-count photons.
+
+    Draws, each skipped when its group is empty: the single-photon laws in
+    the + then the x basis (one law index 2x + z per pulse), then the
+    multi-photon bit flips in the + then the x basis.  Every other pulse
+    gets ``x = z = 0``.
+    """
+    x = np.zeros(len(cls), dtype=np.int8)
+    z = np.zeros(len(cls), dtype=np.int8)
+    normal = det == NORMAL
+    for b, law in ((PLUS, strategy.single_error_plus),
+                   (TIMES, strategy.single_error_times)):
+        mask = normal & (cls == SINGLE) & (basis == b)
+        cnt = int(mask.sum())
+        if cnt:
+            idx = rng.choice(4, size=cnt, p=np.asarray(law))
+            x[mask] = idx >> 1
+            z[mask] = idx & 1
+    for b, p_flip in ((PLUS, strategy.multi_flip_plus),
+                      (TIMES, strategy.multi_flip_times)):
+        mask = normal & (cls == MULTI) & (basis == b)
+        cnt = int(mask.sum())
+        if cnt:
+            x[mask] = rng.random(cnt) < p_flip
+    return x, z
+
+
+def uniform_mask(cls: np.ndarray, det: np.ndarray, basis: np.ndarray,
+                 bob_basis: np.ndarray) -> np.ndarray:
+    """Pulses whose received bit is a fair coin: dark counts, spurious
+    vacuum clicks and signals measured in the wrong basis."""
+    return (det == DARK) | ((det == NORMAL) & ((cls == VACUUM) | (bob_basis != basis)))
+
+
+def apply_bit_errors(bits: np.ndarray, x: np.ndarray, uniform: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Received bits: ``bits ^ x``, with one coin per ``uniform`` position."""
+    out = bits ^ x
+    n_uniform = int(uniform.sum())
+    if n_uniform:
+        out[uniform] = rng.integers(0, 2, size=n_uniform, dtype=np.int8)
     return out
-
-
-def validate_pattern(labels: Sequence[PulseLabel], errors: Sequence) -> None:
-    if len(labels) != len(errors):
-        raise DimensionMismatch("labels and errors differ in length")
-    for lab, e in zip(labels, errors):
-        if e not in admissible_symbols(lab):
-            raise ValueError(f"symbol {e!r} inadmissible for {lab}")
-
-
-def count_phase_errors(labels: Sequence[PulseLabel], errors: Sequence) -> int:
-    """t: normal-count single photons whose symbol has phase component 1.
-
-    Bit flips do not mask phase flips: (1, 1) counts as a phase error.
-    """
-    if len(labels) != len(errors):
-        raise DimensionMismatch("labels and errors differ in length")
-    t = 0
-    for lab, e in zip(labels, errors):
-        if (lab.photon_class == SINGLE and lab.detection == NORMAL
-                and isinstance(e, tuple) and e[1] == 1):
-            t += 1
-    return t
-
-
-def apply_bit_errors(key: BitVector, labels: Sequence[PulseLabel],
-                     errors: Sequence, rng: np.random.Generator) -> BitVector:
-    """Receiver-side bits: flips from the symbols, fresh coins for d and s."""
-    if len(labels) != len(errors) or key.length != len(labels):
-        raise DimensionMismatch("key, labels and errors must align")
-    bits = key.bits
-    for i, (lab, e) in enumerate(zip(labels, errors)):
-        if e in (SYMBOL_DARK, SYMBOL_SPURIOUS):
-            if rng.random() < 0.5:
-                bits ^= 1 << i
-        elif isinstance(e, tuple):
-            if e[0]:
-                bits ^= 1 << i
-        elif e == 1:
-            bits ^= 1 << i
-        elif e in (0, SYMBOL_NONE):
-            continue
-    return BitVector(key.length, bits)
 
 
 # ----------------------------------------------------------------------
 # Strategy files: flat key = value text.
+
+
+def parse_key_values(text: str, keys: Sequence[str]) -> dict:
+    """The ``key = value`` lines of a config text; values are JSON, ``#``
+    starts a comment, and every key must be one of ``keys``."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = json.loads(val.strip())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: bad value: {exc}") from exc
+    return values
 
 
 def strategy_to_text(strategy: ChannelStrategy) -> str:
@@ -306,21 +233,7 @@ def strategy_to_text(strategy: ChannelStrategy) -> str:
 
 
 def strategy_from_text(text: str) -> ChannelStrategy:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in STRATEGY_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = json.loads(val.strip())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: bad value: {exc}") from exc
+    values = parse_key_values(text, STRATEGY_KEYS)
     for key in ("single_error_times", "single_error_plus"):
         if key in values:
             values[key] = tuple(values[key])

@@ -30,23 +30,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .bounds import hbar
-from .channel import (ChannelStrategy, ClassCounts, DARK, MULTI, NORMAL,
-                      PulseLabel, SINGLE, VACUUM, classify)
+from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
+                      ClassCounts, apply_bit_errors, classify, parse_key_values,
+                      sample_detection, sample_flips, uniform_mask)
 from .decoy import (ObservedRates, SourceDistribution,
                     estimate_interval_symmetric, estimate_vacuum_single)
 from .errors import CapacityError, DimensionMismatch, SessionAborted
 from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import shannon_eta
-
-PLUS, TIMES = 0, 1
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,11 @@ class SessionConfig:
             raise ValueError("need at least one source distribution")
         if len(self.p_bar) != 2 * k + 1:
             raise ValueError(f"p_bar must have 2k+1 = {2 * k + 1} entries")
-        if abs(sum(self.p_bar) - 1.0) > 1e-9:
-            raise ValueError("kind probabilities must sum to 1")
+        # Written so that NaN fails every comparison and is rejected.
+        if not all(p >= 0 for p in self.p_bar) or not abs(sum(self.p_bar) - 1.0) <= 1e-9:
+            raise ValueError("kind probabilities must be nonnegative and sum to 1")
+        if not (0.0 <= self.p_s <= 1.0 and 0.0 <= self.p_s_tilde <= 1.0):
+            raise ValueError("p_s and p_s_tilde must lie in [0, 1]")
         if not 1 <= self.i0 <= k:
             raise ValueError("i0 must index one of the k distributions")
         if not self.n < self.n_prime:
@@ -296,7 +298,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     # Step 1: Alice draws kinds and photon classes; nothing is public yet.
     kinds = rng.choice(n_kinds, size=cfg.n_prime, p=np.asarray(cfg.p_bar))
     a_counts = np.bincount(kinds, minlength=n_kinds)
-    cls = np.zeros(cfg.n_prime, dtype=np.int8)  # 0 vacuum, 1 single, 2 multi
+    cls = np.zeros(cfg.n_prime, dtype=np.int8)  # VACUUM, SINGLE, MULTI = 0, 1, 2
     for kind in range(n_kinds):
         mask = kinds == kind
         if kind == 0 or not mask.any():
@@ -307,50 +309,16 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     basis_alice = np.where(kinds == 0, -1, np.where(kinds <= k, TIMES, PLUS))
     alice_bits = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)
 
-    # Channel: detection tags, then Bob's basis and measured bits.
-    q_normal = np.empty(cfg.n_prime)
-    for c, qv in ((0, strategy.q_vacuum), (1, strategy.q_single)):
-        q_normal[cls == c] = qv
-    mm = cls == 2
-    q_normal[mm & (basis_alice == TIMES)] = strategy.q_multi_times
-    q_normal[mm & (basis_alice == PLUS)] = strategy.q_multi_plus
-    u = rng.random(cfg.n_prime)
-    det = np.zeros(cfg.n_prime, dtype=np.int8)  # 0 undetected, 1 normal, 2 dark
-    det[u < q_normal] = 1
-    det[(u >= q_normal) & (u < q_normal + strategy.p_dark)] = 2
-    detected = det > 0
-
-    bob_basis = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)  # 0 +, 1 x
+    # Channel: detection tags, Bob's basis, then flips and uniform coins.
+    det = sample_detection(strategy, cls, basis_alice, rng)
+    detected = det != UNDETECTED
+    bob_basis = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)
     common = detected & (basis_alice >= 0) & (bob_basis == basis_alice)
-
-    # Error symbols where the channel needs them.
-    xflip = np.zeros(cfg.n_prime, dtype=np.int8)
-    zflip = np.zeros(cfg.n_prime, dtype=np.int8)
-    for b, law in ((PLUS, strategy.single_error_plus),
-                   (TIMES, strategy.single_error_times)):
-        mask = (cls == 1) & (det == 1) & (basis_alice == b)
-        cnt = int(mask.sum())
-        if cnt:
-            idx = rng.choice(4, size=cnt, p=np.asarray(law))
-            xflip[mask] = idx >> 1
-            zflip[mask] = idx & 1
-    for b, pflip in ((PLUS, strategy.multi_flip_plus),
-                     (TIMES, strategy.multi_flip_times)):
-        mask = (cls == 2) & (det == 1) & (basis_alice == b)
-        cnt = int(mask.sum())
-        if cnt:
-            xflip[mask] = (rng.random(cnt) < pflip).astype(np.int8)
-
-    bob_bits = alice_bits.copy()
-    bob_bits ^= xflip
-    # Uniform outcomes: dark counts, spurious vacuum clicks, wrong-basis signal.
-    uniform_mask = (det == 2) | ((det == 1) & (cls == 0)) | \
-        ((det == 1) & (cls > 0) & (basis_alice >= 0) & (bob_basis != basis_alice))
-    n_uniform = int(uniform_mask.sum())
-    if n_uniform:
-        bob_bits[uniform_mask] = rng.integers(0, 2, size=n_uniform, dtype=np.int8)
+    xflip, zflip = sample_flips(strategy, cls, det, basis_alice, rng)
+    bob_bits = apply_bit_errors(alice_bits, xflip,
+                                uniform_mask(cls, det, basis_alice, bob_basis), rng)
     # Detector/generator errors on signal bits, per measured basis.
-    sig = (det == 1) & (cls > 0) & common
+    sig = (det == NORMAL) & (cls != VACUUM) & common
     ud = rng.random(cfg.n_prime)
     flip_det = sig & (((bob_basis == TIMES) & (ud < cfg.p_s))
                       | ((bob_basis == PLUS) & (ud < cfg.p_s_tilde)))
@@ -422,22 +390,10 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                                tuple(h_counts.tolist()))
 
     # Ground truth for the oracle/bounds tests: classify raw-key positions.
+    labels = cls + 3 * det
     for kind, name in ((i0p, "plus"), (i0x, "times")):
         pos = raw_positions[kind]
-        labels = []
-        for p in pos:
-            pc = (VACUUM, SINGLE, MULTI)[cls[p]]
-            basis = None if cls[p] == 0 else ("x" if basis_alice[p] == TIMES else "+")
-            if pc == MULTI:
-                labels.append(PulseLabel(pc, (NORMAL, DARK)[det[p] - 1], n=2, basis=basis))
-            elif pc == SINGLE:
-                labels.append(PulseLabel(pc, (NORMAL, DARK)[det[p] - 1], basis=basis))
-            else:
-                labels.append(PulseLabel(pc, (NORMAL, DARK)[det[p] - 1]))
-        counts = classify(labels)
-        t = int(sum(1 for p in pos
-                    if cls[p] == 1 and det[p] == 1 and zflip[p] == 1))
-        truth[name] = replace(counts, t=t)
+        truth[name] = classify(labels[pos], zflip[pos])
 
     # Step 6: error-correction rates, sacrifice sizes, aborts and clamps.
     m_rule = _resolve_m_rule(cfg)
@@ -567,21 +523,7 @@ def config_to_text(cfg: SessionConfig) -> str:
 
 
 def config_from_text(text: str) -> SessionConfig:
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = json.loads(val.strip())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: bad value: {exc}") from exc
+    values = parse_key_values(text, CONFIG_KEYS)
     if "nus" in values:
         values["nus"] = tuple(SourceDistribution(*v) for v in values["nus"])
     if "p_bar" in values:

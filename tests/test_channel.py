@@ -1,31 +1,39 @@
-"""Pulse classification, error sampling, and the strategy file format."""
+"""Pulse classification, the array channel samplers, and the strategy file format."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from decoybb84.channel import (ChannelStrategy, DARK, MULTI, NORMAL,
-                               PulseLabel, SINGLE, UNDETECTED, VACUUM,
-                               admissible_symbols, apply_bit_errors, classify,
-                               count_phase_errors, noiseless_strategy,
-                               sample_detection, sample_error_pattern,
-                               strategy_from_text, strategy_to_text,
-                               validate_pattern)
+from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED,
+                               VACUUM, ChannelStrategy, apply_bit_errors, classify,
+                               noiseless_strategy, sample_detection, sample_flips,
+                               strategy_from_text, strategy_to_text, uniform_mask)
 from decoybb84.errors import DimensionMismatch
-from decoybb84.gf2 import BitVector
 
 
-def single(det=NORMAL, basis="+"):
-    return PulseLabel(SINGLE, det, basis=basis)
+def pulses(n, cls=SINGLE, det=NORMAL, basis=PLUS):
+    """(cls, det, basis) arrays of ``n`` identical pulses."""
+    return tuple(np.full(n, v, dtype=np.int8) for v in (cls, det, basis))
 
 
-def vacuum(det=NORMAL):
-    return PulseLabel(VACUUM, det)
+def labels(cls, det):
+    """One classification code per pulse."""
+    return np.asarray(cls, dtype=np.int8) + 3 * np.asarray(det, dtype=np.int8)
 
 
-def multi(det=NORMAL, basis="+", n=2):
-    return PulseLabel(MULTI, det, n=n, basis=basis)
+def parts(cls, det):
+    """K and J parts of pulses without phase flips."""
+    return classify(labels(cls, det), np.zeros(len(cls), dtype=np.int8))
+
+
+def singles(n, law_plus, law_times=(1.0, 0.0, 0.0, 0.0), seed=0, basis=PLUS):
+    """Flips of ``n`` normal-count single photons under the given laws."""
+    cls, det, bases = pulses(n, basis=basis)
+    strat = ChannelStrategy(single_error_plus=law_plus, single_error_times=law_times)
+    x, z = sample_flips(strat, cls, det, bases, np.random.default_rng(seed))
+    return labels(cls, det), x, z
 
 
 def chi_square_critical(df, alpha=1e-4):
@@ -34,101 +42,137 @@ def chi_square_critical(df, alpha=1e-4):
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
 
 
-class TestClassify:
-    def test_all_singles(self):
-        counts = classify([single()] * 7)
-        assert (counts.k0, counts.k1, counts.k2) == (0, 7, 0)
-
-    def test_one_per_class(self):
-        labels = [vacuum(NORMAL), single(NORMAL), multi(NORMAL),
-                  vacuum(DARK), single(DARK), multi(DARK, n=3)]
-        counts = classify(labels)
-        assert counts.j_tuple() == (1, 1, 1, 1, 1, 1)
-
-    def test_no_dark_tags(self):
-        counts = classify([vacuum(), single(), multi()])
-        assert (counts.j3, counts.j4, counts.j5) == (0, 0, 0)
-
-    def test_conservation(self):
-        rng = np.random.default_rng(0)
-        makers = [vacuum, single, multi]
-        for _ in range(50):
-            labels = [makers[rng.integers(3)]((NORMAL, DARK)[rng.integers(2)])
-                      for _ in range(int(rng.integers(1, 40)))]
-            counts = classify(labels)
-            assert counts.total == len(labels)
-            assert sum(counts.j_tuple()) == len(labels)
-
-    def test_undetected_skipped(self):
-        counts = classify([single(), PulseLabel(SINGLE, UNDETECTED, basis="+")])
-        assert counts.total == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            classify([])
-
-
-class TestSampleErrorPattern:
-    def test_noiseless_gives_zero_t(self):
-        rng = np.random.default_rng(1)
-        labels = [single() for _ in range(50)]
-        errors = sample_error_pattern(noiseless_strategy(), labels, rng)
-        assert count_phase_errors(labels, errors) == 0
-
-    def test_certain_phase_flip_gives_full_t(self):
-        rng = np.random.default_rng(2)
-        strat = ChannelStrategy(single_error_plus=(0.0, 1.0, 0.0, 0.0),
-                                single_error_times=(0.0, 1.0, 0.0, 0.0))
-        labels = [single() for _ in range(30)]
-        errors = sample_error_pattern(strat, labels, rng)
-        assert count_phase_errors(labels, errors) == 30
-
-    def test_binomial_mean_within_4_sigma(self):
-        rng = np.random.default_rng(3)
-        r = 0.2
-        n = 100_000
-        strat = ChannelStrategy(single_error_plus=(1 - r, r, 0.0, 0.0))
-        labels = [single() for _ in range(n)]
-        errors = sample_error_pattern(strat, labels, rng)
-        t = count_phase_errors(labels, errors)
-        sigma = math.sqrt(n * r * (1 - r))
-        assert abs(t - n * r) < 4 * sigma
-
-    def test_dark_always_d(self):
-        rng = np.random.default_rng(4)
-        labels = [vacuum(DARK), single(DARK), multi(DARK)]
-        assert sample_error_pattern(noiseless_strategy(), labels, rng) == \
-            ["d", "d", "d"]
-
-    def test_admissibility_fuzz(self):
-        rng = np.random.default_rng(5)
-        strat = ChannelStrategy(p_dark=0.05, q_vacuum=0.1, q_single=0.7,
+FUZZ_STRATEGY = ChannelStrategy(p_dark=0.05, q_vacuum=0.1, q_single=0.7,
                                 q_multi_times=0.8, q_multi_plus=0.9,
                                 single_error_plus=(0.7, 0.1, 0.1, 0.1),
                                 single_error_times=(0.25, 0.25, 0.25, 0.25),
                                 multi_flip_plus=0.3, multi_flip_times=0.4)
-        makers = [vacuum, single, multi]
+
+
+def random_pulses(rng, n):
+    """Random classes, tags and bases; some vacuum pulses are the basis-free decoy."""
+    cls = rng.integers(0, 3, size=n).astype(np.int8)
+    det = rng.integers(0, 3, size=n).astype(np.int8)
+    basis = rng.integers(0, 2, size=n).astype(np.int8)
+    basis[(cls == VACUUM) & (rng.random(n) < 0.5)] = -1
+    return cls, det, basis
+
+
+class TestClassify:
+    def test_all_singles(self):
+        counts = parts([SINGLE] * 7, [NORMAL] * 7)
+        assert (counts.k0, counts.k1, counts.k2) == (0, 7, 0)
+
+    def test_one_per_class(self):
+        counts = parts([VACUUM, SINGLE, MULTI] * 2, [NORMAL] * 3 + [DARK] * 3)
+        assert counts.j_tuple() == (1, 1, 1, 1, 1, 1)
+
+    def test_no_dark_tags(self):
+        counts = parts([VACUUM, SINGLE, MULTI], [NORMAL] * 3)
+        assert (counts.j3, counts.j4, counts.j5) == (0, 0, 0)
+
+    def test_conservation(self):
+        rng = np.random.default_rng(0)
         for _ in range(50):
-            labels = []
-            for _ in range(int(rng.integers(1, 30))):
-                cls = int(rng.integers(3))
-                det = (UNDETECTED, NORMAL, DARK)[rng.integers(3)]
-                labels.append(makers[cls](det))
-            errors = sample_error_pattern(strat, labels, rng)
-            validate_pattern(labels, errors)
-            for lab, e in zip(labels, errors):
-                assert e in admissible_symbols(lab)
+            n = int(rng.integers(1, 40))
+            cls = rng.integers(0, 3, size=n)
+            det = np.where(rng.integers(0, 2, size=n) == 1, DARK, NORMAL)
+            counts = parts(cls, det)
+            assert counts.total == n
+            assert sum(counts.j_tuple()) == n
+            assert (counts.k0, counts.k1, counts.k2) == tuple(np.bincount(cls, minlength=3))
+
+    def test_undetected_skipped(self):
+        counts = parts([SINGLE, SINGLE], [NORMAL, UNDETECTED])
+        assert counts.total == 1
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            parts([], [])
+
+
+class TestSampleErrorPattern:
+    def test_noiseless_gives_zero_t(self):
+        cls, det, basis = pulses(50)
+        x, z = sample_flips(noiseless_strategy(), cls, det, basis, np.random.default_rng(1))
+        assert classify(labels(cls, det), z).t == 0
+        assert not x.any()
+
+    def test_certain_phase_flip_gives_full_t(self):
+        law = (0.0, 1.0, 0.0, 0.0)
+        lab, x, z = singles(30, law, law, seed=2, basis=TIMES)
+        assert classify(lab, z).t == 30
+        lab, x, z = singles(30, law, seed=2)
+        assert classify(lab, z).t == 30
+
+    def test_binomial_mean_within_4_sigma(self):
+        r, n = 0.2, 100_000
+        lab, x, z = singles(n, (1 - r, r, 0.0, 0.0), seed=3)
+        t = classify(lab, z).t
+        sigma = math.sqrt(n * r * (1 - r))
+        assert abs(t - n * r) < 4 * sigma
+
+    def test_dark_always_d(self):
+        # A dark count carries no flip and gives the receiver a fair coin.
+        cls = np.array([VACUUM, SINGLE, MULTI] * 2, dtype=np.int8)
+        det = np.full(6, DARK, dtype=np.int8)
+        basis = np.array([-1, PLUS, PLUS, TIMES, TIMES, TIMES], dtype=np.int8)
+        strat = ChannelStrategy(single_error_plus=(0.0, 0.0, 0.0, 1.0),
+                                single_error_times=(0.0, 0.0, 0.0, 1.0),
+                                multi_flip_plus=1.0, multi_flip_times=1.0)
+        x, z = sample_flips(strat, cls, det, basis, np.random.default_rng(4))
+        assert not x.any() and not z.any()
+        for bob in (PLUS, TIMES):
+            assert uniform_mask(cls, det, basis, np.full(6, bob, dtype=np.int8)).all()
+
+    def test_admissibility_fuzz(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            cls, det, basis = random_pulses(rng, n)
+            x, z = sample_flips(FUZZ_STRATEGY, cls, det, basis, rng)
+            photon = (det == NORMAL) & (cls != VACUUM)
+            assert not x[~photon].any() and not z[~photon].any()
+            assert not z[cls == MULTI].any()
+            # Uniform coins land only at the mask, one draw per masked pulse.
+            bob = rng.integers(0, 2, size=n).astype(np.int8)
+            uniform = uniform_mask(cls, det, basis, bob)
+            bits = rng.integers(0, 2, size=n).astype(np.int8)
+            ref = copy.deepcopy(rng)
+            out = apply_bit_errors(bits, x, uniform, rng)
+            assert np.array_equal(out[~uniform], (bits ^ x)[~uniform])
+            coins = ref.integers(0, 2, size=int(uniform.sum()), dtype=np.int8)
+            assert np.array_equal(out[uniform], coins)
+            assert rng.random() == ref.random()
+
+    def test_draw_order(self):
+        # Singles + then x (one law index 2x + z each), then multi flips + then x.
+        rng = np.random.default_rng(14)
+        cls, det, basis = random_pulses(rng, 400)
+        ref = copy.deepcopy(rng)
+        x, z = sample_flips(FUZZ_STRATEGY, cls, det, basis, rng)
+        want_x = np.zeros(400, dtype=np.int8)
+        want_z = np.zeros(400, dtype=np.int8)
+        normal = det == NORMAL
+        for b, law in ((PLUS, FUZZ_STRATEGY.single_error_plus),
+                       (TIMES, FUZZ_STRATEGY.single_error_times)):
+            pos = np.flatnonzero(normal & (cls == SINGLE) & (basis == b))
+            idx = ref.choice(4, size=len(pos), p=law)
+            want_x[pos], want_z[pos] = idx >> 1, idx & 1
+        for b, p in ((PLUS, FUZZ_STRATEGY.multi_flip_plus),
+                     (TIMES, FUZZ_STRATEGY.multi_flip_times)):
+            pos = np.flatnonzero(normal & (cls == MULTI) & (basis == b))
+            want_x[pos] = ref.random(len(pos)) < p
+        assert np.array_equal(x, want_x) and np.array_equal(z, want_z)
+        assert rng.random() == ref.random()
 
     def test_t_distribution_is_binomial(self):
         # chi-square goodness of fit of t against Binomial(K1, r).
-        rng = np.random.default_rng(6)
         k1, r, trials = 12, 0.3, 100_000
-        strat = ChannelStrategy(single_error_plus=(1 - r, r, 0.0, 0.0))
-        labels = [single() for _ in range(k1)]
-        counts = np.zeros(k1 + 1)
-        for _ in range(trials):
-            errors = sample_error_pattern(strat, labels, rng)
-            counts[count_phase_errors(labels, errors)] += 1
+        lab, x, z = singles(k1 * trials, (1 - r, r, 0.0, 0.0), seed=6)
+        t_per_trial = z.reshape(trials, k1).sum(axis=1)
+        assert classify(lab, z).t == t_per_trial.sum()
+        counts = np.bincount(t_per_trial, minlength=k1 + 1)
         expected = np.array([math.comb(k1, t) * r ** t * (1 - r) ** (k1 - t)
                              for t in range(k1 + 1)]) * trials
         keep = expected >= 5
@@ -136,66 +180,81 @@ class TestSampleErrorPattern:
         assert stat < chi_square_critical(int(keep.sum()) - 1)
 
     def test_t_ignores_bit_component(self):
-        labels = [single() for _ in range(4)]
-        errors = [(1, 1), (0, 1), (1, 0), (0, 0)]
-        assert count_phase_errors(labels, errors) == 2
+        # A joint (1, 1) flip counts as a phase error; a bit flip alone does not.
+        cls, det, _ = pulses(4)
+        basis = np.array([PLUS, PLUS, TIMES, TIMES], dtype=np.int8)
+        strat = ChannelStrategy(single_error_plus=(0.0, 0.0, 0.0, 1.0),
+                                single_error_times=(0.0, 0.0, 1.0, 0.0))
+        x, z = sample_flips(strat, cls, det, basis, np.random.default_rng(15))
+        assert x.tolist() == [1, 1, 1, 1]
+        assert classify(labels(cls, det), z).t == 2
 
 
 class TestCountPhaseErrors:
     def test_no_errors(self):
-        labels = [single()] * 3
-        assert count_phase_errors(labels, [(0, 0)] * 3) == 0
+        assert classify(labels([SINGLE] * 3, [NORMAL] * 3), np.zeros(3)).t == 0
 
     def test_joint_flips_count(self):
-        labels = [single()] * 3
-        assert count_phase_errors(labels, [(1, 1)] * 3) == 3
+        assert classify(labels([SINGLE] * 3, [NORMAL] * 3), np.ones(3)).t == 3
 
     def test_multi_photon_never_counts(self):
-        labels = [multi()] * 3
-        assert count_phase_errors(labels, [1, 1, 0]) == 0
+        lab = labels([MULTI, MULTI, SINGLE, VACUUM], [NORMAL, NORMAL, DARK, NORMAL])
+        assert classify(lab, np.array([1, 1, 1, 1])).t == 0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            count_phase_errors([single()], [])
+            classify(labels([SINGLE], [NORMAL]), np.zeros(0))
 
 
 class TestApplyBitErrors:
     def test_identity(self):
-        rng = np.random.default_rng(7)
-        key = BitVector.from_bits([1, 0, 1, 1])
-        labels = [single()] * 4
-        out = apply_bit_errors(key, labels, [(0, 0)] * 4, rng)
-        assert out == key
+        bits = np.array([1, 0, 1, 1], dtype=np.int8)
+        out = apply_bit_errors(bits, np.zeros(4, dtype=np.int8), np.zeros(4, dtype=bool),
+                               np.random.default_rng(7))
+        assert out.tolist() == bits.tolist()
 
     def test_full_complement(self):
-        rng = np.random.default_rng(8)
-        key = BitVector.from_bits([1, 0, 1, 0])
-        labels = [single()] * 4
-        out = apply_bit_errors(key, labels, [(1, 0)] * 4, rng)
-        assert out.to_tuple() == (0, 1, 0, 1)
+        bits = np.array([1, 0, 1, 0], dtype=np.int8)
+        out = apply_bit_errors(bits, np.ones(4, dtype=np.int8), np.zeros(4, dtype=bool),
+                               np.random.default_rng(8))
+        assert out.tolist() == [0, 1, 0, 1]
 
     def test_phase_only_leaves_bits(self):
-        rng = np.random.default_rng(9)
-        key = BitVector.from_bits([1, 1, 0])
-        out = apply_bit_errors(key, [single()] * 3, [(0, 1)] * 3, rng)
-        assert out == key
+        _, x, z = singles(3, (0.0, 1.0, 0.0, 0.0), seed=9)
+        bits = np.array([1, 1, 0], dtype=np.int8)
+        out = apply_bit_errors(bits, x, np.zeros(3, dtype=bool), np.random.default_rng(9))
+        assert z.all() and out.tolist() == bits.tolist()
 
     def test_multi_symbols(self):
+        cls, det, _ = pulses(2, cls=MULTI)
+        basis = np.array([PLUS, TIMES], dtype=np.int8)
+        strat = ChannelStrategy(multi_flip_plus=1.0, multi_flip_times=0.0)
         rng = np.random.default_rng(10)
-        key = BitVector.from_bits([0, 0])
-        out = apply_bit_errors(key, [multi(), multi()], [1, 0], rng)
-        assert out.to_tuple() == (1, 0)
+        x, z = sample_flips(strat, cls, det, basis, rng)
+        out = apply_bit_errors(np.zeros(2, dtype=np.int8), x, np.zeros(2, dtype=bool), rng)
+        assert out.tolist() == [1, 0] and not z.any()
 
     def test_dark_bits_unbiased(self):
-        rng = np.random.default_rng(11)
         n_trials = 100_000
-        ones = 0
-        key = BitVector.from_bits([0])
-        labels = [vacuum(DARK)]
-        for _ in range(n_trials):
-            ones += apply_bit_errors(key, labels, ["d"], rng)[0]
+        cls, det, basis = pulses(n_trials, cls=VACUUM, det=DARK, basis=-1)
+        uniform = uniform_mask(cls, det, basis, np.zeros(n_trials, dtype=np.int8))
+        out = apply_bit_errors(np.zeros(n_trials, dtype=np.int8),
+                               np.zeros(n_trials, dtype=np.int8), uniform,
+                               np.random.default_rng(11))
+        ones = int(out.sum())
         sigma = math.sqrt(n_trials * 0.25)
         assert abs(ones - n_trials / 2) < 4 * sigma
+
+    def test_uniform_positions(self):
+        # Spurious vacuum clicks and wrong-basis signals get coins; a
+        # right-basis signal and an undetected pulse do not.
+        cls = np.array([VACUUM, VACUUM, SINGLE, MULTI, SINGLE, MULTI, SINGLE], dtype=np.int8)
+        det = np.array([NORMAL, NORMAL, NORMAL, NORMAL, NORMAL, NORMAL, UNDETECTED],
+                       dtype=np.int8)
+        basis = np.array([-1, PLUS, PLUS, TIMES, PLUS, TIMES, PLUS], dtype=np.int8)
+        bob = np.array([PLUS, PLUS, TIMES, PLUS, PLUS, TIMES, TIMES], dtype=np.int8)
+        assert uniform_mask(cls, det, basis, bob).tolist() == \
+            [True, True, True, True, False, False, False]
 
 
 class TestDetectionSampling:
@@ -204,11 +263,20 @@ class TestDetectionSampling:
         strat = ChannelStrategy(p_dark=0.02, q_single=0.5,
                                 q_multi_times=0.9, q_multi_plus=0.9)
         n = 100_000
-        outcomes = [sample_detection(strat, SINGLE, "+", rng) for _ in range(n)]
-        normal = outcomes.count(NORMAL)
-        dark = outcomes.count(DARK)
+        cls, _, basis = pulses(n)
+        det = sample_detection(strat, cls, basis, rng)
+        normal = int((det == NORMAL).sum())
+        dark = int((det == DARK).sum())
         assert abs(normal - 0.5 * n) < 4 * math.sqrt(n * 0.25)
         assert abs(dark - 0.02 * n) < 4 * math.sqrt(n * 0.02 * 0.98)
+
+    def test_yield_per_class_and_basis(self):
+        strat = ChannelStrategy(q_vacuum=0.0, q_single=1.0,
+                                q_multi_times=1.0, q_multi_plus=0.0)
+        cls = np.array([VACUUM, VACUUM, SINGLE, SINGLE, MULTI, MULTI], dtype=np.int8)
+        basis = np.array([-1, PLUS, PLUS, TIMES, TIMES, PLUS], dtype=np.int8)
+        det = sample_detection(strat, cls, basis, np.random.default_rng(13))
+        assert det.tolist() == [UNDETECTED, UNDETECTED, NORMAL, NORMAL, NORMAL, UNDETECTED]
 
 
 class TestStrategyFiles:
@@ -239,3 +307,14 @@ class TestStrategyFiles:
             ChannelStrategy(p_dark=0.5, q_single=0.6)
         with pytest.raises(ValueError):
             ChannelStrategy(single_error_plus=(0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("line", [
+        "single_error_plus = [NaN, 0.0, 0.0, 1.0]",
+        "single_error_times = [0.5, NaN, 0.5, 0.0]",
+        "single_error_plus = [Infinity, 0.0, 0.0, 1.0]",
+        "p_dark = NaN",
+        "multi_flip_plus = NaN",
+    ])
+    def test_nan_rejected(self, line):
+        with pytest.raises(ValueError):
+            strategy_from_text(line + "\n")
