@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatch
 
-DEFAULT_DECODE_GUARD = 1 << 20
 DEFAULT_SPAN_GUARD = 1 << 20
 
 
@@ -259,24 +258,6 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     return BitVector(m.cols, combo)
 
 
-def image_membership(m: BitMatrix, v: BitVector) -> bool:
-    """True iff ``v`` is in the column space of ``M`` (some ``u`` has ``M u = v``)."""
-    return solve(m, v) is not None
-
-
-def dual_code_basis(m: BitMatrix, span: str = "rows") -> list[BitVector]:
-    """Basis of the dual of the code spanned by the rows (or columns) of ``M``.
-
-    ``span="rows"`` treats the rows of M as generators, so the dual is
-    exactly the kernel of M.  ``span="cols"`` uses the columns instead.
-    """
-    if span == "rows":
-        return kernel_basis(m)
-    if span == "cols":
-        return kernel_basis(m.transpose())
-    raise ValueError("span must be 'rows' or 'cols'")
-
-
 def span_ints(basis: Sequence[int], guard: int = DEFAULT_SPAN_GUARD) -> list[int]:
     """All 2^k XOR combinations of the given packed vectors (Gray-code walk)."""
     k = len(basis)
@@ -300,47 +281,3 @@ def span_array(basis: Sequence[int] | np.ndarray, dtype=np.uint64) -> np.ndarray
     for j, b in enumerate(basis):
         np.bitwise_xor(out[:1 << j], b, out=out[1 << j:2 << j])
     return out
-
-
-def span_vectors(basis: Sequence[BitVector], length: int | None = None,
-                 guard: int = DEFAULT_SPAN_GUARD) -> list[BitVector]:
-    """All elements of the span of ``basis`` as BitVectors."""
-    if length is None:
-        if not basis:
-            raise ValueError("length required for an empty basis")
-        length = basis[0].length
-    for b in basis:
-        if b.length != length:
-            raise DimensionMismatch("mixed vector lengths in basis")
-    return [BitVector(length, x) for x in span_ints([b.bits for b in basis], guard)]
-
-
-def min_distance_decode(received: BitVector,
-                        codewords: Sequence[BitVector],
-                        guard: int = DEFAULT_DECODE_GUARD) -> BitVector:
-    """Codeword at minimum Hamming distance from ``received``.
-
-    Ties are broken by the lexicographically smallest codeword.  Exhaustive
-    by design; refuses codes larger than ``guard``.
-    """
-    if not codewords:
-        raise ValueError("empty code")
-    if len(codewords) > guard:
-        raise CapacityError(f"code size {len(codewords)} exceeds guard {guard}")
-    n = received.length
-    best = None
-    best_dist = n + 1
-    best_key = None
-    for c in codewords:
-        if c.length != n:
-            raise DimensionMismatch("codeword length differs from received word")
-        d = (c.bits ^ received.bits).bit_count()
-        if d < best_dist:
-            best, best_dist, best_key = c, d, None
-        elif d == best_dist:
-            if best_key is None:
-                best_key = best.lex_key()
-            k = c.lex_key()
-            if k < best_key:
-                best, best_key = c, k
-    return best

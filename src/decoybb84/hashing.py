@@ -80,19 +80,6 @@ def sample_seed(rng: np.random.Generator, l: int, m: int) -> ToeplitzHash:
     return ToeplitzHash(l, m, BitVector.from_bits(int(b) for b in bits))
 
 
-def transpose_image_membership(h: ToeplitzHash, z: BitVector) -> bool:
-    """True iff z = (x, y) lies in Im M_p^T, i.e. x = X^T y."""
-    if z.length != h.l + h.m:
-        raise DimensionMismatch("z must have length l+m")
-    x_part = z.bits & ((1 << h.m) - 1)
-    y_part = z.bits >> h.m
-    acc = 0
-    for i in range(h.l):
-        if (y_part >> i) & 1:
-            acc ^= (h.seed.bits >> i) & ((1 << h.m) - 1)
-    return acc == x_part
-
-
 class UniversalityProfile(Mapping):
     """Read-only map from each nonzero packed Z to its exact seed fraction.
 

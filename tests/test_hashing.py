@@ -10,7 +10,8 @@ from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis
 from decoybb84.hashing import (RandomMatrixHash, ToeplitzHash, UniversalityProfile,
                                build_toeplitz, hash_key, profile_summary,
                                random_matrix_universality_profile, sample_seed,
-                               transpose_image_membership, universality_profile)
+                               universality_profile)
+from oracles import transpose_image_membership
 
 
 def bv(*bits):

@@ -8,14 +8,14 @@ import pytest
 from decoybb84.bounds import (distinguishability_bounds, eve_info_bound,
                               success_bound)
 from decoybb84.errors import CapacityError
-from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul,
-                           min_distance_decode, span_vectors)
+from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, span_ints
 from decoybb84.oracle import (PauliErrorDistribution, dense_average_state,
                               dense_eve_state, dense_fidelity,
                               dense_mutual_information, dense_trace_norm,
                               eve_mutual_information, optimal_success_probability,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
+from oracles import min_distance_decode
 
 
 def random_distribution(rng, l):
@@ -192,11 +192,10 @@ def brute_phase_error_probability(site_laws, m_e, m_p):
     """Iterate all phase patterns, decode with the library-independent
     minimum-distance decoder, count decodes landing outside the sent coset."""
     n = m_e.rows
-    c1perp = {v.bits for v in span_vectors(
-        kernel_basis(m_e.transpose()), length=n)}
+    c1perp = set(span_ints([v.bits for v in kernel_basis(m_e.transpose())]))
     sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in kernel_basis(m_p))
-    c2perp = [BitVector(n, v.bits) for v in span_vectors(
-        kernel_basis(BitMatrix(len(sub_rows), n, sub_rows)), length=n)]
+    c2perp = [BitVector(n, v) for v in span_ints(
+        [v.bits for v in kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))])]
     pz = np.zeros(1 << n)
     pz[0] = 1.0
     for i, law in enumerate(site_laws):

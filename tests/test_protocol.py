@@ -10,12 +10,13 @@ import pytest
 from decoybb84.channel import ChannelStrategy, noiseless_strategy
 from decoybb84.decoy import SourceDistribution
 from decoybb84.errors import SessionAborted
-from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, min_distance_decode
+from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
 from decoybb84.protocol import (SessionConfig, config_from_text,
                                 config_to_text, decode_to_seed,
                                 extract_experiment_data, forward_error_correct,
                                 random_full_rank_matrix, reverse_error_correct,
                                 run_session)
+from oracles import min_distance_decode
 
 
 def single_photon_config(**overrides):
@@ -330,6 +331,21 @@ class TestConfigFiles:
             single_photon_config(n_prime=64)
         with pytest.raises(ValueError):
             single_photon_config(n_under=65)
+
+    @pytest.mark.parametrize("line", [
+        "p_bar = [NaN, 0.45, 0.45]",
+        "p_bar = [-0.1, 0.55, 0.55]",
+        "nus = [[NaN, 0.8, 0.2]]",
+        "nus = [[0.2, 0.8, NaN]]",
+        "p_s = NaN",
+        "p_s_tilde = 1.5",
+    ])
+    def test_nan_rejected(self, line):
+        # A later line overrides the same key of the valid base config.
+        text = config_to_text(single_photon_config())
+        config_from_text(text)
+        with pytest.raises(ValueError):
+            config_from_text(text + line + "\n")
 
     def test_constant_rule_parsing(self):
         cfg = single_photon_config(m_rule="constant:12")
