@@ -33,9 +33,10 @@ class SourceDistribution:
     v2: float = 0.0
 
     def __post_init__(self):
-        if min(self.v0, self.v1, self.v2) < 0:
+        # Written so that NaN fails every comparison and is rejected.
+        if not all(v >= 0 for v in (self.v0, self.v1, self.v2)):
             raise ValueError("negative probability")
-        if abs(self.v0 + self.v1 + self.v2 - 1.0) > 1e-9:
+        if not abs(self.v0 + self.v1 + self.v2 - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to 1")
         if self.v1 == 0:
             raise ValueError("estimators need a nonzero single-photon weight")

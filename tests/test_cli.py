@@ -231,6 +231,17 @@ class TestSimulate:
         assert rc == 0  # an n = 64, n_prime = 512 session exits 2 within 20 trials
         assert json.loads(out.read_text())["payload"]["statuses"]["completed"] == 20
 
+    def test_nan_probabilities_exit_2(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(SESSION_CONFIG.replace("p_bar = [0.1,", "p_bar = [NaN,"))
+        strat = tmp_path / "strategy.cfg"
+        strat.write_text(NOISELESS_STRATEGY)
+        assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
+        cfg.write_text(SESSION_CONFIG)
+        strat.write_text(NOISELESS_STRATEGY.replace("[1.0, 0.0, 0.0, 0.0]\nmulti",
+                                                    "[NaN, 0.0, 0.0, 1.0]\nmulti"))
+        assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = nope\n")
