@@ -72,7 +72,6 @@ def classify(labels: np.ndarray, z: np.ndarray) -> ClassCounts:
     the number of normal-count single photons with ``z = 1`` (a bit flip
     does not mask a phase flip).
     """
-    labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("no labels to classify")
     if len(z) != len(labels):
