@@ -48,6 +48,51 @@ RATE_PARAMS = {
     "p_dark": 0.001, "p_nu_plus": 0.1055, "s_nu_plus": 0.109,
 }
 
+# Forward K2 (J2 + J4 + J5 = 6) and reverse K2 (J0 + J2 = 2) differ here,
+# and the n_bar / n_under legs are unset.
+BOUND_INPUTS_SPLIT_K2 = {
+    "j0": 1, "j1": 6, "j2": 1, "j3": 0, "j4": 2, "j5": 3, "m": 12, "l": 3,
+    "t_distribution": {"0": 0.5, "1": 0.3, "2": 0.2},
+}
+
+# A source with multi-photon weight: the interval estimators run.
+INTERVAL_OBSERVATIONS = {
+    "nu": [0.3, 0.6, 0.1], "p0": 0.01, "p_dark": 0.001,
+    "p_nu_times": 0.2, "s_nu_times": 0.05,
+}
+
+# The last row has r1 > 1/2, where hbar is clamped to 1.
+RATE_SWEEP = {"sweep": [RATE_PARAMS, dict(RATE_PARAMS, q1=0.3),
+                        dict(RATE_PARAMS, r1=0.6)]}
+
+ORACLE_ARGS = ["oracle-check", "--suite-size", "20", "--l-max", "2"]
+
+# name -> (command line after the global options, JSON input appended as
+# the last argument (or None), exit code, manifest digest)
+PINNED_REPORTS = {
+    "bound": (["bound", "--inputs"], BOUND_INPUTS, 0,
+        "edc0fe687547faa85f5c435865505b23dbc068ff55f806087f2d740d847478d0"),
+    "bound-split-k2": (["bound", "--inputs"], BOUND_INPUTS_SPLIT_K2, 0,
+        "c20ecb7a8495995c98aa1e28fb12265d8f1de8d2c9fd4d2816a764e94e3ad8bf"),
+    "rates": (["rates", "--params"], RATE_PARAMS, 0,
+        "3d440303a05cb65b64e91046556f8dcd241f2d880e06757ffec5deb5b2fdff2a"),
+    "rates-sweep": (["rates", "--params"], RATE_SWEEP, 0,
+        "ca630c41a2a8a0686fcff8e5e8d81e0766d0af678be533bd692d15a391fbc7f6"),
+    "estimate-decoy-vacuum-single": (["estimate-decoy", "--observations"],
+                                     OBSERVATIONS, 0,
+        "26722a0ccf9ce78cae791e08849ee5b4da8bbc3d7f5fbc67fe9a38be47be9e8a"),
+    "estimate-decoy-interval": (["estimate-decoy", "--observations"],
+                                INTERVAL_OBSERVATIONS, 0,
+        "1ce169c4aff0e3a567a3949faee0b21d0d14c735031c257159d41d53d811e7a5"),
+    "estimate-decoy-infeasible": (["estimate-decoy", "--observations"],
+                                  dict(OBSERVATIONS, p0=0.9), 1,
+        "ba69d2dd436fcccaaee3d3e4936a57c06bd0fa8a2e140e0c037af1e90664943e"),
+    "oracle-check-provable": (ORACLE_ARGS + ["--provable-only"], None, 0,
+        "d90648b2f8d345340e496e874ea74cb9a79be9a912883695fd377986097040e7"),
+    "oracle-check": (ORACLE_ARGS, None, 1,
+        "f212e696996cecd51bfdca3ac2066e8f91528a3d2c78cbfd37934602ca8c0d74"),
+}
+
 # A strategy that takes every channel branch: dark counts, spurious vacuum
 # clicks, both single-photon laws and multi-photon flips in both bases.
 PIN_STRATEGY = """\
@@ -335,3 +380,16 @@ class TestManifest:
         report = json.loads(out.read_text())
         assert report["manifest"]["digest"] == \
             payload_digest(report["payload"])
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_pinned_digest(self, tmp_path, name):
+        argv, spec, code, digest = PINNED_REPORTS[name]
+        if spec is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(spec))
+            argv = argv + [str(path)]
+        out = tmp_path / "r.json"
+        assert main(["--format", "json", "--out", str(out)] + argv) == code
+        assert json.loads(out.read_text())["manifest"]["digest"] == digest

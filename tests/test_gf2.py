@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
-from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
-                           solve, span_ints)
+from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul,
+                           rank, solve, span_ints)
 from oracles import min_distance_decode
 
 
@@ -184,3 +184,14 @@ class TestBitVector:
         by_key = sorted(vs, key=lambda v: v.lex_key())
         by_tuple = sorted(vs, key=lambda v: v.to_tuple())
         assert [v.bits for v in by_key] == [v.bits for v in by_tuple]
+
+    def test_lex_key_matches_bit_loop(self):
+        def loop_key(bits, length):
+            key = 0
+            for i in range(length):
+                key = (key << 1) | ((bits >> i) & 1)
+            return key
+
+        for n in range(11):
+            for w in range(1 << n):
+                assert lex_key(w, n) == loop_key(w, n)

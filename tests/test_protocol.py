@@ -7,15 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy, noiseless_strategy
-from decoybb84.decoy import SourceDistribution
+from decoybb84.decoy import (ObservedRates, SourceDistribution,
+                             estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import SessionAborted
 from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
-from decoybb84.protocol import (SessionConfig, config_from_text,
-                                config_to_text, decode_to_seed,
+from decoybb84.protocol import (DExperimental, DInitial, SessionConfig,
+                                config_from_text, config_to_text, decode_to_seed,
                                 extract_experiment_data, forward_error_correct,
-                                random_full_rank_matrix, reverse_error_correct,
-                                run_session)
+                                initial_eve_info_m_rule, random_full_rank_matrix,
+                                reverse_error_correct, run_session)
 from oracles import min_distance_decode
 
 
@@ -351,6 +353,80 @@ class TestConfigFiles:
         cfg = single_photon_config(m_rule="constant:12")
         out = run_session(cfg, noiseless_strategy())
         assert out.completed and out.plus.m == 12
+
+
+def inline_m_rule(cfg, d_init, d_e, basis, lm):
+    """The initial-Eve-information rule written out in full: the estimator
+    chosen by nu2 == 0, the (0, 1) fallback, and both credits inline.
+    Returns (m, whether the fallback was taken)."""
+    k = cfg.k
+    key_kind = cfg.i0 + k if basis == "plus" else cfg.i0
+    conj_kind = cfg.i0 if basis == "plus" else cfg.i0 + k
+    nu = cfg.nus[cfg.i0 - 1]
+    a0, c0 = d_init.a[0], d_e.c[0]
+    p0_hat = c0 / a0 if a0 > 0 else d_init.p_dark
+    p_key = d_e.c[key_kind] / d_init.a[key_kind] if d_init.a[key_kind] else 0.0
+    p_conj = d_e.c[conj_kind] / d_init.a[conj_kind] if d_init.a[conj_kind] else 0.0
+    n_check = d_e.e[conj_kind] - cfg.n
+    s_conj = d_e.h[conj_kind] / n_check if n_check > 0 else 1.0
+    p_key = max(p_key, 1e-12)
+    obs = ObservedRates(p0=p0_hat, p_dark=d_init.p_dark,
+                        p_nu_times=max(p_conj, 1e-12),
+                        s_nu_times=min(1.0, s_conj), p_s=d_init.p_s)
+    fell_back = False
+    try:
+        if nu.v2 == 0.0:
+            q1e, r1e = estimate_vacuum_single(nu, obs)
+            q1, r1 = q1e.value, r1e.value
+        else:
+            interval = estimate_interval_symmetric(nu, obs)
+            q1, r1 = interval.q1_min, interval.r1_max
+    except Exception:
+        q1, r1 = 0.0, 1.0
+        fell_back = True
+    photon = nu.v1 * q1 * (1.0 - hbar(r1)) / p_key
+    if cfg.ec_direction == "forward":
+        credit = nu.v0 * p0_hat / p_key
+    else:
+        credit = d_init.p_dark / p_key
+    m_est = cfg.n * (1.0 - photon - credit)
+    return max(0, min(lm, math.ceil(m_est) + cfg.margin_bits)), fell_back
+
+
+class TestInitialEveInfoRule:
+    def test_matches_inline_rule(self):
+        # Random data in the shape a session produces; n up to 10^6 so that
+        # the ceiling does not hide a difference in the last bits of m_est.
+        rng = np.random.default_rng(2024)
+        nus_options = [
+            (SourceDistribution(0.3, 0.7),),
+            (SourceDistribution(0.05, 0.75, 0.2),),
+            (SourceDistribution(0.4, 0.5, 0.1), SourceDistribution(0.0, 1.0)),
+        ]
+        seen = set()
+        for nus, direction, n in itertools.product(
+                nus_options, ("forward", "reverse"), (16, 1000, 10 ** 6)):
+            k = len(nus)
+            cfg = SessionConfig(n=n, n_bar=n, n_under=1, n_prime=2 * n + 1,
+                                nus=nus, i0=1, p_bar=(1.0 / (2 * k + 1),) * (2 * k + 1),
+                                ec_direction=direction)
+            for _ in range(60):
+                a = rng.integers(0, 3 * n, size=2 * k + 1)
+                c = rng.binomial(a, rng.uniform(0.0, 1.0, size=2 * k + 1))
+                e = rng.binomial(c, 0.5 + 0.5 * rng.uniform(size=2 * k + 1))
+                h = rng.binomial(np.maximum(e - n, 0), rng.uniform(0.0, 0.7, size=2 * k + 1))
+                d_init = DInitial(tuple(a.tolist()), nus,
+                                  float(rng.choice([0.0, 0.02, 0.3, 0.5, 0.6])),
+                                  float(rng.choice([0.0, 1e-3, 0.05])))
+                d_e = DExperimental(tuple(c.tolist()), tuple(e.tolist()), tuple(h.tolist()))
+                margin = int(rng.integers(-3, 4))
+                lm = int(rng.integers(0, n + 1)) if rng.random() < 0.3 else n
+                for basis in ("plus", "times"):
+                    rule_cfg = replace(cfg, margin_bits=margin)
+                    want, fell_back = inline_m_rule(rule_cfg, d_init, d_e, basis, lm)
+                    assert initial_eve_info_m_rule(rule_cfg, d_init, d_e, basis, lm) == want
+                    seen.add((nus[0].v2 == 0.0, fell_back))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestTranscriptAndReport:
