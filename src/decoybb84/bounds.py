@@ -26,26 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import BoundViolation, CapacityError
-# kernel_basis, mat_vec_mul, span_ints, build_toeplitz: unused, kept for perfbench's LAYER_MAP.
-from .gf2 import BitMatrix, kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
+# kernel_basis, mat_vec_mul, rank, span_ints, build_toeplitz: unused, kept for
+# perfbench's LAYER_MAP.
+from .gf2 import kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
 from .hashing import build_toeplitz  # noqa: F401
 
 
 def hbar(x: float) -> float:
     """Binary entropy clamped to 1 above x = 1/2."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument {x} outside [0, 1]")
-    if x > 0.5:
-        return 1.0
-    if x == 0.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return 1.0 if 0.5 < x <= 1.0 else binary_entropy(x)
 
 
 def binary_entropy(x: float) -> float:
@@ -136,20 +131,34 @@ class BoundInputs:
         return dist
 
 
-def _averaged_bound(inputs: BoundInputs, k2: int) -> float:
+# The J parts (indices into J0..J5) that Eve holds outright under each
+# error-correction direction; their sum is K2.
+K2_PARTS = {"forward": (2, 4, 5), "reverse": (0, 2), "twoway": (0, 2, 4, 5)}
+
+
+def k2_count(j: Sequence[int], direction: str) -> int:
+    """K2 for the counts j = (J0, ..., J5) under the given direction."""
+    if direction not in K2_PARTS:
+        raise ValueError(f"unknown error-correction direction {direction!r}")
+    return sum(j[i] for i in K2_PARTS[direction])
+
+
+def _averaged_bound(inputs: BoundInputs, direction: str) -> float:
     dist = inputs.validated_t_distribution()
+    k2 = k2_count((inputs.j0, inputs.j1, inputs.j2, inputs.j3, inputs.j4, inputs.j5),
+                  direction)
     return sum(p * min_decoding_bound(inputs.j1, k2, t, inputs.m)
                for t, p in dist.items())
 
 
 def forward_bound(inputs: BoundInputs) -> float:
     """Averaged phase-error bound for forward error correction."""
-    return _averaged_bound(inputs, inputs.j2 + inputs.j4 + inputs.j5)
+    return _averaged_bound(inputs, "forward")
 
 
 def reverse_bound(inputs: BoundInputs) -> float:
     """Averaged phase-error bound for reverse error correction."""
-    return _averaged_bound(inputs, inputs.j0 + inputs.j2)
+    return _averaged_bound(inputs, "reverse")
 
 
 def twoway_bound(inputs: BoundInputs) -> float:
@@ -158,7 +167,7 @@ def twoway_bound(inputs: BoundInputs) -> float:
     Depends only on the t-marginal, so mixing over adaptively chosen codes
     leaves the value unchanged.
     """
-    return _averaged_bound(inputs, inputs.j0 + inputs.j2 + inputs.j4 + inputs.j5)
+    return _averaged_bound(inputs, "twoway")
 
 
 def averaged_eve_info_bound(p_av: float, n_bar: int) -> float:
@@ -225,13 +234,6 @@ class DecodingCheck:
     n_patterns: int
 
 
-def _random_full_rank(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
-    while True:
-        mat = BitMatrix.from_rows(rng.integers(0, 2, size=(rows, cols)).tolist())
-        if rank(mat) == cols:
-            return mat
-
-
 def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
                                 c1_dim: int, m: int,
                                 rng: np.random.Generator | None = None,
@@ -263,7 +265,9 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
         raise ValueError("c1_dim - m must be >= 1")
     rng = rng or np.random.default_rng(0)
 
-    m_e = _random_full_rank(rng, n, c1_dim)
+    # Imported here: protocol imports this module.
+    from .protocol import random_full_rank_matrix
+    m_e = random_full_rank_matrix(rng, n, c1_dim)
     n_seed_bits = c1_dim - 1
     if (1 << n_seed_bits) <= max_seeds:
         seeds = np.arange(1 << n_seed_bits)

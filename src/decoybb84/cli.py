@@ -215,6 +215,7 @@ def cmd_estimate_decoy(args) -> int:
         p_nu_plus=spec.get("p_nu_plus"), s_nu_plus=spec.get("s_nu_plus"),
         p_s=spec.get("p_s", 0.0), p_s_tilde=spec.get("p_s_tilde", 0.0))
     payload: dict = {"nu": [nu.v0, nu.v1, nu.v2], "observations": spec}
+    code = EXIT_OK
     try:
         if nu.v2 == 0.0:
             q1, r1 = decoy_mod.estimate_vacuum_single(nu, obs)
@@ -229,14 +230,10 @@ def cmd_estimate_decoy(args) -> int:
                                            "value": value}
     except InfeasibleObservation as exc:
         payload["infeasible"] = str(exc)
-        report = build_report("estimate-decoy", payload,
-                              config_paths=(args.observations,))
-        _write_report(args, report)
-        return EXIT_CHECK_FAILED
-    report = build_report("estimate-decoy", payload,
-                          config_paths=(args.observations,))
-    _write_report(args, report)
-    return EXIT_OK
+        code = EXIT_CHECK_FAILED
+    _write_report(args, build_report("estimate-decoy", payload,
+                                     config_paths=(args.observations,)))
+    return code
 
 
 def cmd_rates(args) -> int:

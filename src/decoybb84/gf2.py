@@ -30,19 +30,20 @@ def _parity(x: int) -> int:
 
 
 def lex_key(bits: int, length: int) -> int:
-    """Integer whose ordering equals lexicographic order of the bit tuple."""
-    key = 0
-    for i in range(length):
-        key = (key << 1) | ((bits >> i) & 1)
-    return key
+    """Integer whose ordering equals lexicographic order of the bit tuple:
+    the ``length`` bits reversed, so it is its own inverse."""
+    return int(format(bits, f"0{length}b")[::-1], 2)
+
+
+def lex_keys(n_bits: int, dtype=np.uint64) -> np.ndarray:
+    """:func:`lex_key` of every word 0 .. 2^n_bits - 1, built by doubling:
+    bit i of a word is bit n_bits-1-i of its key."""
+    return span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
 
 
 def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Stable argsort of packed words by :func:`lex_key`, vectorized."""
-    keys = np.zeros(len(words), dtype=np.uint64)
-    for i in range(n_bits):
-        keys = (keys << np.uint64(1)) | ((words >> np.uint64(i)) & np.uint64(1))
-    return np.argsort(keys, kind="stable")
+    """Stable argsort of packed ``n_bits``-bit words by :func:`lex_key`."""
+    return np.argsort(lex_keys(n_bits)[words], kind="stable")
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,6 @@ class BitMatrix:
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, (0,) * rows)
 
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "BitMatrix":
-        a = np.asarray(a, dtype=np.uint8) & 1
-        return cls.from_rows(a.tolist())
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
@@ -235,12 +228,7 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
         raise DimensionMismatch(f"matrix rows {m.rows} != vector length {v.length}")
     # Augment each column of M (as a row of M^T) with the unit vector that
     # remembers which combination of columns produced it.
-    aug = []
-    for j in range(m.cols):
-        col = 0
-        for i in range(m.rows):
-            col |= ((m.row_bits[i] >> j) & 1) << i
-        aug.append(col | (1 << (m.rows + j)))
+    aug = [col | (1 << (m.rows + j)) for j, col in enumerate(m.transpose().row_bits)]
     work, _ = _eliminate(aug, m.rows)  # pivots only in the first m.rows columns
     residual = v.bits
     combo = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import _eliminate, lex_key, span_array
+from .gf2 import _eliminate, lex_key, lex_keys, span_array
 
 
 def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def toeplitz_image_counts(l: int, m: int) -> np.ndarray:
     n_seed = l + m - 1
     counts = np.zeros(1 << (l + m), dtype=np.int64)
     for u in range(1 << l):
-        rev = int(format(u, f"0{l}b")[::-1], 2)  # u_i at bit l-1-i
+        rev = lex_key(u, l)  # u_i at bit l-1-i
         gens = [((rev << k) >> (l - 1)) & ((1 << m) - 1) for k in range(n_seed)]
         work, pivots = _eliminate(gens, m)
         r = len(pivots)
@@ -103,7 +103,7 @@ def restricted_decode_flags(cands: np.ndarray, good: np.ndarray, mask1: int,
     good = np.asarray(good, dtype=bool)
     kind = np.int32 if (n_bits + 1) << n_bits < 1 << 31 else np.int64
     # lex_key of every word; bit reversal, so it is its own inverse.
-    lex = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=kind)
+    lex = lex_keys(n_bits, dtype=kind)
     key = np.bitwise_count(np.arange(1 << n_bits) & mask1).astype(kind) << n_bits | lex
     n_seeds, width = cands.shape
     fails = np.zeros(len(ys), dtype=np.int64)

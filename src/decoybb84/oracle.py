@@ -251,12 +251,22 @@ def dense_trace_norm(a: np.ndarray) -> float:
 # Reduction from an N-qubit channel and a code pair to the logical level.
 
 
-def _enumerate_image_with_labels(m_e: BitMatrix, m_p: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All codewords M_e Z with their key labels M_p Z, lex-sorted by codeword."""
-    words = span_array(m_e.transpose().row_bits)
-    labels = span_array(m_p.transpose().row_bits, dtype=np.uint32)
-    order = lex_order(words, m_e.rows)
-    return words[order], labels[order]
+def _label_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: int,
+                       shifts: list[tuple[int, int]]) -> np.ndarray:
+    """Row e: the law of label(decode(e ^ s)) ^ label_s over the shifts (s, label_s).
+
+    The labelled code is lex-sorted before ``kernels.decode_table``, so ties
+    go to the lex-smallest word; averaging over the transmitted word keeps
+    that tie-break honest.
+    """
+    order = lex_order(words, n)
+    dec = labels[order][kernels.decode_table(words[order], n)].astype(np.int64)
+    es = np.arange(1 << n, dtype=np.int64)
+    base = es * n_lab
+    table = np.zeros((1 << n) * n_lab)
+    for s, label in shifts:
+        table += np.bincount(base + (dec[es ^ s] ^ label), minlength=len(table))
+    return table.reshape(1 << n, n_lab) / len(shifts)
 
 
 def _normalize_channel(channel, n: int) -> tuple[str, object]:
@@ -311,12 +321,16 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
     m = lm - l
 
     kind, law = _normalize_channel(channel, n)
+    size = 1 << n
+    n_lab = 1 << l
 
-    # --- key-error side: code Im(m_e), labels M_p Z ------------------
-    words, labels = _enumerate_image_with_labels(m_e, m_p)
-    dx = kernels.decode_table(words, n)
+    # --- key-error side: code Im(m_e), labels M_p Z, shifted by codewords
+    words = span_array(m_e.transpose().row_bits)
+    labels = span_array(m_p.transpose().row_bits, dtype=np.uint32)
+    ax = _label_transitions(words, labels, n, n_lab,
+                            list(zip(words.tolist(), labels.tolist())))
 
-    # --- phase-error side: dual pair -------------------------------
+    # --- phase-error side: dual pair, shifted by C1perp ---------------
     c1perp = kernel_basis(m_e.transpose())       # (Im m_e)^perp
     ker_p = kernel_basis(m_p)                    # dim m
     sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in ker_p)
@@ -342,29 +356,8 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
     # Coset lbl of C1perp, shifted by the lbl-th logical representative.
     rep_span = np.array(span_ints(chosen), dtype=np.uint64)
     z_words = (rep_span[:, None] ^ np.array(c1_ints, dtype=np.uint64)).ravel()
-    z_labels = np.repeat(np.arange(1 << l, dtype=np.uint32), len(c1_ints))
-    order = lex_order(z_words, n)
-    z_words, z_labels = z_words[order], z_labels[order]
-    dz = kernels.decode_table(z_words, n)
-
-    # --- averaged label-transition tables ---------------------------
-    size = 1 << n
-    n_lab = 1 << l
-    es = np.arange(size, dtype=np.int64)
-    base_idx = es * n_lab
-    dec_lbl_x = labels[dx].astype(np.int64)
-    ax_flat = np.zeros(size * n_lab)
-    for i in range(len(words)):
-        lbls = dec_lbl_x[es ^ int(words[i])] ^ int(labels[i])
-        ax_flat += np.bincount(base_idx + lbls, minlength=size * n_lab)
-    ax = ax_flat.reshape(size, n_lab) / len(words)
-
-    dec_lbl_z = z_labels[dz].astype(np.int64)
-    az_flat = np.zeros(size * n_lab)
-    for c in c1_ints:
-        lbls = dec_lbl_z[es ^ c]
-        az_flat += np.bincount(base_idx + lbls, minlength=size * n_lab)
-    az = az_flat.reshape(size, n_lab) / len(c1_ints)
+    z_labels = np.repeat(np.arange(n_lab, dtype=np.uint32), len(c1_ints))
+    az = _label_transitions(z_words, z_labels, n, n_lab, [(c, 0) for c in c1_ints])
 
     # --- joint pattern law ------------------------------------------
     if kind == "product":

@@ -36,16 +36,15 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .bounds import hbar
+from .bounds import k2_count, min_decoding_bound
 from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
                       ClassCounts, apply_bit_errors, classify, parse_key_values,
                       sample_detection, sample_flips, uniform_mask)
-from .decoy import (ObservedRates, SourceDistribution,
-                    estimate_interval_symmetric, estimate_vacuum_single)
+from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import CapacityError, DimensionMismatch, SessionAborted
 from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve, span_array
 from .hashing import sample_seed
-from .rates import shannon_eta
+from .rates import initial_eve_information_asymptotic, shannon_eta
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,6 @@ def _hexbits(bits: np.ndarray) -> str:
     return np.packbits(bits.astype(np.uint8)).tobytes().hex()
 
 
-def _bv_from_array(bits: np.ndarray) -> BitVector:
-    value = 0
-    for i, b in enumerate(bits):
-        value |= int(b) << i
-    return BitVector(len(bits), value)
-
-
 def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
     """Uniform binary matrix conditioned on full column rank."""
     if cols > rows:
@@ -195,7 +187,7 @@ def forward_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
     """Alice masks a fresh seed with her raw key; Bob unmasks and decodes."""
     if x_alice.length != m_e.rows or x_bob.length != m_e.rows:
         raise DimensionMismatch("raw keys must match the code length")
-    z = _bv_from_array(rng.integers(0, 2, size=m_e.cols))
+    z = BitVector.from_bits(rng.integers(0, 2, size=m_e.cols).tolist())
     sent = mat_vec_xor(m_e, z, x_alice)
     noisy_codeword = BitVector(m_e.rows, sent.bits ^ x_bob.bits)  # M_e z + e
     z_bob = decode_to_seed(m_e, noisy_codeword, guard)
@@ -229,10 +221,12 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
     """Default placeholder rule: the initial-Eve-information estimate.
 
     Phase errors of one basis are bit errors of the conjugate basis, so the
-    single-photon yield and phase-error rate are estimated from the
-    conjugate raw-key kind (with the detector calibration carried by the
-    initial data), then fed into
-    N (1 - nu1 q1 (1 - hbar(r1)) / p - credit / p) plus a margin knob.
+    single-photon yield and phase-error rate come from
+    ``decoy.minimize_key_term`` on the conjugate raw-key kind (with the
+    detector calibration carried by the initial data), or (0, 1) when the
+    observations admit no estimate.  They are fed into
+    ``rates.initial_eve_information_asymptotic``,
+    N (1 - nu1 q1 (1 - hbar(r1)) / p - credit / p), plus a margin knob.
     A finite-sample statistical treatment is out of scope here.
     """
     k = cfg.k
@@ -250,20 +244,11 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
                         p_nu_times=max(p_conj, 1e-12),
                         s_nu_times=min(1.0, s_conj), p_s=d_init.p_s)
     try:
-        if nu.v2 == 0.0:
-            q1e, r1e = estimate_vacuum_single(nu, obs)
-            q1, r1 = q1e.value, r1e.value
-        else:
-            interval = estimate_interval_symmetric(nu, obs)
-            q1, r1 = interval.q1_min, interval.r1_max
+        q1, r1, _ = minimize_key_term(nu, obs)
     except Exception:
         q1, r1 = 0.0, 1.0
-    photon = nu.v1 * q1 * (1.0 - hbar(r1)) / p_key
-    if cfg.ec_direction == "forward":
-        credit = nu.v0 * p0_hat / p_key
-    else:
-        credit = d_init.p_dark / p_key
-    m_est = cfg.n * (1.0 - photon - credit)
+    m_est = initial_eve_information_asymptotic(nu, q1, r1, p0_hat, d_init.p_dark,
+                                               p_key, cfg.n, cfg.ec_direction)
     return max(0, min(lm, math.ceil(m_est) + cfg.margin_bits))
 
 
@@ -422,8 +407,8 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                                          (i0x, "times", 9, 10)):
         res = results[name]
         pos = raw_positions[kind]
-        x_alice = _bv_from_array(alice_bits[pos])
-        x_bob = _bv_from_array(bob_bits[pos])
+        x_alice = BitVector.from_bits(alice_bits[pos].tolist())
+        x_bob = BitVector.from_bits(bob_bits[pos].tolist())
         m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
         announce(step_ec, "both", lambda: f"{name} code " + hashlib.sha256(
             b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16])
@@ -459,10 +444,6 @@ def _basis_report(res: BasisResult, cfg: SessionConfig,
                   truth: ClassCounts) -> dict:
     # Simulator-side ground truth lets analyses attach the exact bound the
     # realized classification would give; the parties never see these.
-    from .bounds import min_decoding_bound
-    k2 = {"forward": truth.j2 + truth.j4 + truth.j5,
-          "reverse": truth.j0 + truth.j2}[cfg.ec_direction]
-    k2_two = truth.j0 + truth.j2 + truth.j4 + truth.j5
     return {
         "observed_error": res.observed_error,
         "eta": cfg.eta(res.observed_error),
@@ -473,9 +454,9 @@ def _basis_report(res: BasisResult, cfg: SessionConfig,
         "length_within_window": cfg.n_under <= res.length <= cfg.n_bar,
         "ec_success": res.ec_success,
         "truth_phase_error_bound": min_decoding_bound(
-            truth.j1, k2, truth.t, res.m),
+            truth.j1, k2_count(truth.j_tuple(), cfg.ec_direction), truth.t, res.m),
         "truth_twoway_bound": min_decoding_bound(
-            truth.j1, k2_two, truth.t, res.m),
+            truth.j1, k2_count(truth.j_tuple(), "twoway"), truth.t, res.m),
     }
 
 
@@ -499,7 +480,7 @@ def extract_experiment_data(outcome: SessionOutcome,
 
 CONFIG_KEYS = ("n", "n_bar", "n_under", "n_prime", "nus", "i0", "p_bar",
                "p_s", "p_s_tilde", "eta", "m_rule", "margin_bits",
-               "ec_direction", "rng_seed", "decode_guard", "record_transcript")
+               "ec_direction", "decode_guard", "record_transcript")
 
 _NAMED_ETAS = {"shannon": shannon_eta}
 

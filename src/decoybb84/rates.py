@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .bounds import hbar
+from .bounds import hbar, k2_count
 from .decoy import SourceDistribution
 
 RATE_NAMES = ("forward", "reverse", "twoway", "gllp_ilm",
@@ -139,17 +139,11 @@ def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
 def initial_eve_information_counts(j: Mapping[str, int] | tuple, r1: float,
                                    direction: str = "forward") -> float:
     """Initial Eve information from the actual classification counts."""
-    if isinstance(j, tuple):
-        j0, j1, j2, j3, j4, j5 = j
-    else:
-        j0, j1, j2, j3, j4, j5 = (j["j0"], j["j1"], j["j2"],
-                                  j["j3"], j["j4"], j["j5"])
-    base = j1 * hbar(r1)
-    if direction == "forward":
-        return base + j2 + j4 + j5
-    if direction == "reverse":
-        return base + j0 + j2
-    raise ValueError("direction must be 'forward' or 'reverse'")
+    if direction not in ("forward", "reverse"):
+        raise ValueError("direction must be 'forward' or 'reverse'")
+    if not isinstance(j, tuple):
+        j = tuple(j[f"j{i}"] for i in range(6))
+    return j[1] * hbar(r1) + k2_count(j, direction)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from decoybb84 import bounds
 from decoybb84.bounds import (BoundInputs, DecodingCheck, averaged_eve_info_bound,
                               averaged_success_bound, binary_entropy,
                               distinguishability_bounds, eve_info_bound,
-                              forward_bound, hbar, max_bound_over_inputs,
+                              forward_bound, hbar, k2_count, max_bound_over_inputs,
                               min_decoding_bound, per_bit_eve_info_bound,
                               reverse_bound, success_bound, twoway_bound,
                               verify_proposition_decoding, worst_case_t_bound)
 from decoybb84.errors import CapacityError
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul, span_ints
 from decoybb84.hashing import build_toeplitz
+from decoybb84.protocol import random_full_rank_matrix
 
 
 class TestHbar:
@@ -122,6 +122,22 @@ class TestMinDecodingBound:
 def make_inputs(j, m, t_dist):
     return BoundInputs(j0=j[0], j1=j[1], j2=j[2], j3=j[3], j4=j[4], j5=j[5],
                        m=m, t_distribution=t_dist)
+
+
+class TestK2:
+    J = (1, 20, 300, 4000, 50000, 600000)  # J0..J5, one digit each
+
+    @pytest.mark.parametrize("direction,k2", [
+        ("forward", 300 + 50000 + 600000),  # J2 + J4 + J5
+        ("reverse", 1 + 300),               # J0 + J2
+        ("twoway", 1 + 300 + 50000 + 600000),
+    ])
+    def test_parts(self, direction, k2):
+        assert k2_count(self.J, direction) == k2
+
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError, match="sideways"):
+            k2_count(self.J, "sideways")
 
 
 class TestAveragedBounds:
@@ -362,7 +378,7 @@ def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng, max_seeds=8192):
     matrix, its dual by kernel_basis and span_ints, and a plain-Python
     minimum over the candidates by (part-1 weight, lex_key of the estimate)."""
     n, l = n0 + n1 + n2, c1_dim - m
-    m_e = bounds._random_full_rank(rng, n, c1_dim)
+    m_e = random_full_rank_matrix(rng, n, c1_dim)
     c1perp = set(span_ints([v.bits for v in kernel_basis(m_e.transpose())]))
     if 1 << (c1_dim - 1) <= max_seeds:
         seeds = range(1 << (c1_dim - 1))

@@ -30,7 +30,6 @@ n_prime = 512
 nus = [[0.0, 1.0, 0.0]]
 i0 = 1
 p_bar = [0.1, 0.45, 0.45]
-rng_seed = 7
 """
 
 BOUND_INPUTS = {
@@ -286,6 +285,13 @@ class TestSimulate:
         strat.write_text(NOISELESS_STRATEGY.replace("[1.0, 0.0, 0.0, 0.0]\nmulti",
                                                     "[NaN, 0.0, 0.0, 1.0]\nmulti"))
         assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
+
+    def test_rng_seed_key_exit_2(self, session_files, capsys):
+        # Trial seeds come from --seed, so a session file may not set one.
+        cfg, strat = session_files
+        cfg.write_text(SESSION_CONFIG + "rng_seed = 7\n")
+        assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
-from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul,
-                           rank, solve, span_ints)
+from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, lex_keys,
+                           mat_vec_mul, rank, solve, span_ints)
 from oracles import min_distance_decode
 
 
@@ -193,5 +193,6 @@ class TestBitVector:
             return key
 
         for n in range(11):
-            for w in range(1 << n):
-                assert lex_key(w, n) == loop_key(w, n)
+            want = [loop_key(w, n) for w in range(1 << n)]
+            assert [lex_key(w, n) for w in range(1 << n)] == want
+            assert lex_keys(n).tolist() == want
