@@ -125,7 +125,7 @@ def make_inputs(j, m, t_dist):
 
 
 class TestK2:
-    J = (1, 20, 300, 4000, 50000, 600000)  # J0..J5, one digit each
+    J = (1, 20, 300, 4000, 50000, 600000)  # J0..J5 in distinct decimal places
 
     @pytest.mark.parametrize("direction,k2", [
         ("forward", 300 + 50000 + 600000),  # J2 + J4 + J5

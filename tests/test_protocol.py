@@ -423,8 +423,8 @@ class TestInitialEveInfoRule:
                 d_e = DExperimental(tuple(c.tolist()), tuple(e.tolist()), tuple(h.tolist()))
                 margin = int(rng.integers(-3, 4))
                 lm = int(rng.integers(0, n + 1)) if rng.random() < 0.3 else n
+                rule_cfg = replace(cfg, margin_bits=margin)
                 for basis in ("plus", "times"):
-                    rule_cfg = replace(cfg, margin_bits=margin)
                     want, fell_back = inline_m_rule(rule_cfg, d_init, d_e, basis, lm)
                     assert initial_eve_info_m_rule(rule_cfg, d_init, d_e, basis, lm) == want
                     seen.add((nus[0].v2 == 0.0, fell_back))
