@@ -37,6 +37,8 @@ from .errors import BoundViolation, CapacityError
 from .gf2 import kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
 from .hashing import build_toeplitz  # noqa: F401
 
+DECODING_GUARD_N = 14
+
 
 def hbar(x: float) -> float:
     """Binary entropy clamped to 1 above x = 1/2."""
@@ -112,7 +114,6 @@ class BoundInputs:
     j4: int = 0
     j5: int = 0
     m: int = 0
-    l: int = 0
     n_bar: int | None = None
     n_under: int | None = None
     t_distribution: Mapping[int, float] | None = None
@@ -121,9 +122,10 @@ class BoundInputs:
         if self.t_distribution is None:
             raise ValueError("t_distribution required")
         dist = {int(t): float(p) for t, p in self.t_distribution.items()}
-        if any(p < 0 for p in dist.values()):
+        # Written so that NaN fails both checks and is rejected.
+        if not all(p >= 0 for p in dist.values()):
             raise ValueError("negative probability in t_distribution")
-        if abs(sum(dist.values()) - 1.0) > 1e-9:
+        if not abs(sum(dist.values()) - 1.0) <= 1e-9:
             raise ValueError("t_distribution does not sum to 1")
         for t in dist:
             if not 0 <= t <= self.j1:
@@ -236,9 +238,7 @@ class DecodingCheck:
 
 def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
                                 c1_dim: int, m: int,
-                                rng: np.random.Generator | None = None,
-                                max_seeds: int = 8192,
-                                guard_n: int = 14) -> DecodingCheck:
+                                rng: np.random.Generator | None = None) -> DecodingCheck:
     """Replay the decoding-error bound 2^(n1 hbar(t/n1) + n2 - m) exactly.
 
     Coordinates are split into a noiseless part (n0 bits), a part with at
@@ -254,8 +254,8 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     beats the analytic bound.
     """
     n = n0 + n1 + n2
-    if n > guard_n:
-        raise CapacityError(f"N={n} exceeds guard {guard_n}")
+    if n > DECODING_GUARD_N:
+        raise CapacityError(f"N={n} exceeds guard {DECODING_GUARD_N}")
     if not 0 <= t <= n1:
         raise ValueError("need 0 <= t <= n1")
     if not 1 <= m <= c1_dim <= n:
@@ -268,11 +268,7 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     # Imported here: protocol imports this module.
     from .protocol import random_full_rank_matrix
     m_e = random_full_rank_matrix(rng, n, c1_dim)
-    n_seed_bits = c1_dim - 1
-    if (1 << n_seed_bits) <= max_seeds:
-        seeds = np.arange(1 << n_seed_bits)
-    else:
-        seeds = rng.integers(0, 1 << n_seed_bits, size=max_seeds)
+    seeds = np.arange(1 << (c1_dim - 1))
 
     # Word j stands for j << n0: the words with part 0 zero.  v[j] = M_e^T w.
     v = span_array(m_e.row_bits[n0:], dtype=np.int64)

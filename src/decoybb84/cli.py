@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+ORACLE_TOLERANCE = 1e-9
+
 
 def _write_report(args, report: dict) -> None:
     text = to_json(report) if args.format == "json" else to_text(report)
@@ -106,20 +108,18 @@ def cmd_oracle_check(args) -> int:
             slacks["success"] = min(
                 slacks["success"],
                 bounds_mod.success_bound(p, l) - fig.opt_success_prob)
-    if args.self_test_break:
-        slacks["info_bound"] -= 1.0  # harness self-test: force a failure
     defective = ("pair_trace_norm", "avg_trace_norm")
     if args.provable_only:
         for name in defective:
             slacks.pop(name)
     worst = min(slacks.values())
-    ok = worst >= -args.tolerance
+    ok = worst >= -ORACLE_TOLERANCE
     payload = {
         "l_values": l_values,
         "suite_size": args.suite_size,
-        "tolerance": args.tolerance,
+        "tolerance": ORACLE_TOLERANCE,
         "worst_slack": {k: float(v) for k, v in slacks.items()},
-        "holds": {k: bool(v >= -args.tolerance) for k, v in slacks.items()},
+        "holds": {k: bool(v >= -ORACLE_TOLERANCE) for k, v in slacks.items()},
         "result": "PASS" if ok else "FAIL",
     }
     if not args.provable_only:
@@ -138,8 +138,10 @@ def cmd_simulate(args) -> int:
     statuses = {"completed": 0, "aborted": 0}
     for trial in range(args.trials):
         cfg.rng_seed = args.seed + trial
+        # Only trial 0's transcript is written, so only it is built.
+        cfg.record_transcript = bool(args.transcript) and trial == 0
         outcome = run_session(cfg, strategy)
-        if args.transcript and trial == 0:
+        if cfg.record_transcript:
             with open(args.transcript, "w") as fh:
                 fh.write("\n".join(outcome.transcript) + "\n")
         statuses[outcome.status] += 1
@@ -175,7 +177,7 @@ def cmd_bound(args) -> int:
     inputs = bounds_mod.BoundInputs(
         j0=spec.get("j0", 0), j1=spec.get("j1", 0), j2=spec.get("j2", 0),
         j3=spec.get("j3", 0), j4=spec.get("j4", 0), j5=spec.get("j5", 0),
-        m=spec["m"], l=spec.get("l", 1),
+        m=spec["m"],
         n_bar=spec.get("n_bar"), n_under=spec.get("n_under"),
         t_distribution=t_dist)
     try:
@@ -287,12 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite-size", type=int, default=1000)
     p.add_argument("--l-min", type=int, default=1)
     p.add_argument("--l-max", type=int, default=3)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--provable-only", action="store_true",
                    help="check only the sound bound legs (the linear "
                         "trace-norm inequalities are a known defect)")
-    p.add_argument("--self-test-break", action="store_true",
-                   help="inject a broken bound to exercise the harness")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("simulate", help="run protocol sessions")

@@ -246,17 +246,15 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     return BitVector(m.cols, combo)
 
 
-def span_ints(basis: Sequence[int], guard: int = DEFAULT_SPAN_GUARD) -> list[int]:
-    """All 2^k XOR combinations of the given packed vectors (Gray-code walk)."""
+def span_ints(basis: Sequence[int]) -> list[int]:
+    """All 2^k XOR combinations of the given packed vectors, in Gray-code
+    order: element i combines the basis vectors at the set bits of
+    i ^ (i >> 1)."""
     k = len(basis)
-    if 1 << k > guard:
-        raise CapacityError(f"span of dimension {k} exceeds guard {guard}")
-    out = [0] * (1 << k)
-    cur = 0
-    for i in range(1, 1 << k):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        out[i] = cur
-    return out
+    if 1 << k > DEFAULT_SPAN_GUARD:
+        raise CapacityError(f"span of dimension {k} exceeds guard {DEFAULT_SPAN_GUARD}")
+    i = np.arange(1 << k)
+    return span_array(basis)[i ^ (i >> 1)].tolist()
 
 
 def span_array(basis: Sequence[int] | np.ndarray, dtype=np.uint64) -> np.ndarray:

@@ -155,15 +155,14 @@ class RandomMatrixHash:
         return mat_vec_mul(self.matrix_bits, z)
 
 
-def random_matrix_universality_profile(l: int, m: int,
-                                       guard_bits: int = 16) -> dict[int, Fraction]:
+def random_matrix_universality_profile(l: int, m: int) -> dict[int, Fraction]:
     """Exact membership fractions for the fully random matrix family.
 
     Enumerates all 2^(l*(l+m)) matrices, so only tiny sizes are feasible.
     """
     n_bits = l * (l + m)
-    if n_bits > guard_bits:
-        raise CapacityError(f"matrix space 2^{n_bits} exceeds guard 2^{guard_bits}")
+    if n_bits > 16:
+        raise CapacityError(f"matrix space 2^{n_bits} exceeds guard 2^16")
     width = l + m
     counts = np.zeros(1 << width, dtype=np.int64)
     for mat in range(1 << n_bits):

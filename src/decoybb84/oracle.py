@@ -289,8 +289,7 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     return "product", site_laws
 
 
-def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
-                        guard_n: int = REDUCE_GUARD_N):
+def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     """Reduce an N-qubit Pauli channel through a code pair to l logical bits.
 
     Args:
@@ -312,8 +311,8 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix,
     l = m_p.rows
     if m_p.cols != lm:
         raise DimensionMismatch("m_p columns must equal m_e columns")
-    if n > guard_n:
-        raise CapacityError(f"N={n} exceeds reduction guard {guard_n}")
+    if n > REDUCE_GUARD_N:
+        raise CapacityError(f"N={n} exceeds reduction guard {REDUCE_GUARD_N}")
     if rank(m_e) != lm:
         raise ValueError("m_e must be injective (full column rank)")
     if rank(m_p) != l:

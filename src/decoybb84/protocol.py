@@ -77,8 +77,7 @@ class SessionConfig:
     p_bar: tuple[float, ...]
     p_s: float = 0.0
     p_s_tilde: float = 0.0
-    eta: Callable[[float], float] = shannon_eta
-    m_rule: "Callable | str" = "initial-eve-info"
+    m_rule: str = "initial-eve-info"
     margin_bits: int = 0
     ec_direction: str = "forward"
     rng_seed: int = 0
@@ -104,6 +103,7 @@ class SessionConfig:
             raise ValueError("need 1 <= N_under <= N_bar <= N")
         if self.ec_direction not in ("forward", "reverse"):
             raise ValueError("ec_direction must be 'forward' or 'reverse'")
+        _constant_m(self.m_rule)
 
     @property
     def k(self) -> int:
@@ -210,12 +210,6 @@ def mat_vec_xor(m_e: BitMatrix, z: BitVector, x: BitVector) -> BitVector:
 # Sacrifice-bit rules.
 
 
-def constant_m_rule(m_value: int) -> Callable:
-    def rule(cfg, d_init, d_e, basis, lm):
-        return m_value
-    return rule
-
-
 def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
                             d_e: DExperimental, basis: str, lm: int) -> int:
     """Default placeholder rule: the initial-Eve-information estimate.
@@ -252,14 +246,17 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
     return max(0, min(lm, math.ceil(m_est) + cfg.margin_bits))
 
 
-def _resolve_m_rule(cfg: SessionConfig) -> Callable:
-    if callable(cfg.m_rule):
-        return cfg.m_rule
-    if cfg.m_rule == "initial-eve-info":
-        return initial_eve_info_m_rule
-    if isinstance(cfg.m_rule, str) and cfg.m_rule.startswith("constant:"):
-        return constant_m_rule(int(cfg.m_rule.split(":", 1)[1]))
-    raise ValueError(f"unknown m_rule {cfg.m_rule!r}")
+def _constant_m(m_rule) -> int | None:
+    """K for ``"constant:K"``, None for ``"initial-eve-info"``."""
+    if m_rule == "initial-eve-info":
+        return None
+    if isinstance(m_rule, str) and m_rule.startswith("constant:"):
+        try:
+            return int(m_rule.split(":", 1)[1])
+        except ValueError:
+            pass
+    raise ValueError(f"unknown m_rule {m_rule!r}; "
+                     "use 'initial-eve-info' or 'constant:K'")
 
 
 # ----------------------------------------------------------------------
@@ -381,14 +378,16 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         truth[name] = classify(labels[pos], zflip[pos])
 
     # Step 6: error-correction rates, sacrifice sizes, aborts and clamps.
-    m_rule = _resolve_m_rule(cfg)
+    constant_m = _constant_m(cfg.m_rule)
     results: dict[str, BasisResult] = {}
     for kind, name, d_init in ((i0p, "plus", d_i), (i0x, "times", d_i_tilde)):
         n_check = int(e_counts[kind]) - cfg.n
         err = h_counts[kind] / n_check
-        lm = math.floor(cfg.n * cfg.eta(err))
-        m_bits = int(m_rule(cfg, d_init, experiment, name, lm))
-        m_bits = max(0, m_bits)
+        lm = math.floor(cfg.n * shannon_eta(err))
+        if constant_m is None:
+            m_bits = initial_eve_info_m_rule(cfg, d_init, experiment, name, lm)
+        else:
+            m_bits = max(0, constant_m)
         clamped = False
         if lm - m_bits < cfg.n_under:
             return finish_abort(6, f"{name}: N eta - m = {lm - m_bits} "
@@ -446,7 +445,7 @@ def _basis_report(res: BasisResult, cfg: SessionConfig,
     # realized classification would give; the parties never see these.
     return {
         "observed_error": res.observed_error,
-        "eta": cfg.eta(res.observed_error),
+        "eta": shannon_eta(res.observed_error),
         "lm": res.lm,
         "m": res.m,
         "length": res.length,
@@ -479,10 +478,8 @@ def extract_experiment_data(outcome: SessionOutcome,
 # Session config files: flat key = value text with JSON values.
 
 CONFIG_KEYS = ("n", "n_bar", "n_under", "n_prime", "nus", "i0", "p_bar",
-               "p_s", "p_s_tilde", "eta", "m_rule", "margin_bits",
-               "ec_direction", "decode_guard", "record_transcript")
-
-_NAMED_ETAS = {"shannon": shannon_eta}
+               "p_s", "p_s_tilde", "m_rule", "margin_bits",
+               "ec_direction", "decode_guard")
 
 
 def config_to_text(cfg: SessionConfig) -> str:
@@ -493,12 +490,6 @@ def config_to_text(cfg: SessionConfig) -> str:
             value = [[nu.v0, nu.v1, nu.v2] for nu in value]
         elif key == "p_bar":
             value = list(value)
-        elif key == "eta":
-            if value is not shannon_eta:
-                raise ValueError("only the named 'shannon' eta serializes")
-            value = "shannon"
-        elif key == "m_rule" and callable(value):
-            raise ValueError("cannot serialize a callable m_rule")
         lines.append(f"{key} = {json.dumps(value)}")
     return "\n".join(lines) + "\n"
 
@@ -509,10 +500,4 @@ def config_from_text(text: str) -> SessionConfig:
         values["nus"] = tuple(SourceDistribution(*v) for v in values["nus"])
     if "p_bar" in values:
         values["p_bar"] = tuple(values["p_bar"])
-    if "eta" in values:
-        try:
-            values["eta"] = _NAMED_ETAS[values["eta"]]
-        except KeyError:
-            raise ValueError(f"unknown eta {values['eta']!r}; "
-                             f"known: {sorted(_NAMED_ETAS)}") from None
     return SessionConfig(**values)

@@ -18,23 +18,20 @@ particular, since a vacuum pulse can always fire the dark counter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .bounds import hbar, k2_count
 from .decoy import SourceDistribution
 
-RATE_NAMES = ("forward", "reverse", "twoway", "gllp_ilm",
-              "bar_forward", "bar_reverse")
-
 
 def shannon_eta(e: float) -> float:
-    """Default error-correction rate: the Shannon-limit idealization."""
+    """Error-correction rate: the Shannon-limit idealization."""
     return 1.0 - hbar(e)
 
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Inputs to the rate formulas; eta is the error-correction rate function."""
+    """Inputs to the rate formulas."""
 
     nu: SourceDistribution
     q1: float
@@ -43,7 +40,6 @@ class RateInputs:
     p_dark: float
     p_nu_plus: float
     s_nu_plus: float
-    eta: Callable[[float], float] = shannon_eta
 
     def __post_init__(self):
         for name in ("q1", "r1", "p0", "p_dark", "p_nu_plus", "s_nu_plus"):
@@ -53,7 +49,7 @@ class RateInputs:
 
     def correction(self) -> float:
         """Error-correction debit p_nu_plus (1 - eta(s_nu_plus))."""
-        return self.p_nu_plus * (1.0 - self.eta(self.s_nu_plus))
+        return self.p_nu_plus * (1.0 - shannon_eta(self.s_nu_plus))
 
     def photon_term(self) -> float:
         return self.nu.v1 * self.q1 * (1.0 - hbar(self.r1))
@@ -158,7 +154,7 @@ class OrderingReport:
         return all(ok for _, _, ok in self.checks)
 
 
-def verify_rate_ordering(inputs: RateInputs, tol: float = 1e-12) -> OrderingReport:
+def verify_rate_ordering(inputs: RateInputs) -> OrderingReport:
     """Evaluate the chain: forward >= bar_forward >= gllp, reverse >= twoway
     >= bar_reverse >= gllp, and forward >= twoway (needs p0 >= p_D)."""
     r = all_rates(inputs)
@@ -171,5 +167,5 @@ def verify_rate_ordering(inputs: RateInputs, tol: float = 1e-12) -> OrderingRepo
     ]
     if inputs.p0 >= inputs.p_dark:
         pairs.append(("forward>=twoway", r["forward"] - r["twoway"]))
-    checks = tuple((name, slack, slack >= -tol) for name, slack in pairs)
+    checks = tuple((name, slack, slack >= -1e-12) for name, slack in pairs)
     return OrderingReport(rates=r, checks=checks)

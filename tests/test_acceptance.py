@@ -395,7 +395,7 @@ def test_criterion_7_rate_ordering_chain():
                             p0=float(rng.uniform(pd, 1)), p_dark=pd,
                             p_nu_plus=float(rng.uniform(0.01, 1)),
                             s_nu_plus=float(rng.uniform(0, 1)))
-        report = verify_rate_ordering(inputs, tol=1e-12)
+        report = verify_rate_ordering(inputs)
         worst = min(worst, min(slack for _, slack, _ in report.checks))
         assert report.all_ok, report.checks
     # degenerate equalities at p_D = 0

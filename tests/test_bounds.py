@@ -206,6 +206,10 @@ class TestAveragedBounds:
         with pytest.raises(ValueError):
             forward_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, None))
 
+    def test_nan_distribution_rejected(self):
+        with pytest.raises(ValueError):
+            forward_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, {0: float("nan"), 1: 1.0}))
+
     def test_max_over_strategies(self):
         cands = [make_inputs((0, 4, k2, 0, 0, 0), 6, {1: 1.0}) for k2 in range(4)]
         val, best = max_bound_over_inputs(cands, "forward")
@@ -354,18 +358,9 @@ class TestPropositionDecoding:
             got = verify_proposition_decoding(*cfg, rng=np.random.default_rng(state))
             assert got == want, cfg
 
-    def test_sampled_seeds_match_per_seed_brute_force(self):
-        for cfg in [(0, 3, 2, 1, 5, 2), (1, 3, 2, 1, 6, 3), (2, 2, 2, 2, 6, 2)]:
-            for max_seeds in (3, 8):
-                want = _brute_force_check(*cfg, np.random.default_rng(9), max_seeds=max_seeds)
-                got = verify_proposition_decoding(*cfg, rng=np.random.default_rng(9),
-                                                  max_seeds=max_seeds)
-                assert got.n_seeds == max_seeds < 1 << (cfg[4] - 1)
-                assert got == want, (cfg, max_seeds)
-
     def test_guard(self):
         with pytest.raises(CapacityError):
-            verify_proposition_decoding(8, 8, 0, 1, 10, 4, guard_n=14)
+            verify_proposition_decoding(8, 8, 0, 1, 10, 4)
 
     def test_binary_entropy_helper(self):
         assert binary_entropy(0.5) == pytest.approx(1.0)
@@ -373,17 +368,14 @@ class TestPropositionDecoding:
         assert binary_entropy(1.0) == 0.0
 
 
-def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng, max_seeds=8192):
+def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng):
     """The decoding replay seed by seed: C2 = M_e ker H_s from the Toeplitz
     matrix, its dual by kernel_basis and span_ints, and a plain-Python
     minimum over the candidates by (part-1 weight, lex_key of the estimate)."""
     n, l = n0 + n1 + n2, c1_dim - m
     m_e = random_full_rank_matrix(rng, n, c1_dim)
     c1perp = set(span_ints([v.bits for v in kernel_basis(m_e.transpose())]))
-    if 1 << (c1_dim - 1) <= max_seeds:
-        seeds = range(1 << (c1_dim - 1))
-    else:
-        seeds = [int(s) for s in rng.integers(0, 1 << (c1_dim - 1), size=max_seeds)]
+    seeds = range(1 << (c1_dim - 1))
     mask1 = ((1 << n1) - 1) << n0
     part1 = [e << n0 for e in range(1 << n1) if e.bit_count() <= t]
     ys = [e1 | e2 << (n0 + n1) for e2 in range(1 << n2) for e1 in part1]

@@ -1,5 +1,6 @@
 """CLI: exit codes, report envelopes, golden-byte reproducibility."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from decoybb84.cli import main
+from decoybb84.cli import build_parser, main
 from decoybb84.reports import SCHEMA
 
 NOISELESS_STRATEGY = """\
@@ -209,11 +210,6 @@ class TestOracleCheck:
         assert not holds["pair_trace_norm"]
         assert "note" in report["payload"]
 
-    def test_self_test_break_fails(self):
-        rc = main(["oracle-check", "--suite-size", "5", "--l-max", "1",
-                   "--provable-only", "--self-test-break"])
-        assert rc == 1
-
 
 @pytest.fixture()
 def session_files(tmp_path):
@@ -293,6 +289,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ('m_rule = "bogus"', "unknown m_rule"),
+        ('m_rule = "constant:x"', "unknown m_rule"),
+        ("m_rule = 5", "unknown m_rule"),
+        ('eta = "shannon"', "unknown key"),
+    ], ids=["bogus", "constant-x", "int", "eta"])
+    def test_bad_session_key_exit_2_before_step_6(self, tmp_path, capsys, line, message):
+        # n_prime = 60 aborts every trial at step 4, before the m-rule runs.
+        cfg, strat = tmp_path / "session.cfg", tmp_path / "strategy.cfg"
+        session = PIN_SESSION.replace("n_prime = 3000", "n_prime = 60")
+        strat.write_text(PIN_STRATEGY)
+        args = ["simulate", "--config", str(cfg), "--strategy", str(strat), "--trials", "3"]
+        cfg.write_text(session)
+        assert main(["--out", str(tmp_path / "r.txt")] + args) == 0
+        cfg.write_text(session + line + "\n")
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = nope\n")
@@ -321,6 +335,13 @@ class TestBound:
         path = tmp_path / "b.json"
         path.write_text(json.dumps(spec))
         assert main(["bound", "--inputs", str(path)]) == 2
+
+    def test_nan_t_distribution_exit_2(self, tmp_path, capsys):
+        # NaN is a usage error, not a failed check (exit 1).
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(dict(BOUND_INPUTS, t_distribution={"0": float("nan"), "1": 1.0})))
+        assert main(["bound", "--inputs", str(path)]) == 2
+        assert "t_distribution" in capsys.readouterr().err
 
 
 class TestEstimateDecoy:
@@ -399,3 +420,20 @@ class TestPinnedReports:
         out = tmp_path / "r.json"
         assert main(["--format", "json", "--out", str(out)] + argv) == code
         assert json.loads(out.read_text())["manifest"]["digest"] == digest
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long flag of the parser and its subparsers, --help aside."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _option_strings(sub)
+    return flags - {"--help"}
+
+
+def test_readme_cli_section_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == _option_strings(build_parser())

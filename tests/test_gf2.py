@@ -119,6 +119,20 @@ class TestDualCode:
     def test_zero_code_dual_is_everything(self):
         assert len(kernel_basis(BitMatrix.zeros(1, 2))) == 2
 
+    def test_span_ints_gray_code_order(self):
+        # The oracle's logical phase labels are indices into this order.
+        def gray_walk(basis):
+            out, cur = [0], 0
+            for i in range(1, 1 << len(basis)):
+                cur ^= basis[(i & -i).bit_length() - 1]
+                out.append(cur)
+            return out
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            k, width = int(rng.integers(0, 13)), int(rng.integers(1, 41))
+            basis = [int(b) for b in rng.integers(0, 1 << width, size=k)]
+            assert span_ints(basis) == gray_walk(basis)
+
     def test_double_dual_spans_original(self):
         rng = np.random.default_rng(13)
         for _ in range(30):

@@ -105,11 +105,9 @@ class TestRateFormulas:
         # Every rate is (credit terms - debit)/2: doubling each term through
         # the inputs doubles the photon credit exactly.
         inputs = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=0.2, r1=0.1,
-                            p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0,
-                            eta=lambda e: 1.0)
+                            p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0)
         doubled = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=0.4, r1=0.1,
-                             p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0,
-                             eta=lambda e: 1.0)
+                             p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0)
         assert rate_forward(doubled) == pytest.approx(2 * rate_forward(inputs))
 
 
