@@ -1,5 +1,6 @@
 """Exact Eve figures and the code-channel reduction, with independent oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from decoybb84.bounds import (distinguishability_bounds, eve_info_bound,
                               success_bound)
 from decoybb84.errors import CapacityError
-from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, span_ints
+from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
+                           span_ints)
 from decoybb84.oracle import (PauliErrorDistribution, dense_average_state,
                               dense_eve_state, dense_fidelity,
                               dense_mutual_information, dense_trace_norm,
@@ -16,6 +18,31 @@ from decoybb84.oracle import (PauliErrorDistribution, dense_average_state,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
 from oracles import min_distance_decode
+
+
+def random_code_pair(rng, n, lm, l):
+    """Injective N x lm M_e and full-row-rank l x lm M_p, drawn until they fit."""
+    while True:
+        m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
+        if rank(m_e) == lm:
+            break
+    while True:
+        m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
+        if rank(m_p) == l:
+            break
+    return m_e, m_p
+
+
+def random_channel(rng, n, form):
+    """A per-site product law, or a joint law on 32 random pattern pairs."""
+    if form == "product":
+        return [dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], rng.dirichlet(np.ones(4)).tolist()))
+                for _ in range(n)]
+    patterns = rng.integers(0, 1 << n, size=(32, 2)).tolist()
+    joint = {}
+    for (ex, ez), w in zip(patterns, rng.dirichlet(np.ones(32)).tolist()):
+        joint[(ex, ez)] = joint.get((ex, ez), 0.0) + w
+    return joint
 
 
 def random_distribution(rng, l):
@@ -217,6 +244,81 @@ def brute_phase_error_probability(site_laws, m_e, m_p):
     return total / len(c1perp)
 
 
+# (N, lm, l, channel form): the first twenty cover N 3..12 in both forms;
+# then lm = N (C1perp = {0}), l = lm (m = 0) and lm = 1.
+PINNED_LAW_CASES = [
+    (3, 2, 1), (4, 3, 2), (5, 3, 1), (6, 4, 3), (7, 5, 2),
+    (8, 6, 4), (9, 5, 3), (10, 7, 2), (11, 7, 4), (12, 7, 3),
+]
+PINNED_LAW_CASES = [case + (form,) for case in PINNED_LAW_CASES
+                    for form in ("product", "joint")] + [
+    (5, 5, 2, "product"), (7, 7, 3, "joint"), (6, 3, 3, "joint"),
+    (8, 4, 4, "product"), (4, 1, 1, "product"), (9, 1, 1, "joint"),
+]
+
+# SHA-256 of the law's probs.tobytes() and float.hex of p_ph per case.
+PINNED_LAWS = {
+    (3, 2, 1, 'product'): ('89e5a0d20e99f62c4ef071989c7c7270f0587d24ca0bc64c1843697a52ee5621',
+        '0x1.fed45434f1e7fp-2'),
+    (3, 2, 1, 'joint'): ('e13959aff0444a1058f88b1d1a5bfee20eee9ce36d113424e34c03e05683df34',
+        '0x1.5d536094ba517p-1'),
+    (4, 3, 2, 'product'): ('57f3300bd9cc41b05404c571c3bb3b089640222ad3de3032432930d0891a22ad',
+        '0x1.d34a4e4d50c62p-1'),
+    (4, 3, 2, 'joint'): ('5ad86bfa9fe1dd8e22d77ebb8928a290afbbf4d3df0425d375be58564e0e59b2',
+        '0x1.8194cc65d3b25p-1'),
+    (5, 3, 1, 'product'): ('ab92d5538b9800998a26f691b37c8e7962520bcabbcb76bccb8aaa463bf629da',
+        '0x1.ee17b5f294d7fp-2'),
+    (5, 3, 1, 'joint'): ('0d12258715d596226d284be19af5cd3904524a0072e64782364eea0d8eafcf4e',
+        '0x1.4c8996c720ae6p-1'),
+    (6, 4, 3, 'product'): ('c031fb5766ed01b26f20402b4604627df076a467f8d1d87d5994992e94abeef2',
+        '0x1.bfe402c716eb5p-1'),
+    (6, 4, 3, 'joint'): ('182f1ae720141e169f91588412e55ba2a5b77093cf399f29eb0bd95d19da99bb',
+        '0x1.cab9faea17d79p-1'),
+    (7, 5, 2, 'product'): ('c14d700caf3bf9cf51ef86279123939f76138406dd1163321d739666b3e8cb05',
+        '0x1.bb7ec9fa62853p-1'),
+    (7, 5, 2, 'joint'): ('d60a23fc0595e554b88f1892be80a035abb9f20db7a967b89d52e521bd8af244',
+        '0x1.a30b995873d70p-1'),
+    (8, 6, 4, 'product'): ('4a3fab4c500be680915ab19dfc6783d4f1d6650ccf523f9c637f412426af6691',
+        '0x1.c4afa883c270cp-1'),
+    (8, 6, 4, 'joint'): ('d04281bca9c58dce1606a1749568e5cf170df09aeeb2705b1d145872ec5e1b5c',
+        '0x1.d3988667d410fp-1'),
+    (9, 5, 3, 'product'): ('ae575fcf2a1229197edf11f8d3ddfc10df5c2a7431a3ae4069da94b619a01b9c',
+        '0x1.c71e2733bf062p-1'),
+    (9, 5, 3, 'joint'): ('6ebf47f217cf097a243161305dbb6d8729c485c600ec5c9377e7d4999f29f202',
+        '0x1.81e1783e426e9p-1'),
+    (10, 7, 2, 'product'): ('62deed20a97027f638cfd09cc0d5fafe81c5053d5dc678bf3d8cab5d7aa08cc5',
+        '0x1.2ecdd3220f980p-1'),
+    (10, 7, 2, 'joint'): ('bc47e84632f8c109e0679bd0b244e971f2903c908c5c44e46bc0f831dab1e7d2',
+        '0x1.30e234d9bde49p-1'),
+    (11, 7, 4, 'product'): ('5a9642ee221834c9e9fd7ce2cc124a49e98590c564dd7ef6e5371ff47f25cf16',
+        '0x1.e021e2a7d59d6p-1'),
+    (11, 7, 4, 'joint'): ('a8aea134adaaf9c725ccecc7c7a1dc6918f7e2da3eb907706babb3dfcde3f31e',
+        '0x1.d942717698b84p-1'),
+    (12, 7, 3, 'product'): ('a1a97e44c4ae72c68df6348c2b18b75a419f1e3a09f7788129633f509dec3c3f',
+        '0x1.c8e2c81df8c0cp-1'),
+    (12, 7, 3, 'joint'): ('1dfce4705ebe5e1aadcd858c7d1886a4e62d8037e719a3040a0154f9339789e7',
+        '0x1.f5f2b23e925f4p-1'),
+    (5, 5, 2, 'product'): ('3ef8be5739c4b07bdd7db2904bf67ae97f205dd18ed4c7c83efd173967b01881',
+        '0x1.af938042ed996p-1'),
+    (7, 7, 3, 'joint'): ('eb4d0cdc2474230184452bb8f3aded8ca18efdfc7a0fd1511cae876a8212d0c2',
+        '0x1.94c37be01c62cp-1'),
+    (6, 3, 3, 'joint'): ('c8d4e1a26e2691b7b22d1ab08524f698cc41be569502820a44c49adb86238c3f',
+        '0x1.c8f63351f1dc5p-1'),
+    (8, 4, 4, 'product'): ('cd5dde725d013e469990f1f759ac2f4dc53ddf6d0a9bdf5e785ede8a5dee1b5e',
+        '0x1.df5092ec37da5p-1'),
+    (4, 1, 1, 'product'): ('5eeae1e68010d4055cad111348283085b55ac08e522f38c46a1aa6df1cdd1c7f',
+        '0x1.49836e9f232a8p-1'),
+    (9, 1, 1, 'joint'): ('df417ae5e6a7fe77f4ef2038e58c76f83c9175837ad3c21d9cde756d9cb5ce29',
+        '0x1.2627602640a78p-1'),
+}
+
+
+def pinned_case(n, lm, l, form):
+    rng = np.random.default_rng([n, lm, l, form == "joint"])
+    m_e, m_p = random_code_pair(rng, n, lm, l)
+    return random_channel(rng, n, form), m_e, m_p
+
+
 class TestReduceCodeChannel:
     def _repetition_pair(self):
         # M_e = I_3 sends 3 bits; M_p = (1 1 1) hashes to 1 bit; the dual
@@ -261,15 +363,7 @@ class TestReduceCodeChannel:
         n = int(rng.integers(4, 8))
         lm = int(rng.integers(2, min(n, 5) + 1))
         l = int(rng.integers(1, lm))
-        from decoybb84.gf2 import rank
-        while True:
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
-            if rank(m_e) == lm:
-                break
-        while True:
-            m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
-            if rank(m_p) == l:
-                break
+        m_e, m_p = random_code_pair(rng, n, lm, l)
         laws = []
         for _ in range(n):
             pz = float(rng.uniform(0, 0.4))
@@ -281,15 +375,7 @@ class TestReduceCodeChannel:
     def test_agrees_with_brute_force_n10(self):
         rng = np.random.default_rng(99)
         n, lm, l = 10, 6, 3
-        from decoybb84.gf2 import rank
-        while True:
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
-            if rank(m_e) == lm:
-                break
-        while True:
-            m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
-            if rank(m_p) == l:
-                break
+        m_e, m_p = random_code_pair(rng, n, lm, l)
         laws = [{(0, 0): 1 - pz, (0, 1): pz}
                 for pz in rng.uniform(0, 0.3, size=n)]
         _, pph = reduce_code_channel(laws, m_e, m_p)
@@ -326,16 +412,7 @@ class TestReduceCodeChannel:
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_product_law_matches_explicit_kron_joint(self, n):
         rng = np.random.default_rng(n)
-        from decoybb84.gf2 import rank
-        lm, l = n - 1, 2
-        while True:
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
-            if rank(m_e) == lm:
-                break
-        while True:
-            m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
-            if rank(m_p) == l:
-                break
+        m_e, m_p = random_code_pair(rng, n, n - 1, 2)
         sites = [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(n)]
         joint = np.array([[1.0]])
         for site in sites:  # site i on bit i of the packed patterns
@@ -348,6 +425,13 @@ class TestReduceCodeChannel:
         dist_j, pph_j = reduce_code_channel(explicit, m_e, m_p)
         assert abs(pph_p - pph_j) <= 1e-12
         assert np.abs(dist_p.probs - dist_j.probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", PINNED_LAW_CASES,
+                             ids=["N{}-lm{}-l{}-{}".format(*c) for c in PINNED_LAW_CASES])
+    def test_pinned_laws(self, case):
+        dist, pph = reduce_code_channel(*pinned_case(*case))
+        got = (hashlib.sha256(dist.probs.tobytes()).hexdigest(), float.hex(pph))
+        assert got == PINNED_LAWS[case]
 
     def test_guard(self):
         m_e = BitMatrix.identity(13)
