@@ -26,7 +26,7 @@ from . import oracle as oracle_mod
 from . import rates as rates_mod
 from .channel import strategy_from_text
 from .errors import CapacityError, InfeasibleObservation
-from .hashing import profile_summary, universality_profile
+from .hashing import DEFAULT_SEED_GUARD, profile_summary, universality_profile
 from .protocol import config_from_text, run_session
 from .reports import build_report, to_json, to_text
 
@@ -58,7 +58,7 @@ def _load(path: str) -> str:
 
 
 def cmd_verify_toeplitz(args) -> int:
-    guard = args.guard_override or 20
+    guard = DEFAULT_SEED_GUARD if args.guard_override is None else args.guard_override
     try:
         profile = universality_profile(args.l, args.m, guard=guard)
     except CapacityError as exc:
@@ -80,6 +80,13 @@ def cmd_verify_toeplitz(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.suite_size < 1:
+        print("error: --suite-size must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.l_min > args.l_max:
+        print(f"error: empty logical range --l-min {args.l_min} > --l-max {args.l_max}",
+              file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     slacks = {
         "info_bound": np.inf, "pair_fidelity": np.inf, "pair_trace_norm": np.inf,

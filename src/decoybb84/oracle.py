@@ -17,13 +17,20 @@ cross-check for small l.  ``reduce_code_channel`` grinds an N-qubit
 channel plus a code pair (error-correction generator, hash matrix) down to
 this logical level by exhaustive minimum-distance decoding, and also
 reports the exact phase-error probability of that decoder.
+
+Both decoders average over a shift space S (the key code itself, or
+C1perp on the phase side) whose labels are linear, so the law for e ^ s0
+is the law for e with every label XORed by label(s0).  One histogram per
+coset of S therefore gives every row: O(2^N 2^l) work rather than one pass
+over 2^N words per shift (standard coset decoding, MacWilliams & Sloane,
+*The Theory of Error-Correcting Codes*, ch. 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .gf2 import (BitMatrix, _eliminate, kernel_basis, lex_order, mat_vec_mul, r
                   span_array, span_ints)
 
 ORACLE_GUARD_L = 4
-REDUCE_GUARD_N = 12
+REDUCE_GUARD_N = 16
 _SUM_TOL = 1e-12
 
 
@@ -252,21 +259,33 @@ def dense_trace_norm(a: np.ndarray) -> float:
 
 
 def _label_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: int,
-                       shifts: list[tuple[int, int]]) -> np.ndarray:
-    """Row e: the law of label(decode(e ^ s)) ^ label_s over the shifts (s, label_s).
+                       shift_basis: Sequence[int], shift_labels: Sequence[int]) -> np.ndarray:
+    """Row e: the law of label(decode(e ^ s)) ^ label(s) over s in the shift space.
 
-    The labelled code is lex-sorted before ``kernels.decode_table``, so ties
-    go to the lex-smallest word; averaging over the transmitted word keeps
-    that tie-break honest.
+    The shift space S is spanned by the independent words ``shift_basis``,
+    which carry ``shift_labels``; labels are linear on S.  The labelled code is
+    lex-sorted before ``kernels.decode_table``, so ties go to the
+    lex-smallest word; averaging over the transmitted word keeps that
+    tie-break honest.
+
+    One histogram per coset of S suffices: for s0 in S, row ``e ^ s0`` is row
+    e with every label XORed by label(s0).  The words that are zero at the
+    pivots of S's echelon form hold one word of each coset, so
+    ``grid = reps ^ S`` lists every word once with one coset per row.
     """
     order = lex_order(words, n)
     dec = labels[order][kernels.decode_table(words[order], n)].astype(np.int64)
-    es = np.arange(1 << n, dtype=np.int64)
-    base = es * n_lab
-    table = np.zeros((1 << n) * n_lab)
-    for s, label in shifts:
-        table += np.bincount(base + (dec[es ^ s] ^ label), minlength=len(table))
-    return table.reshape(1 << n, n_lab) / len(shifts)
+    packed, pivots = _eliminate([s | (lab << n) for s, lab in zip(shift_basis, shift_labels)], n)
+    span = span_array(packed, dtype=np.int64)
+    shifts, shift_lab = span & ((1 << n) - 1), span >> n
+    reps = span_array([1 << b for b in range(n) if b not in pivots], dtype=np.int64)
+    grid = reps[:, None] ^ shifts
+    rows = np.arange(len(reps))[:, None]
+    counts = np.bincount((rows * n_lab + (dec[grid] ^ shift_lab)).ravel(),
+                         minlength=len(reps) * n_lab).reshape(len(reps), n_lab)
+    table = np.empty((1 << n, n_lab))
+    table[grid] = counts[rows[:, :, None], np.arange(n_lab) ^ shift_lab[:, None]] / len(shifts)
+    return table
 
 
 def _normalize_channel(channel, n: int) -> tuple[str, object]:
@@ -324,39 +343,48 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     n_lab = 1 << l
 
     # --- key-error side: code Im(m_e), labels M_p Z, shifted by codewords
-    words = span_array(m_e.transpose().row_bits)
-    labels = span_array(m_p.transpose().row_bits, dtype=np.uint32)
-    ax = _label_transitions(words, labels, n, n_lab,
-                            list(zip(words.tolist(), labels.tolist())))
+    gens, gen_labels = m_e.transpose().row_bits, m_p.transpose().row_bits
+    ax = _label_transitions(span_array(gens), span_array(gen_labels, dtype=np.uint32),
+                            n, n_lab, gens, gen_labels)
 
     # --- phase-error side: dual pair, shifted by C1perp ---------------
     c1perp = kernel_basis(m_e.transpose())       # (Im m_e)^perp
     ker_p = kernel_basis(m_p)                    # dim m
     sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in ker_p)
     c2perp_basis = kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))
-    c1_ints = span_ints([v.bits for v in c1perp])
+    c1_basis = [v.bits for v in c1perp]
 
-    # Complete the C1perp basis to a C2perp basis; the added generators
-    # carry the l logical phase labels.
+    # Complete the C1perp basis to a C2perp basis in Gray order; the added
+    # generators carry the l logical phase labels.  ``echelon`` maps each
+    # top bit to a row of the running echelon form of C1perp + chosen.
+    echelon: dict[int, int] = {}
+
+    def extends(v: int) -> bool:
+        while v:
+            top = v.bit_length() - 1
+            if top not in echelon:
+                echelon[top] = v
+                return True
+            v ^= echelon[top]
+        return False
+
+    for v in c1_basis:
+        extends(v)
     chosen: list[int] = []
-    base_rows = [v.bits for v in c1perp]
-    cur_rank = len(_eliminate(base_rows, n)[1])
     for v in span_ints([b.bits for b in c2perp_basis]):
         if len(chosen) == l:
             break
-        cand_rows = base_rows + chosen + [v]
-        r = len(_eliminate(cand_rows, n)[1])
-        if r == cur_rank + 1:
+        if extends(v):
             chosen.append(v)
-            cur_rank = r
     if len(chosen) != l:
         raise ValueError("code pair does not expose l logical phase bits")
 
     # Coset lbl of C1perp, shifted by the lbl-th logical representative.
     rep_span = np.array(span_ints(chosen), dtype=np.uint64)
-    z_words = (rep_span[:, None] ^ np.array(c1_ints, dtype=np.uint64)).ravel()
-    z_labels = np.repeat(np.arange(n_lab, dtype=np.uint32), len(c1_ints))
-    az = _label_transitions(z_words, z_labels, n, n_lab, [(c, 0) for c in c1_ints])
+    c1_words = span_array(c1_basis)
+    z_words = (rep_span[:, None] ^ c1_words).ravel()
+    z_labels = np.repeat(np.arange(n_lab, dtype=np.uint32), len(c1_words))
+    az = _label_transitions(z_words, z_labels, n, n_lab, c1_basis, [0] * len(c1_basis))
 
     # --- joint pattern law ------------------------------------------
     if kind == "product":

@@ -46,6 +46,7 @@ from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
+DECODE_GUARD = 1 << 20  # codewords an exhaustive EC decode may scan
 
 @dataclass(frozen=True)
 class DInitial:
@@ -81,7 +82,7 @@ class SessionConfig:
     margin_bits: int = 0
     ec_direction: str = "forward"
     rng_seed: int = 0
-    decode_guard: int = 1 << 20
+    decode_guard: int = DECODE_GUARD
     record_transcript: bool = True
 
     def __post_init__(self):
@@ -164,7 +165,7 @@ def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> B
 
 
 def decode_to_seed(m_e: BitMatrix, received: BitVector,
-                   guard: int = 1 << 20) -> BitVector:
+                   guard: int = DECODE_GUARD) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
     Fast path: an exact preimage exists (no residual error).  Otherwise the
@@ -183,7 +184,7 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
 
 def forward_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
                           rng: np.random.Generator,
-                          guard: int = 1 << 20) -> tuple[BitVector, BitVector, bool]:
+                          guard: int = DECODE_GUARD) -> tuple[BitVector, BitVector, bool]:
     """Alice masks a fresh seed with her raw key; Bob unmasks and decodes."""
     if x_alice.length != m_e.rows or x_bob.length != m_e.rows:
         raise DimensionMismatch("raw keys must match the code length")
@@ -196,7 +197,7 @@ def forward_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
 
 def reverse_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
                           rng: np.random.Generator,
-                          guard: int = 1 << 20) -> tuple[BitVector, BitVector, bool]:
+                          guard: int = DECODE_GUARD) -> tuple[BitVector, BitVector, bool]:
     """Mirror image: Bob masks his seed; Alice decodes."""
     z, z_alice, ok = forward_error_correct(x_bob, x_alice, m_e, rng, guard)
     return z_alice, z, ok

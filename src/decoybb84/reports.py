@@ -2,7 +2,9 @@
 
 A manifest records the command, tool version, seed and input paths, plus a
 digest of the canonical payload JSON.  Identical manifests therefore imply
-byte-identical reports, which the golden-file tests rely on.
+byte-identical reports, which the golden-file tests rely on.  Reports are
+strict JSON: a NaN or infinite value raises ``ValueError`` instead of being
+written as a non-standard token.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _canonical(obj):
 
 
 def payload_digest(payload: dict) -> str:
-    blob = json.dumps(_canonical(payload), sort_keys=True,
+    blob = json.dumps(_canonical(payload), sort_keys=True, allow_nan=False,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -59,7 +61,7 @@ def build_report(command: str, payload: dict, seed: int | None = None,
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def to_text(report: dict) -> str:

@@ -6,9 +6,12 @@ it checks: the library decodes and counts from structure, these enumerate.
 
 from typing import Sequence
 
+import numpy as np
+
 from decoybb84.errors import CapacityError, DimensionMismatch
-from decoybb84.gf2 import BitVector
+from decoybb84.gf2 import BitVector, lex_order
 from decoybb84.hashing import ToeplitzHash
+from decoybb84.kernels import decode_table
 
 
 def min_distance_decode(received: BitVector, codewords: Sequence[BitVector],
@@ -52,3 +55,20 @@ def transpose_image_membership(h: ToeplitzHash, z: BitVector) -> bool:
         if (y_part >> i) & 1:
             acc ^= (h.seed.bits >> i) & ((1 << h.m) - 1)
     return acc == x_part
+
+
+def per_shift_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: int,
+                          shifts: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Row e: the law of label(decode(e ^ s)) ^ label_s over the listed
+    shifts (s, label_s), one ``bincount`` pass per shift.
+
+    It checks the averaging of ``oracle._label_transitions``, so it shares
+    that routine's decoder: the code is lex-sorted, then ``decode_table``.
+    """
+    order = lex_order(words, n)
+    dec = labels[order][decode_table(words[order], n)].astype(np.int64)
+    es = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros((1 << n) * n_lab)
+    for s, label in shifts:
+        table += np.bincount(es * n_lab + (dec[es ^ s] ^ label), minlength=len(table))
+    return table.reshape(1 << n, n_lab) / len(shifts)

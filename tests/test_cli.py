@@ -168,6 +168,11 @@ class TestVerifyToeplitz:
     def test_capacity_guard_exit_2(self, capsys):
         assert main(["verify-toeplitz", "--l", "20", "--m", "10"]) == 2
 
+    def test_guard_override_zero_is_applied(self, capsys):
+        # A 0 override is a guard of 2^0 seeds, not "no override".
+        assert main(["--guard-override", "0", "verify-toeplitz", "--l", "1", "--m", "1"]) == 2
+        assert "exceeds guard 2^0" in capsys.readouterr().err
+
     # Manifest digests of the exact payloads, with and without --full.
     PINNED = {
         (1, 1, False): "7505ed04ae73c785f5f38a5c0a2ee0706e8968b599280fb09e67da5abcd91bd0",
@@ -209,6 +214,15 @@ class TestOracleCheck:
         assert holds["avg_fidelity"] and holds["success"]
         assert not holds["pair_trace_norm"]
         assert "note" in report["payload"]
+
+    @pytest.mark.parametrize("flags", [["--suite-size", "0"], ["--l-min", "3", "--l-max", "2"]],
+                             ids=["empty-suite", "empty-l-range"])
+    def test_empty_check_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.json"
+        rc = main(["--format", "json", "--out", str(out), "oracle-check"] + flags)
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.fixture()
@@ -407,6 +421,16 @@ class TestManifest:
         report = json.loads(out.read_text())
         assert report["manifest"]["digest"] == \
             payload_digest(report["payload"])
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_value_rejected(self, value):
+        from decoybb84.reports import build_report, to_json
+        report = build_report("rates", {"ok": 1.0})
+        report["payload"]["bad"] = value
+        with pytest.raises(ValueError):
+            build_report("rates", {"bad": value})
+        with pytest.raises(ValueError):
+            to_json(report)
 
 
 class TestPinnedReports:

@@ -10,14 +10,15 @@ from decoybb84.bounds import (distinguishability_bounds, eve_info_bound,
                               success_bound)
 from decoybb84.errors import CapacityError
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
-                           span_ints)
-from decoybb84.oracle import (PauliErrorDistribution, dense_average_state,
+                           span_array, span_ints)
+from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _label_transitions,
+                              dense_average_state,
                               dense_eve_state, dense_fidelity,
                               dense_mutual_information, dense_trace_norm,
                               eve_mutual_information, optimal_success_probability,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
-from oracles import min_distance_decode
+from oracles import min_distance_decode, per_shift_transitions
 
 
 def random_code_pair(rng, n, lm, l):
@@ -434,7 +435,48 @@ class TestReduceCodeChannel:
         assert got == PINNED_LAWS[case]
 
     def test_guard(self):
-        m_e = BitMatrix.identity(13)
-        m_p = BitMatrix.from_rows([[1] * 13])
+        m_e = BitMatrix.identity(17)
+        m_p = BitMatrix.from_rows([[1] * 17])
         with pytest.raises(CapacityError):
-            reduce_code_channel([{(0, 0): 1.0}] * 13, m_e, m_p)
+            reduce_code_channel([{(0, 0): 1.0}] * 17, m_e, m_p)
+
+    def test_guard_edge_runs(self):
+        rng = np.random.default_rng(16)
+        n = REDUCE_GUARD_N
+        m_e, m_p = random_code_pair(rng, n, 9, 3)
+        dist, pph = reduce_code_channel(random_channel(rng, n, "product"), m_e, m_p)
+        assert 0.0 < pph < 1.0
+        assert abs(phase_error_probability(dist) - pph) <= 1e-12
+
+
+# (N, lm, l) for the comparison with the per-shift loop; the last three
+# are lm = N, l = lm and lm = 1.
+TRANSITION_CASES = [(2, 1, 1), (5, 3, 2), (7, 4, 1), (8, 6, 3), (9, 5, 4), (10, 7, 2),
+                    (6, 6, 2), (7, 3, 3), (8, 1, 1)]
+
+
+@pytest.mark.parametrize("n,lm,l", TRANSITION_CASES)
+def test_label_transitions_match_per_shift_loop(n, lm, l):
+    """The coset histogram equals one bincount pass per shift, bit for bit,
+    on both sides of the reduction."""
+    rng = np.random.default_rng([n, lm, l])
+    n_lab = 1 << l
+    # Key side: the code Im M_e labelled by M_p, shifted by its own words.
+    m_e, m_p = random_code_pair(rng, n, lm, l)
+    gens, gen_labels = m_e.transpose().row_bits, m_p.transpose().row_bits
+    words, labels = span_array(gens), span_array(gen_labels, dtype=np.uint32)
+    got = _label_transitions(words, labels, n, n_lab, gens, gen_labels)
+    want = per_shift_transitions(words, labels, n, n_lab,
+                                 list(zip(words.tolist(), labels.tolist())))
+    assert np.array_equal(got, want)
+    # Phase side: k = N - lm shift generators with label 0 and l logical
+    # generators whose coefficients are the label, as for C1perp in C2perp.
+    k = n - lm
+    basis = random_code_pair(rng, n, k + l, 1)[0].transpose().row_bits
+    words = span_array(basis)
+    labels = span_array([0] * k + [1 << i for i in range(l)], dtype=np.uint32)
+    shift_words = span_array(basis[:k])
+    got = _label_transitions(words, labels, n, n_lab, basis[:k], [0] * k)
+    want = per_shift_transitions(words, labels, n, n_lab,
+                                 [(s, 0) for s in shift_words.tolist()])
+    assert np.array_equal(got, want)
