@@ -343,16 +343,16 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     n_lab = 1 << l
 
     # --- key-error side: code Im(m_e), labels M_p Z, shifted by codewords
-    gens, gen_labels = m_e.transpose().row_bits, m_p.transpose().row_bits
+    m_e_t = m_e.transpose()
+    gens, gen_labels = m_e_t.row_bits, m_p.transpose().row_bits
     ax = _label_transitions(span_array(gens), span_array(gen_labels, dtype=np.uint32),
                             n, n_lab, gens, gen_labels)
 
     # --- phase-error side: dual pair, shifted by C1perp ---------------
-    c1perp = kernel_basis(m_e.transpose())       # (Im m_e)^perp
+    c1_basis = [v.bits for v in kernel_basis(m_e_t)]  # (Im m_e)^perp
     ker_p = kernel_basis(m_p)                    # dim m
     sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in ker_p)
     c2perp_basis = kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))
-    c1_basis = [v.bits for v in c1perp]
 
     # Complete the C1perp basis to a C2perp basis in Gray order; the added
     # generators carry the l logical phase labels.  ``echelon`` maps each

@@ -48,6 +48,7 @@ from .rates import initial_eve_information_asymptotic, shannon_eta
 
 DECODE_GUARD = 1 << 20  # codewords an exhaustive EC decode may scan
 
+
 @dataclass(frozen=True)
 class DInitial:
     """Initial data: pulse-kind counts, source laws, detector calibration."""
