@@ -139,6 +139,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     cfg = config_from_text(_load(args.config))
     strategy = strategy_from_text(_load(args.strategy))
     sessions = []
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError, CapacityError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,7 @@ The hash matrix is the l x (l+m) block matrix (X, I): X is l x m with
 ``X[i][j] = seed[i+j]`` (0-based; seed bit k is the textbook-indexed random
 variable Y_{k+1}, so the diagonals run over Y_1..Y_{l+m-1}) and I is the l x l identity in the
 last l columns.  Compressing an (l+m)-bit string Z to the l bits M_p Z
-sacrifices m bits.
+(``ToeplitzHash.apply``, one ``mat_vec_mul``) sacrifices m bits.
 
 The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
@@ -50,7 +50,8 @@ class ToeplitzHash:
         return build_toeplitz(self.l, self.m, self.seed)
 
     def apply(self, z: BitVector) -> BitVector:
-        return hash_key(self, z)
+        """Compress l+m bits to the l output bits M_p z."""
+        return mat_vec_mul(self.matrix(), z)
 
 
 def build_toeplitz(l: int, m: int, seed: BitVector) -> BitMatrix:
@@ -65,13 +66,6 @@ def build_toeplitz(l: int, m: int, seed: BitVector) -> BitMatrix:
         row |= 1 << (m + i)
         rows.append(row)
     return BitMatrix(l, l + m, tuple(rows))
-
-
-def hash_key(h: ToeplitzHash, z: BitVector) -> BitVector:
-    """Compress l+m bits to the l output bits M_p z."""
-    if z.length != h.l + h.m:
-        raise DimensionMismatch(f"input length {z.length} != l+m = {h.l + h.m}")
-    return mat_vec_mul(h.matrix(), z)
 
 
 def sample_seed(rng: np.random.Generator, l: int, m: int) -> ToeplitzHash:
@@ -109,6 +103,8 @@ class UniversalityProfile(Mapping):
 def universality_profile(l: int, m: int,
                          guard: int = DEFAULT_SEED_GUARD) -> UniversalityProfile:
     """Exact membership fraction for every nonzero Z, over all seeds."""
+    if l < 1 or m < 0:
+        raise ValueError("need l >= 1 and m >= 0")
     if l + m - 1 > guard:
         raise CapacityError(
             f"seed space 2^{l + m - 1} exceeds guard 2^{guard}")

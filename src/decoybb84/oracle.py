@@ -18,9 +18,12 @@ channel plus a code pair (error-correction generator, hash matrix) down to
 this logical level by exhaustive minimum-distance decoding, and also
 reports the exact phase-error probability of that decoder.
 
-Both decoders average over a shift space S (the key code itself, or
-C1perp on the phase side) whose labels are linear, so the law for e ^ s0
-is the law for e with every label XORed by label(s0).  One histogram per
+Both sides are one labelled code given by independent generators with
+linear labels: Im m_e with the columns of m_p as labels on the key side,
+and C1perp (label 0) plus l logical generators of C2perp on the phase side.
+Each decoder averages over a shift space S spanned by the leading
+generators (the key code itself, or C1perp), so the law for e ^ s0 is the
+law for e with every label XORed by label(s0).  One histogram per
 coset of S therefore gives every row: O(2^N 2^l) work rather than one pass
 over 2^N words per shift (standard coset decoding, MacWilliams & Sloane,
 *The Theory of Error-Correcting Codes*, ch. 1).
@@ -258,24 +261,26 @@ def dense_trace_norm(a: np.ndarray) -> float:
 # Reduction from an N-qubit channel and a code pair to the logical level.
 
 
-def _label_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: int,
-                       shift_basis: Sequence[int], shift_labels: Sequence[int]) -> np.ndarray:
+def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int,
+                       n: int, n_lab: int) -> np.ndarray:
     """Row e: the law of label(decode(e ^ s)) ^ label(s) over s in the shift space.
 
-    The shift space S is spanned by the independent words ``shift_basis``,
-    which carry ``shift_labels``; labels are linear on S.  The labelled code is
-    lex-sorted before ``kernels.decode_table``, so ties go to the
-    lex-smallest word; averaging over the transmitted word keeps that
-    tie-break honest.
+    The code is spanned by the independent words ``basis``, which carry the
+    linear ``labels``; the shift space S is spanned by the first ``n_shift``
+    of them.  The labelled code is lex-sorted before
+    ``kernels.decode_table``, so ties go to the lex-smallest word; averaging
+    over the transmitted word keeps that tie-break honest.
 
     One histogram per coset of S suffices: for s0 in S, row ``e ^ s0`` is row
     e with every label XORed by label(s0).  The words that are zero at the
     pivots of S's echelon form hold one word of each coset, so
     ``grid = reps ^ S`` lists every word once with one coset per row.
     """
+    words = span_array(basis)
     order = lex_order(words, n)
-    dec = labels[order][kernels.decode_table(words[order], n)].astype(np.int64)
-    packed, pivots = _eliminate([s | (lab << n) for s, lab in zip(shift_basis, shift_labels)], n)
+    dec = span_array(labels, dtype=np.int64)[order][kernels.decode_table(words[order], n)]
+    packed, pivots = _eliminate([s | (lab << n) for s, lab in
+                                 zip(basis[:n_shift], labels[:n_shift])], n)
     span = span_array(packed, dtype=np.int64)
     shifts, shift_lab = span & ((1 << n) - 1), span >> n
     reps = span_array([1 << b for b in range(n) if b not in pivots], dtype=np.int64)
@@ -336,7 +341,6 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
         raise ValueError("m_e must be injective (full column rank)")
     if rank(m_p) != l:
         raise ValueError("m_p must have full row rank")
-    m = lm - l
 
     kind, law = _normalize_channel(channel, n)
     size = 1 << n
@@ -344,9 +348,7 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
 
     # --- key-error side: code Im(m_e), labels M_p Z, shifted by codewords
     m_e_t = m_e.transpose()
-    gens, gen_labels = m_e_t.row_bits, m_p.transpose().row_bits
-    ax = _label_transitions(span_array(gens), span_array(gen_labels, dtype=np.uint32),
-                            n, n_lab, gens, gen_labels)
+    ax = _label_transitions(m_e_t.row_bits, m_p.transpose().row_bits, lm, n, n_lab)
 
     # --- phase-error side: dual pair, shifted by C1perp ---------------
     c1_basis = [v.bits for v in kernel_basis(m_e_t)]  # (Im m_e)^perp
@@ -379,12 +381,13 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     if len(chosen) != l:
         raise ValueError("code pair does not expose l logical phase bits")
 
-    # Coset lbl of C1perp, shifted by the lbl-th logical representative.
-    rep_span = np.array(span_ints(chosen), dtype=np.uint64)
-    c1_words = span_array(c1_basis)
-    z_words = (rep_span[:, None] ^ c1_words).ravel()
-    z_labels = np.repeat(np.arange(n_lab, dtype=np.uint32), len(c1_words))
-    az = _label_transitions(z_words, z_labels, n, n_lab, c1_basis, [0] * len(c1_basis))
+    # Logical coset lbl is C1perp + span_ints(chosen)[lbl]: the chosen words
+    # at the set bits of gray(lbl) = lbl ^ (lbl >> 1).  The inverse Gray code
+    # is linear with gray^-1(2^j) = 2^(j+1) - 1, so labelling chosen[j] by it
+    # gives every word of coset lbl the label lbl.
+    k = len(c1_basis)
+    az = _label_transitions(c1_basis + chosen, [0] * k + [(2 << j) - 1 for j in range(l)],
+                            k, n, n_lab)
 
     # --- joint pattern law ------------------------------------------
     if kind == "product":

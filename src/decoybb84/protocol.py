@@ -6,7 +6,9 @@ then the same k in the + basis), transmission through a channel strategy,
 public announcements, check-bit sampling with both abort conditions,
 error-correction-rate and sacrifice-bit decisions (with the max/min key
 size clamps), then error correction and Toeplitz privacy amplification for
-each basis.  Everything is driven by one numpy Generator seeded from the
+each basis.  Both error-correction directions run through one
+``error_correct`` call; forward has Alice mask and Bob decode, reverse swaps
+the two roles.  Everything is driven by one numpy Generator seeded from the
 config, so a session is a pure function of (config, strategy, seed): the
 transcript of announcements is byte-identical across runs.
 
@@ -183,29 +185,20 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     return BitVector(m_e.cols, kernels.nearest_index(words, received.bits, m_e.rows))
 
 
-def forward_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
-                          rng: np.random.Generator,
-                          guard: int = DECODE_GUARD) -> tuple[BitVector, BitVector, bool]:
-    """Alice masks a fresh seed with her raw key; Bob unmasks and decodes."""
-    if x_alice.length != m_e.rows or x_bob.length != m_e.rows:
+def error_correct(x_send: BitVector, x_recv: BitVector, m_e: BitMatrix,
+                  rng: np.random.Generator,
+                  guard: int = DECODE_GUARD) -> tuple[BitVector, BitVector, BitVector]:
+    """One error-correction round in either direction.
+
+    The sender masks a fresh seed z with their raw key and announces
+    ``masked = M_e z + x_send``; the receiver adds their raw key and decodes
+    the noisy codeword M_e z + e.  Returns (z, masked, receiver's seed).
+    """
+    if x_send.length != m_e.rows or x_recv.length != m_e.rows:
         raise DimensionMismatch("raw keys must match the code length")
     z = BitVector.from_bits(rng.integers(0, 2, size=m_e.cols).tolist())
-    sent = mat_vec_xor(m_e, z, x_alice)
-    noisy_codeword = BitVector(m_e.rows, sent.bits ^ x_bob.bits)  # M_e z + e
-    z_bob = decode_to_seed(m_e, noisy_codeword, guard)
-    return z, z_bob, z_bob == z
-
-
-def reverse_error_correct(x_alice: BitVector, x_bob: BitVector, m_e: BitMatrix,
-                          rng: np.random.Generator,
-                          guard: int = DECODE_GUARD) -> tuple[BitVector, BitVector, bool]:
-    """Mirror image: Bob masks his seed; Alice decodes."""
-    z, z_alice, ok = forward_error_correct(x_bob, x_alice, m_e, rng, guard)
-    return z_alice, z, ok
-
-
-def mat_vec_xor(m_e: BitMatrix, z: BitVector, x: BitVector) -> BitVector:
-    return BitVector(x.length, mat_vec_mul(m_e, z).bits ^ x.bits)
+    masked = mat_vec_mul(m_e, z) ^ x_send
+    return z, masked, decode_to_seed(m_e, masked ^ x_recv, guard)
 
 
 # ----------------------------------------------------------------------
@@ -404,30 +397,27 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                                     m_clamped=clamped)
 
     # Steps 7-10: error correction then privacy amplification, per basis.
+    # Forward EC: Alice masks and Bob decodes; reverse EC swaps the roles.
+    sender, receiver = (("alice", "bob") if cfg.ec_direction == "forward"
+                        else ("bob", "alice"))
     for kind, name, step_ec, step_pa in ((i0p, "plus", 7, 8),
                                          (i0x, "times", 9, 10)):
         res = results[name]
         pos = raw_positions[kind]
-        x_alice = BitVector.from_bits(alice_bits[pos].tolist())
-        x_bob = BitVector.from_bits(bob_bits[pos].tolist())
+        raw = {"alice": BitVector.from_bits(alice_bits[pos].tolist()),
+               "bob": BitVector.from_bits(bob_bits[pos].tolist())}
         m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
         announce(step_ec, "both", lambda: f"{name} code " + hashlib.sha256(
             b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16])
-        if cfg.ec_direction == "forward":
-            z_alice, z_bob, ok = forward_error_correct(
-                x_alice, x_bob, m_e, rng, cfg.decode_guard)
-            announce(step_ec, "alice", lambda: f"{name} masked "
-                     + format(mat_vec_xor(m_e, z_alice, x_alice).bits, "x"))
-        else:
-            z_alice, z_bob, ok = reverse_error_correct(
-                x_alice, x_bob, m_e, rng, cfg.decode_guard)
-            announce(step_ec, "bob", lambda: f"{name} masked "
-                     + format(mat_vec_xor(m_e, z_bob, x_bob).bits, "x"))
+        z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng,
+                                         cfg.decode_guard)
+        announce(step_ec, sender, lambda: f"{name} masked " + format(masked.bits, "x"))
         hash_fn = sample_seed(rng, res.length, res.m)
         announce(step_pa, "both", lambda: f"{name} pa-seed " + format(hash_fn.seed.bits, "x"))
-        res.alice_key = hash_fn.apply(z_alice)
-        res.bob_key = hash_fn.apply(z_bob)
-        res.ec_success = ok
+        seeds = {sender: z, receiver: z_hat}
+        res.alice_key = hash_fn.apply(seeds["alice"])
+        res.bob_key = hash_fn.apply(seeds["bob"])
+        res.ec_success = z_hat == z
 
     report = {
         "plus": _basis_report(results["plus"], cfg, truth["plus"]),

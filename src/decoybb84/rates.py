@@ -18,7 +18,6 @@ particular, since a vacuum pulse can always fire the dark counter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .bounds import hbar, k2_count
 from .decoy import SourceDistribution
@@ -132,13 +131,11 @@ def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
     return n * (1.0 - photon - credit)
 
 
-def initial_eve_information_counts(j: Mapping[str, int] | tuple, r1: float,
+def initial_eve_information_counts(j: tuple[int, ...], r1: float,
                                    direction: str = "forward") -> float:
-    """Initial Eve information from the actual classification counts."""
+    """Initial Eve information from the classification counts (j0, ..., j5)."""
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
-    if not isinstance(j, tuple):
-        j = tuple(j[f"j{i}"] for i in range(6))
     return j[1] * hbar(r1) + k2_count(j, direction)
 
 

@@ -173,6 +173,11 @@ class TestVerifyToeplitz:
         assert main(["--guard-override", "0", "verify-toeplitz", "--l", "1", "--m", "1"]) == 2
         assert "exceeds guard 2^0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l,m", [(0, 3), (-1, 2), (2, -1)])
+    def test_bad_l_m_exit_2(self, capsys, l, m):
+        assert main(["verify-toeplitz", "--l", str(l), "--m", str(m)]) == 2
+        assert capsys.readouterr().err == "error: need l >= 1 and m >= 0\n"
+
     # Manifest digests of the exact payloads, with and without --full.
     PINNED = {
         (1, 1, False): "7505ed04ae73c785f5f38a5c0a2ee0706e8968b599280fb09e67da5abcd91bd0",
@@ -329,6 +334,28 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(bad), "--strategy", str(strat)])
         assert rc == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_empty_simulation_exit_2(self, session_files, tmp_path, capsys, trials):
+        cfg, strat = session_files
+        out = tmp_path / "r.json"
+        rc = main(["--out", str(out), "simulate", "--config", str(cfg),
+                   "--strategy", str(strat), "--trials", trials])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --trials must be at least 1\n"
+
+    @pytest.mark.parametrize("session,strategy", [
+        (SESSION_CONFIG.replace("nus = [[0.0, 1.0, 0.0]]", "nus = 5"), NOISELESS_STRATEGY),
+        (SESSION_CONFIG, NOISELESS_STRATEGY.replace("p_dark = 0.0", 'p_dark = "a"')),
+    ], ids=["nus-int", "p-dark-str"])
+    def test_wrong_value_type_exit_2(self, tmp_path, capsys, session, strategy):
+        cfg, strat = tmp_path / "session.cfg", tmp_path / "strategy.cfg"
+        cfg.write_text(session)
+        strat.write_text(strategy)
+        assert main(["simulate", "--config", str(cfg), "--strategy", str(strat)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestBound:
     def test_values_and_ordering(self, tmp_path):
@@ -357,6 +384,14 @@ class TestBound:
         assert main(["bound", "--inputs", str(path)]) == 2
         assert "t_distribution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [[], dict(BOUND_INPUTS, m="x")], ids=["list", "m-str"])
+    def test_wrong_value_type_exit_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(spec))
+        assert main(["bound", "--inputs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestEstimateDecoy:
     def test_round_trip_recovers_truth(self, tmp_path):
@@ -376,6 +411,13 @@ class TestEstimateDecoy:
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(spec))
         assert main(["estimate-decoy", "--observations", str(path)]) == 1
+
+    def test_four_entry_nu_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(dict(OBSERVATIONS, nu=[0.5, 0.5, 0.0, 0.0])))
+        assert main(["estimate-decoy", "--observations", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestRates:

@@ -464,19 +464,27 @@ def test_label_transitions_match_per_shift_loop(n, lm, l):
     # Key side: the code Im M_e labelled by M_p, shifted by its own words.
     m_e, m_p = random_code_pair(rng, n, lm, l)
     gens, gen_labels = m_e.transpose().row_bits, m_p.transpose().row_bits
+    got = _label_transitions(gens, gen_labels, lm, n, n_lab)
     words, labels = span_array(gens), span_array(gen_labels, dtype=np.uint32)
-    got = _label_transitions(words, labels, n, n_lab, gens, gen_labels)
     want = per_shift_transitions(words, labels, n, n_lab,
                                  list(zip(words.tolist(), labels.tolist())))
     assert np.array_equal(got, want)
     # Phase side: k = N - lm shift generators with label 0 and l logical
-    # generators whose coefficients are the label, as for C1perp in C2perp.
+    # generators with the inverse-Gray labels, as for C1perp in C2perp.
     k = n - lm
-    basis = random_code_pair(rng, n, k + l, 1)[0].transpose().row_bits
-    words = span_array(basis)
-    labels = span_array([0] * k + [1 << i for i in range(l)], dtype=np.uint32)
-    shift_words = span_array(basis[:k])
-    got = _label_transitions(words, labels, n, n_lab, basis[:k], [0] * k)
+    basis = list(random_code_pair(rng, n, k + l, 1)[0].transpose().row_bits)
+    gen_labels = [0] * k + [(2 << j) - 1 for j in range(l)]
+    got = _label_transitions(basis, gen_labels, k, n, n_lab)
+    words, labels = span_array(basis), span_array(gen_labels, dtype=np.uint32)
     want = per_shift_transitions(words, labels, n, n_lab,
-                                 [(s, 0) for s in shift_words.tolist()])
+                                 [(s, 0) for s in span_array(basis[:k]).tolist()])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_inverse_gray_labels(l):
+    """The phase-side labels (2 << j) - 1 span the inverse Gray code, so the
+    word at Gray index gray(i) = i ^ (i >> 1) carries label i."""
+    labels = span_array([(2 << j) - 1 for j in range(l)])
+    for i in range(1 << l):
+        assert labels[i ^ (i >> 1)] == i

@@ -15,9 +15,9 @@ from decoybb84.errors import SessionAborted
 from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig,
                                 config_from_text, config_to_text, decode_to_seed,
-                                extract_experiment_data, forward_error_correct,
+                                error_correct, extract_experiment_data,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
-                                reverse_error_correct, run_session)
+                                run_session)
 from oracles import min_distance_decode
 
 
@@ -168,20 +168,26 @@ class TestErrorCorrection:
     def _repetition(self):
         return BitMatrix.from_rows([[1], [1], [1]])
 
+    def _correct(self, x_send, x_recv, m_e, rng):
+        """error_correct, checking that the announced word is M_e z + x_send."""
+        z, masked, z_hat = error_correct(x_send, x_recv, m_e, rng)
+        assert masked == mat_vec_mul(m_e, z) ^ x_send
+        return z, z_hat
+
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
         m_e = self._repetition()
         x = BitVector.from_bits([1, 1, 1])
-        z_a, z_b, ok = forward_error_correct(x, x, m_e, rng)
-        assert ok and z_a == z_b
+        z, z_hat = self._correct(x, x, m_e, rng)
+        assert z_hat == z
 
     def test_single_flip_corrected(self):
         rng = np.random.default_rng(1)
         m_e = self._repetition()
         x_a = BitVector.from_bits([1, 0, 1])
         x_b = BitVector.from_bits([1, 1, 1])  # one flipped bit
-        z_a, z_b, ok = forward_error_correct(x_a, x_b, m_e, rng)
-        assert ok and z_a == z_b
+        z, z_hat = self._correct(x_a, x_b, m_e, rng)
+        assert z_hat == z
 
     def test_failure_rate_matches_enumeration(self):
         # Repetition code corrects weight <= 1; exactly 4 of 8 patterns.
@@ -191,24 +197,24 @@ class TestErrorCorrection:
             rng = np.random.default_rng(10)
             x_a = BitVector.from_bits([1, 0, 1])
             x_b = BitVector(3, x_a.bits ^ e)
-            _, _, ok = forward_error_correct(x_a, x_b, m_e, rng)
-            successes += ok
+            z, z_hat = self._correct(x_a, x_b, m_e, rng)
+            successes += z_hat == z
         assert successes == 4
 
     def test_reverse_mirrors_forward(self):
+        # Reverse EC: Bob sends, Alice decodes; the same seed comes back.
         m_e = self._repetition()
         x_a = BitVector.from_bits([0, 1, 0])
         x_b = BitVector.from_bits([0, 1, 1])
-        z_a, z_b, ok = reverse_error_correct(x_a, x_b, m_e,
-                                             np.random.default_rng(2))
-        assert ok and z_a == z_b
+        z_b, z_a = self._correct(x_b, x_a, m_e, np.random.default_rng(2))
+        assert z_a == z_b
+        assert (z_a, z_b) == self._correct(x_a, x_b, m_e, np.random.default_rng(2))
 
     def test_reverse_identity(self):
         m_e = self._repetition()
         x = BitVector.from_bits([1, 1, 0])
-        z_a, z_b, ok = reverse_error_correct(x, x, m_e,
-                                             np.random.default_rng(3))
-        assert ok and z_a == z_b
+        z_b, z_a = self._correct(x, x, m_e, np.random.default_rng(3))
+        assert z_a == z_b
 
     def test_decode_to_seed_matches_min_distance_decode(self):
         rng = np.random.default_rng(4)
