@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -193,32 +193,6 @@ def per_bit_eve_info_bound(p_av: float, n_under: int) -> float:
     if not 0.0 <= p_av <= 1.0:
         raise ValueError("averaged probability outside [0, 1]")
     return hbar(p_av) / n_under + p_av
-
-
-def max_bound_over_inputs(candidates: Iterable[BoundInputs],
-                          kind: str = "forward") -> tuple[float, BoundInputs]:
-    """Maximize one of the averaged bounds over adversarial strategies.
-
-    The averaged bounds are linear in the conditional error distribution,
-    so their worst case sits at deterministic (extremal) strategies; callers
-    supply those as explicit BoundInputs candidates.
-    """
-    fn = {"forward": forward_bound, "reverse": reverse_bound,
-          "twoway": twoway_bound}[kind]
-    best = None
-    best_inputs = None
-    for cand in candidates:
-        val = fn(cand)
-        if best is None or val > best:
-            best, best_inputs = val, cand
-    if best is None:
-        raise ValueError("no candidate strategies supplied")
-    return best, best_inputs
-
-
-def worst_case_t_bound(j1: int, k2: int, m: int) -> float:
-    """Maximum of the fixed-t bound over all t in [0, J1] (grid search)."""
-    return max(min_decoding_bound(j1, k2, t, m) for t in range(j1 + 1))
 
 
 # ----------------------------------------------------------------------

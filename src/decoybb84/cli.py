@@ -51,7 +51,7 @@ def _load(path: str) -> str:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +183,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = json.loads(_load(args.inputs))
+    if not isinstance(spec["t_distribution"], dict):
+        raise TypeError("t_distribution must be an object mapping t to its probability")
     t_dist = {int(k): float(v) for k, v in spec["t_distribution"].items()}
     inputs = bounds_mod.BoundInputs(
         j0=spec.get("j0", 0), j1=spec.get("j1", 0), j2=spec.get("j2", 0),

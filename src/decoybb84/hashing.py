@@ -9,8 +9,9 @@ last l columns.  Compressing an (l+m)-bit string Z to the l bits M_p Z
 The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
 gives that fraction exactly (as a rational number) for every nonzero Z,
-over all 2^(l+m-1) seeds, from one small elimination per y-part
-(``kernels.toeplitz_image_counts``), and ``profile_summary`` checks it on
+over all 2^(l+m-1) seeds, from one Gaussian elimination batched over
+every y-part in blocks (``kernels.toeplitz_image_counts``), which still
+computes each y-part's rank, and ``profile_summary`` checks it on
 the integer counts.  A completely random binary matrix is
 provided behind the same interface for comparison; the security condition
 is all the downstream bounds need, so both families are interchangeable.

@@ -4,7 +4,9 @@
   every received word with its nearest codeword,
 * ``nearest_index``, one vectorized distance scan for a single word,
 * ``toeplitz_image_counts``, the exact Toeplitz membership counts from the
-  nullity of one small linear map per y-part,
+  image and nullity of one small linear map per y-part, all reduced by one
+  batched Gaussian elimination over blocks of y-parts under a fixed word
+  budget,
 * ``restricted_decode_flags``, the minimum-weight decodes of the
   decoding-error verifier for all hash seeds and error patterns at once.
 
@@ -20,7 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import _eliminate, lex_key, lex_keys, span_array
+from .gf2 import lex_key, lex_keys, span_array
+
+# Array words per block of y-parts in toeplitz_image_counts: a bound on the
+# working set, which the result does not depend on.
+_BLOCK_WORDS = 1 << 14
 
 
 def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
@@ -73,16 +79,32 @@ def toeplitz_image_counts(l: int, m: int) -> np.ndarray:
     Z = (x, u) (x in the low m bits) lies in Im M_p^T iff x = X^T u.  For
     fixed u the map seed -> X^T u is linear: seed bit k adds u_(k-j) to
     coordinate j.  So Z is hit by 2^nullity seeds when x lies in the image
-    of that map and by none otherwise; one elimination per u gives both.
+    of that map and by none otherwise.  One Gaussian elimination over a
+    block of u at a time gives every image and rank: per column, each u
+    picks its first generator with that bit as pivot and clears the bit
+    from all its generators.
     """
     n_seed = l + m - 1
     counts = np.zeros(1 << (l + m), dtype=np.int64)
-    for u in range(1 << l):
-        rev = lex_key(u, l)  # u_i at bit l-1-i
-        gens = [((rev << k) >> (l - 1)) & ((1 << m) - 1) for k in range(n_seed)]
-        work, pivots = _eliminate(gens, m)
-        r = len(pivots)
-        counts[span_array(work[:r], dtype=np.int64) | (u << m)] = 1 << (n_seed - r)
+    rev = lex_keys(l, dtype=np.int64)[:, None]  # u_i at bit l-1-i
+    shifts = np.arange(n_seed)
+    # A block's spans (2^m words per u) and generators stay near _BLOCK_WORDS.
+    step = max(1, _BLOCK_WORDS >> max(m, 4))
+    for u0 in range(0, 1 << l, step):
+        us = np.arange(u0, min(u0 + step, 1 << l))
+        # Generator k (seed bit k's effect on X^T u) is bits l-1 .. l+m-2 of
+        # the reversed u shifted up by k.
+        gens = (rev[u0:u0 + step] << shifts) >> (l - 1) & ((1 << m) - 1)
+        basis = np.zeros((m, len(us)), dtype=np.int64)
+        rows = np.arange(len(us))
+        for c in range(m):
+            has = gens >> c & 1
+            pivot = has.argmax(axis=1)
+            basis[c] = gens[rows, pivot] * has[rows, pivot]  # 0 where no generator has bit c
+            # The pivot clears itself too, so it drops out of later columns.
+            gens ^= has * basis[c, :, None]
+        rank = np.count_nonzero(basis, axis=0)
+        counts[span_array(basis, dtype=np.int64) | us << m] = 1 << (n_seed - rank)
     return counts
 
 

@@ -393,6 +393,29 @@ class TestBound:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("t_dist", [[], "0.5", 1], ids=["list", "str", "int"])
+    def test_non_object_t_distribution_exit_2(self, tmp_path, capsys, t_dist):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(dict(BOUND_INPUTS, t_distribution=t_dist)))
+        assert main(["bound", "--inputs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_distribution") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--inputs"],
+    ["estimate-decoy", "--observations"],
+    ["rates", "--params"],
+    ["simulate", "--strategy", "s.cfg", "--config"],
+], ids=["bound", "estimate-decoy", "rates", "simulate"])
+def test_missing_input_file_exit_2(tmp_path, capsys, args):
+    # Exit 1 means a check failed; an unreadable input is a usage error.
+    missing = tmp_path / "missing.json"
+    assert main(args + [str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}") and err.count("\n") == 1
+
+
 class TestEstimateDecoy:
     def test_round_trip_recovers_truth(self, tmp_path):
         path = tmp_path / "obs.json"

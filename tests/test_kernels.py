@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decoybb84 import kernels
-from decoybb84.gf2 import lex_key, lex_order
+from decoybb84.gf2 import _eliminate, lex_key, lex_order, span_array
 
 
 def _brute_nearest(code, y, n_bits):
@@ -83,6 +83,49 @@ def test_toeplitz_counts_match_seed_walk():
         for m in range(0, 13 - l):
             assert np.array_equal(kernels.toeplitz_image_counts(l, m),
                                   _walk_toeplitz_counts(l, m)), (l, m)
+
+
+def _per_u_toeplitz_counts(l, m):
+    """Membership counts from one ``_eliminate`` per u on its l+m-1
+    generator words (seed bit k adds u shifted by k, cut to m bits)."""
+    n_seed = l + m - 1
+    counts = np.zeros(1 << (l + m), dtype=np.int64)
+    for u in range(1 << l):
+        rev = lex_key(u, l)  # u_i at bit l-1-i
+        gens = [((rev << k) >> (l - 1)) & ((1 << m) - 1) for k in range(n_seed)]
+        work, pivots = _eliminate(gens, m)
+        r = len(pivots)
+        counts[span_array(work[:r], dtype=np.int64) | (u << m)] = 1 << (n_seed - r)
+    return counts
+
+
+@pytest.mark.parametrize("l, m", [(14, 2), (12, 6)])
+def test_toeplitz_counts_across_u_blocks(l, m):
+    # At the default block size both sizes take several u blocks.
+    got = kernels.toeplitz_image_counts(l, m)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _per_u_toeplitz_counts(l, m))
+
+
+def test_toeplitz_counts_small_blocks(monkeypatch):
+    # Blocks of one or a few u, down to one u per block.
+    monkeypatch.setattr(kernels, "_BLOCK_WORDS", 1 << 5)
+    for l, m in [(1, 3), (4, 0), (5, 2), (6, 5), (7, 4), (3, 7)]:
+        assert np.array_equal(kernels.toeplitz_image_counts(l, m),
+                              _per_u_toeplitz_counts(l, m)), (l, m)
+
+
+@pytest.mark.parametrize("l", range(1, 17))
+def test_toeplitz_counts_full_rank_for_nonzero_u(l):
+    # For u != 0 the map seed -> X^T u has rank m: with i the last index
+    # where u_i = 1, seed bits i..i+m-1 give a unit-triangular minor.  So
+    # every x is hit by 2^(l-1) seeds; u = 0 maps every seed to x = 0.
+    # m = 0 is included: every u then has the single count 2^(l-1).
+    for m in range(0, 17 - l):
+        rows = kernels.toeplitz_image_counts(l, m).reshape(1 << l, 1 << m)
+        assert (rows[1:] == 1 << (l - 1)).all(), (l, m)
+        assert rows[0, 0] == 1 << (l + m - 1), (l, m)
+        assert not rows[0, 1:].any(), (l, m)
 
 
 def test_toeplitz_counts_brute_force():
