@@ -1,5 +1,6 @@
 """End-to-end session behavior: aborts, clamps, determinism, statistics."""
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -468,3 +469,85 @@ class TestPhaseTruth:
         assert out.completed  # phase flips are invisible to bit errors
         assert out.truth["plus"].t == out.truth["plus"].j1
         assert out.truth["times"].t == out.truth["times"].j1
+
+
+# ----------------------------------------------------------------------
+# Byte-for-byte session pins.  Each seed's fingerprint is the first 16 hex
+# digits of sha256("\n".join(transcript)), the status, then
+# "alice/bob" keys ("length:hex") of the plus and times bases.
+
+DESK_STRATEGY = ChannelStrategy(
+    p_dark=0.001, q_vacuum=0.001, q_single=0.6,
+    q_multi_times=0.7, q_multi_plus=0.7,
+    single_error_times=(0.9, 0.03, 0.04, 0.03),
+    single_error_plus=(0.9, 0.03, 0.04, 0.03),
+    multi_flip_times=0.05, multi_flip_plus=0.05)
+
+
+def desk_config(rng_seed):
+    return SessionConfig(n=24, n_bar=24, n_under=2, n_prime=4000,
+                         nus=(SourceDistribution(0.0, 1.0, 0.0),), i0=1,
+                         p_bar=(0.1, 0.45, 0.45), rng_seed=rng_seed)
+
+
+def eleven_kind_config(rng_seed):
+    # k = 5, so the step-2 kinds text carries two-digit kinds 10 and above.
+    nus = (SourceDistribution(0.0, 1.0, 0.0), SourceDistribution(0.6, 0.3, 0.1),
+           SourceDistribution(0.8, 0.18, 0.02), SourceDistribution(0.4, 0.4, 0.2),
+           SourceDistribution(0.9, 0.1, 0.0))
+    return SessionConfig(n=24, n_bar=24, n_under=2, n_prime=12000, nus=nus, i0=1,
+                         p_bar=(0.04, 0.4) + (0.02,) * 4 + (0.4,) + (0.02,) * 4,
+                         rng_seed=rng_seed)
+
+
+def session_fingerprint(out) -> str:
+    def key(v):
+        return "-" if v is None else f"{v.length}:{v.bits:x}"
+
+    digest = hashlib.sha256("\n".join(out.transcript).encode()).hexdigest()[:16]
+    parts = [digest, out.status]
+    for res in (out.plus, out.times):
+        parts.append("-" if res is None else f"{key(res.alice_key)}/{key(res.bob_key)}")
+    return " ".join(parts)
+
+
+PINNED_DESK_SESSIONS = {
+    0: 'd7a1c93261e9fbe0 completed 6:3/6:3 6:2b/6:2b',
+    1: '6e061021414ba794 completed 4:d/4:d 4:8/4:8',
+    2: '04fee4499a30df3c completed 6:23/6:23 6:2d/6:3e',
+    3: '82da755add6e4a87 completed 4:6/4:6 4:9/4:9',
+    4: '50542aec10c5d6ca completed 5:8/5:8 7:28/7:28',
+    5: '1bdac8f520e50219 completed 3:4/3:4 3:5/3:0',
+    6: '106e08234bb95ae9 completed 5:7/5:7 5:19/5:1a',
+    7: '77539e1b7512cb32 completed 6:33/6:33 5:5/5:5',
+    8: '6c941a33a20155ed completed 7:44/7:44 5:8/5:14',
+    9: '205400cc802f2ca4 completed 7:6e/7:1c 7:0/7:1c',
+    10: '8545f271802f94af completed 5:13/5:2 6:27/6:27',
+    11: 'd75fc05acf924fc2 completed 7:c/7:c 5:d/5:d',
+    12: '73af8ae5b4ee5c4b completed 5:c/5:7 5:a/5:5',
+    13: 'c54bcda180ac76f4 completed 6:6/6:21 4:6/4:6',
+    14: '8a8acef90c6a8b7f completed 6:39/6:38 5:1d/5:1d',
+    15: '86112d967f2c1282 completed 5:18/5:18 7:31/7:31',
+}
+
+PINNED_ELEVEN_KIND_SESSIONS = {
+    0: '92d958dff676c262 completed 6:2c/6:2c 5:3/5:3',
+    1: '972200019d9c1816 completed 7:6b/7:6b 6:33/6:24',
+    2: '23d51325ff21e931 completed 6:13/6:13 6:24/6:24',
+    3: '58a3942317792300 completed 4:f/4:f 4:1/4:1',
+}
+
+
+class TestPinnedSessions:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_desk_config(self, seed):
+        out = run_session(desk_config(seed), DESK_STRATEGY)
+        assert session_fingerprint(out) == PINNED_DESK_SESSIONS[seed]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eleven_kinds(self, seed):
+        out = run_session(eleven_kind_config(seed), DESK_STRATEGY)
+        assert out.completed
+        kinds = out.transcript[0].split(" ", 3)[3].split(",")
+        assert "10" in kinds
+        assert session_fingerprint(out) == PINNED_ELEVEN_KIND_SESSIONS[seed]
