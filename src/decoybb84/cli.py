@@ -40,8 +40,11 @@ ORACLE_TOLERANCE = 1e-9
 def _write_report(args, report: dict) -> None:
     text = to_json(report) if args.format == "json" else to_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -2,9 +2,15 @@
 
 Vectors and matrices keep their bits in Python integers (bit ``i`` of the
 packed integer is coordinate ``i``), which makes XOR row operations,
-products and syndrome scans allocation-free at desk scale.  Exhaustive hot
-loops (decode tables, membership counts) convert to numpy ``uint64`` arrays
-and run through :mod:`decoybb84.kernels`.
+products and syndrome scans allocation-free at desk scale.
+
+numpy is used at the edges only.  ``pack_rows`` is the one path from 0/1
+arrays to packed integers (``np.packbits``, little-endian bit order):
+``BitVector.from_bits``, ``BitMatrix.from_rows`` and
+``BitMatrix.transpose`` go through it, and ``BitMatrix.to_array`` is the
+way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
+``uint64`` word arrays, on which the exhaustive hot loops (decode tables,
+membership counts) run in :mod:`decoybb84.kernels`.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.
@@ -16,7 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +52,16 @@ def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
     return np.argsort(lex_keys(n_bits)[words], kind="stable")
 
 
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-D 0/1 array as packed ints, column j at bit j."""
+    bits = np.asarray(bits)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
+    packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    width, raw = packed.shape[-1], packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable bit vector over GF(2), packed into one integer."""
@@ -64,15 +80,11 @@ class BitVector:
         return cls(length, 0)
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << n
-            n += 1
-        return cls(n, value)
+    def from_bits(cls, bits: Sequence[int] | np.ndarray) -> "BitVector":
+        bits = np.asarray(bits)
+        if bits.ndim != 1:
+            raise ValueError("bits must be a flat sequence")
+        return cls(len(bits), pack_rows(bits[np.newaxis])[0])
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -93,9 +105,6 @@ class BitVector:
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.to_tuple(), dtype=np.uint8)
 
     def lex_key(self) -> int:
         return lex_key(self.bits, self.length)
@@ -123,13 +132,10 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        packed = []
-        cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            packed.append(BitVector.from_bits(row).bits)
-        return cls(len(rows), cols, tuple(packed))
+        cols = len(rows[0]) if len(rows) else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), cols, tuple(pack_rows(np.reshape(rows, (len(rows), cols)))))
 
     @classmethod
     def from_row_ints(cls, rows: int, cols: int, row_bits: Sequence[int]) -> "BitMatrix":
@@ -147,20 +153,14 @@ class BitMatrix:
         return (self.row_bits[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            c = 0
-            for i in range(self.rows):
-                c |= ((self.row_bits[i] >> j) & 1) << i
-            cols.append(c)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
+        return BitMatrix(self.cols, self.rows, tuple(pack_rows(self.to_array().T)))
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entry(i, j)
-        return out
+        """The entries as a (rows, cols) uint8 array of 0/1."""
+        width = (self.cols + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.row_bits),
+                               dtype=np.uint8).reshape(self.rows, width)
+        return np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
 
 
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:

@@ -59,20 +59,13 @@ def build_toeplitz(l: int, m: int, seed: BitVector) -> BitMatrix:
     """Realize the hash matrix (X, I) from its seed bits."""
     if seed.length != l + m - 1:
         raise DimensionMismatch(f"seed length {seed.length} != l+m-1 = {l + m - 1}")
-    rows = []
-    for i in range(l):
-        row = 0
-        for j in range(m):
-            row |= seed[i + j] << j
-        row |= 1 << (m + i)
-        rows.append(row)
-    return BitMatrix(l, l + m, tuple(rows))
+    mask = (1 << m) - 1
+    return BitMatrix(l, l + m, tuple(seed.bits >> i & mask | 1 << (m + i) for i in range(l)))
 
 
 def sample_seed(rng: np.random.Generator, l: int, m: int) -> ToeplitzHash:
     """Uniform hash seed drawn from the given deterministic source."""
-    bits = rng.integers(0, 2, size=l + m - 1)
-    return ToeplitzHash(l, m, BitVector.from_bits(int(b) for b in bits))
+    return ToeplitzHash(l, m, BitVector.from_bits(rng.integers(0, 2, size=l + m - 1)))
 
 
 class UniversalityProfile(Mapping):

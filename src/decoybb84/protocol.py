@@ -44,7 +44,7 @@ from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
                       sample_detection, sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import CapacityError, DimensionMismatch, SessionAborted
-from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, solve, span_array
+from .gf2 import BitMatrix, BitVector, mat_vec_mul, pack_rows, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
@@ -157,12 +157,26 @@ def _hexbits(bits: np.ndarray) -> str:
     return np.packbits(bits.astype(np.uint8)).tobytes().hex()
 
 
+def _comma_list(values: np.ndarray) -> str:
+    """``",".join(map(str, values))`` for nonnegative ints, with no str() per
+    value: each value's digits fill one fixed-width row of a uint8 buffer
+    ending in a comma, and the leading zeros are dropped."""
+    values = np.asarray(values, dtype=np.int64)[:, np.newaxis]
+    width = len(str(values.max(initial=0)))
+    place = 10 ** np.arange(width - 1, -1, -1)
+    text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
+    text[:, :width] = values // place % 10 + ord("0")
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, :width - 1] = values >= place[:-1]
+    return text[keep].tobytes()[:-1].decode("ascii")
+
+
 def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
     """Uniform binary matrix conditioned on full column rank."""
     if cols > rows:
         raise DimensionMismatch("need cols <= rows for an injective generator")
     while True:
-        mat = BitMatrix.from_rows(rng.integers(0, 2, size=(rows, cols)).tolist())
+        mat = BitMatrix(rows, cols, tuple(pack_rows(rng.integers(0, 2, size=(rows, cols)))))
         if rank(mat) == cols:
             return mat
 
@@ -196,7 +210,7 @@ def error_correct(x_send: BitVector, x_recv: BitVector, m_e: BitMatrix,
     """
     if x_send.length != m_e.rows or x_recv.length != m_e.rows:
         raise DimensionMismatch("raw keys must match the code length")
-    z = BitVector.from_bits(rng.integers(0, 2, size=m_e.cols).tolist())
+    z = BitVector.from_bits(rng.integers(0, 2, size=m_e.cols))
     masked = mat_vec_mul(m_e, z) ^ x_send
     return z, masked, decode_to_seed(m_e, masked ^ x_recv, guard)
 
@@ -302,7 +316,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     bob_bits = bob_bits ^ flip_det.astype(np.int8)
 
     # Step 2: Alice announces the kinds.
-    announce(2, "alice", lambda: "kinds " + ",".join(map(str, kinds.tolist())))
+    announce(2, "alice", lambda: "kinds " + _comma_list(kinds))
 
     # Step 3: Bob announces detections, common-basis positions, counts.
     c_counts = np.bincount(kinds[detected], minlength=n_kinds)
@@ -345,8 +359,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         raw_positions[kind] = pos[keep]
         errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
         h_counts[kind] = errs
-        announce(4, "alice", lambda: f"check-{tag} positions "
-                 + ",".join(map(str, check_pos.tolist())))
+        announce(4, "alice", lambda: f"check-{tag} positions " + _comma_list(check_pos))
         announce(4, "alice", lambda: f"check-{tag} bits "
                  + _hexbits(alice_bits[check_pos]))
         announce(4, "bob", lambda: f"H[{kind}]={errs}")
@@ -404,8 +417,8 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                                          (i0x, "times", 9, 10)):
         res = results[name]
         pos = raw_positions[kind]
-        raw = {"alice": BitVector.from_bits(alice_bits[pos].tolist()),
-               "bob": BitVector.from_bits(bob_bits[pos].tolist())}
+        raw = {"alice": BitVector.from_bits(alice_bits[pos]),
+               "bob": BitVector.from_bits(bob_bits[pos])}
         m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
         announce(step_ec, "both", lambda: f"{name} code " + hashlib.sha256(
             b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16])

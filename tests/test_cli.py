@@ -416,6 +416,15 @@ def test_missing_input_file_exit_2(tmp_path, capsys, args):
     assert err.startswith(f"error: cannot read {missing}") and err.count("\n") == 1
 
 
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    # A report that cannot be written is a usage error, not a failed check.
+    out = tmp_path / "no" / "such" / "dir" / "r.txt"
+    assert main(["--out", str(out), "verify-toeplitz", "--l", "2", "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 class TestEstimateDecoy:
     def test_round_trip_recovers_truth(self, tmp_path):
         path = tmp_path / "obs.json"

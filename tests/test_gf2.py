@@ -5,7 +5,7 @@ import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, lex_keys,
-                           mat_vec_mul, rank, solve, span_ints)
+                           mat_vec_mul, pack_rows, rank, solve, span_ints)
 from oracles import min_distance_decode
 
 
@@ -210,3 +210,66 @@ class TestBitVector:
             want = [loop_key(w, n) for w in range(1 << n)]
             assert [lex_key(w, n) for w in range(1 << n)] == want
             assert lex_keys(n).tolist() == want
+
+
+def loop_pack(row):
+    value = 0
+    for j, b in enumerate(row):
+        value |= int(b) << j
+    return value
+
+
+def loop_transpose(m):
+    cols = []
+    for j in range(m.cols):
+        c = 0
+        for i in range(m.rows):
+            c |= ((m.row_bits[i] >> j) & 1) << i
+        cols.append(c)
+    return BitMatrix(m.cols, m.rows, tuple(cols))
+
+
+class TestPacking:
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    def test_pack_rows_matches_bit_loop(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (0, 1, 5):
+            for dtype in (np.int64, np.int8, np.uint8, bool):
+                bits = rng.integers(0, 2, size=(rows, width)).astype(dtype)
+                assert pack_rows(bits) == [loop_pack(r) for r in bits]
+        ones = np.ones((2, width), dtype=np.int64)
+        assert pack_rows(ones) == [(1 << width) - 1] * 2
+
+    def test_from_bits_and_from_rows(self):
+        rng = np.random.default_rng(3)
+        for width in (0, 1, 9, 64, 65, 130):
+            bits = rng.integers(0, 2, size=(4, width))
+            assert BitVector.from_bits(bits[0]) == BitVector(width, loop_pack(bits[0]))
+            assert BitVector.from_bits(bits[0].tolist()) == BitVector.from_bits(bits[0])
+            m = BitMatrix.from_rows(bits.tolist())
+            assert (m.rows, m.cols) == (4, width)
+            assert m.row_bits == tuple(loop_pack(r) for r in bits)
+            assert BitMatrix.from_rows(bits) == m
+            assert m.to_array().tolist() == bits.tolist()
+        assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
+
+    @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0.5], [[0, 1]]])
+    def test_from_bits_rejects_non_bits(self, bits):
+        with pytest.raises(ValueError):
+            BitVector.from_bits(bits)
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 1, 0]], [[0, 2]]])
+    def test_from_rows_rejects_ragged_and_non_bits(self, rows):
+        with pytest.raises(ValueError):
+            BitMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (24, 15),
+                                       (5, 64), (3, 65), (70, 2), (9, 130)])
+    def test_transpose_matches_double_loop(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        m = BitMatrix(*shape, tuple(pack_rows(rng.integers(0, 2, size=shape))))
+        t = m.transpose()
+        assert t == loop_transpose(m)
+        assert (t.rows, t.cols) == shape[::-1]
+        assert t.transpose() == m
+        assert t.to_array().tolist() == m.to_array().T.tolist()

@@ -35,6 +35,14 @@ class TestBuildToeplitz:
         with pytest.raises(DimensionMismatch):
             build_toeplitz(2, 2, bv(1, 0))
 
+    def test_matches_diagonal_rule_entrywise(self):
+        rng = np.random.default_rng(4)
+        for l, m in ((1, 0), (3, 0), (1, 5), (4, 4), (7, 3), (2, 70), (40, 30)):
+            seed = BitVector.from_bits(rng.integers(0, 2, size=l + m - 1))
+            want = [[seed[i + j] for j in range(m)] + [int(i == j) for j in range(l)]
+                    for i in range(l)]
+            assert build_toeplitz(l, m, seed).to_array().tolist() == want
+
     def test_full_row_rank(self):
         rng = np.random.default_rng(0)
         from decoybb84.gf2 import rank

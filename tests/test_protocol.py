@@ -14,7 +14,7 @@ from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import SessionAborted
 from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
-from decoybb84.protocol import (DExperimental, DInitial, SessionConfig,
+from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
                                 config_from_text, config_to_text, decode_to_seed,
                                 error_correct, extract_experiment_data,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
@@ -459,6 +459,22 @@ class TestTranscriptAndReport:
             assert rep["truth_phase_error_bound"] <= \
                 rep["truth_twoway_bound"] + 1e-15
             assert rep["length_within_window"]
+
+
+class TestCommaList:
+    @pytest.mark.parametrize("values", [
+        [], [0], [7], [9, 10], [10, 9], [99, 100, 0], [999, 1000, 1], [0, 0, 0],
+        [10 ** 18, 9, 0], list(range(1012)), [4, 10, 0, 10, 2]])
+    def test_matches_join(self, values):
+        arr = np.array(values, dtype=np.int64)
+        assert _comma_list(arr) == ",".join(map(str, values))
+
+    def test_random_values(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 17, 500, 4000):
+            for top in (3, 11, 1000, 10 ** 7):
+                v = rng.integers(0, top + 1, size=size)
+                assert _comma_list(v) == ",".join(map(str, v.tolist()))
 
 
 class TestPhaseTruth:
