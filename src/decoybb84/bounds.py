@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
-from .errors import BoundViolation, CapacityError
+from .errors import BoundViolation, CapacityError, check_law, check_probability
 # kernel_basis, mat_vec_mul, rank, span_ints, build_toeplitz: unused, kept for
 # perfbench's LAYER_MAP.
 from .gf2 import kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
@@ -47,6 +48,8 @@ def hbar(x: float) -> float:
 
 def binary_entropy(x: float) -> float:
     """Unclamped binary entropy (0 log 0 := 0)."""
+    # Inline rather than check_probability: the grid scan of
+    # decoy.minimize_key_term calls this up to about 10^6 times.
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"argument {x} outside [0, 1]")
     if x in (0.0, 1.0):
@@ -56,8 +59,7 @@ def binary_entropy(x: float) -> float:
 
 def eve_info_bound(p_ph: float, l: int) -> float:
     """Upper bound hbar(P) + l P on Eve's information in bits."""
-    if not 0.0 <= p_ph <= 1.0:
-        raise ValueError("phase error probability outside [0, 1]")
+    check_probability("p_ph", p_ph)
     return hbar(p_ph) + l * p_ph
 
 
@@ -67,8 +69,7 @@ def distinguishability_bounds(p_ph: float) -> tuple[float, float, float, float]:
     Trace norms clamp to [0, 2] and fidelity lower bounds to [0, 1]; the
     clamped values remain valid bounds.
     """
-    if not 0.0 <= p_ph <= 1.0:
-        raise ValueError("phase error probability outside [0, 1]")
+    check_probability("p_ph", p_ph)
     fid_pair = min(1.0, max(0.0, 1.0 - 2.0 * p_ph))
     tn_pair = min(2.0, 4.0 * p_ph)
     fid_avg = min(1.0, max(0.0, 1.0 - p_ph))
@@ -78,8 +79,7 @@ def distinguishability_bounds(p_ph: float) -> tuple[float, float, float, float]:
 
 def success_bound(p_ph: float, l: int) -> float:
     """Upper bound on Eve's probability of guessing the l-bit key."""
-    if not 0.0 <= p_ph <= 1.0:
-        raise ValueError("phase error probability outside [0, 1]")
+    check_probability("p_ph", p_ph)
     if l < 1:
         raise ValueError("key length must be >= 1")
     c = 2.0 ** (-l)
@@ -104,7 +104,8 @@ class BoundInputs:
     """Classification counts plus the privacy-amplification parameters.
 
     ``t_distribution`` maps the phase-error count t (0..J1) to its
-    probability; bounds that average over t require it.
+    probability; bounds that average over t require it.  The counts are
+    integers (not bool), ``n_bar`` and ``n_under`` at least 1 when given.
     """
 
     j0: int = 0
@@ -118,19 +119,24 @@ class BoundInputs:
     n_under: int | None = None
     t_distribution: Mapping[int, float] | None = None
 
-    def validated_t_distribution(self) -> dict[int, float]:
+    def __post_init__(self):
+        for name in ("j0", "j1", "j2", "j3", "j4", "j5", "m", "n_bar", "n_under"):
+            v = getattr(self, name)
+            low = int(name.startswith("n_"))  # n_bar and n_under: optional key sizes
+            if v is None and low:
+                continue
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.t_distribution is None:
-            raise ValueError("t_distribution required")
+            return
+        if not isinstance(self.t_distribution, Mapping):
+            raise TypeError("t_distribution must be an object mapping t to its probability")
         dist = {int(t): float(p) for t, p in self.t_distribution.items()}
-        # Written so that NaN fails both checks and is rejected.
-        if not all(p >= 0 for p in dist.values()):
-            raise ValueError("negative probability in t_distribution")
-        if not abs(sum(dist.values()) - 1.0) <= 1e-9:
-            raise ValueError("t_distribution does not sum to 1")
+        check_law("t_distribution", list(dist.values()))
         for t in dist:
             if not 0 <= t <= self.j1:
                 raise ValueError(f"t={t} outside [0, J1={self.j1}]")
-        return dist
+        self.t_distribution = dist
 
 
 # The J parts (indices into J0..J5) that Eve holds outright under each
@@ -146,11 +152,12 @@ def k2_count(j: Sequence[int], direction: str) -> int:
 
 
 def _averaged_bound(inputs: BoundInputs, direction: str) -> float:
-    dist = inputs.validated_t_distribution()
+    if inputs.t_distribution is None:
+        raise ValueError("t_distribution required")
     k2 = k2_count((inputs.j0, inputs.j1, inputs.j2, inputs.j3, inputs.j4, inputs.j5),
                   direction)
     return sum(p * min_decoding_bound(inputs.j1, k2, t, inputs.m)
-               for t, p in dist.items())
+               for t, p in inputs.t_distribution.items())
 
 
 def forward_bound(inputs: BoundInputs) -> float:
@@ -174,8 +181,7 @@ def twoway_bound(inputs: BoundInputs) -> float:
 
 def averaged_eve_info_bound(p_av: float, n_bar: int) -> float:
     """Bound P_av (N_bar + 1 - log2 P_av) on Eve's averaged information."""
-    if not 0.0 <= p_av <= 1.0:
-        raise ValueError("averaged probability outside [0, 1]")
+    check_probability("p_av", p_av)
     if p_av == 0.0:
         return 0.0
     return p_av * (n_bar + 1.0 - math.log2(p_av))
@@ -190,8 +196,7 @@ def per_bit_eve_info_bound(p_av: float, n_under: int) -> float:
     """Per-key-bit information bound hbar(P_av)/N_under + P_av."""
     if n_under < 1:
         raise ValueError("minimum key size must be >= 1")
-    if not 0.0 <= p_av <= 1.0:
-        raise ValueError("averaged probability outside [0, 1]")
+    check_probability("p_av", p_av)
     return hbar(p_av) / n_under + p_av
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_law, check_probability
 
 VACUUM, SINGLE, MULTI = 0, 1, 2
 UNDETECTED, NORMAL, DARK = 0, 1, 2
@@ -113,24 +113,15 @@ class ChannelStrategy:
         for name in ("p_dark", "q_vacuum", "q_single",
                      "q_multi_times", "q_multi_plus",
                      "multi_flip_times", "multi_flip_plus"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            check_probability(name, getattr(self, name))
         for name in ("single_error_times", "single_error_plus"):
-            law = tuple(float(p) for p in getattr(self, name))
-            # Written so that NaN fails every comparison and is rejected.
-            if len(law) != 4 or not all(p >= 0 for p in law) \
-                    or not abs(sum(law) - 1.0) <= 1e-9:
-                raise ValueError(f"{name} must be 4 probabilities summing to 1")
-            object.__setattr__(self, name, law)
+            law = check_law(name, getattr(self, name))
+            if law.shape != (4,):
+                raise ValueError(f"{name} must hold 4 probabilities")
+            object.__setattr__(self, name, tuple(law.tolist()))
         for q in (self.q_vacuum, self.q_single, self.q_multi_times, self.q_multi_plus):
             if q + self.p_dark > 1.0 + 1e-12:
                 raise ValueError("q + p_dark exceeds 1 for some class")
-
-
-def noiseless_strategy() -> ChannelStrategy:
-    """Unit yields, no dark counts, no errors."""
-    return ChannelStrategy()
 
 
 def sample_detection(strategy: ChannelStrategy, cls: np.ndarray, basis: np.ndarray,

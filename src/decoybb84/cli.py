@@ -62,11 +62,7 @@ def _load(path: str) -> str:
 
 def cmd_verify_toeplitz(args) -> int:
     guard = DEFAULT_SEED_GUARD if args.guard_override is None else args.guard_override
-    try:
-        profile = universality_profile(args.l, args.m, guard=guard)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    profile = universality_profile(args.l, args.m, guard=guard)
     summary = profile_summary(profile, args.m)
     payload = {
         "l": args.l,
@@ -84,12 +80,9 @@ def cmd_verify_toeplitz(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     if args.suite_size < 1:
-        print("error: --suite-size must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--suite-size must be at least 1")
     if args.l_min > args.l_max:
-        print(f"error: empty logical range --l-min {args.l_min} > --l-max {args.l_max}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"empty logical range --l-min {args.l_min} > --l-max {args.l_max}")
     rng = np.random.default_rng(args.seed)
     slacks = {
         "info_bound": np.inf, "pair_fidelity": np.inf, "pair_trace_norm": np.inf,
@@ -143,8 +136,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be at least 1")
     cfg = config_from_text(_load(args.config))
     strategy = strategy_from_text(_load(args.strategy))
     sessions = []
@@ -186,22 +178,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = json.loads(_load(args.inputs))
-    if not isinstance(spec["t_distribution"], dict):
-        raise TypeError("t_distribution must be an object mapping t to its probability")
-    t_dist = {int(k): float(v) for k, v in spec["t_distribution"].items()}
+    # Subscripts before .get: a file that is not an object fails with TypeError.
     inputs = bounds_mod.BoundInputs(
+        t_distribution=spec["t_distribution"], m=spec["m"],
         j0=spec.get("j0", 0), j1=spec.get("j1", 0), j2=spec.get("j2", 0),
         j3=spec.get("j3", 0), j4=spec.get("j4", 0), j5=spec.get("j5", 0),
-        m=spec["m"],
-        n_bar=spec.get("n_bar"), n_under=spec.get("n_under"),
-        t_distribution=t_dist)
-    try:
-        fwd = bounds_mod.forward_bound(inputs)
-        rev = bounds_mod.reverse_bound(inputs)
-        two = bounds_mod.twoway_bound(inputs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        n_bar=spec.get("n_bar"), n_under=spec.get("n_under"))
+    fwd = bounds_mod.forward_bound(inputs)
+    rev = bounds_mod.reverse_bound(inputs)
+    two = bounds_mod.twoway_bound(inputs)
     payload = {
         "inputs": spec,
         "forward_bound": fwd,
@@ -256,6 +241,8 @@ def cmd_estimate_decoy(args) -> int:
 def cmd_rates(args) -> int:
     spec = json.loads(_load(args.params))
     rows = spec["sweep"] if "sweep" in spec else [spec]
+    if not rows:
+        raise ValueError("empty sweep: no rate rows to check")
     table = []
     all_ok = True
     for row in rows:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import hbar
-from .errors import InfeasibleObservation
+from .errors import InfeasibleObservation, check_law, check_probability
 
 _FEAS_TOL = 1e-9
 
@@ -33,11 +33,7 @@ class SourceDistribution:
     v2: float = 0.0
 
     def __post_init__(self):
-        # Written so that NaN fails every comparison and is rejected.
-        if not all(v >= 0 for v in (self.v0, self.v1, self.v2)):
-            raise ValueError("negative probability")
-        if not abs(self.v0 + self.v1 + self.v2 - 1.0) <= 1e-9:
-            raise ValueError("probabilities must sum to 1")
+        check_law("source distribution", (self.v0, self.v1, self.v2))
         if self.v1 == 0:
             raise ValueError("estimators need a nonzero single-photon weight")
 
@@ -63,13 +59,10 @@ class ObservedRates:
 
     def __post_init__(self):
         for name in ("p0", "p_dark", "p_nu_times", "s_nu_times", "p_s", "p_s_tilde"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            check_probability(name, getattr(self, name))
         for name in ("p_nu_plus", "s_nu_plus"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            if getattr(self, name) is not None:
+                check_probability(name, getattr(self, name))
 
     def symmetric(self) -> bool:
         return (self.p_nu_plus is None or
@@ -144,8 +137,8 @@ def correct_detector_error(r1_raw: float, p_s: float,
     """
     if not 0.0 <= p_s < 0.5:
         raise ValueError("detector error rate must be below 1/2")
-    if _already_valid and not 0.0 <= r1_raw <= 1.0:
-        raise ValueError("observed rate outside [0, 1]")
+    if _already_valid:
+        check_probability("observed rate", r1_raw)
     return (r1_raw - p_s) / (1.0 - 2.0 * p_s)
 
 

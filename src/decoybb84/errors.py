@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the one probability rule shared across the package.
+
+Every rate or yield the library accepts goes through ``check_probability``
+and every law through ``check_law``; both are written so that NaN fails.
+"""
+
+import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -19,3 +25,21 @@ class SessionAborted(RuntimeError):
 
 class BoundViolation(AssertionError):
     """An empirical quantity exceeded the analytic bound it must respect."""
+
+
+def check_probability(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``value`` unless it lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}={value} outside [0, 1]")
+
+
+def check_law(name: str, probs, tol: float = 1e-9) -> np.ndarray:
+    """``probs`` as a float array if its entries are >= 0 and sum to 1 within tol.
+
+    Raises ``ValueError`` naming the law otherwise.  Non-numeric entries
+    fail the comparison with a ``TypeError``.
+    """
+    p = np.asarray(probs)
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= tol):
+        raise ValueError(f"{name} must be nonnegative and sum to 1")
+    return p.astype(np.float64, copy=False)

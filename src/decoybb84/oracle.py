@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DimensionMismatch
+from .errors import CapacityError, DimensionMismatch, check_law
 from .gf2 import (BitMatrix, _eliminate, kernel_basis, lex_order, mat_vec_mul, rank,
                   span_array, span_ints)
 
@@ -62,18 +62,8 @@ class PauliErrorDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (1 << self.l, 1 << self.l):
             raise DimensionMismatch(f"probs must have shape (2^l, 2^l), got {p.shape}")
-        if (p < -1e-15).any():
-            raise ValueError("negative probability")
-        if abs(p.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        check_law("logical law", p, _SUM_TOL)
         object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def from_dict(cls, l: int, entries: Mapping[tuple[int, int], float]) -> "PauliErrorDistribution":
-        p = np.zeros((1 << l, 1 << l))
-        for (x, z), v in entries.items():
-            p[x, z] = v
-        return cls(l, p)
 
     def x_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=1)
@@ -296,18 +286,14 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
 def _normalize_channel(channel, n: int) -> tuple[str, object]:
     """Accept a per-position symbol law or an explicit joint pattern law."""
     if isinstance(channel, Mapping):
-        total = sum(channel.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"explicit channel law sums to {total}")
+        check_law("joint channel law", list(channel.values()))
         return "joint", channel
     site_laws = []
     for i, law in enumerate(channel):
         mat = np.zeros((2, 2))
         for (x, z), p in law.items():
             mat[x, z] = p
-        if abs(mat.sum() - 1.0) > 1e-9:
-            raise ValueError(f"site {i} law sums to {mat.sum()}")
-        site_laws.append(mat)
+        site_laws.append(check_law(f"site {i} law", mat))
     if len(site_laws) != n:
         raise DimensionMismatch(f"channel has {len(site_laws)} sites, code expects {n}")
     return "product", site_laws

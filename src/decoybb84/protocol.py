@@ -43,7 +43,8 @@ from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
                       ClassCounts, apply_bit_errors, classify, parse_key_values,
                       sample_detection, sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
-from .errors import CapacityError, DimensionMismatch, SessionAborted
+from .errors import (CapacityError, DimensionMismatch, SessionAborted, check_law,
+                     check_probability)
 from .gf2 import BitMatrix, BitVector, mat_vec_mul, pack_rows, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
@@ -94,11 +95,9 @@ class SessionConfig:
             raise ValueError("need at least one source distribution")
         if len(self.p_bar) != 2 * k + 1:
             raise ValueError(f"p_bar must have 2k+1 = {2 * k + 1} entries")
-        # Written so that NaN fails every comparison and is rejected.
-        if not all(p >= 0 for p in self.p_bar) or not abs(sum(self.p_bar) - 1.0) <= 1e-9:
-            raise ValueError("kind probabilities must be nonnegative and sum to 1")
-        if not (0.0 <= self.p_s <= 1.0 and 0.0 <= self.p_s_tilde <= 1.0):
-            raise ValueError("p_s and p_s_tilde must lie in [0, 1]")
+        check_law("p_bar", self.p_bar)
+        check_probability("p_s", self.p_s)
+        check_probability("p_s_tilde", self.p_s_tilde)
         if not 1 <= self.i0 <= k:
             raise ValueError("i0 must index one of the k distributions")
         if not self.n < self.n_prime:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .bounds import hbar, k2_count
 from .decoy import SourceDistribution
+from .errors import check_probability
 
 
 def shannon_eta(e: float) -> float:
@@ -42,9 +43,7 @@ class RateInputs:
 
     def __post_init__(self):
         for name in ("q1", "r1", "p0", "p_dark", "p_nu_plus", "s_nu_plus"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            check_probability(name, getattr(self, name))
 
     def correction(self) -> float:
         """Error-correction debit p_nu_plus (1 - eta(s_nu_plus))."""

@@ -4,7 +4,7 @@ Each one restates a definition directly, with no call into the code paths
 it checks: the library decodes and counts from structure, these enumerate.
 """
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import BitVector, lex_order
 from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
+from decoybb84.oracle import PauliErrorDistribution
 
 
 def min_distance_decode(received: BitVector, codewords: Sequence[BitVector],
@@ -72,3 +73,11 @@ def per_shift_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: 
     for s, label in shifts:
         table += np.bincount(es * n_lab + (dec[es ^ s] ^ label), minlength=len(table))
     return table.reshape(1 << n, n_lab) / len(shifts)
+
+
+def pauli_from_dict(l: int, entries: Mapping[tuple[int, int], float]) -> PauliErrorDistribution:
+    """The l-bit logical law with probability ``entries[(x, z)]`` at (x, z)."""
+    p = np.zeros((1 << l, 1 << l))
+    for (x, z), v in entries.items():
+        p[x, z] = v
+    return PauliErrorDistribution(l, p)

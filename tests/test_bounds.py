@@ -148,6 +148,40 @@ def make_inputs(j, m, t_dist):
                        m=m, t_distribution=t_dist)
 
 
+class TestBoundInputs:
+    @pytest.mark.parametrize("field,value", [
+        ("j1", 8.5), ("m", 6.5), ("j1", True), ("m", False), ("j2", -1), ("m", "6"),
+        ("j0", None), ("n_bar", 0), ("n_under", 0), ("n_under", 2.0), ("n_bar", True),
+    ])
+    def test_bad_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            BoundInputs(**{"j1": 4, "m": 2, field: value})
+
+    def test_numpy_integers_accepted(self):
+        inputs = BoundInputs(j1=np.int64(3), m=np.int64(2), n_bar=np.int64(4), n_under=1)
+        assert inputs.n_bar == 4 and inputs.n_under == 1
+
+    @pytest.mark.parametrize("dist", [
+        {0: -0.5, 1: 1.5}, {0: float("nan"), 1: 1.0}, {0: 0.5}, {},
+    ], ids=["negative", "nan", "short", "empty"])
+    def test_bad_t_distribution_rejected_at_construction(self, dist):
+        with pytest.raises(ValueError, match="t_distribution"):
+            BoundInputs(j1=1, t_distribution=dist)
+
+    def test_t_outside_support_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            BoundInputs(j1=1, t_distribution={2: 1.0})
+
+    def test_non_mapping_t_distribution_rejected(self):
+        with pytest.raises(TypeError, match="t_distribution"):
+            BoundInputs(j1=1, t_distribution=[1.0])
+
+    def test_t_distribution_normalized(self):
+        inputs = BoundInputs(j1=2, t_distribution={"1": 1})
+        assert inputs.t_distribution == {1: 1.0}
+        assert isinstance(inputs.t_distribution[1], float)
+
+
 class TestK2:
     J = (1, 20, 300, 4000, 50000, 600000)  # J0..J5 in distinct decimal places
 

@@ -8,7 +8,7 @@ import pytest
 
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED,
                                VACUUM, ChannelStrategy, apply_bit_errors, classify,
-                               noiseless_strategy, sample_detection, sample_flips,
+                               sample_detection, sample_flips,
                                strategy_from_text, strategy_to_text, uniform_mask)
 from decoybb84.errors import DimensionMismatch
 
@@ -94,7 +94,7 @@ class TestClassify:
 class TestSampleErrorPattern:
     def test_noiseless_gives_zero_t(self):
         cls, det, basis = pulses(50)
-        x, z = sample_flips(noiseless_strategy(), cls, det, basis, np.random.default_rng(1))
+        x, z = sample_flips(ChannelStrategy(), cls, det, basis, np.random.default_rng(1))
         assert classify(labels(cls, det), z).t == 0
         assert not x.any()
 

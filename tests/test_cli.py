@@ -3,7 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -392,6 +395,16 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("j1", 8.5), ("m", 6.5), ("j1", True), ("j0", -1), ("n_under", 0), ("n_bar", 0),
+    ], ids=["j1-float", "m-float", "j1-bool", "j0-negative", "n_under-0", "n_bar-0"])
+    def test_bad_count_exit_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(dict(BOUND_INPUTS, **{field: value})))
+        assert main(["bound", "--inputs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be an integer >= ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("t_dist", [[], "0.5", 1], ids=["list", "str", "int"])
     def test_non_object_t_distribution_exit_2(self, tmp_path, capsys, t_dist):
@@ -482,6 +495,40 @@ class TestRates:
         assert main(["--format", "json", "--out", str(out),
                      "rates", "--params", str(path)]) == 0
         assert len(json.loads(out.read_text())["payload"]["rows"]) == 2
+
+    def test_empty_sweep_exit_2(self, tmp_path, capsys):
+        # A sweep of no rows checks nothing, so it cannot report ordering_ok.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"sweep": []}))
+        out = tmp_path / "r.json"
+        assert main(["--format", "json", "--out", str(out), "rates", "--params", str(path)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty sweep") and err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m decoybb84.cli`` with PYTHONPATH=src, as a separate process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = [sys.executable, "-m", "decoybb84.cli"]
+    ok = subprocess.run(run + ["--format", "json", "verify-toeplitz", "--l", "2", "--m", "2"],
+                        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert ok.returncode == 0, ok.stderr
+    report = json.loads(ok.stdout, parse_constant=_reject_constant)
+    assert report["payload"]["result"] == "PASS"
+
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(dict(BOUND_INPUTS, t_distribution={"0": float("nan"), "1": 1.0})))
+    bad = subprocess.run(run + ["bound", "--inputs", str(path)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: t_distribution") and bad.stderr.count("\n") == 1
 
 
 class TestManifest:

@@ -18,7 +18,7 @@ from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _label_tra
                               eve_mutual_information, optimal_success_probability,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
-from oracles import min_distance_decode, per_shift_transitions
+from oracles import min_distance_decode, pauli_from_dict, per_shift_transitions
 
 
 def random_code_pair(rng, n, lm, l):
@@ -53,7 +53,7 @@ def random_distribution(rng, l):
 
 class TestPhaseErrorProbability:
     def test_point_mass_zero(self):
-        d = PauliErrorDistribution.from_dict(1, {(0, 0): 1.0})
+        d = pauli_from_dict(1, {(0, 0): 1.0})
         assert phase_error_probability(d) == 0.0
 
     def test_uniform_half(self):
@@ -61,13 +61,27 @@ class TestPhaseErrorProbability:
         assert phase_error_probability(d) == pytest.approx(0.5)
 
     def test_all_mass_on_phase_errors(self):
-        d = PauliErrorDistribution.from_dict(1, {(0, 1): 0.3, (1, 1): 0.7})
+        d = pauli_from_dict(1, {(0, 1): 0.3, (1, 1): 0.7})
         assert phase_error_probability(d) == pytest.approx(1.0)
+
+
+class TestLogicalLawChecks:
+    @pytest.mark.parametrize("probs", [
+        [[float("nan"), 0.5], [0.25, 0.25]], [[1.5, -0.5], [0.0, 0.0]],
+        [[0.5, 0.25], [0.25, 1e-11]],
+    ], ids=["nan", "negative", "sum-off-by-1e-11"])
+    def test_rejected(self, probs):
+        with pytest.raises(ValueError, match="logical law"):
+            PauliErrorDistribution(1, np.array(probs))
+
+    def test_tolerance_is_1e_12(self):
+        d = PauliErrorDistribution(1, np.array([[0.5, 0.25], [0.25, 1e-13]]))
+        assert d.probs[1, 1] == 1e-13
 
 
 class TestMutualInformation:
     def test_deterministic_channel_zero(self):
-        d = PauliErrorDistribution.from_dict(2, {(0, 0): 1.0})
+        d = pauli_from_dict(2, {(0, 0): 1.0})
         assert eve_mutual_information(d) == 0.0
 
     def test_uniform_phase_gives_l_bits(self):
@@ -78,7 +92,7 @@ class TestMutualInformation:
             assert eve_mutual_information(d) == pytest.approx(l)
 
     def test_binary_entropy_case(self):
-        d = PauliErrorDistribution.from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
+        d = pauli_from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
         assert eve_mutual_information(d) == pytest.approx(0.8112781244591328)
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -92,7 +106,7 @@ class TestMutualInformation:
 
 class TestPairwiseFigures:
     def test_key_independent_channel(self):
-        d = PauliErrorDistribution.from_dict(2, {(1, 0): 0.5, (3, 0): 0.5})
+        d = pauli_from_dict(2, {(1, 0): 0.5, (3, 0): 0.5})
         fig = pairwise_figures(d)
         assert fig.min_pair_fidelity == pytest.approx(1.0)
         assert fig.max_pair_trace_norm == pytest.approx(0.0)
@@ -105,7 +119,7 @@ class TestPairwiseFigures:
         assert fig.max_pair_trace_norm == pytest.approx(2.0)
 
     def test_block_formula_values(self):
-        d = PauliErrorDistribution.from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
+        d = pauli_from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
         fig = pairwise_figures(d)
         assert fig.min_pair_fidelity == pytest.approx(0.5)
         assert fig.max_pair_trace_norm == pytest.approx(math.sqrt(3.0))
@@ -151,11 +165,11 @@ class TestOptimalSuccess:
 
     def test_point_mass_blind_guessing(self):
         for l in (1, 2, 3):
-            d = PauliErrorDistribution.from_dict(l, {(0, 0): 1.0})
+            d = pauli_from_dict(l, {(0, 0): 1.0})
             assert optimal_success_probability(d) == pytest.approx(2.0 ** -l)
 
     def test_worked_example(self):
-        d = PauliErrorDistribution.from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
+        d = pauli_from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
         expect = (math.sqrt(3) + 1) ** 2 / 8
         assert optimal_success_probability(d) == pytest.approx(expect)
 
@@ -199,13 +213,13 @@ class TestBoundsHoldOnOracle:
         # Documented defect: the linear constants fail already on the
         # worked example P(z=0)=3/4, where the exact pair trace norm is
         # sqrt(3) but 4 P_ph = 1.
-        d = PauliErrorDistribution.from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
+        d = pauli_from_dict(1, {(0, 0): 0.75, (0, 1): 0.25})
         fig = pairwise_figures(d)
         assert fig.max_pair_trace_norm == pytest.approx(math.sqrt(3.0))
         assert fig.max_pair_trace_norm > 4 * fig.phase_error_prob
 
     def test_equality_at_zero_phase_error(self):
-        d = PauliErrorDistribution.from_dict(2, {(0, 0): 0.25, (1, 0): 0.75})
+        d = pauli_from_dict(2, {(0, 0): 0.25, (1, 0): 0.75})
         fig = pairwise_figures(d)
         assert fig.phase_error_prob == 0.0
         assert fig.min_pair_fidelity == pytest.approx(1.0)
@@ -345,6 +359,22 @@ class TestReduceCodeChannel:
         site = {(0, 1): 1.0}  # flips every qubit; 111 is the wrong coset
         _, pph = reduce_code_channel([site] * 3, m_e, m_p)
         assert pph == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("site", [
+        {(0, 0): 1.5, (1, 1): -0.5}, {(0, 0): float("nan"), (0, 1): 1.0},
+    ], ids=["negative", "nan"])
+    def test_bad_site_law_rejected(self, site):
+        m_e, m_p = self._repetition_pair()
+        with pytest.raises(ValueError, match="site 1 law"):
+            reduce_code_channel([{(0, 0): 1.0}, site, {(0, 0): 1.0}], m_e, m_p)
+
+    @pytest.mark.parametrize("joint", [
+        {(0, 0): 1.0, (0, 7): float("nan")}, {(0, 0): 1.25, (0, 7): -0.25},
+    ], ids=["nan", "negative"])
+    def test_bad_joint_law_rejected(self, joint):
+        m_e, m_p = self._repetition_pair()
+        with pytest.raises(ValueError, match="joint channel law"):
+            reduce_code_channel(joint, m_e, m_p)
 
     def test_logical_marginal_matches_pph(self):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from decoybb84.bounds import hbar
-from decoybb84.channel import ChannelStrategy, noiseless_strategy
+from decoybb84.channel import ChannelStrategy
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import SessionAborted
@@ -40,21 +40,21 @@ def noisy_strategy():
 
 class TestNoiselessSession:
     def test_completes_with_equal_keys(self):
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         assert out.completed
         assert out.keys_match()
         assert out.plus.ec_success and out.times.ec_success
         assert out.experiment.h[1] == 0 and out.experiment.h[2] == 0
 
     def test_key_length_law(self):
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         cfg = out.config
         for res in (out.plus, out.times):
             assert res.length == res.lm - res.m
             assert cfg.n_under <= res.length <= cfg.n_bar
 
     def test_truth_counts(self):
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         for counts in out.truth.values():
             assert counts.total == 64
             assert counts.k1 == 64 and counts.t == 0
@@ -63,7 +63,7 @@ class TestNoiselessSession:
 class TestReverseDirection:
     def test_noiseless_reverse_session(self):
         cfg = single_photon_config(ec_direction="reverse")
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         assert out.completed and out.keys_match()
         assert out.plus.ec_success and out.times.ec_success
 
@@ -100,8 +100,8 @@ class TestReverseDirection:
 class TestDeterminism:
     def test_identical_seed_identical_transcript(self):
         cfg = single_photon_config(rng_seed=123)
-        a = run_session(cfg, noiseless_strategy())
-        b = run_session(cfg, noiseless_strategy())
+        a = run_session(cfg, ChannelStrategy())
+        b = run_session(cfg, ChannelStrategy())
         assert a.transcript == b.transcript
         assert a.plus.alice_key == b.plus.alice_key
         assert a.times.alice_key == b.times.alice_key
@@ -117,8 +117,8 @@ class TestDeterminism:
         assert a.keys_match() and b.keys_match()
 
     def test_different_seeds_differ(self):
-        a = run_session(single_photon_config(rng_seed=1), noiseless_strategy())
-        b = run_session(single_photon_config(rng_seed=2), noiseless_strategy())
+        a = run_session(single_photon_config(rng_seed=1), ChannelStrategy())
+        b = run_session(single_photon_config(rng_seed=2), ChannelStrategy())
         assert a.transcript != b.transcript
 
 
@@ -131,12 +131,12 @@ class TestAbortBranches:
     def test_step4_not_enough_common(self):
         # Detections exist but N' is barely above N: E_i0 <= N.
         cfg = single_photon_config(n_prime=140)
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         assert out.status == "aborted" and out.abort_step == 4
 
     def test_step6_sacrifice_eats_key(self):
         cfg = single_photon_config(m_rule="constant:60", n_under=8)
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         assert out.status == "aborted" and out.abort_step == 6
         assert "N_under" in out.abort_reason
 
@@ -149,7 +149,7 @@ class TestAbortBranches:
 
     def test_every_abort_tagged(self):
         out = run_session(single_photon_config(n_prime=140),
-                          noiseless_strategy())
+                          ChannelStrategy())
         assert out.status == "aborted"
         assert out.abort_step in (4, 6) and out.abort_reason
 
@@ -157,7 +157,7 @@ class TestAbortBranches:
 class TestClampBranch:
     def test_max_key_size_clamp(self):
         cfg = single_photon_config(n_bar=32, n_under=8, m_rule="constant:0")
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         assert out.completed
         assert out.plus.m_clamped and out.plus.length == 32
         assert out.times.m_clamped and out.times.length == 32
@@ -232,7 +232,7 @@ class TestErrorCorrection:
 
 class TestExperimentData:
     def test_conservation(self):
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         d_i, d_e = extract_experiment_data(out)
         assert sum(d_i.a) == out.config.n_prime
         assert all(c <= a for c, a in zip(d_e.c, d_i.a))
@@ -240,14 +240,14 @@ class TestExperimentData:
 
     def test_tilde_variant(self):
         cfg = single_photon_config(p_s=0.01, p_s_tilde=0.03)
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         d_i, _ = extract_experiment_data(out)
         d_i_t, _ = extract_experiment_data(out, tilde=True)
         assert d_i.p_s == 0.01 and d_i_t.p_s == 0.03
 
     def test_aborted_before_step6_raises(self):
         out = run_session(single_photon_config(n_prime=140),
-                          noiseless_strategy())
+                          ChannelStrategy())
         with pytest.raises(SessionAborted):
             extract_experiment_data(out)
 
@@ -360,7 +360,7 @@ class TestConfigFiles:
 
     def test_constant_rule_parsing(self):
         cfg = single_photon_config(m_rule="constant:12")
-        out = run_session(cfg, noiseless_strategy())
+        out = run_session(cfg, ChannelStrategy())
         assert out.completed and out.plus.m == 12
 
 
@@ -441,7 +441,7 @@ class TestInitialEveInfoRule:
 class TestTranscriptAndReport:
     def test_transcript_grammar(self):
         import re
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         line_re = re.compile(r"^(\d+) (alice|bob|both) \S.*$")
         steps = []
         for line in out.transcript:
@@ -452,7 +452,7 @@ class TestTranscriptAndReport:
         assert set(steps) >= {2, 3, 4, 6, 7, 8, 9, 10}
 
     def test_truth_bounds_attached(self):
-        out = run_session(single_photon_config(), noiseless_strategy())
+        out = run_session(single_photon_config(), ChannelStrategy())
         for name in ("plus", "times"):
             rep = out.bounds_report[name]
             assert 0.0 < rep["truth_phase_error_bound"] <= 1.0
