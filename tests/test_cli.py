@@ -37,7 +37,7 @@ p_bar = [0.1, 0.45, 0.45]
 """
 
 BOUND_INPUTS = {
-    "j0": 1, "j1": 8, "j2": 1, "j3": 0, "j4": 1, "j5": 0, "m": 6, "l": 4,
+    "j0": 1, "j1": 8, "j2": 1, "j3": 0, "j4": 1, "j5": 0, "m": 6,
     "n_bar": 10, "n_under": 2, "t_distribution": {"0": 0.6, "1": 0.4},
 }
 
@@ -54,7 +54,7 @@ RATE_PARAMS = {
 # Forward K2 (J2 + J4 + J5 = 6) and reverse K2 (J0 + J2 = 2) differ here,
 # and the n_bar / n_under legs are unset.
 BOUND_INPUTS_SPLIT_K2 = {
-    "j0": 1, "j1": 6, "j2": 1, "j3": 0, "j4": 2, "j5": 3, "m": 12, "l": 3,
+    "j0": 1, "j1": 6, "j2": 1, "j3": 0, "j4": 2, "j5": 3, "m": 12,
     "t_distribution": {"0": 0.5, "1": 0.3, "2": 0.2},
 }
 
@@ -74,9 +74,9 @@ ORACLE_ARGS = ["oracle-check", "--suite-size", "20", "--l-max", "2"]
 # the last argument (or None), exit code, manifest digest)
 PINNED_REPORTS = {
     "bound": (["bound", "--inputs"], BOUND_INPUTS, 0,
-        "edc0fe687547faa85f5c435865505b23dbc068ff55f806087f2d740d847478d0"),
+        "985fa12d57554b48d9656cef355bbcfe7cdd2fb2a4021d772677d1fb2a86ae38"),
     "bound-split-k2": (["bound", "--inputs"], BOUND_INPUTS_SPLIT_K2, 0,
-        "c20ecb7a8495995c98aa1e28fb12265d8f1de8d2c9fd4d2816a764e94e3ad8bf"),
+        "161766c7417f5c6aa9f9797690c5e0706800a43a9af2701a0cc5a0c234f5341c"),
     "rates": (["rates", "--params"], RATE_PARAMS, 0,
         "3d440303a05cb65b64e91046556f8dcd241f2d880e06757ffec5deb5b2fdff2a"),
     "rates-sweep": (["rates", "--params"], RATE_SWEEP, 0,
