@@ -22,15 +22,11 @@ for worst-case searches.
 The samplers draw from one numpy Generator in the session's order:
 :func:`sample_detection`, then (the receiver's basis, drawn by the
 protocol) :func:`sample_flips`, then :func:`apply_bit_errors`.
-
-Strategy files are flat ``key = value`` text; see ``STRATEGY_KEYS``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -79,13 +75,6 @@ def classify(labels: np.ndarray, z: np.ndarray) -> ClassCounts:
     j = np.bincount(labels, minlength=9)[3 * NORMAL:].tolist()
     t = int(np.count_nonzero(z[labels == SINGLE + 3 * NORMAL]))
     return ClassCounts(j[0] + j[3], j[1] + j[4], j[2] + j[5], *j, t=t)
-
-
-STRATEGY_KEYS = (
-    "p_dark", "q_vacuum", "q_single", "q_multi_times", "q_multi_plus",
-    "single_error_times", "single_error_plus",
-    "multi_flip_times", "multi_flip_plus",
-)
 
 
 @dataclass(frozen=True)
@@ -186,45 +175,3 @@ def apply_bit_errors(bits: np.ndarray, x: np.ndarray, uniform: np.ndarray,
         out[uniform] = rng.integers(0, 2, size=n_uniform, dtype=np.int8)
     return out
 
-
-# ----------------------------------------------------------------------
-# Strategy files: flat key = value text.
-
-
-def parse_key_values(text: str, keys: Sequence[str]) -> dict:
-    """The ``key = value`` lines of a config text; values are JSON, ``#``
-    starts a comment, and every key must be one of ``keys``."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = json.loads(val.strip())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: bad value: {exc}") from exc
-    return values
-
-
-def strategy_to_text(strategy: ChannelStrategy) -> str:
-    lines = ["# channel strategy"]
-    for key in STRATEGY_KEYS:
-        value = getattr(strategy, key)
-        if isinstance(value, tuple):
-            value = list(value)
-        lines.append(f"{key} = {json.dumps(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def strategy_from_text(text: str) -> ChannelStrategy:
-    values = parse_key_values(text, STRATEGY_KEYS)
-    for key in ("single_error_times", "single_error_plus"):
-        if key in values:
-            values[key] = tuple(values[key])
-    return ChannelStrategy(**values)

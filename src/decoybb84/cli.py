@@ -15,6 +15,7 @@ errors.  All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -24,10 +25,10 @@ from . import bounds as bounds_mod
 from . import decoy as decoy_mod
 from . import oracle as oracle_mod
 from . import rates as rates_mod
-from .channel import strategy_from_text
+from .channel import ChannelStrategy
 from .errors import CapacityError, InfeasibleObservation
 from .hashing import DEFAULT_SEED_GUARD, profile_summary, universality_profile
-from .protocol import config_from_text, run_session
+from .protocol import SessionConfig, run_session
 from .reports import build_report, to_json, to_text
 
 EXIT_OK = 0
@@ -58,6 +59,78 @@ def _load(path: str) -> str:
 
 
 # ----------------------------------------------------------------------
+# Input files.  Session configs and channel strategies are flat
+# ``key = value`` text; the bound, estimate-decoy and rates inputs are JSON
+# objects.  Either way the parsed dict goes through ``load_input``.
+
+# format -> (dataclass built, keys required beyond the fields without a
+# default, keys accepted beside the fields and not passed to the dataclass,
+# fields a file may not set)
+INPUT_FORMATS = {
+    "bound": (bounds_mod.BoundInputs, ("m", "t_distribution"), (), ()),
+    "estimate-decoy": (decoy_mod.ObservedRates, ("nu",), ("nu",), ()),
+    "rates": (rates_mod.RateInputs, (), (), ()),
+    # Trial seeds come from --seed, and only --transcript records one.
+    "session": (SessionConfig, (), (), ("rng_seed", "record_transcript")),
+    "strategy": (ChannelStrategy, (), (), ()),
+}
+
+# Values that files give as JSON lists.
+_CONVERT = {
+    "nu": lambda v: decoy_mod.SourceDistribution(*v),
+    "nus": lambda v: tuple(decoy_mod.SourceDistribution(*nu) for nu in v),
+    "p_bar": tuple,
+}
+
+
+def parse_key_values(text: str) -> dict:
+    """The ``key = value`` lines of a config text; values are JSON and ``#``
+    starts a comment."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        try:
+            values[key.strip()] = json.loads(val.strip())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: bad value: {exc}") from exc
+    return values
+
+
+def _check_keys(spec, accepted, required) -> None:
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
+    for key in spec:
+        if key not in accepted:
+            raise ValueError(f"unknown key {key!r}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError("missing key " + ", ".join(map(repr, missing)))
+
+
+def input_keys(fmt: str) -> tuple[list[str], list[str]]:
+    """The accepted and the required keys of input format ``fmt``."""
+    cls, required, extra, skip = INPUT_FORMATS[fmt]
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    accepted = [f.name for f in fields] + list(extra)
+    return accepted, [f.name for f in fields
+                      if f.default is dataclasses.MISSING] + list(required)
+
+
+def load_input(fmt: str, spec):
+    """Format ``fmt``'s dataclass from the parsed file ``spec``: every key
+    must be accepted and every required key given."""
+    _check_keys(spec, *input_keys(fmt))
+    cls, _, extra, _ = INPUT_FORMATS[fmt]
+    return cls(**{key: _CONVERT[key](val) if key in _CONVERT else val
+                  for key, val in spec.items() if key not in extra})
+
+
+# ----------------------------------------------------------------------
 
 
 def cmd_verify_toeplitz(args) -> int:
@@ -84,10 +157,7 @@ def cmd_oracle_check(args) -> int:
     if args.l_min > args.l_max:
         raise ValueError(f"empty logical range --l-min {args.l_min} > --l-max {args.l_max}")
     rng = np.random.default_rng(args.seed)
-    slacks = {
-        "info_bound": np.inf, "pair_fidelity": np.inf, "pair_trace_norm": np.inf,
-        "avg_fidelity": np.inf, "avg_trace_norm": np.inf, "success": np.inf,
-    }
+    slacks = {}
     l_values = list(range(args.l_min, args.l_max + 1))
     for l in l_values:
         dim = 1 << (2 * l)
@@ -97,20 +167,14 @@ def cmd_oracle_check(args) -> int:
             fig = oracle_mod.pairwise_figures(dist)
             p = fig.phase_error_prob
             fb, tb, fab, tab = bounds_mod.distinguishability_bounds(p)
-            slacks["info_bound"] = min(
-                slacks["info_bound"],
-                bounds_mod.eve_info_bound(p, l) - fig.mutual_info_bits)
-            slacks["pair_fidelity"] = min(
-                slacks["pair_fidelity"], fig.min_pair_fidelity - fb)
-            slacks["pair_trace_norm"] = min(
-                slacks["pair_trace_norm"], tb - fig.max_pair_trace_norm)
-            slacks["avg_fidelity"] = min(
-                slacks["avg_fidelity"], fig.min_avg_fidelity - fab)
-            slacks["avg_trace_norm"] = min(
-                slacks["avg_trace_norm"], tab - fig.max_avg_trace_norm)
-            slacks["success"] = min(
-                slacks["success"],
-                bounds_mod.success_bound(p, l) - fig.opt_success_prob)
+            for name, slack in (
+                    ("info_bound", bounds_mod.eve_info_bound(p, l) - fig.mutual_info_bits),
+                    ("pair_fidelity", fig.min_pair_fidelity - fb),
+                    ("pair_trace_norm", tb - fig.max_pair_trace_norm),
+                    ("avg_fidelity", fig.min_avg_fidelity - fab),
+                    ("avg_trace_norm", tab - fig.max_avg_trace_norm),
+                    ("success", bounds_mod.success_bound(p, l) - fig.opt_success_prob)):
+                slacks[name] = min(slacks.get(name, np.inf), slack)
     defective = ("pair_trace_norm", "avg_trace_norm")
     if args.provable_only:
         for name in defective:
@@ -137,8 +201,8 @@ def cmd_oracle_check(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    cfg = config_from_text(_load(args.config))
-    strategy = strategy_from_text(_load(args.strategy))
+    cfg = load_input("session", parse_key_values(_load(args.config)))
+    strategy = load_input("strategy", parse_key_values(_load(args.strategy)))
     sessions = []
     statuses = {"completed": 0, "aborted": 0}
     for trial in range(args.trials):
@@ -178,12 +242,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = json.loads(_load(args.inputs))
-    # Subscripts before .get: a file that is not an object fails with TypeError.
-    inputs = bounds_mod.BoundInputs(
-        t_distribution=spec["t_distribution"], m=spec["m"],
-        j0=spec.get("j0", 0), j1=spec.get("j1", 0), j2=spec.get("j2", 0),
-        j3=spec.get("j3", 0), j4=spec.get("j4", 0), j5=spec.get("j5", 0),
-        n_bar=spec.get("n_bar"), n_under=spec.get("n_under"))
+    inputs = load_input("bound", spec)
     fwd = bounds_mod.forward_bound(inputs)
     rev = bounds_mod.reverse_bound(inputs)
     two = bounds_mod.twoway_bound(inputs)
@@ -210,12 +269,8 @@ def cmd_bound(args) -> int:
 
 def cmd_estimate_decoy(args) -> int:
     spec = json.loads(_load(args.observations))
-    nu = decoy_mod.SourceDistribution(*spec["nu"])
-    obs = decoy_mod.ObservedRates(
-        p0=spec["p0"], p_dark=spec["p_dark"],
-        p_nu_times=spec["p_nu_times"], s_nu_times=spec["s_nu_times"],
-        p_nu_plus=spec.get("p_nu_plus"), s_nu_plus=spec.get("s_nu_plus"),
-        p_s=spec.get("p_s", 0.0), p_s_tilde=spec.get("p_s_tilde", 0.0))
+    obs = load_input("estimate-decoy", spec)
+    nu = _CONVERT["nu"](spec["nu"])
     payload: dict = {"nu": [nu.v0, nu.v1, nu.v2], "observations": spec}
     code = EXIT_OK
     try:
@@ -240,17 +295,16 @@ def cmd_estimate_decoy(args) -> int:
 
 def cmd_rates(args) -> int:
     spec = json.loads(_load(args.params))
-    rows = spec["sweep"] if "sweep" in spec else [spec]
+    rows = [spec]
+    if isinstance(spec, dict) and "sweep" in spec:
+        _check_keys(spec, ("sweep",), ())
+        rows = spec["sweep"]
     if not rows:
         raise ValueError("empty sweep: no rate rows to check")
     table = []
     all_ok = True
     for row in rows:
-        inputs = rates_mod.RateInputs(
-            nu=decoy_mod.SourceDistribution(*row["nu"]),
-            q1=row["q1"], r1=row["r1"], p0=row["p0"], p_dark=row["p_dark"],
-            p_nu_plus=row["p_nu_plus"], s_nu_plus=row["s_nu_plus"])
-        report = rates_mod.verify_rate_ordering(inputs)
+        report = rates_mod.verify_rate_ordering(load_input("rates", row))
         entry = dict(row)
         entry.update({name: val for name, val in report.rates.items()})
         entry["no_key"] = {name: val <= 0 for name, val in report.rates.items()}

@@ -149,9 +149,6 @@ class BitMatrix:
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, (0,) * rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, tuple(pack_rows(self.to_array().T)))
 

@@ -30,7 +30,6 @@ Conventions the protocol text leaves open (documented assumptions):
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,8 +39,8 @@ import numpy as np
 from . import kernels
 from .bounds import k2_count, min_decoding_bound
 from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
-                      ClassCounts, apply_bit_errors, classify, parse_key_values,
-                      sample_detection, sample_flips, uniform_mask)
+                      ClassCounts, apply_bit_errors, classify, sample_detection,
+                      sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, SessionAborted, check_law,
                      check_probability)
@@ -477,31 +476,3 @@ def extract_experiment_data(outcome: SessionOutcome,
     return (outcome.initial_tilde if tilde else outcome.initial,
             outcome.experiment)
 
-
-# ----------------------------------------------------------------------
-# Session config files: flat key = value text with JSON values.
-
-CONFIG_KEYS = ("n", "n_bar", "n_under", "n_prime", "nus", "i0", "p_bar",
-               "p_s", "p_s_tilde", "m_rule", "margin_bits",
-               "ec_direction", "decode_guard")
-
-
-def config_to_text(cfg: SessionConfig) -> str:
-    lines = ["# session config"]
-    for key in CONFIG_KEYS:
-        value = getattr(cfg, key)
-        if key == "nus":
-            value = [[nu.v0, nu.v1, nu.v2] for nu in value]
-        elif key == "p_bar":
-            value = list(value)
-        lines.append(f"{key} = {json.dumps(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> SessionConfig:
-    values = parse_key_values(text, CONFIG_KEYS)
-    if "nus" in values:
-        values["nus"] = tuple(SourceDistribution(*v) for v in values["nus"])
-    if "p_bar" in values:
-        values["p_bar"] = tuple(values["p_bar"])
-    return SessionConfig(**values)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import hbar, k2_count
+from .bounds import hbar
 from .decoy import SourceDistribution
 from .errors import check_probability
 
@@ -128,14 +128,6 @@ def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
     return n * (1.0 - photon - credit)
-
-
-def initial_eve_information_counts(j: tuple[int, ...], r1: float,
-                                   direction: str = "forward") -> float:
-    """Initial Eve information from the classification counts (j0, ..., j5)."""
-    if direction not in ("forward", "reverse"):
-        raise ValueError("direction must be 'forward' or 'reverse'")
-    return j[1] * hbar(r1) + k2_count(j, direction)
 
 
 @dataclass(frozen=True)

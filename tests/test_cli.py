@@ -11,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from decoybb84.cli import build_parser, main
+from decoybb84.channel import ChannelStrategy
+from decoybb84.cli import INPUT_FORMATS, build_parser, input_keys, load_input, main, \
+    parse_key_values
+from decoybb84.decoy import SourceDistribution
+from decoybb84.protocol import SessionConfig
 from decoybb84.reports import SCHEMA
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 NOISELESS_STRATEGY = """\
 p_dark = 0.0
@@ -233,6 +239,13 @@ class TestOracleCheck:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def readme_block(name: str) -> str:
+    """The README's example file ``name``, from its ``# name`` line."""
+    block = re.search(rf"```\n(# {re.escape(name)}\n.*?)```", README.read_text(), re.S)
+    assert block, f"README has no {name} block"
+    return block.group(1)
+
+
 @pytest.fixture()
 def session_files(tmp_path):
     cfg = tmp_path / "session.cfg"
@@ -280,13 +293,10 @@ class TestSimulate:
         assert (digest, transcript) == PINNED_SIMULATE[name]
 
     def test_readme_example_runs(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paths = []
         for name in ("session.cfg", "strategy.cfg"):
-            block = re.search(rf"```\n(# {re.escape(name)}\n.*?)```", readme, re.S)
-            assert block, f"README has no {name} block"
             paths.append(tmp_path / name)
-            paths[-1].write_text(block.group(1))
+            paths[-1].write_text(readme_block(name))
         out = tmp_path / "r.json"
         rc = main(["--format", "json", "--out", str(out), "simulate", "--config",
                    str(paths[0]), "--strategy", str(paths[1]), "--trials", "20"])
@@ -413,6 +423,86 @@ class TestBound:
         assert main(["bound", "--inputs", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: t_distribution") and err.count("\n") == 1
+
+
+# case -> (command line ending in the flag of the bad input file, its
+# contents (JSON unless a string), the one error line).  "{session}" and
+# "{strategy}" name valid files for the other input of simulate.
+BOUND_FLAG = ["bound", "--inputs"]
+DECOY_FLAG = ["estimate-decoy", "--observations"]
+RATES_FLAG = ["rates", "--params"]
+SESSION_FLAG = ["simulate", "--strategy", "{strategy}", "--config"]
+STRATEGY_FLAG = ["simulate", "--config", "{session}", "--strategy"]
+
+
+def _drop(spec: dict, key: str) -> dict:
+    return {k: v for k, v in spec.items() if k != key}
+
+
+BAD_INPUTS = {
+    "unknown-bound": (BOUND_FLAG, {"j1": 8, "m": 6, "t_distribution": {"0": 0.6, "1": 0.4},
+                                   "bogus": 1, "n_bar": 10}, "unknown key 'bogus'"),
+    "unknown-estimate-decoy": (DECOY_FLAG, dict(OBSERVATIONS, p_nu_tims=0.1),
+                               "unknown key 'p_nu_tims'"),
+    "unknown-rates": (RATES_FLAG, dict(RATE_PARAMS, bogus=1), "unknown key 'bogus'"),
+    "unknown-rates-sweep-row": (RATES_FLAG, {"sweep": [RATE_PARAMS, dict(RATE_PARAMS, n_undr=2)]},
+                                "unknown key 'n_undr'"),
+    "unknown-rates-sweep": (RATES_FLAG, {"sweep": [RATE_PARAMS], "q1": 0.3}, "unknown key 'q1'"),
+    "unknown-session": (SESSION_FLAG, SESSION_CONFIG + "n_undr = 8\n", "unknown key 'n_undr'"),
+    "unknown-strategy": (STRATEGY_FLAG, NOISELESS_STRATEGY + "q_multi = 1.0\n",
+                         "unknown key 'q_multi'"),
+    "missing-bound-m": (BOUND_FLAG, _drop(BOUND_INPUTS, "m"), "missing key 'm'"),
+    "missing-bound-t": (BOUND_FLAG, _drop(BOUND_INPUTS, "t_distribution"),
+                        "missing key 't_distribution'"),
+    "missing-estimate-decoy-nu": (DECOY_FLAG, _drop(OBSERVATIONS, "nu"), "missing key 'nu'"),
+    "missing-estimate-decoy-p0": (DECOY_FLAG, _drop(OBSERVATIONS, "p0"), "missing key 'p0'"),
+    "missing-rates": (RATES_FLAG, _drop(RATE_PARAMS, "q1"), "missing key 'q1'"),
+    "missing-rates-sweep-row": (RATES_FLAG, {"sweep": [RATE_PARAMS, _drop(RATE_PARAMS, "r1")]},
+                                "missing key 'r1'"),
+    "missing-session": (SESSION_FLAG, SESSION_CONFIG.replace("n_prime = 512\n", ""),
+                        "missing key 'n_prime'"),
+    "list-bound": (BOUND_FLAG, [BOUND_INPUTS], "expected a JSON object, got list"),
+    "null-estimate-decoy": (DECOY_FLAG, None, "expected a JSON object, got NoneType"),
+    "number-rates": (RATES_FLAG, 3, "expected a JSON object, got int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_file_exit_2(tmp_path, capsys, name):
+    argv, spec, message = BAD_INPUTS[name]
+    session, strategy = tmp_path / "session.cfg", tmp_path / "strategy.cfg"
+    session.write_text(SESSION_CONFIG)
+    strategy.write_text(NOISELESS_STRATEGY)
+    path = tmp_path / "input"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    argv = [a.format(session=session, strategy=strategy) for a in argv]
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_readme_files_list_every_key_and_load():
+    # The README's session file lists every key but the guard.
+    session = parse_key_values(readme_block("session.cfg") + "decode_guard = 4096\n")
+    strategy = parse_key_values(readme_block("strategy.cfg"))
+    assert sorted(session) == sorted(input_keys("session")[0])
+    assert sorted(strategy) == sorted(input_keys("strategy")[0])
+    assert load_input("session", session) == SessionConfig(
+        n=24, n_bar=24, n_under=2, n_prime=4000, nus=(SourceDistribution(0.0, 1.0, 0.0),),
+        i0=1, p_bar=(0.1, 0.45, 0.45), p_s=0.0, p_s_tilde=0.0, m_rule="initial-eve-info",
+        margin_bits=0, ec_direction="forward", decode_guard=4096)
+    law = (0.9, 0.03, 0.04, 0.03)
+    assert load_input("strategy", strategy) == ChannelStrategy(
+        p_dark=0.001, q_vacuum=0.001, q_single=0.6, q_multi_times=0.7, q_multi_plus=0.7,
+        single_error_times=law, single_error_plus=law,
+        multi_flip_times=0.05, multi_flip_plus=0.05)
+
+
+def test_readme_config_section_lists_every_input_key():
+    section = re.search(r"^### Config file formats\n(.*?)^### ", README.read_text(),
+                        re.S | re.M).group(1)
+    for fmt in INPUT_FORMATS:
+        for key in input_keys(fmt)[0]:
+            assert re.search(rf"`{key}`|^{key} = ", section, re.M), (fmt, key)
 
 
 @pytest.mark.parametrize("args", [
@@ -579,6 +669,6 @@ def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def test_readme_cli_section_lists_every_flag():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
     assert set(re.findall(r"--[a-z][a-z-]*", section)) == _option_strings(build_parser())

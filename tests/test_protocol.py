@@ -10,13 +10,13 @@ import pytest
 
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
+from decoybb84.cli import load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import SessionAborted
 from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
-                                config_from_text, config_to_text, decode_to_seed,
-                                error_correct, extract_experiment_data,
+                                decode_to_seed, error_correct, extract_experiment_data,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
 from oracles import min_distance_decode
@@ -320,18 +320,26 @@ class TestExperimentData:
         assert successes > 0 and failures > 0  # both branches exercised
 
 
-class TestConfigFiles:
-    def test_round_trip(self):
-        cfg = single_photon_config(m_rule="constant:4", margin_bits=2)
-        text = config_to_text(cfg)
-        back = config_from_text(text)
-        # Session files carry no seed: rng_seed comes back at its default.
-        assert back == replace(cfg, rng_seed=SessionConfig.rng_seed)
-        assert cfg.rng_seed != SessionConfig.rng_seed
+# The session file of single_photon_config(), which carries no rng_seed.
+SINGLE_PHOTON_TEXT = """\
+n = 64
+n_bar = 64
+n_under = 8
+n_prime = 512
+nus = [[0.0, 1.0, 0.0]]
+i0 = 1
+p_bar = [0.1, 0.45, 0.45]
+"""
 
+
+def load_session(text):
+    return load_input("session", parse_key_values(text))
+
+
+class TestConfigFiles:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
-            config_from_text("zzz = 3\n")
+            load_session("zzz = 3\n")
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -353,10 +361,10 @@ class TestConfigFiles:
     ])
     def test_nan_rejected(self, line):
         # A later line overrides the same key of the valid base config.
-        text = config_to_text(single_photon_config())
-        config_from_text(text)
+        base = load_session(SINGLE_PHOTON_TEXT)
+        assert base == single_photon_config(rng_seed=SessionConfig.rng_seed)
         with pytest.raises(ValueError):
-            config_from_text(text + line + "\n")
+            load_session(SINGLE_PHOTON_TEXT + line + "\n")
 
     def test_constant_rule_parsing(self):
         cfg = single_photon_config(m_rule="constant:12")

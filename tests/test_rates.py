@@ -6,8 +6,7 @@ import pytest
 from decoybb84.bounds import hbar
 from decoybb84.decoy import SourceDistribution
 from decoybb84.rates import (RateInputs, all_rates, gllp_effective_params,
-                             initial_eve_information_asymptotic,
-                             initial_eve_information_counts, rate_bar_forward,
+                             initial_eve_information_asymptotic, rate_bar_forward,
                              rate_bar_reverse, rate_forward, rate_gllp_ilm,
                              rate_reverse, rate_twoway, shannon_eta,
                              verify_rate_ordering)
@@ -117,13 +116,6 @@ class TestInitialEveInformation:
         assert initial_eve_information_asymptotic(
             nu, 1.0, 0.0, 0.0, 0.0, 1.0, n=100, direction="forward") == \
             pytest.approx(0.0)
-
-    def test_count_arithmetic(self):
-        j = (1, 4, 1, 1, 1, 0)
-        assert initial_eve_information_counts(j, 0.5, "forward") == \
-            pytest.approx(6.0)
-        assert initial_eve_information_counts(j, 0.5, "reverse") == \
-            pytest.approx(6.0)  # 4*1 + 1 + 1
 
     def test_asymptotic_matches_expected_counts(self):
         # With counts at their expected fractions the two forms agree.
