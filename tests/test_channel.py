@@ -1,6 +1,7 @@
 """Pulse classification, the array channel samplers, and the strategy file format."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED,
                                VACUUM, ChannelStrategy, apply_bit_errors, classify,
                                sample_detection, sample_flips, uniform_mask)
-from decoybb84.cli import load_input, parse_key_values
+from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.errors import DimensionMismatch
 
 
@@ -284,6 +285,16 @@ class TestDetectionSampling:
 
 
 class TestStrategyFiles:
+    def test_round_trip(self):
+        strat = ChannelStrategy(p_dark=0.01, q_vacuum=0.02, q_single=0.6,
+                                q_multi_times=0.7, q_multi_plus=0.8,
+                                single_error_plus=(0.9, 0.05, 0.03, 0.02),
+                                single_error_times=(0.85, 0.05, 0.05, 0.05),
+                                multi_flip_times=0.1, multi_flip_plus=0.2)
+        text = "".join(f"{key} = {json.dumps(getattr(strat, key))}\n"
+                       for key in input_keys("strategy")[0])
+        assert load_strategy(text) == strat
+
     def test_comments_and_blanks(self):
         text = ("# comment\n\np_dark = 0.1\nq_single = 0.5\n"
                 "q_multi_times = 0.8\nq_multi_plus = 0.8\n")

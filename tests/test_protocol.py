@@ -2,15 +2,16 @@
 
 import hashlib
 import itertools
+import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
-from decoybb84.cli import load_input, parse_key_values
+from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import SessionAborted
@@ -337,6 +338,15 @@ def load_session(text):
 
 
 class TestConfigFiles:
+    def test_round_trip(self):
+        cfg = single_photon_config(m_rule="constant:4", margin_bits=2)
+        text = "".join(
+            f"{key} = {json.dumps(getattr(cfg, key), default=astuple)}\n"
+            for key in input_keys("session")[0])
+        # Session files carry no seed: rng_seed comes back at its default.
+        assert load_session(text) == replace(cfg, rng_seed=SessionConfig.rng_seed)
+        assert cfg.rng_seed != SessionConfig.rng_seed
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             load_session("zzz = 3\n")
