@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -572,6 +573,45 @@ PINNED_ELEVEN_KIND_SESSIONS = {
 }
 
 
+def all_multi_config(rng_seed):
+    # SourceDistribution refuses v1 = 0 (the estimators need single photons);
+    # the simulator reads only v0, v1 and v2.  No single-photon flip draws.
+    return replace(desk_config(rng_seed), m_rule="constant:2",
+                   nus=(SimpleNamespace(v0=0.0, v1=0.0, v2=1.0),))
+
+
+def zero_kind_config(rng_seed):
+    # k = 2 with kinds 2 and 4 (the second source) at probability 0.
+    return replace(desk_config(rng_seed),
+                   nus=(SourceDistribution(0.0, 1.0, 0.0), SourceDistribution(0.5, 0.3, 0.2)),
+                   p_bar=(0.1, 0.45, 0.0, 0.45, 0.0))
+
+
+def no_single_config(rng_seed):
+    # Run with q_single = 0, so no single photon is a normal count.
+    return replace(desk_config(rng_seed), m_rule="constant:2",
+                   nus=(SourceDistribution(0.2, 0.5, 0.3),))
+
+
+EDGE_CASES = {
+    "all-multi": (all_multi_config, DESK_STRATEGY),
+    "zero-kind": (zero_kind_config, DESK_STRATEGY),
+    "no-single": (no_single_config, replace(DESK_STRATEGY, q_single=0.0)),
+}
+
+PINNED_EDGE_SESSIONS = {
+    ("all-multi", 0): 'ced96bf511f36f2f completed 14:3d28/14:3d28 17:16145/17:16145',
+    ("all-multi", 1): '2c2bff656d6f73e0 completed 15:5192/15:6bee 15:7071/15:174c',
+    ("all-multi", 2): 'b76c6bcb3c221461 completed 15:7e77/15:47d2 14:d46/14:d46',
+    ("zero-kind", 0): '736fee5bdfb70ccb completed 6:3/6:3 6:2b/6:2b',
+    ("zero-kind", 1): '8cd4f613d7e9e278 completed 4:d/4:d 4:8/4:8',
+    ("zero-kind", 2): 'e20e17df2c7a76d8 completed 6:23/6:23 6:2d/6:3e',
+    ("no-single", 0): '483ae636b718097a completed 15:163/15:163 11:1e3/11:1e3',
+    ("no-single", 1): 'dd732e3e9155516e completed 11:44b/11:44b 15:4b71/15:4b71',
+    ("no-single", 2): '990cbce255b7da40 completed 15:2417/15:3997 11:24e/11:24e',
+}
+
+
 class TestPinnedSessions:
     @pytest.mark.parametrize("seed", range(16))
     def test_desk_config(self, seed):
@@ -585,3 +625,9 @@ class TestPinnedSessions:
         kinds = out.transcript[0].split(" ", 3)[3].split(",")
         assert "10" in kinds
         assert session_fingerprint(out) == PINNED_ELEVEN_KIND_SESSIONS[seed]
+
+    @pytest.mark.parametrize("case, seed", sorted(PINNED_EDGE_SESSIONS))
+    def test_empty_draw_groups(self, case, seed):
+        make_config, strategy = EDGE_CASES[case]
+        out = run_session(make_config(seed), strategy)
+        assert session_fingerprint(out) == PINNED_EDGE_SESSIONS[case, seed]
