@@ -113,20 +113,61 @@ class ChannelStrategy:
                 raise ValueError("q + p_dark exceeds 1 for some class")
 
 
+def categorical(law, u: np.ndarray) -> np.ndarray:
+    """Index drawn from ``law`` by each uniform of ``u``, in the narrowest
+    unsigned type that holds ``len(law) - 1``.
+
+    Exactly ``rng.choice(len(law), size=len(u), p=law)`` when ``u`` is
+    ``rng.random(len(u))``: numpy's choice builds ``cdf = p.cumsum();
+    cdf /= cdf[-1]`` and returns ``cdf.searchsorted(u, side="right")``, the
+    count of cdf entries at or below u.  That count is taken here, skipping
+    ``cdf[-1]``, which is exactly 1 and so above every u.
+    """
+    cdf = np.asarray(law, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    idx = np.zeros(len(u), dtype=np.min_scalar_type(len(cdf) - 1))
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
+
+
+def group_uniforms(rng: np.random.Generator, groups) -> list[np.ndarray]:
+    """One uniform per position of each group, groups in order, from one draw.
+
+    Consecutive ``rng.random`` calls concatenate, so slice g is what
+    ``rng.random(len(groups[g]))`` would give after the groups before it.
+    """
+    u = rng.random(sum(len(pos) for pos in groups))
+    out, start = [], 0
+    for pos in groups:
+        out.append(u[start:start + len(pos)])
+        start += len(pos)
+    return out
+
+
+def _cell(cls: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Index ``3 cls + basis + 1`` of each pulse into a class x (no basis,
+    PLUS, TIMES) table flattened row by row."""
+    return cls * 3 + basis + 1
+
+
 def sample_detection(strategy: ChannelStrategy, cls: np.ndarray, basis: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Detection tag per pulse from one uniform draw each.
 
-    A draw below the class's yield q is a normal count, one in the next
-    ``p_dark`` a dark count, anything above undetected.
+    A draw below the pulse's yield q is a normal count, one in the next
+    ``p_dark`` a dark count, anything above undetected.  q is looked up by
+    class and basis; a multi-photon pulse not in the x basis takes
+    ``q_multi_plus``.
     """
-    q = np.select([cls == VACUUM, cls == SINGLE, basis == TIMES],
-                  [strategy.q_vacuum, strategy.q_single, strategy.q_multi_times],
-                  strategy.q_multi_plus)
+    s = strategy
+    q = np.array([s.q_vacuum] * 3 + [s.q_single] * 3
+                 + [s.q_multi_plus, s.q_multi_plus, s.q_multi_times]).take(_cell(cls, basis))
     u = rng.random(len(cls))
-    det = np.full(len(cls), UNDETECTED, dtype=np.int8)
-    det[u < q] = NORMAL
-    det[(u >= q) & (u < q + strategy.p_dark)] = DARK
+    # 2 below q + p_dark, less 1 below q: NORMAL, DARK or UNDETECTED.
+    det = (u < q + s.p_dark).astype(np.int8)
+    det <<= 1
+    det -= u < q
     return det
 
 
@@ -134,28 +175,26 @@ def sample_flips(strategy: ChannelStrategy, cls: np.ndarray, det: np.ndarray,
                  basis: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Bit flips ``x`` and phase flips ``z`` of the normal-count photons.
 
-    Draws, each skipped when its group is empty: the single-photon laws in
-    the + then the x basis (one law index 2x + z per pulse), then the
-    multi-photon bit flips in the + then the x basis.  Every other pulse
+    One uniform each, in four groups drawn in this order (see
+    :func:`group_uniforms`): single photons in the + then the x basis (one
+    law index 2x + z per pulse, as :func:`categorical`), then multi-photon
+    bit flips in the + then the x basis (``x = u < p``).  Every other pulse
     gets ``x = z = 0``.
     """
+    s = strategy
     x = np.zeros(len(cls), dtype=np.int8)
     z = np.zeros(len(cls), dtype=np.int8)
-    normal = det == NORMAL
-    for b, law in ((PLUS, strategy.single_error_plus),
-                   (TIMES, strategy.single_error_times)):
-        mask = normal & (cls == SINGLE) & (basis == b)
-        cnt = int(mask.sum())
-        if cnt:
-            idx = rng.choice(4, size=cnt, p=np.asarray(law))
-            x[mask] = idx >> 1
-            z[mask] = idx & 1
-    for b, p_flip in ((PLUS, strategy.multi_flip_plus),
-                      (TIMES, strategy.multi_flip_times)):
-        mask = normal & (cls == MULTI) & (basis == b)
-        cnt = int(mask.sum())
-        if cnt:
-            x[mask] = rng.random(cnt) < p_flip
+    normal = np.flatnonzero(det == NORMAL)
+    cell = _cell(cls[normal], basis[normal])
+    groups = [normal[cell == 3 * c + b + 1]
+              for c in (SINGLE, MULTI) for b in (PLUS, TIMES)]
+    u = group_uniforms(rng, groups)
+    for pos, u_g, law in zip(groups, u, (s.single_error_plus, s.single_error_times)):
+        idx = categorical(law, u_g)
+        x[pos] = idx >> 1
+        z[pos] = idx & 1
+    for pos, u_g, p_flip in zip(groups[2:], u[2:], (s.multi_flip_plus, s.multi_flip_times)):
+        x[pos] = u_g < p_flip
     return x, z
 
 
@@ -170,7 +209,7 @@ def apply_bit_errors(bits: np.ndarray, x: np.ndarray, uniform: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Received bits: ``bits ^ x``, with one coin per ``uniform`` position."""
     out = bits ^ x
-    n_uniform = int(uniform.sum())
+    n_uniform = np.count_nonzero(uniform)
     if n_uniform:
         out[uniform] = rng.integers(0, 2, size=n_uniform, dtype=np.int8)
     return out

@@ -61,7 +61,8 @@ def _load(path: str) -> str:
 # ----------------------------------------------------------------------
 # Input files.  Session configs and channel strategies are flat
 # ``key = value`` text; the bound, estimate-decoy and rates inputs are JSON
-# objects.  Either way the parsed dict goes through ``load_input``.
+# objects.  Either way the parsed dict goes through ``load_input``, and a
+# key given twice anywhere is an error, not "the last one wins".
 
 # format -> (dataclass built, keys required beyond the fields without a
 # default, keys accepted beside the fields and not passed to the dataclass,
@@ -83,10 +84,24 @@ _CONVERT = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _parse_json(text: str):
+    """JSON text to Python, rejecting a key repeated inside one object."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def parse_key_values(text: str) -> dict:
     """The ``key = value`` lines of a config text; values are JSON and ``#``
     starts a comment."""
-    values = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,10 +110,10 @@ def parse_key_values(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         try:
-            values[key.strip()] = json.loads(val.strip())
+            pairs.append((key.strip(), _parse_json(val.strip())))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: bad value: {exc}") from exc
-    return values
+    return _unique_keys(pairs)
 
 
 def _check_keys(spec, accepted, required) -> None:
@@ -241,7 +256,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    spec = json.loads(_load(args.inputs))
+    spec = _parse_json(_load(args.inputs))
     inputs = load_input("bound", spec)
     fwd = bounds_mod.forward_bound(inputs)
     rev = bounds_mod.reverse_bound(inputs)
@@ -268,7 +283,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_estimate_decoy(args) -> int:
-    spec = json.loads(_load(args.observations))
+    spec = _parse_json(_load(args.observations))
     obs = load_input("estimate-decoy", spec)
     nu = _CONVERT["nu"](spec["nu"])
     payload: dict = {"nu": [nu.v0, nu.v1, nu.v2], "observations": spec}
@@ -294,7 +309,7 @@ def cmd_estimate_decoy(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    spec = json.loads(_load(args.params))
+    spec = _parse_json(_load(args.params))
     rows = [spec]
     if isinstance(spec, dict) and "sweep" in spec:
         _check_keys(spec, ("sweep",), ())

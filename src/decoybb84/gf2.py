@@ -194,10 +194,31 @@ def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
     return work, pivots
 
 
+def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], int]:
+    """Reduce packed rows against each other on the bits inside ``mask``.
+
+    ``mask`` is the low bits 0 .. c-1.  Returns the pivot rows, keyed by
+    their lowest set bit (all their other bits inside ``mask`` lie higher),
+    and the OR of what is left of the rows that cancel inside ``mask``.
+    """
+    pivots: dict[int, int] = {}
+    rest = 0
+    for r in rows:
+        while r & mask:
+            low = r & -r
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
+                break
+            r ^= p
+        else:
+            rest |= r
+    return pivots, rest
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank via Gaussian elimination."""
-    _, pivots = _eliminate(list(m.row_bits), m.cols)
-    return len(pivots)
+    """GF(2) rank: the number of pivots after reducing the rows."""
+    return len(_reduce(m.row_bits, (1 << m.cols) - 1)[0])
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
@@ -219,28 +240,23 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     """One solution ``u`` of ``M u = v``, or None if ``v`` is not in the image.
 
-    Works on the transposed system: the image of M is the row space of M^T.
+    Reduces the rows of (M | v), with v's bit i above row i's last column:
+    a row of M that cancels while its v bit stays is 0 = 1.  Then each
+    pivot's unknown follows from the higher ones; free unknowns are 0.
     """
     if m.rows != v.length:
         raise DimensionMismatch(f"matrix rows {m.rows} != vector length {v.length}")
-    # Augment each column of M (as a row of M^T) with the unit vector that
-    # remembers which combination of columns produced it.
-    aug = [col | (1 << (m.rows + j)) for j, col in enumerate(m.transpose().row_bits)]
-    work, _ = _eliminate(aug, m.rows)  # pivots only in the first m.rows columns
-    residual = v.bits
-    combo = 0
-    mask = (1 << m.rows) - 1
-    for row in work:
-        lead = row & mask
-        if lead == 0:
-            continue
-        low = lead & -lead
-        if residual & low:
-            residual ^= lead
-            combo ^= row >> m.rows
-    if residual != 0:
+    mask = (1 << m.cols) - 1
+    pivots, rest = _reduce([row | (v.bits >> i & 1) << m.cols
+                            for i, row in enumerate(m.row_bits)], mask)
+    if rest:
         return None
-    return BitVector(m.cols, combo)
+    u = 0
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        if ((row >> m.cols) + (row & u).bit_count()) & 1:
+            u |= low
+    return BitVector(m.cols, u)
 
 
 def span_ints(basis: Sequence[int]) -> list[int]:

@@ -39,8 +39,8 @@ import numpy as np
 from . import kernels
 from .bounds import k2_count, min_decoding_bound
 from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
-                      ClassCounts, apply_bit_errors, classify, sample_detection,
-                      sample_flips, uniform_mask)
+                      ClassCounts, apply_bit_errors, categorical, classify, group_uniforms,
+                      sample_detection, sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, SessionAborted, check_law,
                      check_probability)
@@ -158,14 +158,21 @@ def _hexbits(bits: np.ndarray) -> str:
 def _comma_list(values: np.ndarray) -> str:
     """``",".join(map(str, values))`` for nonnegative ints, with no str() per
     value: each value's digits fill one fixed-width row of a uint8 buffer
-    ending in a comma, and the leading zeros are dropped."""
-    values = np.asarray(values, dtype=np.int64)[:, np.newaxis]
-    width = len(str(values.max(initial=0)))
-    place = 10 ** np.arange(width - 1, -1, -1)
+    ending in a comma, and the leading zeros are dropped.  The digits come
+    last first, by one division by 10 per column, in the narrowest unsigned
+    type that holds the largest value."""
+    values = np.asarray(values)
+    top = int(values.max(initial=0))
+    rest = values.astype(np.min_scalar_type(top))
+    width = len(str(top))
     text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
-    text[:, :width] = values // place % 10 + ord("0")
     keep = np.ones(text.shape, dtype=bool)
-    keep[:, :width - 1] = values >= place[:-1]
+    for j in range(width - 1, -1, -1):
+        quot = rest // 10
+        text[:, j] = rest - quot * 10 + ord("0")
+        if j:
+            keep[:, j - 1] = quot != 0  # a leading zero unless more digits follow
+        rest = quot
     return text[keep].tobytes()[:-1].decode("ascii")
 
 
@@ -184,7 +191,8 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
     Fast path: an exact preimage exists (no residual error).  Otherwise the
-    code is enumerated exhaustively up to the guard.
+    code is enumerated exhaustively up to the guard, from the one transpose
+    of ``m_e`` the decode builds.
     """
     exact = solve(m_e, received)
     if exact is not None:
@@ -285,33 +293,28 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
             transcript.append(f"{step} {who} {what()}")
 
     # Step 1: Alice draws kinds and photon classes; nothing is public yet.
-    kinds = rng.choice(n_kinds, size=cfg.n_prime, p=np.asarray(cfg.p_bar))
+    kinds = categorical(cfg.p_bar, rng.random(cfg.n_prime))
     a_counts = np.bincount(kinds, minlength=n_kinds)
     cls = np.zeros(cfg.n_prime, dtype=np.int8)  # VACUUM, SINGLE, MULTI = 0, 1, 2
-    for kind in range(n_kinds):
-        mask = kinds == kind
-        if kind == 0 or not mask.any():
-            continue
+    groups = [np.flatnonzero(kinds == kind) for kind in range(1, n_kinds)]
+    for kind, pos, u in zip(range(1, n_kinds), groups, group_uniforms(rng, groups)):
         nu = cfg.nus[(kind - 1) % k]
-        cls[mask] = rng.choice(3, size=int(mask.sum()),
-                               p=[nu.v0, nu.v1, nu.v2])
-    basis_alice = np.where(kinds == 0, -1, np.where(kinds <= k, TIMES, PLUS))
+        cls[pos] = categorical((nu.v0, nu.v1, nu.v2), u)
+    basis_alice = np.array([-1] + [TIMES] * k + [PLUS] * k, dtype=np.int8)[kinds]
     alice_bits = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)
 
     # Channel: detection tags, Bob's basis, then flips and uniform coins.
     det = sample_detection(strategy, cls, basis_alice, rng)
     detected = det != UNDETECTED
     bob_basis = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)
-    common = detected & (basis_alice >= 0) & (bob_basis == basis_alice)
+    common = detected & (bob_basis == basis_alice)  # Bob's basis is never -1
     xflip, zflip = sample_flips(strategy, cls, det, basis_alice, rng)
     bob_bits = apply_bit_errors(alice_bits, xflip,
                                 uniform_mask(cls, det, basis_alice, bob_basis), rng)
     # Detector/generator errors on signal bits, per measured basis.
     sig = (det == NORMAL) & (cls != VACUUM) & common
     ud = rng.random(cfg.n_prime)
-    flip_det = sig & (((bob_basis == TIMES) & (ud < cfg.p_s))
-                      | ((bob_basis == PLUS) & (ud < cfg.p_s_tilde)))
-    bob_bits = bob_bits ^ flip_det.astype(np.int8)
+    bob_bits ^= sig & (ud < np.where(bob_basis == TIMES, cfg.p_s, cfg.p_s_tilde))
 
     # Step 2: Alice announces the kinds.
     announce(2, "alice", lambda: "kinds " + _comma_list(kinds))
@@ -425,9 +428,10 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         announce(step_ec, sender, lambda: f"{name} masked " + format(masked.bits, "x"))
         hash_fn = sample_seed(rng, res.length, res.m)
         announce(step_pa, "both", lambda: f"{name} pa-seed " + format(hash_fn.seed.bits, "x"))
+        m_p = hash_fn.matrix()
         seeds = {sender: z, receiver: z_hat}
-        res.alice_key = hash_fn.apply(seeds["alice"])
-        res.bob_key = hash_fn.apply(seeds["bob"])
+        res.alice_key = mat_vec_mul(m_p, seeds["alice"])
+        res.bob_key = mat_vec_mul(m_p, seeds["bob"])
         res.ec_success = z_hat == z
 
     report = {

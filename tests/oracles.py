@@ -2,12 +2,16 @@
 
 Each one restates a definition directly, with no call into the code paths
 it checks: the library decodes and counts from structure, these enumerate.
+The two channel samplers at the end are the earlier per-group code, kept
+verbatim: the library's samplers must make the same draws.
 """
 
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED, VACUUM,
+                               ChannelStrategy)
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import BitVector, lex_order
 from decoybb84.hashing import ToeplitzHash
@@ -81,3 +85,49 @@ def pauli_from_dict(l: int, entries: Mapping[tuple[int, int], float]) -> PauliEr
     for (x, z), v in entries.items():
         p[x, z] = v
     return PauliErrorDistribution(l, p)
+
+
+def sample_detection(strategy: ChannelStrategy, cls: np.ndarray, basis: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Detection tag per pulse from one uniform draw each.
+
+    A draw below the class's yield q is a normal count, one in the next
+    ``p_dark`` a dark count, anything above undetected.
+    """
+    q = np.select([cls == VACUUM, cls == SINGLE, basis == TIMES],
+                  [strategy.q_vacuum, strategy.q_single, strategy.q_multi_times],
+                  strategy.q_multi_plus)
+    u = rng.random(len(cls))
+    det = np.full(len(cls), UNDETECTED, dtype=np.int8)
+    det[u < q] = NORMAL
+    det[(u >= q) & (u < q + strategy.p_dark)] = DARK
+    return det
+
+
+def sample_flips(strategy: ChannelStrategy, cls: np.ndarray, det: np.ndarray,
+                 basis: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Bit flips ``x`` and phase flips ``z`` of the normal-count photons.
+
+    Draws, each skipped when its group is empty: the single-photon laws in
+    the + then the x basis (one law index 2x + z per pulse), then the
+    multi-photon bit flips in the + then the x basis.  Every other pulse
+    gets ``x = z = 0``.
+    """
+    x = np.zeros(len(cls), dtype=np.int8)
+    z = np.zeros(len(cls), dtype=np.int8)
+    normal = det == NORMAL
+    for b, law in ((PLUS, strategy.single_error_plus),
+                   (TIMES, strategy.single_error_times)):
+        mask = normal & (cls == SINGLE) & (basis == b)
+        cnt = int(mask.sum())
+        if cnt:
+            idx = rng.choice(4, size=cnt, p=np.asarray(law))
+            x[mask] = idx >> 1
+            z[mask] = idx & 1
+    for b, p_flip in ((PLUS, strategy.multi_flip_plus),
+                      (TIMES, strategy.multi_flip_times)):
+        mask = normal & (cls == MULTI) & (basis == b)
+        cnt = int(mask.sum())
+        if cnt:
+            x[mask] = rng.random(cnt) < p_flip
+    return x, z

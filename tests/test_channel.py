@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED,
-                               VACUUM, ChannelStrategy, apply_bit_errors, classify,
-                               sample_detection, sample_flips, uniform_mask)
+                               VACUUM, ChannelStrategy, apply_bit_errors, categorical, classify,
+                               group_uniforms, sample_detection, sample_flips, uniform_mask)
 from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.errors import DimensionMismatch
 
@@ -282,6 +283,105 @@ class TestDetectionSampling:
         basis = np.array([-1, PLUS, PLUS, TIMES, TIMES, PLUS], dtype=np.int8)
         det = sample_detection(strat, cls, basis, np.random.default_rng(13))
         assert det.tolist() == [UNDETECTED, UNDETECTED, NORMAL, NORMAL, NORMAL, UNDETECTED]
+
+
+# ----------------------------------------------------------------------
+# Exact draws: the samplers make the same draws as numpy's rng.choice and as
+# the earlier per-group samplers (tests/oracles.py), and leave the generator
+# in the same state.  A numpy change to choice's rule fails here.
+
+CHOICE_LAWS = [
+    (1.0,), (0.0, 1.0), (1.0, 0.0), (0.5, 0.0, 0.5), (0.0, 0.0, 1.0), (0.1, 0.45, 0.45),
+    (0.9, 0.03, 0.04, 0.03), (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
+    (0.04, 0.4) + (0.02,) * 4 + (0.4,) + (0.02,) * 4,
+]
+
+
+def random_law(rng):
+    """A law of 1..12 entries, some of them exactly 0."""
+    w = rng.random(int(rng.integers(1, 13)))
+    w[rng.random(len(w)) < 0.3] = 0.0
+    if not w.any():
+        w[int(rng.integers(len(w)))] = 1.0
+    return tuple((w / w.sum()).tolist())
+
+
+def assert_same_draws(rng_a, rng_b, want, got):
+    assert len(want) == len(got)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g) and w.dtype == g.dtype
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestExactDraws:
+    @pytest.mark.parametrize("law", CHOICE_LAWS)
+    @pytest.mark.parametrize("size", [0, 1, 2, 17, 4000])
+    def test_categorical_matches_choice(self, law, size):
+        rng_a, rng_b = np.random.default_rng(size), np.random.default_rng(size)
+        want = rng_a.choice(len(law), size=size, p=law)
+        got = categorical(law, rng_b.random(size))
+        assert np.array_equal(want, got)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_categorical_fuzz(self):
+        seeds = np.random.default_rng(20)
+        for _ in range(300):
+            law = random_law(seeds)
+            size = int(seeds.choice([0, 1, int(seeds.integers(2, 500))]))
+            seed = int(seeds.integers(1 << 32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(rng_a.choice(len(law), size=size, p=law),
+                                  categorical(law, rng_b.random(size)))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_categorical_at_cdf_edges(self):
+        # A uniform equal to a cdf entry lies above it, as in searchsorted(side="right").
+        law = (0.25, 0.0, 0.25, 0.5)
+        cdf = np.cumsum(law) / np.sum(law)
+        u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+        assert categorical(law, u).tolist() == cdf.searchsorted(u, side="right").tolist()
+        assert categorical(law, u).tolist() == [0, 2, 2, 3, 0, 0, 2]
+
+    def test_group_uniforms_concatenate(self):
+        groups = [np.arange(3), np.arange(0), np.arange(5), np.arange(1)]
+        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+        got = group_uniforms(rng_b, groups)
+        assert [len(u) for u in got] == [3, 0, 5, 1]
+        for u, pos in zip(got, groups):
+            assert np.array_equal(u, rng_a.random(len(pos)))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", [
+        FUZZ_STRATEGY,
+        ChannelStrategy(),
+        ChannelStrategy(p_dark=0.2, q_vacuum=0.0, q_single=0.0, q_multi_times=0.8,
+                        q_multi_plus=0.0, single_error_plus=(0.0, 0.0, 1.0, 0.0),
+                        single_error_times=(0.0, 1.0, 0.0, 0.0),
+                        multi_flip_plus=1.0, multi_flip_times=0.0),
+        ChannelStrategy(p_dark=0.0, q_vacuum=1.0, q_single=1.0, q_multi_times=1.0,
+                        q_multi_plus=1.0, single_error_plus=(0.5, 0.0, 0.0, 0.5),
+                        single_error_times=(0.0, 0.5, 0.5, 0.0),
+                        multi_flip_plus=0.5, multi_flip_times=0.25),
+    ], ids=["fuzz", "noiseless", "zero-entries", "full-yield"])
+    def test_samplers_match_per_group_code(self, strategy):
+        seeds = np.random.default_rng(22)
+        for trial in range(200):
+            n = (0, 1, 2)[trial] if trial < 3 else int(seeds.integers(1, 300))
+            cls, det, basis = random_pulses(seeds, n)
+            keep = int(seeds.integers(4))  # 1..3: only vacuum, single or multi pulses
+            if keep:
+                cls[:] = keep - 1
+                basis[basis < 0] = PLUS
+                if keep == 1:
+                    basis[seeds.random(n) < 0.5] = -1
+            seed = int(seeds.integers(1 << 32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_draws(rng_a, rng_b,
+                              (oracles.sample_detection(strategy, cls, basis, rng_a),),
+                              (sample_detection(strategy, cls, basis, rng_b),))
+            assert_same_draws(rng_a, rng_b,
+                              oracles.sample_flips(strategy, cls, det, basis, rng_a),
+                              sample_flips(strategy, cls, det, basis, rng_b))
 
 
 class TestStrategyFiles:

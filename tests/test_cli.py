@@ -461,6 +461,17 @@ BAD_INPUTS = {
                                 "missing key 'r1'"),
     "missing-session": (SESSION_FLAG, SESSION_CONFIG.replace("n_prime = 512\n", ""),
                         "missing key 'n_prime'"),
+    "duplicate-bound": (BOUND_FLAG, '{"j1": 8, "m": 600, "m": 6, '
+                        '"t_distribution": {"0": 0.6, "1": 0.4}}', "duplicate key 'm'"),
+    "duplicate-bound-t": (BOUND_FLAG, '{"j1": 8, "m": 6, '
+                          '"t_distribution": {"0": 0.6, "0": 0.4}}', "duplicate key '0'"),
+    "duplicate-estimate-decoy": (DECOY_FLAG, json.dumps(OBSERVATIONS)[:-1] + ', "p0": 0.5}',
+                                 "duplicate key 'p0'"),
+    "duplicate-rates-sweep-row": (RATES_FLAG, '{"sweep": [' + json.dumps(RATE_PARAMS)[:-1]
+                                  + ', "q1": 0.3}]}', "duplicate key 'q1'"),
+    "duplicate-session": (SESSION_FLAG, SESSION_CONFIG + "n_bar = 32\n", "duplicate key 'n_bar'"),
+    "duplicate-strategy": (STRATEGY_FLAG, NOISELESS_STRATEGY + "p_dark = 0.5\n",
+                           "duplicate key 'p_dark'"),
     "list-bound": (BOUND_FLAG, [BOUND_INPUTS], "expected a JSON object, got list"),
     "null-estimate-decoy": (DECOY_FLAG, None, "expected a JSON object, got NoneType"),
     "number-rates": (RATES_FLAG, 3, "expected a JSON object, got int"),

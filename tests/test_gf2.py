@@ -106,6 +106,25 @@ class TestImageMembership:
             assert got is not None and mat_vec_mul(m, got) == v
 
 
+class TestSolveAndRankByEnumeration:
+    """``rank`` and ``solve`` against the image of M enumerated over all u."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_vector(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            rows, cols = (int(v) for v in rng.integers(0, 7, size=2))
+            bits = rng.integers(0, 2, size=(rows, cols)) * (rng.random((rows, 1)) < 0.8)
+            m = BitMatrix(rows, cols, tuple(pack_rows(bits)))
+            image = {mat_vec_mul(m, BitVector(cols, u)).bits for u in range(1 << cols)}
+            assert 1 << rank(m) == len(image)
+            for v in range(1 << rows):
+                got = solve(m, BitVector(rows, v))
+                assert (got is not None) == (v in image)
+                if got is not None:
+                    assert mat_vec_mul(m, got).bits == v
+
+
 class TestDualCode:
     """The dual of the code spanned by the rows of M is the kernel of M."""
 

@@ -371,11 +371,18 @@ class TestConfigFiles:
         "p_s_tilde = 1.5",
     ])
     def test_nan_rejected(self, line):
-        # A later line overrides the same key of the valid base config.
+        # The bad line replaces the base config's line for the same key.
         base = load_session(SINGLE_PHOTON_TEXT)
         assert base == single_photon_config(rng_seed=SessionConfig.rng_seed)
-        with pytest.raises(ValueError):
-            load_session(SINGLE_PHOTON_TEXT + line + "\n")
+        key = line.split(" = ")[0]
+        text = "".join(l + "\n" for l in SINGLE_PHOTON_TEXT.splitlines()
+                       if not l.startswith(key + " = "))
+        with pytest.raises(ValueError, match="outside|must be"):
+            load_session(text + line + "\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate key 'n'$"):
+            load_session(SINGLE_PHOTON_TEXT + "n = 32\n")
 
     def test_constant_rule_parsing(self):
         cfg = single_photon_config(m_rule="constant:12")
