@@ -19,9 +19,41 @@ with 0/1 probabilities and point-mass error laws are exactly the extremal
 points of the strategy polytope, so no separate representation is needed
 for worst-case searches.
 
-The samplers draw from one numpy Generator in the session's order:
-:func:`sample_detection`, then (the receiver's basis, drawn by the
-protocol) :func:`sample_flips`, then :func:`apply_bit_errors`.
+Draws.  A session (``protocol.run_session``) makes every random draw from
+one numpy Generator seeded by ``rng_seed``, in this order; the order, sizes
+and dtypes are the contract that keeps seeded transcripts byte for byte.
+N' is the pulse count, A_0 the vacuum-decoy pulses, N the sifted key size.
+
+1. step 1, kinds: ``rng.random(N')``, float64, mapped by
+   :func:`categorical` over ``p_bar``;
+2. step 1, photon classes: ``rng.random(N' - A_0)``, float64, one per pulse
+   of kinds 1 .. 2k, kind by kind and in pulse order within a kind
+   (:func:`group_uniforms`), mapped by :func:`categorical` over the kind's
+   photon-number law;
+3. step 1, Alice's bits: ``rng.integers(0, 2, size=N', dtype=int8)``;
+4. channel, detection: ``rng.random(N')``, float64 (:func:`sample_detection`);
+5. channel, Bob's basis: ``rng.integers(0, 2, size=N', dtype=int8)``;
+6. channel, flips: ``rng.random(F)``, float64, one per normal-count photon
+   with a basis, single photons in the + then the x basis, then multi
+   photons in the + then the x basis (:func:`sample_flips`);
+7. channel, fair coins: ``rng.integers(0, 2, size=U, dtype=int8)`` for the
+   U pulses of :func:`uniform_mask`, skipped when U = 0
+   (:func:`apply_bit_errors`);
+8. channel, detector errors: ``rng.random(N')``, float64;
+9. step 4, check bits: ``rng.choice(E, size=E - N, replace=False)`` for the
+   x then the + raw-key kind, E its common-basis count;
+10. steps 7-10, for the + then the x basis: the EC code
+    ``rng.integers(0, 2, size=(N, lm))``, int64, again until it has full
+    column rank (``protocol.random_full_rank_matrix``); the EC seed
+    ``rng.integers(0, 2, size=lm)``, int64 (``protocol.error_correct``);
+    the hash seed ``rng.integers(0, 2, size=l + m - 1)``, int64
+    (``hashing.sample_seed``).
+
+An abort stops the list where it happens.  Draws 1, 2 and 6 give the same
+values, and leave the Generator in the same state, as ``rng.choice`` with
+``p``: one call over ``p_bar``, one per nonempty kind, and one per nonempty
+single-photon group followed by one ``rng.random`` per nonempty
+multi-photon group.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     for kind, pos, u in zip(range(1, n_kinds), groups, group_uniforms(rng, groups)):
         nu = cfg.nus[(kind - 1) % k]
         cls[pos] = categorical((nu.v0, nu.v1, nu.v2), u)
-    basis_alice = np.array([-1] + [TIMES] * k + [PLUS] * k, dtype=np.int8)[kinds]
+    basis_alice = np.array([-1] + [TIMES] * k + [PLUS] * k, dtype=np.int8).take(kinds)
     alice_bits = rng.integers(0, 2, size=cfg.n_prime, dtype=np.int8)
 
     # Channel: detection tags, Bob's basis, then flips and uniform coins.
@@ -314,7 +314,9 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     # Detector/generator errors on signal bits, per measured basis.
     sig = (det == NORMAL) & (cls != VACUUM) & common
     ud = rng.random(cfg.n_prime)
-    bob_bits ^= sig & (ud < np.where(bob_basis == TIMES, cfg.p_s, cfg.p_s_tilde))
+    flip_det = sig & (((bob_basis == TIMES) & (ud < cfg.p_s))
+                      | ((bob_basis == PLUS) & (ud < cfg.p_s_tilde)))
+    bob_bits = bob_bits ^ flip_det.astype(np.int8)
 
     # Step 2: Alice announces the kinds.
     announce(2, "alice", lambda: "kinds " + _comma_list(kinds))
