@@ -351,6 +351,28 @@ class TestExactDraws:
             assert np.array_equal(u, rng_a.random(len(pos)))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    def test_detection_at_yield_edges(self):
+        # Uniforms exactly at q and at q + p_dark fall above them, as in the
+        # per-group code; a stub generator hands out the chosen uniforms.
+        class Uniforms:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, n):
+                assert n == len(self.u)
+                return self.u
+
+        strat = ChannelStrategy(p_dark=0.25, q_vacuum=0.0, q_single=0.5,
+                                q_multi_times=0.625, q_multi_plus=0.125)
+        cls = np.repeat(np.array([VACUUM, SINGLE, MULTI, MULTI], dtype=np.int8), 6)
+        basis = np.repeat(np.array([-1, PLUS, TIMES, PLUS], dtype=np.int8), 6)
+        q = np.repeat([0.0, 0.5, 0.625, 0.125], 6)
+        u = q + np.tile([0.0, 0.25, -1e-17, 0.25 - 1e-17, 1e-17, 0.2], 4)
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        want = oracles.sample_detection(strat, cls, basis, Uniforms(u))
+        assert np.array_equal(sample_detection(strat, cls, basis, Uniforms(u)), want)
+        assert want[::6].tolist() == [DARK] * 4 and want[1::6].tolist() == [UNDETECTED] * 4
+
     @pytest.mark.parametrize("strategy", [
         FUZZ_STRATEGY,
         ChannelStrategy(),
