@@ -61,8 +61,9 @@ def _load(path: str) -> str:
 # ----------------------------------------------------------------------
 # Input files.  Session configs and channel strategies are flat
 # ``key = value`` text; the bound, estimate-decoy and rates inputs are JSON
-# objects.  Either way the parsed dict goes through ``load_input``, and a
-# key given twice anywhere is an error, not "the last one wins".
+# objects.  Either way the parsed dict goes through ``load_input``.  A key
+# given twice, on two lines or inside one JSON object, is an error: plain
+# ``json.loads`` would keep the last one without a word.
 
 # format -> (dataclass built, keys required beyond the fields without a
 # default, keys accepted beside the fields and not passed to the dataclass,
