@@ -218,8 +218,7 @@ def sample_flips(strategy: ChannelStrategy, cls: np.ndarray, det: np.ndarray,
     z = np.zeros(len(cls), dtype=np.int8)
     normal = np.flatnonzero(det == NORMAL)
     cell = _cell(cls[normal], basis[normal])
-    groups = [normal[cell == 3 * c + b + 1]
-              for c in (SINGLE, MULTI) for b in (PLUS, TIMES)]
+    groups = [normal[cell == _cell(c, b)] for c in (SINGLE, MULTI) for b in (PLUS, TIMES)]
     u = group_uniforms(rng, groups)
     for pos, u_g, law in zip(groups, u, (s.single_error_plus, s.single_error_times)):
         idx = categorical(law, u_g)
