@@ -21,14 +21,13 @@ from .bounds import (BoundInputs, averaged_eve_info_bound, averaged_success_boun
 from .channel import ChannelStrategy, ClassCounts, apply_bit_errors, classify, sample_flips
 from .decoy import (EstimateInterval, ObservedRates, SourceDistribution,
                     correct_detector_error, estimate_interval_symmetric,
-                    estimate_vacuum_single, feasibility_check, minimize_key_term)
+                    estimate_vacuum_single, minimize_key_term)
 from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
 from .hashing import ToeplitzHash, build_toeplitz, sample_seed, universality_profile
 from .oracle import (EveFigures, PauliErrorDistribution, eve_mutual_information,
                      optimal_success_probability, pairwise_figures,
                      phase_error_probability, reduce_code_channel)
-from .protocol import (SessionConfig, SessionOutcome, error_correct, extract_experiment_data,
-                       run_session)
+from .protocol import SessionConfig, SessionOutcome, error_correct, run_session
 from .rates import (RateInputs, all_rates, gllp_effective_params, rate_forward,
                     rate_gllp_ilm, rate_reverse, rate_twoway, verify_rate_ordering)
 

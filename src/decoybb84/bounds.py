@@ -48,10 +48,7 @@ def hbar(x: float) -> float:
 
 def binary_entropy(x: float) -> float:
     """Unclamped binary entropy (0 log 0 := 0)."""
-    # Inline rather than check_probability: the grid scan of
-    # decoy.minimize_key_term calls this up to about 10^6 times.
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument {x} outside [0, 1]")
+    check_probability("entropy argument", x)
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)

@@ -296,8 +296,8 @@ def cmd_estimate_decoy(args) -> int:
             payload["r1"] = r1.value
             payload["clamped"] = q1.clamped or r1.clamped
         else:
-            interval = decoy_mod.estimate_interval_symmetric(nu, obs)
-            payload["interval"] = vars(interval)
+            if obs.symmetric():
+                payload["interval"] = vars(decoy_mod.estimate_interval_symmetric(nu, obs))
             q_best, r_best, value = decoy_mod.minimize_key_term(nu, obs)
             payload["key_term_minimum"] = {"q1": q_best, "r1": r_best,
                                            "value": value}

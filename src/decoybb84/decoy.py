@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import hbar
-from .errors import InfeasibleObservation, check_law, check_probability
+from .errors import InfeasibleObservation, check_flip_rate, check_law, check_probability
 
 _FEAS_TOL = 1e-9
 
@@ -58,8 +58,10 @@ class ObservedRates:
     p_s_tilde: float = 0.0
 
     def __post_init__(self):
-        for name in ("p0", "p_dark", "p_nu_times", "s_nu_times", "p_s", "p_s_tilde"):
+        for name in ("p0", "p_dark", "p_nu_times", "s_nu_times"):
             check_probability(name, getattr(self, name))
+        check_flip_rate("p_s", self.p_s)
+        check_flip_rate("p_s_tilde", self.p_s_tilde)
         for name in ("p_nu_plus", "s_nu_plus"):
             if getattr(self, name) is not None:
                 check_probability(name, getattr(self, name))
@@ -135,8 +137,7 @@ def correct_detector_error(r1_raw: float, p_s: float,
 
     Inverts  r' = p_S (1 - r) + (1 - p_S) r, so r = (r' - p_S)/(1 - 2 p_S).
     """
-    if not 0.0 <= p_s < 0.5:
-        raise ValueError("detector error rate must be below 1/2")
+    check_flip_rate("p_s", p_s)
     if _already_valid:
         check_probability("observed rate", r1_raw)
     return (r1_raw - p_s) / (1.0 - 2.0 * p_s)
@@ -148,37 +149,16 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
 
     Requires the two bases to show the same counting and error rates; the
     extremes are attained at multi-photon yield 1 - p_D with zero error
-    (lower end) and multi-photon yield p_D-only (upper end).
+    (lower end, the corner of ``minimize_key_term``) and multi-photon yield
+    p_D-only (upper end).
     """
     if not obs.symmetric():
         raise ValueError("non-symmetric observations; interval formulas need "
                          "p_nu and s_nu equal across bases")
-    v0, v1, v2 = nu.v0, nu.v1, nu.v2
-    p, s, p0, pd = obs.p_nu_times, obs.s_nu_times, obs.p0, obs.p_dark
-
-    base = p - p0 * v0
-    q1_min_raw = (base - v2) / v1 - pd
-    q1_max_raw = (base - v2 * pd) / v1 - pd
-
-    den_min = base - pd * v1 - v2            # = v1 * q1_min when in model
-    den_max = base - pd * v1 - v2 * pd       # = v1 * q1_max
-    s_num = s * p - 0.5 * p0 * v0 - 0.5 * pd * v1 - 0.5 * pd * v2
-    if den_max <= 0.0:
-        raise InfeasibleObservation("counting rates below the dark/vacuum floor")
-
-    clamped = False
-    if den_min <= 0.0:
-        # No single-photon credit survives the worst case.
-        q1_min, r1_max = 0.0, 1.0
-        clamped = True
-    else:
-        r1_max_raw = s_num / den_min
-        if obs.p_s > 0.0:
-            r1_max_raw = correct_detector_error(r1_max_raw, obs.p_s, _already_valid=False)
-        r1_max, c = _clamp01(r1_max_raw)
-        clamped |= c
-        q1_min, c = _clamp01(q1_min_raw)
-        clamped |= c
+    q1_min, r1_max, clamped = _key_term_corner(nu, obs)
+    v1, v2, pd = nu.v1, nu.v2, obs.p_dark
+    q1_max_raw, den_max, s_num = _x_balance(nu, obs, pd)
+    den_min = _x_balance(nu, obs, 1.0)[1]
 
     r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
     if obs.p_s > 0.0:
@@ -203,105 +183,80 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
         q1_width=q1_width, r1_width_bound=r1_width_bound, clamped=clamped)
 
 
-def feasibility_check(nu: SourceDistribution, obs: ObservedRates,
-                      candidate: tuple[float, float, float, float, float, float],
-                      tol: float = _FEAS_TOL) -> bool:
-    """Check a full channel parameter tuple against all four balance equations.
+def _x_balance(nu: SourceDistribution, obs: ObservedRates, y: float
+               ) -> tuple[float, float, float]:
+    """(q1, nu1 q1, nu1 q1 r1_x + nu2 q2_x r2_x) from the x-basis balances.
 
-    ``candidate`` is (q1, r1_x, q2_x, q2_plus, r2_x, r2_plus); yields must
-    lie in [0, 1 - p_D] and error rates in [0, 1].
+    ``y = p_D + q2_x`` is the multi-photon click rate; the error term is
+    the x-basis error count net of its vacuum and dark-count halves.
     """
-    q1, r1x, q2x, q2p, r2x, r2p = candidate
-    pd = obs.p_dark
-    for q in (q1, q2x, q2p):
-        if not -tol <= q <= 1.0 - pd + tol:
-            return False
-    for r in (r1x, r2x, r2p):
-        if not -tol <= r <= 1.0 + tol:
-            return False
     v0, v1, v2 = nu.v0, nu.v1, nu.v2
-    p_plus = obs.p_nu_plus if obs.p_nu_plus is not None else obs.p_nu_times
-    s_plus = obs.s_nu_plus if obs.s_nu_plus is not None else obs.s_nu_times
-    residuals = (
-        obs.p_nu_times - (v0 * obs.p0 + v1 * (pd + q1) + v2 * (pd + q2x)),
-        p_plus - (v0 * obs.p0 + v1 * (pd + q1) + v2 * (pd + q2p)),
-        obs.s_nu_times * obs.p_nu_times
-        - (0.5 * v0 * obs.p0 + v1 * (0.5 * pd + r1x * q1)
-           + v2 * (0.5 * pd + r2x * q2x)),
-    )
-    if any(abs(e) > tol for e in residuals):
-        return False
-    # The + error balance pins r1_plus, which must land in [0, 1].
-    s_plus_num = (s_plus * p_plus - 0.5 * v0 * obs.p0 - 0.5 * v1 * pd
-                  - v2 * (0.5 * pd + r2p * q2p))
-    if v1 * q1 > tol:
-        r1p = s_plus_num / (v1 * q1)
-        return -tol <= r1p <= 1.0 + tol
-    return abs(s_plus_num) <= tol
+    p, p0, pd = obs.p_nu_times, obs.p0, obs.p_dark
+    base = p - p0 * v0
+    s_num = obs.s_nu_times * p - 0.5 * p0 * v0 - 0.5 * pd * v1 - 0.5 * pd * v2
+    return (base - v2 * y) / v1 - pd, base - pd * v1 - v2 * y, s_num
 
 
-def minimize_key_term(nu: SourceDistribution, obs: ObservedRates,
-                      grid_resolution: float = 1e-3
+def _key_term_corner(nu: SourceDistribution, obs: ObservedRates
+                     ) -> tuple[float, float, bool]:
+    """(q1, r1_x, clamped) at zero multi-photon error and the largest
+    multi-photon click rate y the observations allow (see
+    ``minimize_key_term``)."""
+    v0, v1, v2, pd = nu.v0, nu.v1, nu.v2, obs.p_dark
+    y_bot, y_top = pd, 1.0
+    if not obs.symmetric():
+        # The + basis multi-photon click rate is y + delta / nu2, also
+        # confined to [p_D, 1].
+        delta = obs.p_nu_plus - obs.p_nu_times
+        if delta > 0.0:
+            y_top = 1.0 - delta / v2
+        else:
+            y_bot = pd - delta / v2
+        if y_bot > y_top + _FEAS_TOL:
+            raise InfeasibleObservation("no multi-photon yield matches both bases' counting rates")
+        if obs.s_nu_plus is not None:
+            # nu1 q1 r1_+ + nu2 q2_+ r2_+ lies in [0, nu1 q1 + nu2 q2_+] for
+            # any error rates in [0, 1], and both ends are fixed by the data.
+            floor = obs.p0 * v0 + pd * (v1 + v2)
+            s_plus_num = obs.s_nu_plus * obs.p_nu_plus - 0.5 * floor
+            if not -_FEAS_TOL <= s_plus_num <= obs.p_nu_plus - floor + _FEAS_TOL:
+                raise InfeasibleObservation("+ basis error rate matches no channel")
+    if _x_balance(nu, obs, y_bot)[1] <= 0.0:
+        raise InfeasibleObservation("counting rates below the dark/vacuum floor")
+    q1_raw, den, s_num = _x_balance(nu, obs, y_top)
+    if den <= 0.0:
+        # No single-photon credit survives the worst case.
+        return 0.0, 1.0, True
+    r1_raw = s_num / den
+    if obs.p_s > 0.0:
+        r1_raw = correct_detector_error(r1_raw, obs.p_s, _already_valid=False)
+    r1, cr = _clamp01(r1_raw)
+    q1, cq = _clamp01(q1_raw)
+    return q1, r1, cr or cq
+
+
+def minimize_key_term(nu: SourceDistribution, obs: ObservedRates
                       ) -> tuple[float, float, float]:
     """Minimize q1 (1 - hbar(r1_x)) over all channels matching the observations.
 
-    In the symmetric case the optimum is the known corner (multi-photon
-    yield maximal, multi-photon error zero), giving exactly
-    q1_min (1 - hbar(r1_max)).  Otherwise the (q2_x, r2_x) plane is scanned
-    at the given resolution, keeping only points where the + basis
-    equations stay solvable; ties prefer the smallest (q1, r1).
-    """
-    v0, v1, v2 = nu.v0, nu.v1, nu.v2
-    pd = obs.p_dark
+    Returns (q1, r1_x, value).  With no multi-photon component the channel
+    is unique.  Otherwise write y = p_D + q2_x for the multi-photon x-basis
+    click rate.  At fixed y, q1 is fixed and r1_x falls as r2_x rises, so
+    the minimum takes r2_x = 0, where r1_x = c / q1 for a constant c.  Then
 
-    if v2 == 0.0:
+        d/dq1 [q1 (1 - h(c / q1))] = 1 + log2(1 - c / q1) >= 0
+
+    while c / q1 <= 1/2 (and the value is 0 beyond), and the detector
+    correction r -> (r - p_S) / (1 - 2 p_S) keeps the derivative at least
+    1 - h >= 0.  So the value falls as q1 falls, that is as y rises, and
+    every constraint is affine in y: the minimum is the corner at the
+    largest feasible y.  That is y = 1 when p_nu_plus <= p_nu_times, and
+    otherwise 1 - (p_nu_plus - p_nu_times) / nu2, where the + basis yield
+    reaches its cap first.  In the symmetric case this is the lower end
+    (q1_min, r1_max) of ``estimate_interval_symmetric``.
+    """
+    if nu.v2 == 0.0:
         q1, r1 = estimate_vacuum_single(nu, obs)
         return q1.value, r1.value, q1.value * (1.0 - hbar(r1.value))
-
-    if obs.symmetric():
-        interval = estimate_interval_symmetric(nu, obs)
-        value = interval.q1_min * (1.0 - hbar(interval.r1_max))
-        return interval.q1_min, interval.r1_max, value
-
-    p_plus = obs.p_nu_plus
-    s_plus = obs.s_nu_plus
-    best = None
-    steps = max(2, int(round(1.0 / grid_resolution)) + 1)
-    q_top = 1.0 - pd
-    for iq in range(steps):
-        q2x = q_top * iq / (steps - 1)
-        q1 = (obs.p_nu_times - v0 * obs.p0 - v2 * (pd + q2x)) / v1 - pd
-        if not -_FEAS_TOL <= q1 <= q_top + _FEAS_TOL:
-            continue
-        q1 = min(max(q1, 0.0), q_top)
-        q2p = (p_plus - v0 * obs.p0 - v1 * (pd + q1)) / v2 - pd
-        if not -_FEAS_TOL <= q2p <= q_top + _FEAS_TOL:
-            continue
-        for ir in range(steps):
-            r2x = ir / (steps - 1)
-            num = (obs.s_nu_times * obs.p_nu_times - 0.5 * v0 * obs.p0
-                   - 0.5 * v1 * pd - v2 * (0.5 * pd + r2x * q2x))
-            if v1 * q1 > _FEAS_TOL:
-                r1x = num / (v1 * q1)
-            elif abs(num) <= _FEAS_TOL:
-                r1x = 0.0
-            else:
-                continue
-            if not -_FEAS_TOL <= r1x <= 1.0 + _FEAS_TOL:
-                continue
-            r1x = min(max(r1x, 0.0), 1.0)
-            # + basis error equation must admit some r2_plus in [0, 1].
-            s_num = (s_plus * p_plus - 0.5 * v0 * obs.p0 - 0.5 * v1 * pd
-                     - 0.5 * v2 * pd)
-            lo = s_num - v2 * q2p  # value of v1 q1 r1_+ at r2_plus = 1
-            hi = s_num             # at r2_plus = 0
-            if hi < -_FEAS_TOL or lo > v1 * q1 + _FEAS_TOL:
-                continue
-            value = q1 * (1.0 - hbar(r1x))
-            key = (value, q1, r1x)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise InfeasibleObservation("no channel matches the observed rates")
-    value, q1, r1x = best
-    return q1, r1x, value
+    q1, r1, _ = _key_term_corner(nu, obs)
+    return q1, r1, q1 * (1.0 - hbar(r1))

@@ -19,10 +19,6 @@ class InfeasibleObservation(ValueError):
     """Observed rates admit no channel within the model's parameter ranges."""
 
 
-class SessionAborted(RuntimeError):
-    """A protocol session ended in an abort branch where data was requested."""
-
-
 class BoundViolation(AssertionError):
     """An empirical quantity exceeded the analytic bound it must respect."""
 
@@ -31,6 +27,13 @@ def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` naming ``value`` unless it lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value} outside [0, 1]")
+
+
+def check_flip_rate(name: str, value: float) -> None:
+    """``check_probability`` and below 1/2, where a detector flip rate inverts."""
+    check_probability(name, value)
+    if value >= 0.5:
+        raise ValueError(f"{name}={value} must be below 1/2")
 
 
 def check_law(name: str, probs, tol: float = 1e-9) -> np.ndarray:

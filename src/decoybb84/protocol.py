@@ -42,8 +42,8 @@ from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
                       ClassCounts, apply_bit_errors, categorical, classify, group_uniforms,
                       sample_detection, sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
-from .errors import (CapacityError, DimensionMismatch, SessionAborted, check_law,
-                     check_probability)
+from .errors import (CapacityError, DimensionMismatch, InfeasibleObservation, check_flip_rate,
+                     check_law)
 from .gf2 import BitMatrix, BitVector, mat_vec_mul, pack_rows, rank, solve, span_array
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
@@ -95,8 +95,8 @@ class SessionConfig:
         if len(self.p_bar) != 2 * k + 1:
             raise ValueError(f"p_bar must have 2k+1 = {2 * k + 1} entries")
         check_law("p_bar", self.p_bar)
-        check_probability("p_s", self.p_s)
-        check_probability("p_s_tilde", self.p_s_tilde)
+        check_flip_rate("p_s", self.p_s)
+        check_flip_rate("p_s_tilde", self.p_s_tilde)
         if not 1 <= self.i0 <= k:
             raise ValueError("i0 must index one of the k distributions")
         if not self.n < self.n_prime:
@@ -254,7 +254,7 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
                         s_nu_times=min(1.0, s_conj), p_s=d_init.p_s)
     try:
         q1, r1, _ = minimize_key_term(nu, obs)
-    except Exception:
+    except InfeasibleObservation:
         q1, r1 = 0.0, 1.0
     m_est = initial_eve_information_asymptotic(nu, q1, r1, p0_hat, d_init.p_dark,
                                                p_key, cfg.n, cfg.ec_direction)
@@ -466,19 +466,3 @@ def _basis_report(res: BasisResult, cfg: SessionConfig,
         "truth_twoway_bound": min_decoding_bound(
             truth.j1, k2_count(truth.j_tuple(), "twoway"), truth.t, res.m),
     }
-
-
-def extract_experiment_data(outcome: SessionOutcome,
-                            tilde: bool = False) -> tuple[DInitial, DExperimental]:
-    """The (initial data, experimental data) pair used by the estimators.
-
-    ``tilde=True`` swaps in the + basis detector calibration.
-    """
-    if outcome.abort_step is not None and outcome.abort_step < 6:
-        raise SessionAborted(
-            f"session aborted at step {outcome.abort_step}: {outcome.abort_reason}")
-    if outcome.experiment is None or outcome.initial is None:
-        raise SessionAborted("no experimental data recorded")
-    return (outcome.initial_tilde if tilde else outcome.initial,
-            outcome.experiment)
-

@@ -2,17 +2,22 @@
 
 Each one restates a definition directly, with no call into the code paths
 it checks: the library decodes and counts from structure, these enumerate.
-The two channel samplers at the end are the earlier per-group code, kept
-verbatim: the library's samplers must make the same draws.
+The two channel samplers are the earlier per-group code, kept verbatim:
+the library's samplers must make the same draws.  So is the symmetric
+decoy interval at the end, which the library's key-term corner must
+reproduce bit for bit.
 """
 
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from decoybb84.bounds import hbar
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED, VACUUM,
                                ChannelStrategy)
-from decoybb84.errors import CapacityError, DimensionMismatch
+from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
+                             correct_detector_error)
+from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
 from decoybb84.gf2 import BitVector, lex_order
 from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
@@ -131,3 +136,142 @@ def sample_flips(strategy: ChannelStrategy, cls: np.ndarray, det: np.ndarray,
         if cnt:
             x[mask] = rng.random(cnt) < p_flip
     return x, z
+
+
+FEAS_TOL = 1e-9
+
+
+def feasibility_check(nu: SourceDistribution, obs: ObservedRates,
+                      candidate: tuple[float, float, float, float, float, float],
+                      tol: float = FEAS_TOL) -> bool:
+    """Check a full channel parameter tuple against all four balance equations.
+
+    ``candidate`` is (q1, r1_x, q2_x, q2_plus, r2_x, r2_plus); yields must
+    lie in [0, 1 - p_D] and error rates in [0, 1].
+    """
+    q1, r1x, q2x, q2p, r2x, r2p = candidate
+    pd = obs.p_dark
+    for q in (q1, q2x, q2p):
+        if not -tol <= q <= 1.0 - pd + tol:
+            return False
+    for r in (r1x, r2x, r2p):
+        if not -tol <= r <= 1.0 + tol:
+            return False
+    v0, v1, v2 = nu.v0, nu.v1, nu.v2
+    p_plus = obs.p_nu_plus if obs.p_nu_plus is not None else obs.p_nu_times
+    s_plus = obs.s_nu_plus if obs.s_nu_plus is not None else obs.s_nu_times
+    residuals = (
+        obs.p_nu_times - (v0 * obs.p0 + v1 * (pd + q1) + v2 * (pd + q2x)),
+        p_plus - (v0 * obs.p0 + v1 * (pd + q1) + v2 * (pd + q2p)),
+        obs.s_nu_times * obs.p_nu_times
+        - (0.5 * v0 * obs.p0 + v1 * (0.5 * pd + r1x * q1)
+           + v2 * (0.5 * pd + r2x * q2x)),
+    )
+    if any(abs(e) > tol for e in residuals):
+        return False
+    # The + error balance pins r1_plus, which must land in [0, 1].
+    s_plus_num = (s_plus * p_plus - 0.5 * v0 * obs.p0 - 0.5 * v1 * pd
+                  - v2 * (0.5 * pd + r2p * q2p))
+    if v1 * q1 > tol:
+        r1p = s_plus_num / (v1 * q1)
+        return -tol <= r1p <= 1.0 + tol
+    return abs(s_plus_num) <= tol
+
+
+def key_term_scan(nu: SourceDistribution, obs: ObservedRates, n_q: int = 4001,
+                  n_r: int = 11) -> np.ndarray:
+    """q1 (1 - hbar(r1)) at every feasible point of an n_q x n_r grid.
+
+    The grid spans q2_x in [0, 1 - p_D] and r2_x in [0, 1].  Each point
+    solves the x-basis balances for (q1, r1_x) and the + basis counting
+    balance for q2_plus, and is kept when all three lie in range and the +
+    error balance admits some (r1_plus, r2_plus) in [0, 1]^2.  r1 is r1_x
+    with the detector flips removed and clamped to [0, 1].
+    """
+    v0, v1, v2 = nu.v0, nu.v1, nu.v2
+    p, s, p0, pd = obs.p_nu_times, obs.s_nu_times, obs.p0, obs.p_dark
+    p_plus = obs.p_nu_plus if obs.p_nu_plus is not None else p
+    s_plus = obs.s_nu_plus if obs.s_nu_plus is not None else s
+    q2x = np.linspace(0.0, 1.0 - pd, n_q)[:, None]
+    r2x = np.linspace(0.0, 1.0, n_r)[None, :]
+    q1 = (p - v0 * p0 - v2 * (pd + q2x)) / v1 - pd
+    q2p = (p_plus - v0 * p0 - v1 * (pd + q1)) / v2 - pd
+    plus_errors = s_plus * p_plus - 0.5 * (v0 * p0 + v1 * pd + v2 * pd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1x = (s * p - 0.5 * (v0 * p0 + v1 * pd + v2 * pd) - v2 * r2x * q2x) / (v1 * q1)
+        r1 = np.clip((r1x - obs.p_s) / (1.0 - 2.0 * obs.p_s), 0.0, 1.0)
+        h = -r1 * np.log2(r1) - (1.0 - r1) * np.log2(1.0 - r1)
+    h = np.where(r1 > 0.5, 1.0, np.nan_to_num(h))
+    ok = ((q1 > 0.0) & (q1 <= 1.0 - pd) & (q2p >= 0.0) & (q2p <= 1.0 - pd)
+          & (r1x >= 0.0) & (r1x <= 1.0)
+          & (plus_errors >= 0.0) & (plus_errors <= v1 * q1 + v2 * q2p))
+    return (q1 * (1.0 - h))[ok]
+
+
+def _clamp01(x: float) -> tuple[float, bool]:
+    if x < 0.0:
+        return 0.0, True
+    if x > 1.0:
+        return 1.0, True
+    return x, False
+
+
+def interval_symmetric_reference(nu: SourceDistribution, obs: ObservedRates
+                                 ) -> EstimateInterval:
+    """The symmetric decoy interval with each end written out in full.
+
+    The extremes sit at multi-photon yield 1 - p_D with zero error (lower
+    end) and at multi-photon yield p_D only (upper end).
+    """
+    v0, v1, v2 = nu.v0, nu.v1, nu.v2
+    p, s, p0, pd = obs.p_nu_times, obs.s_nu_times, obs.p0, obs.p_dark
+
+    base = p - p0 * v0
+    q1_min_raw = (base - v2) / v1 - pd
+    q1_max_raw = (base - v2 * pd) / v1 - pd
+
+    den_min = base - pd * v1 - v2            # = v1 * q1_min when in model
+    den_max = base - pd * v1 - v2 * pd       # = v1 * q1_max
+    s_num = s * p - 0.5 * p0 * v0 - 0.5 * pd * v1 - 0.5 * pd * v2
+    if den_max <= 0.0:
+        raise InfeasibleObservation("counting rates below the dark/vacuum floor")
+
+    clamped = False
+    if den_min <= 0.0:
+        q1_min, r1_max = 0.0, 1.0
+        clamped = True
+    else:
+        r1_max_raw = s_num / den_min
+        if obs.p_s > 0.0:
+            r1_max_raw = correct_detector_error(r1_max_raw, obs.p_s, _already_valid=False)
+        r1_max, c = _clamp01(r1_max_raw)
+        clamped |= c
+        q1_min, c = _clamp01(q1_min_raw)
+        clamped |= c
+
+    r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
+    if obs.p_s > 0.0:
+        r1_min_raw = correct_detector_error(r1_min_raw, obs.p_s, _already_valid=False)
+    r1_min_tilde, c = _clamp01(r1_min_raw)
+    clamped |= c
+    q1_max, c = _clamp01(q1_max_raw)
+    clamped |= c
+
+    q1_width = v2 * (1.0 - pd) / v1
+    if den_min > 0.0:
+        ratio = (1.0 - pd) * v2 / den_min
+        a_pos = max(s_num - (1.0 - pd) * v2, 0.0)
+        r1_width_bound = ratio * (1.0 + a_pos / den_min)
+    else:
+        r1_width_bound = 1.0
+    return EstimateInterval(
+        q1_min=q1_min, q1_max=q1_max, r1_max=r1_max, r1_min_tilde=r1_min_tilde,
+        q1_width=q1_width, r1_width_bound=r1_width_bound, clamped=clamped)
+
+
+def key_term_reference(nu: SourceDistribution, obs: ObservedRates
+                       ) -> tuple[float, float, float]:
+    """(q1_min, r1_max, q1_min (1 - hbar(r1_max))) of the reference interval."""
+    interval = interval_symmetric_reference(nu, obs)
+    return interval.q1_min, interval.r1_max, \
+        interval.q1_min * (1.0 - hbar(interval.r1_max))

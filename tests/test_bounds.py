@@ -425,6 +425,12 @@ class TestPropositionDecoding:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
 
+    @pytest.mark.parametrize("x", [float("nan"), -0.1, 1.5])
+    def test_entropy_rejects_outside_and_nan(self, x):
+        for entropy in (binary_entropy, hbar):
+            with pytest.raises(ValueError, match=r"^entropy argument=.* outside \[0, 1\]$"):
+                entropy(x)
+
 
 def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng):
     """The decoding replay seed by seed: C2 = M_e ker H_s from the Toeplitz

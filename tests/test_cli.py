@@ -70,6 +70,10 @@ INTERVAL_OBSERVATIONS = {
     "p_nu_times": 0.2, "s_nu_times": 0.05,
 }
 
+# The + basis counts more than the x basis, so only key_term_minimum is
+# reported, at the corner where the + basis multi-photon yield is capped.
+ASYMMETRIC_OBSERVATIONS = dict(INTERVAL_OBSERVATIONS, p_nu_plus=0.21, s_nu_plus=0.06)
+
 # The last row has r1 > 1/2, where hbar is clamped to 1.
 RATE_SWEEP = {"sweep": [RATE_PARAMS, dict(RATE_PARAMS, q1=0.3),
                         dict(RATE_PARAMS, r1=0.6)]}
@@ -96,6 +100,12 @@ PINNED_REPORTS = {
     "estimate-decoy-infeasible": (["estimate-decoy", "--observations"],
                                   dict(OBSERVATIONS, p0=0.9), 1,
         "ba69d2dd436fcccaaee3d3e4936a57c06bd0fa8a2e140e0c037af1e90664943e"),
+    "estimate-decoy-asymmetric": (["estimate-decoy", "--observations"],
+                                  ASYMMETRIC_OBSERVATIONS, 0,
+        "e0375d80b6fe255ac58831e064ed894a7fc1e1915f044e0cef2719fa3706967e"),
+    "estimate-decoy-asymmetric-detector-error": (["estimate-decoy", "--observations"],
+                                                 dict(ASYMMETRIC_OBSERVATIONS, p_s=0.02), 0,
+        "50968899b9ff42167b7dd86a0632d23db9d10e2aca1a5c8dcf01d237ae61dddd"),
     "oracle-check-provable": (ORACLE_ARGS + ["--provable-only"], None, 0,
         "d90648b2f8d345340e496e874ea74cb9a79be9a912883695fd377986097040e7"),
     "oracle-check": (ORACLE_ARGS, None, 1,
@@ -475,6 +485,12 @@ BAD_INPUTS = {
     "list-bound": (BOUND_FLAG, [BOUND_INPUTS], "expected a JSON object, got list"),
     "null-estimate-decoy": (DECOY_FLAG, None, "expected a JSON object, got NoneType"),
     "number-rates": (RATES_FLAG, 3, "expected a JSON object, got int"),
+    "half-session-p_s": (SESSION_FLAG, SESSION_CONFIG + "p_s = 0.6\n",
+                         "p_s=0.6 must be below 1/2"),
+    "half-session-p_s_tilde": (SESSION_FLAG, SESSION_CONFIG + "p_s_tilde = 0.5\n",
+                               "p_s_tilde=0.5 must be below 1/2"),
+    "half-estimate-decoy-p_s": (DECOY_FLAG, dict(OBSERVATIONS, p_s=0.5),
+                                "p_s=0.5 must be below 1/2"),
 }
 
 
@@ -557,6 +573,17 @@ class TestEstimateDecoy:
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(spec))
         assert main(["estimate-decoy", "--observations", str(path)]) == 1
+
+    def test_asymmetric_reports_key_term_only(self, tmp_path):
+        # The interval formulas need equal bases; the key-term minimum does not.
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(ASYMMETRIC_OBSERVATIONS))
+        out = tmp_path / "r.json"
+        assert main(["--format", "json", "--out", str(out),
+                     "estimate-decoy", "--observations", str(path)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert "interval" not in payload
+        assert 0.0 < payload["key_term_minimum"]["value"] < payload["key_term_minimum"]["q1"]
 
     def test_four_entry_nu_exit_2(self, tmp_path, capsys):
         path = tmp_path / "obs.json"

@@ -1,6 +1,7 @@
 """Decoy estimators: worked values, round trips, interval identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from decoybb84.bounds import hbar
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              correct_detector_error, estimate_interval_symmetric,
-                             estimate_vacuum_single, feasibility_check,
-                             minimize_key_term)
+                             estimate_vacuum_single, minimize_key_term)
 from decoybb84.errors import InfeasibleObservation
+from oracles import (feasibility_check, interval_symmetric_reference, key_term_reference,
+                     key_term_scan)
 
 
 def forward_rates(nu, p0, pd, q1, r1x, q2x=0.0, r2x=0.0, q2p=None, r2p=None,
@@ -240,7 +242,7 @@ class TestMinimizeKeyTerm:
                                 p_nu_times=obs_full.p_nu_times,
                                 s_nu_times=obs_full.s_nu_times)
         q_sym, r_sym, v_sym = minimize_key_term(nu, sym_obs)
-        q_ns, r_ns, v_ns = minimize_key_term(nu, obs_full, grid_resolution=5e-3)
+        q_ns, r_ns, v_ns = minimize_key_term(nu, obs_full)
         assert v_ns >= v_sym - 1e-6
 
     def test_non_symmetric_feasible_set_narrower(self):
@@ -287,6 +289,56 @@ class TestMinimizeKeyTerm:
             assert hi_r <= interval.r1_max + 1e-9
             assert lo_r >= interval.r1_min_tilde - 1e-9
 
+    def test_plus_cap_sets_the_corner(self):
+        # p_nu_plus exceeds p_nu_times by 0.01, so the + basis multi-photon
+        # yield reaches 1 - p_D when the x basis one is 1 - p_D - 0.01 / nu2.
+        nu = SourceDistribution(0.3, 0.6, 0.1)
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.05,
+                            p_nu_plus=0.21, s_nu_plus=0.06)
+        y = 1.0 - 0.01 / 0.1
+        q1 = (0.2 - 0.3 * 0.01 - 0.1 * y) / 0.6 - 0.001
+        r1 = (0.05 * 0.2 - 0.5 * (0.3 * 0.01 + 0.6 * 0.001 + 0.1 * 0.001)) / (0.6 * q1)
+        got_q, got_r, value = minimize_key_term(nu, obs)
+        assert got_q == pytest.approx(q1, rel=1e-12)
+        assert got_r == pytest.approx(r1, rel=1e-12)
+        assert value == pytest.approx(q1 * (1 - hbar(r1)), rel=1e-12)
+
+    @pytest.mark.parametrize("p_nu_plus", [0.4, 0.05])
+    def test_plus_counts_out_of_reach_raise(self, p_nu_plus):
+        # |p_nu_plus - p_nu_times| above nu2 (1 - p_D): no multi-photon
+        # yield pair in range explains both bases.
+        nu = SourceDistribution(0.3, 0.6, 0.1)
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.05,
+                            p_nu_plus=p_nu_plus, s_nu_plus=0.05)
+        with pytest.raises(InfeasibleObservation):
+            minimize_key_term(nu, obs)
+
+    @pytest.mark.parametrize("s_nu_plus", [0.0, 1.0])
+    def test_plus_errors_out_of_reach_raise(self, s_nu_plus):
+        # Fewer + basis errors than the vacuum and dark counts' half, or
+        # more than every count: no error rates in [0, 1] fit.
+        nu = SourceDistribution(0.3, 0.6, 0.1)
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.05,
+                            p_nu_plus=0.21, s_nu_plus=s_nu_plus)
+        with pytest.raises(InfeasibleObservation):
+            minimize_key_term(nu, obs)
+
+    def test_no_credit_when_top_yield_explains_all_counts(self):
+        nu = SourceDistribution(0.3, 0.6, 0.1)
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.08, s_nu_times=0.05,
+                            p_nu_plus=0.07, s_nu_plus=0.05)
+        assert minimize_key_term(nu, obs) == (0.0, 1.0, 0.0)
+
+    def test_negative_error_numerator_clamps(self):
+        # Fewer x-basis errors than the vacuum and dark counts explain: r1
+        # clamps to 0 in both branches instead of raising.
+        nu = SourceDistribution(0.3, 0.6, 0.1)
+        for p_nu_plus in (None, 0.205):
+            obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.001,
+                                p_nu_plus=p_nu_plus, s_nu_plus=0.05)
+            q1, r1, value = minimize_key_term(nu, obs)
+            assert r1 == 0.0 and value == q1 > 0.0
+
     def test_statistical_round_trip(self):
         # 10^6 pulses split between the vacuum decoy and the nu source.
         rng = np.random.default_rng(7)
@@ -321,3 +373,98 @@ class TestMinimizeKeyTerm:
         sigma_r = math.sqrt(0.25 / n_sig) / (nu.v1 * q1_true) * 2.5
         assert abs(got_q.value - q1_true) < 5 * sigma_q
         assert abs(got_r.value - r1_true) < 5 * sigma_r
+
+
+def _random_channel(rng, p_s):
+    """A source and the observations of a random channel run forward, with
+    detector flips at rate p_s on the single-photon error rates."""
+    v2 = float(rng.uniform(0.02, 0.25))
+    v0 = float(rng.uniform(0, 0.3))
+    nu = SourceDistribution(v0, 1 - v0 - v2, v2)
+    pd = float(rng.uniform(0, 0.01))
+    p0 = float(rng.uniform(pd, 0.05))
+    q1 = float(rng.uniform(0.1, 1 - pd))
+    r1x, r1p = (p_s + (1 - 2 * p_s) * float(r) for r in rng.uniform(0, 0.2, 2))
+    q2x, q2p = (float(q) for q in rng.uniform(0, 1 - pd, 2))
+    r2x, r2p = (float(r) for r in rng.uniform(0, 1, 2))
+    obs = forward_rates(nu, p0, pd, q1, r1x, q2x=q2x, r2x=r2x, q2p=q2p, r2p=r2p, r1p=r1p)
+    return nu, replace(obs, p_s=p_s)
+
+
+class TestKeyTermCorner:
+    """The closed-form corner against a brute-force scan, the feasibility
+    oracle and the symmetric interval written out in full."""
+
+    def test_below_every_feasible_scan_point(self):
+        rng = np.random.default_rng(31)
+        n_q = 4001
+        checked = 0
+        for i in range(210):
+            p_s = (0.0, 0.02, 0.04)[i % 3]
+            nu, obs = _random_channel(rng, p_s)
+            q1, r1, value = minimize_key_term(nu, obs)
+            scan = key_term_scan(nu, obs, n_q=n_q)
+            assert len(scan) > 0
+            assert value <= scan.min() + 1e-12
+            # ... and no lower than the scan's step allows: the value moves
+            # by less than 2 nu2 / nu1 per unit of q2_x.
+            step = (1 - obs.p_dark) / (n_q - 1)
+            assert scan.min() - value <= 2 * nu.v2 / nu.v1 * step
+            if not (0.0 < q1 and 0.0 < r1 < 1.0):
+                assert value == 0.0 or r1 == 0.0
+                continue
+            # The corner is a channel: rebuild it from (q1, r1) alone.
+            v0, v1, v2, p0, pd = nu.v0, nu.v1, nu.v2, obs.p0, obs.p_dark
+            r1x = p_s + (1 - 2 * p_s) * r1
+            q2x = (obs.p_nu_times - v0 * p0 - v1 * (pd + q1)) / v2 - pd
+            q2p = (obs.p_nu_plus - v0 * p0 - v1 * (pd + q1)) / v2 - pd
+            plus_errors = (obs.s_nu_plus * obs.p_nu_plus
+                           - 0.5 * (v0 * p0 + v1 * pd + v2 * pd))
+            r2p = min(1.0, plus_errors / (v2 * q2p)) if q2p > 0 else 0.0
+            assert feasibility_check(nu, obs, (q1, r1x, q2x, q2p, 0.0, r2p))
+            assert value == pytest.approx(q1 * (1 - hbar(r1)), abs=1e-15)
+            checked += 1
+        assert checked >= 180
+
+    def test_symmetric_bitwise_reference(self):
+        # Random rates, infeasible and clamped ones included, with and
+        # without explicit + basis rates equal to the x basis ones.
+        rng = np.random.default_rng(47)
+        outcomes = set()
+        for i in range(1200):
+            v2 = float(rng.uniform(0.001, 0.4))
+            v0 = float(rng.uniform(0, 0.5))
+            nu = SourceDistribution(v0, 1 - v0 - v2, v2)
+            p, s = (float(x) for x in rng.uniform(0, 1, 2))
+            pd = float(rng.uniform(0, 0.05))
+            p0 = float(rng.uniform(pd, 0.2))
+            plus = dict(p_nu_plus=p, s_nu_plus=s) if i % 2 else {}
+            obs = ObservedRates(p0=p0, p_dark=pd, p_nu_times=p, s_nu_times=s,
+                                p_s=(0.0, 0.02, 0.04)[i % 3], **plus)
+            try:
+                want = interval_symmetric_reference(nu, obs)
+            except InfeasibleObservation:
+                with pytest.raises(InfeasibleObservation):
+                    estimate_interval_symmetric(nu, obs)
+                with pytest.raises(InfeasibleObservation):
+                    minimize_key_term(nu, obs)
+                outcomes.add("infeasible")
+                continue
+            assert estimate_interval_symmetric(nu, obs) == want
+            assert minimize_key_term(nu, obs) == key_term_reference(nu, obs)
+            outcomes.add("no credit" if want.q1_min == 0.0 else
+                         "clamped" if want.clamped else "interior")
+        assert outcomes == {"infeasible", "no credit", "clamped", "interior"}
+
+    @pytest.mark.parametrize("p_s", [0.0, 0.02, 0.04])
+    def test_continuous_across_symmetric_switch(self, p_s):
+        nu = SourceDistribution(0.05, 0.85, 0.10)
+        obs = forward_rates(nu, 0.01, 0.001, 0.5, p_s + (1 - 2 * p_s) * 0.05,
+                            q2x=0.4, r2x=0.1)
+        obs = replace(obs, p_s=p_s)
+        assert obs.symmetric()
+        _, _, value = minimize_key_term(nu, obs)
+        for factor in (1 + 1e-9, 1 - 1e-9):
+            moved = replace(obs, p_nu_plus=obs.p_nu_plus * factor)
+            assert not moved.symmetric()
+            assert abs(minimize_key_term(nu, moved)[2] - value) < 1e-6

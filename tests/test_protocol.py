@@ -10,15 +10,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import decoybb84.protocol as protocol_mod
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
 from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
-from decoybb84.errors import SessionAborted
+from decoybb84.errors import InfeasibleObservation
 from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
-                                decode_to_seed, error_correct, extract_experiment_data,
+                                decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
 from oracles import min_distance_decode
@@ -235,7 +236,7 @@ class TestErrorCorrection:
 class TestExperimentData:
     def test_conservation(self):
         out = run_session(single_photon_config(), ChannelStrategy())
-        d_i, d_e = extract_experiment_data(out)
+        d_i, d_e = out.initial, out.experiment
         assert sum(d_i.a) == out.config.n_prime
         assert all(c <= a for c, a in zip(d_e.c, d_i.a))
         assert all(e <= c for e, c in zip(d_e.e, d_e.c))
@@ -243,15 +244,7 @@ class TestExperimentData:
     def test_tilde_variant(self):
         cfg = single_photon_config(p_s=0.01, p_s_tilde=0.03)
         out = run_session(cfg, ChannelStrategy())
-        d_i, _ = extract_experiment_data(out)
-        d_i_t, _ = extract_experiment_data(out, tilde=True)
-        assert d_i.p_s == 0.01 and d_i_t.p_s == 0.03
-
-    def test_aborted_before_step6_raises(self):
-        out = run_session(single_photon_config(n_prime=140),
-                          ChannelStrategy())
-        with pytest.raises(SessionAborted):
-            extract_experiment_data(out)
+        assert out.initial.p_s == 0.01 and out.initial_tilde.p_s == 0.03
 
     def test_statistics_converge(self):
         # Counting rates per kind approach the strategy detection rates.
@@ -261,7 +254,7 @@ class TestExperimentData:
                             nus=(nu,), i0=1, p_bar=(0.2, 0.4, 0.4),
                             rng_seed=11, record_transcript=False)
         out = run_session(cfg, strat)
-        d_i, d_e = extract_experiment_data(out)
+        d_i, d_e = out.initial, out.experiment
         p_vac = strat.q_vacuum + strat.p_dark
         p_sig = (nu.v0 * (strat.q_vacuum + strat.p_dark)
                  + nu.v1 * (strat.q_single + strat.p_dark)
@@ -380,6 +373,15 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="outside|must be"):
             load_session(text + line + "\n")
 
+    @pytest.mark.parametrize("name", ["p_s", "p_s_tilde"])
+    @pytest.mark.parametrize("value", [0.5, 0.6])
+    def test_detector_error_half_rejected(self, name, value):
+        # No detector correction exists at p_S >= 1/2; every session's
+        # estimator would fail, so the config does.
+        with pytest.raises(ValueError, match=rf"^{name}={value} must be below 1/2$"):
+            single_photon_config(**{name: value})
+        single_photon_config(**{name: 0.49})
+
     def test_constant_rule_parsing(self):
         cfg = single_photon_config(m_rule="constant:12")
         out = run_session(cfg, ChannelStrategy())
@@ -388,8 +390,8 @@ class TestConfigFiles:
 
 def inline_m_rule(cfg, d_init, d_e, basis, lm):
     """The initial-Eve-information rule written out in full: the estimator
-    chosen by nu2 == 0, the (0, 1) fallback, and both credits inline.
-    Returns (m, whether the fallback was taken)."""
+    chosen by nu2 == 0, the (0, 1) fallback for infeasible observations, and
+    both credits inline.  Returns (m, whether the fallback was taken)."""
     k = cfg.k
     key_kind = cfg.i0 + k if basis == "plus" else cfg.i0
     conj_kind = cfg.i0 if basis == "plus" else cfg.i0 + k
@@ -412,7 +414,7 @@ def inline_m_rule(cfg, d_init, d_e, basis, lm):
         else:
             interval = estimate_interval_symmetric(nu, obs)
             q1, r1 = interval.q1_min, interval.r1_max
-    except Exception:
+    except InfeasibleObservation:
         q1, r1 = 0.0, 1.0
         fell_back = True
     photon = nu.v1 * q1 * (1.0 - hbar(r1)) / p_key
@@ -425,6 +427,24 @@ def inline_m_rule(cfg, d_init, d_e, basis, lm):
 
 
 class TestInitialEveInfoRule:
+    def test_only_infeasible_observations_fall_back(self, monkeypatch):
+        # An infeasible observation gives the conservative (q1, r1) = (0, 1);
+        # any other exception from the estimator is a fault and propagates.
+        def planted(exc):
+            def estimator(nu, obs):
+                raise exc
+            return estimator
+
+        cfg = single_photon_config()
+        monkeypatch.setattr(protocol_mod, "minimize_key_term",
+                            planted(InfeasibleObservation("planted")))
+        out = run_session(cfg, ChannelStrategy())
+        # m = lm leaves no key: the session stops at step 6.
+        assert out.abort_step == 6 and "N eta - m = 0 <" in out.abort_reason
+        monkeypatch.setattr(protocol_mod, "minimize_key_term", planted(KeyError("planted")))
+        with pytest.raises(KeyError, match="planted"):
+            run_session(cfg, ChannelStrategy())
+
     def test_matches_inline_rule(self):
         # Random data in the shape a session produces; n up to 10^6 so that
         # the ceiling does not hide a difference in the last bits of m_est.
@@ -454,10 +474,19 @@ class TestInitialEveInfoRule:
                 lm = int(rng.integers(0, n + 1)) if rng.random() < 0.3 else n
                 rule_cfg = replace(cfg, margin_bits=margin)
                 for basis in ("plus", "times"):
-                    want, fell_back = inline_m_rule(rule_cfg, d_init, d_e, basis, lm)
+                    try:
+                        want, fell_back = inline_m_rule(rule_cfg, d_init, d_e, basis, lm)
+                    except ValueError:
+                        # ObservedRates rejects p_S >= 1/2, which has no
+                        # detector correction, before any fallback can hide it.
+                        assert d_init.p_s >= 0.5
+                        with pytest.raises(ValueError, match=r"^p_s=.* must be below 1/2$"):
+                            initial_eve_info_m_rule(rule_cfg, d_init, d_e, basis, lm)
+                        seen.add("raised")
+                        continue
                     assert initial_eve_info_m_rule(rule_cfg, d_init, d_e, basis, lm) == want
                     seen.add((nus[0].v2 == 0.0, fell_back))
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert seen == {(True, True), (True, False), (False, True), (False, False), "raised"}
 
 
 class TestTranscriptAndReport:
