@@ -8,6 +8,7 @@ Fuchs-van de Graaf square-root forms do hold and are tested in the oracle
 module.  Everything else passes at its stated tolerance.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -175,12 +176,8 @@ def test_criterion_2_mutual_information_vs_dense():
 # 3. Decoding-error proposition on exhaustive grids.
 
 
-def test_criterion_3_proposition_decoding_grid():
-    start = time.time()
-    rng = np.random.default_rng(33)
-    min_slack = math.inf
-    violations = 0
-    n_configs = 0
+def _criterion_3_grid():
+    """The criterion-3 configs (n0, n1, n2, t, c1_dim, m), 2032 of them, in grid order."""
     for n0 in (0, 1, 2):
         for n1 in (2, 3, 4, 5, 6, 8):
             for n2 in (0, 1, 2):
@@ -189,19 +186,25 @@ def test_criterion_3_proposition_decoding_grid():
                     continue
                 for t in range(0, min(n1, 4) + 1):
                     for m in (2, 3, 4, 5):
-                        dims = {min(n, m + 1), min(n, m + 2), min(n, m + 3)}
-                        for c1_dim in sorted(dims):
-                            if c1_dim <= m:
-                                continue
-                            n_configs += 1
-                            try:
-                                res = verify_proposition_decoding(
-                                    n0, n1, n2, t, c1_dim, m, rng=rng)
-                            except BoundViolation:
-                                violations += 1
-                                continue
-                            min_slack = min(min_slack,
-                                            res.bound - res.empirical_max)
+                        for c1_dim in sorted({min(n, m + 1), min(n, m + 2), min(n, m + 3)}):
+                            if c1_dim > m:
+                                yield n0, n1, n2, t, c1_dim, m
+
+
+def test_criterion_3_proposition_decoding_grid():
+    start = time.time()
+    rng = np.random.default_rng(33)
+    min_slack = math.inf
+    violations = 0
+    n_configs = 0
+    for cfg in _criterion_3_grid():
+        n_configs += 1
+        try:
+            res = verify_proposition_decoding(*cfg, rng=rng)
+        except BoundViolation:
+            violations += 1
+            continue
+        min_slack = min(min_slack, res.bound - res.empirical_max)
     elapsed = time.time() - start
     ok = violations == 0 and min_slack < 0.1
     verdict("criterion 3 (decoding-error proposition)", ok,
@@ -210,6 +213,20 @@ def test_criterion_3_proposition_decoding_grid():
     assert violations == 0
     assert min_slack < 0.1  # bound non-vacuity
     assert elapsed < 600
+
+
+def test_criterion_3_grid_checks_pinned():
+    # Every field of every check, floats exact (float.hex), with criterion
+    # 3's generator: a faster replay must reproduce each seed-averaged rate.
+    rng = np.random.default_rng(33)
+    digest = hashlib.sha256()
+    for cfg in _criterion_3_grid():
+        res = verify_proposition_decoding(*cfg, rng=rng)
+        fields = [res.empirical_mean.hex(), res.empirical_max.hex(), res.bound.hex(),
+                  str(res.n_seeds), str(res.n_patterns)]
+        digest.update((",".join(map(str, cfg)) + ":" + ",".join(fields) + "\n").encode())
+    assert digest.hexdigest() == \
+        "fc81addb968ce21b6a4c2a2f350372b6b227251108352268b2c1d8ad3d0b3b52"
 
 
 # ----------------------------------------------------------------------

@@ -416,6 +416,24 @@ class TestPropositionDecoding:
             got = verify_proposition_decoding(*cfg, rng=np.random.default_rng(state))
             assert got == want, cfg
 
+    # Seed-7 replays near the size guard: up to 2^13 words with part 0 zero
+    # and 2^10 hash seeds, larger than any criterion-3 config.
+    GUARD_EDGE = {
+        (0, 10, 2, 2, 10, 5): ("0x1.bd44924924925p-1", "0x1.0000000000000p+0",
+                               "0x1.2a05f1ffffffdp+4", 512, 224),
+        (2, 8, 2, 2, 11, 5): ("0x1.9cf59f2298376p-1", "0x1.fc80000000000p-1",
+                              "0x1.67980e0bf08cap+3", 1024, 148),
+        (0, 10, 3, 1, 11, 4): ("0x1.c480000000000p-1", "0x1.0000000000000p+0",
+                               "0x1.9cfceb624ad8fp+3", 1024, 88),
+    }
+
+    @pytest.mark.parametrize("cfg", sorted(GUARD_EDGE))
+    def test_guard_edge_pinned(self, cfg):
+        mean, worst, bound, n_seeds, n_patterns = self.GUARD_EDGE[cfg]
+        want = DecodingCheck(float.fromhex(mean), float.fromhex(worst), float.fromhex(bound),
+                             n_seeds, n_patterns)
+        assert verify_proposition_decoding(*cfg, rng=np.random.default_rng(7)) == want
+
     def test_guard(self):
         with pytest.raises(CapacityError):
             verify_proposition_decoding(8, 8, 0, 1, 10, 4)
