@@ -16,8 +16,10 @@ single-photon detections, and the sacrifice-bit budget m:
 argument at desk scale: it enumerates hash seeds and error patterns and
 checks the averaged decoding error of the part-restricted minimum-distance
 decoder against the analytic exponent, raising on any violation.  The
-decoder sees only the coset of the error; all seeds' candidates are built
-from arrays and decoded in one batched ``kernels.restricted_decode_flags``.
+decoder sees only the syndrome of the error, which is linear in M_e^T w:
+every seed's syndrome map is built on a basis of the image of M_e^T, and
+``kernels.restricted_decode_flags`` decodes all seeds from coset-leader
+tables over that image.
 
 All logarithms are base 2; information is in bits.
 """
@@ -35,7 +37,7 @@ from . import kernels
 from .errors import BoundViolation, CapacityError, check_law, check_probability
 # kernel_basis, mat_vec_mul, rank, span_ints, build_toeplitz: unused, kept for
 # perfbench's LAYER_MAP.
-from .gf2 import kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
+from .gf2 import _eliminate, kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
 from .hashing import build_toeplitz  # noqa: F401
 
 DECODING_GUARD_N = 14
@@ -246,18 +248,21 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     m_e = random_full_rank_matrix(rng, n, c1_dim)
     seeds = np.arange(1 << (c1_dim - 1))
 
-    # Word j stands for j << n0: the words with part 0 zero.  v[j] = M_e^T w.
-    v = span_array(m_e.row_bits[n0:], dtype=np.int64)
-    good = v == 0  # w in C1-perp
+    # Word j stands for j << n0: the words with part 0 zero.  Its class is
+    # M_e^T w, numbered by its bits at the pivot columns of a reduced basis.
+    rows = np.array(m_e.row_bits[n0:], dtype=np.int64)
+    basis, pivots = _eliminate(rows.tolist(), c1_dim)
+    basis = np.array(basis[:len(pivots)], dtype=np.int64)
+    cls = span_array((rows[:, None] >> np.int64(pivots) & 1) @ (1 << np.arange(len(pivots))))
+    # Row i of H_s is (s >> i) & (2^m - 1) | 1 << (m + i): w is in C2-perp iff
+    # v = M_e^T w has syndrome (v & (2^m - 1)) ^ XOR_i v_(m+i) (s >> i) = 0.
+    low = (seeds[:, None, None] >> np.arange(l)) & ((1 << m) - 1)
+    cands = np.bitwise_xor.reduce(low * (basis[:, None] >> m + np.arange(l) & 1), axis=2) \
+        ^ (basis & ((1 << m) - 1))
     words = np.arange(1 << n1)
     part1 = words[np.bitwise_count(words) <= t]
     ys = ((np.arange(1 << n2)[:, None] << n1) | part1).ravel()
-
-    fails = np.zeros(len(ys), dtype=np.int64)
-    block = max(1, (1 << 20) // len(v))  # bounds the (seeds, words) arrays
-    for lo in range(0, len(seeds), block):
-        cands = _dual_subcode_candidates(seeds[lo:lo + block], v, l, m)
-        fails += kernels.restricted_decode_flags(cands, good, (1 << n1) - 1, ys, n - n0)
+    fails = kernels.restricted_decode_flags(cands, cls, (1 << n1) - 1, ys, n - n0)
 
     fail_rate = fails / len(seeds)
     bound = 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m)
@@ -270,18 +275,3 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     return DecodingCheck(empirical_mean, empirical_max, bound,
                          len(seeds), len(ys))
 
-
-def _dual_subcode_candidates(seeds: np.ndarray, v: np.ndarray, l: int, m: int) -> np.ndarray:
-    """Row s: the words j with M_e^T w in the row space of H_s = (X_s, I),
-    i.e. w in C2-perp, padded with the zero word.
-
-    Row i of H_s is (seed >> i) & (2^m - 1) | 1 << (m + i), so the one
-    row-space word with identity part u has X part span[u, s].
-    """
-    low = (seeds[None, :] >> np.arange(l)[:, None]) & ((1 << m) - 1)
-    span = span_array(low, dtype=np.int64)
-    seed, word = np.nonzero((span[v >> m] == (v & ((1 << m) - 1))[:, None]).T)
-    counts = np.bincount(seed, minlength=len(seeds))
-    cands = np.zeros((len(seeds), counts.max()), dtype=np.intp)
-    cands[seed, np.arange(len(seed)) - (np.cumsum(counts) - counts)[seed]] = word
-    return cands

@@ -116,11 +116,18 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
     # together: all counts explained by vacuum plus dark counts means q1 = 0
     # and an undefined error rate (reported as 0 with a warning flag).
     denom = obs.p_nu_times - nu.v0 * obs.p0 - nu.v1 * obs.p_dark
+    if denom < -_FEAS_TOL:
+        raise InfeasibleObservation(f"counting balance denominator {denom} is not positive")
+    if obs.p_nu_plus is not None:
+        # No multi-photon pulses: the + basis has the same nu1 q1 = denom,
+        # and its error count net of the vacuum and dark halves lies in [0, denom].
+        s_plus = 0.0 if obs.s_nu_plus is None else \
+            obs.s_nu_plus * obs.p_nu_plus - 0.5 * (nu.v0 * obs.p0 + nu.v1 * obs.p_dark)
+        if abs(obs.p_nu_plus - obs.p_nu_times) > _FEAS_TOL \
+                or not -_FEAS_TOL <= s_plus <= denom + _FEAS_TOL:
+            raise InfeasibleObservation("+ basis rates match no multi-photon-free channel")
     if denom <= 0.0:
-        if denom >= -_FEAS_TOL:
-            return Estimate(0.0, q1_raw < 0.0), Estimate(0.0, True)
-        raise InfeasibleObservation(
-            f"counting balance denominator {denom} is not positive")
+        return Estimate(0.0, q1_raw < 0.0), Estimate(0.0, True)
     r1_raw = (obs.s_nu_times * obs.p_nu_times
               - 0.5 * nu.v0 * obs.p0
               - 0.5 * nu.v1 * obs.p_dark) / denom

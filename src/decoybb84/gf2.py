@@ -55,7 +55,9 @@ def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
 def pack_rows(bits: np.ndarray) -> list[int]:
     """The rows of a 2-D 0/1 array as packed ints, column j at bit j."""
     bits = np.asarray(bits)
-    if ((bits != 0) & (bits != 1)).any():
+    # Integers are all 0 or 1 exactly when their OR is (a negative sets the sign bit).
+    if not (0 <= np.bitwise_or.reduce(bits, axis=None) <= 1 if bits.dtype.kind in "biu"
+            else ((bits == 0) | (bits == 1)).all()):
         raise ValueError("bits must be 0 or 1")
     packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     width, raw = packed.shape[-1], packed.tobytes()

@@ -8,14 +8,15 @@
   batched Gaussian elimination over blocks of y-parts under a fixed word
   budget,
 * ``restricted_decode_flags``, the minimum-weight decodes of the
-  decoding-error verifier for all hash seeds and error patterns at once.
+  decoding-error verifier for all hash seeds and error patterns at once,
+  from one table of coset leaders per seed (MacWilliams & Sloane, ch. 1).
 
 Ties go toward the lex-smallest word (coordinate 0 most significant):
 ``decode_table`` by the smallest index of a lex-sorted code and
 ``nearest_index`` by ``gf2.lex_key`` of the codeword on whatever order it
 is given.  ``restricted_decode_flags`` breaks ties by ``gf2.lex_key`` of
 the error estimate y ^ c, not of c, so its decode depends only on the
-coset of y.
+syndrome of y.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .gf2 import lex_key, lex_keys, span_array
 
-# Array words per block of y-parts in toeplitz_image_counts: a bound on the
-# working set, which the result does not depend on.
+# Array words per block of y-parts in toeplitz_image_counts and of seeds in
+# restricted_decode_flags: a bound on the working set, not on the results.
 _BLOCK_WORDS = 1 << 14
 
 
@@ -108,33 +109,33 @@ def toeplitz_image_counts(l: int, m: int) -> np.ndarray:
     return counts
 
 
-def restricted_decode_flags(cands: np.ndarray, good: np.ndarray, mask1: int,
+def restricted_decode_flags(cands: np.ndarray, cls: np.ndarray, mask1: int,
                             ys: np.ndarray, n_bits: int) -> np.ndarray:
     """Decoding failures of every error pattern, summed over hash seeds.
 
-    Words are ``n_bits``-bit integers.  Row s of ``cands`` lists seed s's
-    decoder candidates, padded with the zero word (always a candidate);
-    ``good[w]`` marks the words whose decoding counts as success.  For the
-    error y, seed s takes the error estimate y ^ c of least weight on mask1,
-    ties going to the lex-smallest estimate, so the decoder sees only the
-    coset y + C_s and never y itself.  Returns, per y, the number of seeds
-    whose winning c is not good.
+    Words are ``n_bits``-bit integers that the linear map ``cls`` sorts
+    into classes 0 .. 2^r - 1; a decode succeeds when its estimate lies in
+    the error's class.  Row s of ``cands`` holds seed s's syndromes of the
+    r unit classes, so seed s's candidates (syndrome 0) form a subspace.
+    For the error y, seed s sees only y's syndrome and takes the estimate
+    of least weight on mask1 with it, ties to the lex-smallest.  So a class
+    ranked by its least key decodes correctly under seed s exactly when it
+    leads its coset.  Returns, per y, the number of seeds that fail.
     """
-    cands = np.asarray(cands, dtype=np.intp)
-    ys = np.asarray(ys, dtype=np.intp)
-    good = np.asarray(good, dtype=bool)
-    kind = np.int32 if (n_bits + 1) << n_bits < 1 << 31 else np.int64
-    # lex_key of every word; bit reversal, so it is its own inverse.
-    lex = lex_keys(n_bits, dtype=kind)
-    key = np.bitwise_count(np.arange(1 << n_bits) & mask1).astype(kind) << n_bits | lex
-    n_seeds, width = cands.shape
-    fails = np.zeros(len(ys), dtype=np.int64)
-    y_step = max(1, min(len(ys), (1 << 16) // width))
-    s_step = max(1, (1 << 16) // (y_step * width))
-    for y0 in range(0, len(ys), y_step):
-        y = ys[y0:y0 + y_step, None]
-        for s0 in range(0, n_seeds, s_step):
-            # (y, seed) minimum key -> its estimate e -> the winning c = y ^ e.
-            least = key[cands[None, s0:s0 + s_step] ^ y[:, :, None]].min(axis=2)
-            fails[y0:y0 + y_step] += (~good[lex[least & ((1 << n_bits) - 1)] ^ y]).sum(axis=1)
-    return fails
+    n_seeds, r = cands.shape
+    key = np.bitwise_count(np.arange(1 << n_bits) & mask1).astype(np.int64) << n_bits \
+        | lex_keys(n_bits, dtype=np.int64)
+    least = np.full(1 << r, (n_bits + 1) << n_bits)  # above every key: classes with no word
+    np.minimum.at(least, cls, key)
+    rank = np.argsort(np.argsort(least))
+    width = 1 << int(np.bitwise_or.reduce(cands, axis=None)).bit_length()  # above every syndrome
+    # leaders[k]: the seeds under which rank k is the least in its (syndrome, seed) bucket.
+    leaders = np.zeros((1 << r) + 1, dtype=np.int64)  # the last: empty buckets
+    step = max(1, _BLOCK_WORDS // max(1 << r, width))
+    for s0 in range(0, n_seeds, step):
+        syn = span_array(cands[s0:s0 + step].T, dtype=np.int64)
+        b = syn.shape[1]
+        first = np.full(width * b, 1 << r)
+        np.minimum.at(first, (syn * b + np.arange(b)).ravel(), np.repeat(rank, b))
+        leaders += np.bincount(first, minlength=(1 << r) + 1)
+    return n_seeds - leaders[rank[cls[ys]]]

@@ -402,6 +402,12 @@ class TestPropositionDecoding:
         assert res.empirical_max == 0.25
         assert res.bound == 0.5
 
+    def test_no_error_coordinates(self):
+        # n1 = n2 = 0: the only error is zero and M_e^T has no image on the
+        # words with part 0 zero, so every seed decodes correctly.
+        res = verify_proposition_decoding(3, 0, 0, 0, 2, 1, rng=np.random.default_rng(0))
+        assert res == DecodingCheck(0.0, 0.0, 0.5, 2, 1)
+
     @pytest.mark.parametrize("rng_seed", [0, 1, 2])
     def test_matches_per_seed_brute_force(self, rng_seed):
         configs = [(n0, n1, n2, t, c1_dim, m)

@@ -574,6 +574,18 @@ class TestEstimateDecoy:
         path.write_text(json.dumps(spec))
         assert main(["estimate-decoy", "--observations", str(path)]) == 1
 
+    def test_plus_rates_without_multi_photon_infeasible(self, tmp_path):
+        # With nu2 = 0 both bases must count alike; p_nu_plus = 0.9 fits no channel.
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({"nu": [0.5, 0.5, 0.0], "p0": 0.01, "p_dark": 0.001,
+                                    "p_nu_times": 0.1055, "s_nu_times": 0.109,
+                                    "p_nu_plus": 0.9, "s_nu_plus": 0.5}))
+        out = tmp_path / "r.json"
+        assert main(["--format", "json", "--out", str(out),
+                     "estimate-decoy", "--observations", str(path)]) == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert "infeasible" in payload and "q1" not in payload
+
     def test_asymmetric_reports_key_term_only(self, tmp_path):
         # The interval formulas need equal bases; the key-term minimum does not.
         path = tmp_path / "obs.json"

@@ -64,6 +64,32 @@ class TestEstimateVacuumSingle:
         with pytest.raises(InfeasibleObservation):
             estimate_vacuum_single(nu, obs)
 
+    def test_plus_counting_rate_must_match(self):
+        # Without multi-photon pulses both bases count nu1 q1; p_nu_plus = 0.9
+        # against p_nu_times = 0.1055 fits no channel.
+        nu = SourceDistribution(0.5, 0.5)
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.1055, s_nu_times=0.109,
+                            p_nu_plus=0.9, s_nu_plus=0.5)
+        with pytest.raises(InfeasibleObservation, match=r"^\+ basis rates"):
+            estimate_vacuum_single(nu, obs)
+        # Within the tolerance the + counting rate is accepted.
+        obs = replace(obs, p_nu_plus=0.1055 + 1e-10, s_nu_plus=0.109)
+        assert estimate_vacuum_single(nu, obs)[0].value == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("r1p,feasible", [(0.0, True), (1.0, True), (0.3, True),
+                                              (-0.1, False), (1.1, False)])
+    def test_plus_error_count_within_single_photon_counts(self, r1p, feasible):
+        # The + error count net of the vacuum and dark halves is nu1 q1 r1_+,
+        # so it must lie in [0, nu1 q1]; r1_+ = -0.1 and 1.1 still give an
+        # s_nu_plus inside [0, 1].
+        nu = SourceDistribution(0.3, 0.7)
+        obs = forward_rates(nu, 0.05, 0.01, 0.1, 0.06, r1p=r1p)
+        if feasible:
+            assert estimate_vacuum_single(nu, obs)[1].value == pytest.approx(0.06, abs=1e-12)
+        else:
+            with pytest.raises(InfeasibleObservation):
+                estimate_vacuum_single(nu, obs)
+
     def test_exact_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

@@ -272,10 +272,27 @@ class TestPacking:
             assert m.to_array().tolist() == bits.tolist()
         assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
 
-    @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0.5], [[0, 1]]])
+    @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0.5], [[0, 1]], [float("nan")]])
     def test_from_bits_rejects_non_bits(self, bits):
         with pytest.raises(ValueError):
             BitVector.from_bits(bits)
+
+    @pytest.mark.parametrize("bad", [2, -1, 3, 255])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64, np.float64])
+    def test_pack_rows_rejects_non_bits(self, dtype, bad):
+        bits = np.zeros((3, 9), dtype=np.int64)
+        bits[1, 4] = bad
+        bits = bits.astype(dtype)  # -1 wraps to the top value of an unsigned type
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            pack_rows(bits)
+
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), -0.0 - 1e-300, float("inf")])
+    def test_pack_rows_rejects_non_bit_floats(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            pack_rows(np.array([[0.0, 1.0, bad]]))
+
+    def test_pack_rows_takes_integral_floats(self):
+        assert pack_rows(np.array([[1.0, 0.0, 1.0], [-0.0, 1.0, 1.0]])) == [5, 6]
 
     @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 1, 0]], [[0, 2]]])
     def test_from_rows_rejects_ragged_and_non_bits(self, rows):

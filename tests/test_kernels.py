@@ -149,23 +149,45 @@ def test_toeplitz_counts_brute_force():
     assert np.array_equal(counts, kernels.toeplitz_image_counts(l, m))
 
 
-def test_restricted_decode_flags_matches_brute_force():
-    rng = np.random.default_rng(4)
-    mask1 = 0b1111100
-    for n_bits, sizes, n_ys in [
-        (10, (1000, 700, 1, 40, 1000), 80),  # chunks of 65 patterns of one seed
-        (7, tuple(range(1, 13)) * 25, 40),   # chunks of 136 seeds of all patterns
-    ]:
-        cands = np.zeros((len(sizes), max(sizes)), dtype=np.intp)  # padded as the decoder pads
-        for row, size in zip(cands, sizes):
-            row[:size] = np.concatenate(([0], rng.choice(np.arange(1, 1 << n_bits), size - 1,
-                                                         replace=False)))
-        good = rng.integers(0, 2, size=1 << n_bits).astype(bool)
-        good[0] = True
-        ys = rng.integers(0, 1 << n_bits, size=n_ys)
-        # The estimate y ^ c of least masked weight wins, ties to the lex-smallest estimate.
-        want = [sum(not good[min(set(row.tolist()), key=lambda c: (
-            ((c ^ int(y)) & mask1).bit_count(), lex_key(c ^ int(y), n_bits)))] for row in cands)
-            for y in ys]
-        got = kernels.restricted_decode_flags(cands, good, mask1, ys, n_bits)
-        assert got.tolist() == want
+def _linear(images, x):
+    """The linear map with the given images of the unit vectors, at x."""
+    out = 0
+    for q, image in enumerate(images):
+        if x >> q & 1:
+            out ^= int(image)
+    return out
+
+
+@pytest.mark.parametrize("n_bits,r,class_bits,syn_bits,n_seeds,block_words", [
+    (7, 4, 4, 3, 40, None),       # classes onto F_2^4
+    (6, 5, 3, 2, 30, None),       # classes 8 .. 31 hold no word
+    (8, 3, 3, 7, 20, None),       # 2^7 syndromes, more than classes
+    (7, 3, 3, 2, 12, 1 << 6),     # 8 seeds per block: the seeds span two blocks
+])
+def test_restricted_decode_flags_matches_brute_force(monkeypatch, n_bits, r, class_bits,
+                                                     syn_bits, n_seeds, block_words):
+    # Linear maps throughout (words -> classes, and per seed classes ->
+    # syndromes), so each seed's candidates, the words of syndrome 0, form a
+    # subspace and the words of one syndrome form a coset of it.
+    if block_words:
+        monkeypatch.setattr(kernels, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(n_bits * 100 + r)
+    mask1 = rng.integers(1, 1 << n_bits)
+    cls_images = rng.integers(0, 1 << class_bits, size=n_bits)
+    cands = rng.integers(0, 1 << syn_bits, size=(n_seeds, r))
+    ys = rng.integers(0, 1 << n_bits, size=50)
+    words = range(1 << n_bits)
+    cls = [_linear(cls_images, x) for x in words]
+    key = [((x & mask1).bit_count(), lex_key(x, n_bits)) for x in words]
+    want = np.zeros(len(ys), dtype=np.int64)
+    for row in cands:
+        syn = [_linear(row, cls[x]) for x in words]
+        # The least-key word of each coset is its decode; it fails every
+        # error outside its own class.
+        leader = {}
+        for x in words:
+            if syn[x] not in leader or key[x] < key[leader[syn[x]]]:
+                leader[syn[x]] = x
+        want += [cls[leader[syn[y]]] != cls[y] for y in ys]
+    got = kernels.restricted_decode_flags(cands, np.array(cls), mask1, ys, n_bits)
+    assert got.tolist() == want.tolist()

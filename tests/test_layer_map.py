@@ -10,7 +10,12 @@ traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from decoybb84 import gf2, protocol
+import numpy as np
+
+from decoybb84 import bounds, cli, gf2, oracle, protocol
+from decoybb84.channel import ChannelStrategy
+from decoybb84.decoy import SourceDistribution
+from decoybb84.gf2 import BitMatrix
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +38,31 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert protocol.solve is gf2.solve is solve
     assert protocol.rank is gf2.rank and protocol.mat_vec_mul is gf2.mat_vec_mul
+
+
+def test_every_hook_counts(tmp_path):
+    # One call into each hooked layer: a desk session whose EC decode falls
+    # back to the exhaustive scan, a code-channel reduction, a decoding-grid
+    # config and verify-toeplitz through the CLI.  A hook that no longer
+    # binds its argument names fails here, not only in a traced benchmark run.
+    tracer_mod = load_tracer()
+    cfg = protocol.SessionConfig(n=24, n_bar=24, n_under=2, n_prime=4000,
+                                 nus=(SourceDistribution(0.0, 1.0, 0.0),), i0=1,
+                                 p_bar=(0.1, 0.45, 0.45), rng_seed=0)
+    strategy = ChannelStrategy(p_dark=0.001, q_vacuum=0.001, q_single=0.6,
+                               q_multi_times=0.7, q_multi_plus=0.7,
+                               single_error_times=(0.9, 0.03, 0.04, 0.03),
+                               single_error_plus=(0.9, 0.03, 0.04, 0.03),
+                               multi_flip_times=0.05, multi_flip_plus=0.05)
+    m_e = BitMatrix.from_row_ints(6, 3, (1, 2, 4, 3, 5, 6))
+    m_p = BitMatrix.from_row_ints(1, 3, (1,))
+    site = {(0, 0): 0.7, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 0.1}
+    with tracer_mod.Tracer() as tracer:
+        protocol.run_session(cfg, strategy)
+        oracle.reduce_code_channel([site] * 6, m_e, m_p)
+        bounds.verify_proposition_decoding(1, 4, 1, 2, 5, 3, rng=np.random.default_rng(0))
+        assert cli.main(["--format", "json", "--out", str(tmp_path / "toeplitz.json"),
+                         "verify-toeplitz", "--l", "3", "--m", "3"]) == 0
+    assert set(tracer_mod.HOOKS) <= {tracer_mod.SPAN_NAMES[i] for i in tracer.name}
+    assert {key: tracer.counts.get(key, 0) > 0 for key in tracer_mod.COUNTERS} \
+        == dict.fromkeys(tracer_mod.COUNTERS, True)
