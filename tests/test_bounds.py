@@ -403,8 +403,8 @@ class TestPropositionDecoding:
         assert res.bound == 0.5
 
     def test_no_error_coordinates(self):
-        # n1 = n2 = 0: the only error is zero and M_e^T has no image on the
-        # words with part 0 zero, so every seed decodes correctly.
+        # n1 = n2 = 0: the zero word is the only error and the only word with
+        # part 0 zero, so every seed decodes correctly.
         res = verify_proposition_decoding(3, 0, 0, 0, 2, 1, rng=np.random.default_rng(0))
         assert res == DecodingCheck(0.0, 0.0, 0.5, 2, 1)
 

@@ -158,36 +158,36 @@ def _linear(images, x):
     return out
 
 
-@pytest.mark.parametrize("n_bits,r,class_bits,syn_bits,n_seeds,block_words", [
-    (7, 4, 4, 3, 40, None),       # classes onto F_2^4
-    (6, 5, 3, 2, 30, None),       # classes 8 .. 31 hold no word
-    (8, 3, 3, 7, 20, None),       # 2^7 syndromes, more than classes
-    (7, 3, 3, 2, 12, 1 << 6),     # 8 seeds per block: the seeds span two blocks
-])
-def test_restricted_decode_flags_matches_brute_force(monkeypatch, n_bits, r, class_bits,
-                                                     syn_bits, n_seeds, block_words):
+def test_restricted_decode_flags_matches_brute_force(monkeypatch):
     # Linear maps throughout (words -> classes, and per seed classes ->
     # syndromes), so each seed's candidates, the words of syndrome 0, form a
     # subspace and the words of one syndrome form a coset of it.
-    if block_words:
-        monkeypatch.setattr(kernels, "_BLOCK_WORDS", block_words)
-    rng = np.random.default_rng(n_bits * 100 + r)
-    mask1 = rng.integers(1, 1 << n_bits)
-    cls_images = rng.integers(0, 1 << class_bits, size=n_bits)
-    cands = rng.integers(0, 1 << syn_bits, size=(n_seeds, r))
-    ys = rng.integers(0, 1 << n_bits, size=50)
-    words = range(1 << n_bits)
-    cls = [_linear(cls_images, x) for x in words]
-    key = [((x & mask1).bit_count(), lex_key(x, n_bits)) for x in words]
-    want = np.zeros(len(ys), dtype=np.int64)
-    for row in cands:
-        syn = [_linear(row, cls[x]) for x in words]
-        # The least-key word of each coset is its decode; it fails every
-        # error outside its own class.
-        leader = {}
-        for x in words:
-            if syn[x] not in leader or key[x] < key[leader[syn[x]]]:
-                leader[syn[x]] = x
-        want += [cls[leader[syn[y]]] != cls[y] for y in ys]
-    got = kernels.restricted_decode_flags(cands, np.array(cls), mask1, ys, n_bits)
-    assert got.tolist() == want.tolist()
+    for n_bits, r, class_bits, syn_bits, n_seeds, block_words in [
+        (7, 4, 4, 3, 40, None),       # classes onto F_2^4
+        (6, 5, 3, 2, 30, None),       # classes 8 .. 31 hold no word
+        (8, 3, 3, 7, 20, None),       # 2^7 syndromes, more than classes
+        (7, 3, 3, 2, 12, 1 << 6),     # 8 seeds per block: the seeds span two blocks
+    ]:
+        rng = np.random.default_rng(n_bits * 100 + r)
+        mask1 = rng.integers(1, 1 << n_bits)
+        cls_images = rng.integers(0, 1 << class_bits, size=n_bits)
+        cands = rng.integers(0, 1 << syn_bits, size=(n_seeds, r))
+        ys = rng.integers(0, 1 << n_bits, size=50)
+        words = range(1 << n_bits)
+        cls = [_linear(cls_images, x) for x in words]
+        key = [((x & mask1).bit_count(), lex_key(x, n_bits)) for x in words]
+        want = np.zeros(len(ys), dtype=np.int64)
+        for row in cands:
+            syn = [_linear(row, cls[x]) for x in words]
+            # The least-key word of each coset is its decode; it fails every
+            # error outside its own class.
+            leader = {}
+            for x in words:
+                if syn[x] not in leader or key[x] < key[leader[syn[x]]]:
+                    leader[syn[x]] = x
+            want += [cls[leader[syn[y]]] != cls[y] for y in ys]
+        with monkeypatch.context() as patch:
+            if block_words:
+                patch.setattr(kernels, "_BLOCK_WORDS", block_words)
+            got = kernels.restricted_decode_flags(cands, np.array(cls), mask1, ys, n_bits)
+        assert got.tolist() == want.tolist(), (n_bits, r)

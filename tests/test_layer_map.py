@@ -4,7 +4,8 @@
 when a listed function or binding is gone, or when a module binds a traced
 function the map does not list.  Installing and removing it here makes a
 refactor that moves such a binding fail in the test suite, not only in a
-traced benchmark run.
+traced benchmark run.  Its ``HOOKS`` read call arguments by name, so every
+hook is also fired once here.
 """
 
 import importlib.util
@@ -43,8 +44,8 @@ def test_tracer_installs_and_uninstalls():
 def test_every_hook_counts(tmp_path):
     # One call into each hooked layer: a desk session whose EC decode falls
     # back to the exhaustive scan, a code-channel reduction, a decoding-grid
-    # config and verify-toeplitz through the CLI.  A hook that no longer
-    # binds its argument names fails here, not only in a traced benchmark run.
+    # config and verify-toeplitz through the CLI.  A renamed argument that a
+    # hook reads raises here.
     tracer_mod = load_tracer()
     cfg = protocol.SessionConfig(n=24, n_bar=24, n_under=2, n_prime=4000,
                                  nus=(SourceDistribution(0.0, 1.0, 0.0),), i0=1,
