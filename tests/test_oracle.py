@@ -1,7 +1,10 @@
 """Exact Eve figures and the code-channel reduction, with independent oracles."""
 
 import hashlib
+import importlib.util
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,50 @@ class TestPairwiseFigures:
             fig = pairwise_figures(d)
             assert fig.max_pair_trace_norm >= \
                 2 * (1 - fig.min_pair_fidelity) - 1e-12
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def perfbench_code_reduction():
+    """The benchmark's ``CodeReduction`` workload, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CodeReduction
+
+
+def pinned_figure_laws():
+    """The benchmark's 50 reduced laws, then 40 random laws with l = 1..4:
+    every third with some rows of zero probability, every fourth with zero
+    entries inside its rows."""
+    code_reduction = perfbench_code_reduction()
+    laws = []
+    for j in range(code_reduction.POOL):
+        _, m_e, m_p, channel = code_reduction.instance(j)
+        laws.append(reduce_code_channel(channel, m_e, m_p)[0])
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        l = 1 + i % 4
+        keep = np.ones((1 << l, 1 << l), dtype=bool)
+        if i % 3 == 0:
+            keep[rng.permutation(1 << l)[:max(1, (1 << l) // 2)]] = False
+        if i % 4 == 0:
+            keep &= rng.random(keep.shape) < 0.7
+            keep.flat[rng.integers(keep.size)] = True
+        probs = np.zeros(keep.shape)
+        probs[keep] = rng.dirichlet(np.ones(int(keep.sum())))
+        laws.append(PauliErrorDistribution(l, probs))
+    return laws
+
+
+# SHA-256 of float.hex of every EveFigures field, law after law.
+PINNED_FIGURES = "6b4ec46ed7d0953dcd7e484048b5d58d3c88ccb71a085e05ebb85cbf9ebc47c0"
+
+
+def test_pinned_figures():
+    hexes = [float.hex(v) for law in pinned_figure_laws() for v in astuple(pairwise_figures(law))]
+    assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == PINNED_FIGURES
 
 
 class TestOptimalSuccess:

@@ -667,3 +667,24 @@ class TestPinnedSessions:
         make_config, strategy = EDGE_CASES[case]
         out = run_session(make_config(seed), strategy)
         assert session_fingerprint(out) == PINNED_EDGE_SESSIONS[case, seed]
+
+    def test_desk_decodes(self, monkeypatch):
+        # Every EC decode of desk sessions 0..127 in both directions, as the
+        # seeds "lm:z" in call order; most of them miss the exact preimage.
+        decode = protocol_mod.decode_to_seed
+        seeds = []
+
+        def record(m_e, received, guard):
+            z = decode(m_e, received, guard)
+            seeds.append(f"{z.length}:{z.bits:x}")
+            return z
+
+        monkeypatch.setattr(protocol_mod, "decode_to_seed", record)
+        for direction in ("forward", "reverse"):
+            for seed in range(128):
+                run_session(replace(desk_config(seed), ec_direction=direction), DESK_STRATEGY)
+        digest = hashlib.sha256("\n".join(seeds).encode()).hexdigest()
+        assert (len(seeds), digest) == PINNED_DESK_DECODES
+
+
+PINNED_DESK_DECODES = (512, "d3d3591530fceee6463c5d7f26db4c691a792a3a1ae29269d90b6878212acf93")
