@@ -196,15 +196,15 @@ def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
     return work, pivots
 
 
-def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], int]:
+def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], list[int]]:
     """Reduce packed rows against each other on the bits inside ``mask``.
 
     ``mask`` is the low bits 0 .. c-1.  Returns the pivot rows, keyed by
     their lowest set bit (all their other bits inside ``mask`` lie higher),
-    and the OR of what is left of the rows that cancel inside ``mask``.
+    and what is left of the rows that cancel inside ``mask``.
     """
     pivots: dict[int, int] = {}
-    rest = 0
+    rest = []
     for r in rows:
         while r & mask:
             low = r & -r
@@ -214,7 +214,7 @@ def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], int]:
                 break
             r ^= p
         else:
-            rest |= r
+            rest.append(r)
     return pivots, rest
 
 
@@ -251,7 +251,7 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     mask = (1 << m.cols) - 1
     pivots, rest = _reduce([row | (v.bits >> i & 1) << m.cols
                             for i, row in enumerate(m.row_bits)], mask)
-    if rest:
+    if any(rest):
         return None
     u = 0
     for low in sorted(pivots, reverse=True):
@@ -259,6 +259,18 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
         if ((row >> m.cols) + (row & u).bit_count()) & 1:
             u |= low
     return BitVector(m.cols, u)
+
+
+def parity_checks(m: BitMatrix) -> list[int]:
+    """Independent checks h with h M = 0 (bit i of h weighs row i).
+
+    The words c of the code Im M are those with every h . c = 0.  Reduces
+    the rows of (M | I), with row i's identity bit above M's last column: a
+    row that cancels inside M leaves the set of rows that sum to zero.
+    """
+    _, rest = _reduce([row | 1 << (m.cols + i) for i, row in enumerate(m.row_bits)],
+                      (1 << m.cols) - 1)
+    return [r >> m.cols for r in rest]
 
 
 def span_ints(basis: Sequence[int]) -> list[int]:

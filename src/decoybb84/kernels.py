@@ -3,6 +3,8 @@
 * ``decode_table``, a breadth-first search over the n-cube that labels
   every received word with its nearest codeword,
 * ``nearest_index``, one vectorized distance scan for a single word,
+* ``least_weight_errors``, the error patterns of least weight with a given
+  syndrome, from a walk over the patterns by weight,
 * ``toeplitz_image_counts``, the exact Toeplitz membership counts from the
   image and nullity of one small linear map per y-part, all reduced by one
   batched Gaussian elimination over blocks of y-parts under a fixed word
@@ -20,6 +22,8 @@ syndrome of y.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,6 +76,40 @@ def nearest_index(code: np.ndarray, y: int, n_bits: int) -> int:
     dist = np.bitwise_count(code ^ np.uint64(y))
     tied = np.flatnonzero(dist == dist.min())
     return int(min(tied, key=lambda i: lex_key(int(code[i]), n_bits)))
+
+
+def least_weight_errors(unit: np.ndarray, syndrome: int, budget: int) -> np.ndarray | None:
+    """Every error pattern of least weight whose syndrome is ``syndrome``.
+
+    ``unit[j]`` is the syndrome of bit j alone; syndromes add by XOR.  The
+    patterns are walked by weight, each weight in colex order: those of
+    weight w with top bit j are the first C(j, w-1) patterns of weight w-1
+    with bit j set.  Returns None, before building a weight, when the
+    patterns up to it would number more than ``budget``.
+    """
+    n = len(unit)
+    unit = np.asarray(unit, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    tops = np.arange(n, dtype=np.uint8)
+    pats = syns = np.zeros(1, dtype=np.uint64)
+    ball = 1
+    below = np.ones(n, dtype=np.int64)  # C(j, w): the patterns of weight w under bit j
+    for w in range(n + 1):
+        hit = np.flatnonzero(syns == syndrome)
+        if hit.size:
+            return pats[hit]
+        ball += math.comb(n, w + 1)
+        if ball > budget:
+            return None
+        starts = np.array([math.comb(j, w + 1) for j in range(n)])  # sum of below[:j]
+        top = np.repeat(tops, below)
+        src = np.arange(len(top)) - np.repeat(starts, below)
+        below = starts
+        pats = pats.take(src)
+        pats |= bits.take(top)
+        syns = syns.take(src)
+        syns ^= unit.take(top)
+    return None
 
 
 def toeplitz_image_counts(l: int, m: int) -> np.ndarray:

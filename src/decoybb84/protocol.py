@@ -44,7 +44,8 @@ from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, InfeasibleObservation, check_flip_rate,
                      check_law)
-from .gf2 import BitMatrix, BitVector, mat_vec_mul, pack_rows, rank, solve, span_array
+from .gf2 import (BitMatrix, BitVector, mat_vec_mul, pack_rows, parity_checks, rank, solve,
+                  span_array)
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
@@ -190,19 +191,33 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
                    guard: int = DECODE_GUARD) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
-    Fast path: an exact preimage exists (no residual error).  Otherwise the
-    code is enumerated exhaustively up to the guard, from the one transpose
-    of ``m_e`` the decode builds.
+    Fast path: an exact preimage exists (no residual error).  Otherwise, with
+    the 2^lm codewords under the guard, the syndrome of ``received`` under
+    the parity checks of Im M_e names its coset, and the error patterns are
+    walked by weight until some have that syndrome: received ^ e are then
+    the nearest codewords, and ``solve`` gives the seed of the lex-smallest.
+    The walk stops once its patterns would outnumber the code, and the code
+    is enumerated instead, so a decode costs at most min(ball, 2^lm) words.
     """
     exact = solve(m_e, received)
     if exact is not None:
         return exact
-    if 1 << m_e.cols > guard:
+    n, lm = m_e.rows, m_e.cols
+    if 1 << lm > guard:
         raise CapacityError(
-            f"exhaustive decode of 2^{m_e.cols} codewords exceeds guard {guard}")
-    # Word z of the span of M_e's columns is M_e z, so its index is the seed.
-    words = span_array(m_e.transpose().row_bits)
-    return BitVector(m_e.cols, kernels.nearest_index(words, received.bits, m_e.rows))
+            f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
+    checks = parity_checks(m_e)
+    h = np.array(checks, dtype=np.uint64)[:, None]
+    unit = np.bitwise_or.reduce((h >> np.arange(n, dtype=np.uint64) & np.uint64(1))
+                                << np.arange(len(checks), dtype=np.uint64)[:, None], axis=0)
+    syndrome = sum(((c & received.bits).bit_count() & 1) << k for k, c in enumerate(checks))
+    errors = kernels.least_weight_errors(unit, syndrome, 1 << lm)
+    if errors is None:
+        # Word z of the span of M_e's columns is M_e z, so its index is the seed.
+        words = span_array(m_e.transpose().row_bits)
+        return BitVector(lm, kernels.nearest_index(words, received.bits, n))
+    nearest = errors ^ np.uint64(received.bits)
+    return solve(m_e, BitVector(n, int(nearest[kernels.nearest_index(nearest, received.bits, n)])))
 
 
 def error_correct(x_send: BitVector, x_recv: BitVector, m_e: BitMatrix,

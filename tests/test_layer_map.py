@@ -42,10 +42,11 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_every_hook_counts(tmp_path):
-    # One call into each hooked layer: a desk session whose EC decode falls
-    # back to the exhaustive scan, a code-channel reduction, a decoding-grid
-    # config and verify-toeplitz through the CLI.  A renamed argument that a
-    # hook reads raises here.
+    # One call into each hooked layer: a desk session whose EC decode misses
+    # the exact preimage and reaches kernels.nearest_index through the coset
+    # search, a code-channel reduction, a decoding-grid config and
+    # verify-toeplitz through the CLI.  A renamed argument that a hook reads
+    # raises here.
     tracer_mod = load_tracer()
     cfg = protocol.SessionConfig(n=24, n_bar=24, n_under=2, n_prime=4000,
                                  nus=(SourceDistribution(0.0, 1.0, 0.0),), i0=1,

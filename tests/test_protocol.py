@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 
 import decoybb84.protocol as protocol_mod
+from decoybb84 import kernels
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
 from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
-from decoybb84.errors import InfeasibleObservation
-from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul
+from decoybb84.errors import CapacityError, InfeasibleObservation
+from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, span_array
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
                                 decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
@@ -231,6 +233,112 @@ class TestErrorCorrection:
                 received = BitVector(n, y)
                 want = min_distance_decode(received, code)
                 assert mat_vec_mul(m_e, decode_to_seed(m_e, received)) == want
+
+
+def scan_decode(m_e, received):
+    """The exhaustive decode: the nearest of all 2^lm words M_e z, by index z."""
+    words = span_array(m_e.transpose().row_bits)
+    return BitVector(m_e.cols, kernels.nearest_index(words, received.bits, m_e.rows))
+
+
+class TestCosetDecode:
+    """decode_to_seed walks error patterns by weight under the parity checks
+    of Im M_e, and enumerates the code only once that walk outgrows it."""
+
+    def _record(self, monkeypatch):
+        calls = []
+        for name in ("least_weight_errors", "nearest_index"):
+            def wrapper(*args, _f=getattr(kernels, name), _name=name):
+                out = _f(*args)
+                calls.append((_name, out, args))
+                return out
+            monkeypatch.setattr(kernels, name, wrapper)
+        return calls
+
+    def test_matches_min_distance_decode(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        rng = np.random.default_rng(5)
+        scans = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 25))
+            lm = int(rng.integers(1, min(n, 9) + 1))
+            m_e = random_full_rank_matrix(rng, n, lm)
+            code = [mat_vec_mul(m_e, BitVector(lm, z)) for z in range(1 << lm)]
+            ys = rng.integers(0, 1 << n, size=4).tolist() + [code[trial % len(code)].bits]
+            for y in ys:
+                received = BitVector(n, y)
+                calls.clear()
+                z = decode_to_seed(m_e, received)
+                assert mat_vec_mul(m_e, z) == min_distance_decode(received, code)
+                assert z == scan_decode(m_e, received)
+                scans += any(name == "least_weight_errors" and out is None
+                             for name, out, _ in calls)
+        assert scans > 10  # some walks outgrew their code and fell back to the scan
+
+    def test_weight_zero_is_the_exact_preimage(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 0]])
+        z = BitVector(2, 0b10)
+        assert decode_to_seed(m_e, mat_vec_mul(m_e, z)) == z
+        assert calls == []
+
+    def test_ties_go_to_the_lex_smallest_codeword(self, monkeypatch):
+        # The even-weight code of length 5: a word of weight 1 (coordinate
+        # 4) lies at distance 1 from five codewords, and 00000 is the
+        # lex-smallest of them.
+        calls = self._record(monkeypatch)
+        m_e = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                   [1, 1, 1, 1]])
+        assert decode_to_seed(m_e, BitVector(5, 1 << 4)) == BitVector(4, 0)
+        errors = [out for name, out, _ in calls if name == "least_weight_errors"]
+        assert len(errors) == 1 and len(errors[0]) == 5
+
+    def test_random_matrices_match_the_scan(self):
+        # Rank-deficient M_e too: solve's preimage (free unknowns 0) is the
+        # least index z of the chosen codeword, as in the scan.
+        rng = np.random.default_rng(6)
+        for _ in range(150):
+            n = int(rng.integers(2, 25))
+            lm = int(rng.integers(1, min(n, 10) + 1))
+            m_e = BitMatrix.from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
+            received = BitVector(n, int(rng.integers(0, 1 << n)))
+            assert decode_to_seed(m_e, received) == scan_decode(m_e, received)
+
+    def test_capacity_error_as_before(self):
+        rng = np.random.default_rng(7)
+        m_e = random_full_rank_matrix(rng, 12, 6)
+        codeword = mat_vec_mul(m_e, BitVector(6, 0b101101))
+        noisy = codeword ^ BitVector(12, 1)
+        for guard in (1, 32, 63):
+            assert decode_to_seed(m_e, codeword, guard) == BitVector(6, 0b101101)
+            with pytest.raises(CapacityError) as info:
+                decode_to_seed(m_e, noisy, guard)
+            assert str(info.value) == f"exhaustive decode of 2^6 codewords exceeds guard {guard}"
+        for guard in (64, 65, 1 << 20):
+            assert decode_to_seed(m_e, noisy, guard) == scan_decode(m_e, noisy)
+
+    def test_far_word_falls_back_within_twice_the_scan_memory(self, monkeypatch):
+        # N = 64, lm = 20: the ball reaches C(64, <= 4) = 679,121 patterns,
+        # weight 5 would pass 2^20, and the received word lies farther out.
+        rng = np.random.default_rng(64)
+        m_e = random_full_rank_matrix(rng, 64, 20)
+        received = BitVector(64, int(rng.integers(0, 1 << 63)) << 1 | 1)
+        tracemalloc.start()
+        try:
+            want = scan_decode(m_e, received)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            calls = self._record(monkeypatch)
+            got = decode_to_seed(m_e, received)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert (mat_vec_mul(m_e, got) ^ received).bits.bit_count() >= 5
+        assert [(name, out is None) for name, out, _ in calls] == \
+            [("least_weight_errors", True), ("nearest_index", False)]
+        assert len(calls[1][2][0]) == 1 << 20
+        assert peak <= 2 * scan_peak
 
 
 class TestExperimentData:
