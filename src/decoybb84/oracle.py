@@ -70,11 +70,14 @@ class PauliErrorDistribution:
 
     def conditional_phase(self) -> np.ndarray:
         """P(z|x) rows; rows with P(x)=0 are left as zeros."""
-        px = self.x_marginal()
-        cond = np.zeros_like(self.probs)
-        nz = px > 0
-        cond[nz] = self.probs[nz] / px[nz, None]
-        return cond
+        return _conditional(self.probs, self.x_marginal())
+
+
+def _conditional(probs: np.ndarray, px: np.ndarray) -> np.ndarray:
+    cond = np.zeros_like(probs)
+    nz = px > 0
+    cond[nz] = probs[nz] / px[nz, None]
+    return cond
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,13 @@ def eve_mutual_information(dist: PauliErrorDistribution) -> float:
     so the average relative entropy collapses to sum_x P(x) H(Z | X = x).
     The dense-matrix path cross-checks this closed form for small l.
     """
-    px = dist.x_marginal()
-    cond = dist.conditional_phase()
+    return _mutual_information(dist.x_marginal(), dist.conditional_phase())
+
+
+def _mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
     total = 0.0
-    for x in range(1 << dist.l):
-        if px[x] > 0:
-            total += px[x] * _entropy_bits(cond[x])
+    for x in np.flatnonzero(px > 0):
+        total += px[x] * _entropy_bits(cond[x])
     return total
 
 
@@ -126,10 +130,12 @@ def _sign_matrix(l: int) -> np.ndarray:
 
 def optimal_success_probability(dist: PauliErrorDistribution) -> float:
     """Eve's best key-guessing probability (covariant measurement value)."""
-    px = dist.x_marginal()
-    cond = dist.conditional_phase()
+    return _success_probability(dist.x_marginal(), dist.conditional_phase(), dist.l)
+
+
+def _success_probability(px: np.ndarray, cond: np.ndarray, l: int) -> float:
     amp = np.sqrt(cond).sum(axis=1)
-    return float((px * amp ** 2).sum() * 2.0 ** (-dist.l))
+    return float((px * amp ** 2).sum() * 2.0 ** (-l))
 
 
 def pairwise_figures(dist: PauliErrorDistribution) -> EveFigures:
@@ -141,39 +147,33 @@ def pairwise_figures(dist: PauliErrorDistribution) -> EveFigures:
     """
     l = dist.l
     px = dist.x_marginal()
-    cond = dist.conditional_phase()
+    cond = _conditional(dist.probs, px)
     signs = _sign_matrix(l)
-    # inner[x, d] = sum_z (-1)^(z.d) P(z|x)
+    # inner[x, d] = sum_z (-1)^(z.d) P(z|x); row d - 1 of w holds column d.
     inner = cond @ signs.T
-
-    min_pair_fid = 1.0
-    max_pair_tn = 0.0
-    for d in range(1, 1 << l):
-        w = inner[:, d]
-        fid = float((px * np.abs(w)).sum())
-        tn = float((px * 2.0 * np.sqrt(np.maximum(0.0, 1.0 - w ** 2))).sum())
-        min_pair_fid = min(min_pair_fid, fid)
-        max_pair_tn = max(max_pair_tn, tn)
-    if l == 0:  # pragma: no cover - l >= 1 enforced
-        min_pair_fid, max_pair_tn = 1.0, 0.0
+    w = np.ascontiguousarray(inner.T[1:])
+    min_pair_fid = min(1.0, float((px * np.abs(w)).sum(axis=1).min()))
+    max_pair_tn = max(0.0, float((px * 2.0 * np.sqrt(np.maximum(0.0, 1.0 - w ** 2)))
+                                 .sum(axis=1).max()))
 
     avg_fid = float((px * np.sqrt((cond ** 2).sum(axis=1))).sum())
 
-    avg_tn = 0.0
-    for x in range(1 << l):
-        if px[x] == 0:
-            continue
-        s = np.sqrt(cond[x])
-        block = np.outer(s, s) - np.diag(cond[x])
-        avg_tn += px[x] * float(np.abs(np.linalg.eigvalsh(block)).sum())
+    # Block x of rho(y) - rho_bar is sqrt(P(.|x)) sqrt(P(.|x))^T - diag P(.|x).
+    nz = px > 0
+    s = np.sqrt(cond[nz])
+    blocks = s[:, :, None] * s[:, None, :]
+    diag = np.arange(1 << l)
+    blocks[:, diag, diag] -= cond[nz]
+    block_tn = np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1)
+    avg_tn = float(np.cumsum(px[nz] * block_tn)[-1])
 
     return EveFigures(
-        mutual_info_bits=eve_mutual_information(dist),
+        mutual_info_bits=_mutual_information(px, cond),
         min_pair_fidelity=min_pair_fid,
         max_pair_trace_norm=max_pair_tn,
         min_avg_fidelity=avg_fid,
         max_avg_trace_norm=avg_tn,
-        opt_success_prob=optimal_success_probability(dist),
+        opt_success_prob=_success_probability(px, cond, l),
         phase_error_prob=phase_error_probability(dist),
     )
 
@@ -275,19 +275,23 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
     shifts, shift_lab = span & ((1 << n) - 1), span >> n
     reps = span_array([1 << b for b in range(n) if b not in pivots], dtype=np.int64)
     grid = reps[:, None] ^ shifts
-    rows = np.arange(len(reps))[:, None]
-    counts = np.bincount((rows * n_lab + (dec[grid] ^ shift_lab)).ravel(),
-                         minlength=len(reps) * n_lab).reshape(len(reps), n_lab)
+    rows = np.arange(len(reps))[:, None] * n_lab
+    probs = np.bincount((rows + (dec[grid] ^ shift_lab)).ravel(),
+                        minlength=len(reps) * n_lab) / len(shifts)
     table = np.empty((1 << n, n_lab))
-    table[grid] = counts[rows[:, :, None], np.arange(n_lab) ^ shift_lab[:, None]] / len(shifts)
+    table[grid] = probs.take(rows[:, :, None] + (np.arange(n_lab) ^ shift_lab[:, None]))
     return table
 
 
 def _normalize_channel(channel, n: int) -> tuple[str, object]:
-    """Accept a per-position symbol law or an explicit joint pattern law."""
+    """Accept a per-position symbol law or an explicit joint pattern law.
+
+    A joint law comes back as the arrays (x patterns, z patterns, probs).
+    """
     if isinstance(channel, Mapping):
-        check_law("joint channel law", list(channel.values()))
-        return "joint", channel
+        probs = check_law("joint channel law", list(channel.values()))
+        ex, ez = np.array(list(channel), dtype=np.int64).reshape(-1, 2).T
+        return "joint", (ex, ez, probs)
     site_laws = []
     for i, law in enumerate(channel):
         mat = np.zeros((2, 2))
@@ -375,26 +379,43 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     az = _label_transitions(c1_basis + chosen, [0] * k + [(2 << j) - 1 for j in range(l)],
                             k, n, n_lab)
 
-    # --- joint pattern law ------------------------------------------
+    logical, p_ph_min = _contract(kind, law, ax, az)
+    logical = np.clip(logical, 0.0, None)
+    logical /= logical.sum()
+    return PauliErrorDistribution(l, logical), p_ph_min
+
+
+def _contract(kind: str, law, ax: np.ndarray, az: np.ndarray) -> tuple[np.ndarray, float]:
+    """The unnormalized logical law sum P(ex, ez) ax[ex] (x) az[ez], and p_ph.
+
+    Each path makes the float operations of a loop it replaces, in the same
+    order, so the result is the same to the bit: a ``matmul`` or a regrouped
+    sum would not be.
+    """
+    size, n_lab = az.shape
     if kind == "product":
         # The law is the Kronecker product of the site laws (site i on bit i,
         # which is axis N-1-i of a C-order reshape), so it is applied to az
         # one site at a time instead of being built as a 2^N x 2^N array.
-        az_by_site = az.reshape((2,) * n + (n_lab,))
+        # Step i is np.tensordot(site, ., axes=(1, N-1-i)): np.dot of the site
+        # with the (2, M) operand of bit i against the other axes in order.
+        # Its result has bit i in front, so bit i+1's operand is the view
+        # (bit i, higher bits, bit i+1, the rest) with the two bits swapped.
+        n = len(law)
+        az_by_site = az.reshape(1, -1)
         p_z = np.ones(1)
         for i, site in enumerate(law):
-            axis = n - 1 - i
-            az_by_site = np.moveaxis(np.tensordot(site, az_by_site, axes=(1, axis)), 0, axis)
-            p_z = np.kron(site.sum(axis=0), p_z)
+            operand = az_by_site.reshape(len(az_by_site), 1 << (n - 1 - i), 2, -1)
+            az_by_site = np.dot(site, operand.transpose(2, 1, 0, 3).reshape(2, -1))
+            p_z = np.multiply.outer(site.sum(axis=0), p_z).ravel()  # np.kron's products
         logical = ax.T @ az_by_site.reshape(size, n_lab)
     else:
+        # Term t is (ax[ex] (x) az[ez]) p; the cumulative sum adds the terms
+        # one after another in law order.
+        ex, ez, probs = law
         p_z = np.zeros(size)
-        logical = np.zeros((1 << l, 1 << l))
-        for (ex, ez), p in law.items():
-            p_z[ez] += p
-            logical += p * np.outer(ax[ex], az[ez])
-
-    p_ph_min = float((p_z * (1.0 - az[:, 0])).sum())
-    logical = np.clip(logical, 0.0, None)
-    logical /= logical.sum()
-    return PauliErrorDistribution(l, logical), p_ph_min
+        np.add.at(p_z, ez, probs)
+        terms = ax[ex][:, :, None] * az[ez][:, None, :]
+        terms *= probs[:, None, None]
+        logical = np.cumsum(terms, axis=0)[-1]
+    return logical, float((p_z * (1.0 - az[:, 0])).sum())

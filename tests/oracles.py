@@ -84,6 +84,35 @@ def per_shift_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: 
     return table.reshape(1 << n, n_lab) / len(shifts)
 
 
+def contract_reference(channel, ax: np.ndarray, az: np.ndarray) -> tuple[np.ndarray, float]:
+    """(unnormalized logical law, p_ph) of ``oracle._contract`` from loops.
+
+    The earlier code, kept verbatim: one ``np.outer`` per joint-law term,
+    and one ``np.tensordot``, ``np.moveaxis`` and ``np.kron`` per site of a
+    product law.  The library must match it to the bit.
+    """
+    size, n_lab = az.shape
+    n = size.bit_length() - 1
+    if isinstance(channel, Mapping):
+        p_z = np.zeros(size)
+        logical = np.zeros((n_lab, n_lab))
+        for (ex, ez), p in channel.items():
+            p_z[ez] += p
+            logical += p * np.outer(ax[ex], az[ez])
+    else:
+        az_by_site = az.reshape((2,) * n + (n_lab,))
+        p_z = np.ones(1)
+        for i, law in enumerate(channel):
+            site = np.zeros((2, 2))
+            for (x, z), p in law.items():
+                site[x, z] = p
+            axis = n - 1 - i
+            az_by_site = np.moveaxis(np.tensordot(site, az_by_site, axes=(1, axis)), 0, axis)
+            p_z = np.kron(site.sum(axis=0), p_z)
+        logical = ax.T @ az_by_site.reshape(size, n_lab)
+    return logical, float((p_z * (1.0 - az[:, 0])).sum())
+
+
 def pauli_from_dict(l: int, entries: Mapping[tuple[int, int], float]) -> PauliErrorDistribution:
     """The l-bit logical law with probability ``entries[(x, z)]`` at (x, z)."""
     p = np.zeros((1 << l, 1 << l))

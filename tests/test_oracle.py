@@ -14,14 +14,15 @@ from decoybb84.bounds import (distinguishability_bounds, eve_info_bound,
 from decoybb84.errors import CapacityError
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
                            span_array, span_ints)
-from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _label_transitions,
-                              dense_average_state,
+from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _contract,
+                              _label_transitions, _normalize_channel, dense_average_state,
                               dense_eve_state, dense_fidelity,
                               dense_mutual_information, dense_trace_norm,
                               eve_mutual_information, optimal_success_probability,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
-from oracles import min_distance_decode, pauli_from_dict, per_shift_transitions
+from oracles import (contract_reference, min_distance_decode, pauli_from_dict,
+                     per_shift_transitions)
 
 
 def random_code_pair(rng, n, lm, l):
@@ -556,6 +557,49 @@ def test_label_transitions_match_per_shift_loop(n, lm, l):
     want = per_shift_transitions(words, labels, n, n_lab,
                                  [(s, 0) for s in span_array(basis[:k]).tolist()])
     assert np.array_equal(got, want)
+
+
+def label_laws(rng, n, l):
+    """Random label laws ax, az on 2^n rows, about a third of entries zero."""
+    ax, az = rng.dirichlet(np.ones(1 << l), size=(2, 1 << n))
+    ax[rng.random(ax.shape) < 0.3] = 0.0
+    az[rng.random(az.shape) < 0.3] = 0.0
+    return ax, az
+
+
+def assert_contraction_matches_loops(channel, n, ax, az):
+    got_law, got_pph = _contract(*_normalize_channel(channel, n), ax, az)
+    want_law, want_pph = contract_reference(channel, ax, az)
+    assert (got_law.tobytes(), float.hex(got_pph)) == (want_law.tobytes(), float.hex(want_pph))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_product_contraction_matches_site_loop(n):
+    rng = np.random.default_rng([31, n])
+    ax, az = label_laws(rng, n, 1 + n % 3)
+    assert_contraction_matches_loops(random_channel(rng, n, "product"), n, ax, az)
+
+
+@pytest.mark.parametrize("case", ["random", "repeated-ez", "zero-terms", "single-term"])
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_joint_contraction_matches_term_loop(case, n):
+    rng = np.random.default_rng([37, n, len(case)])
+    ax, az = label_laws(rng, n, 1 + n % 3)
+    terms = 1 if case == "single-term" else 40
+    ex = rng.integers(0, 1 << n, size=terms).tolist()
+    ez = rng.integers(0, 1 << n, size=terms)
+    if case == "repeated-ez":
+        ez = rng.choice(ez[:3], size=terms)
+    weights = rng.dirichlet(np.ones(terms))
+    if case == "zero-terms":
+        weights[rng.permutation(terms)[:terms // 2]] = 0.0
+        weights /= weights.sum()
+    channel = {}
+    for key, w in zip(zip(ex, ez.tolist()), weights.tolist()):
+        channel[key] = channel.get(key, 0.0) + w
+    if case == "repeated-ez":
+        assert len({z for _, z in channel}) < len(channel)
+    assert_contraction_matches_loops(channel, n, ax, az)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
