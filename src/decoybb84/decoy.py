@@ -132,21 +132,25 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
               - 0.5 * nu.v0 * obs.p0
               - 0.5 * nu.v1 * obs.p_dark) / denom
     if obs.p_s > 0.0:
-        r1_raw = correct_detector_error(r1_raw, obs.p_s, _already_valid=False)
+        r1_raw = _detector_corrected(r1_raw, obs.p_s)
     q1, cq = _clamp01(q1_raw)
     r1, cr = _clamp01(r1_raw)
     return Estimate(q1, cq), Estimate(r1, cr)
 
 
-def correct_detector_error(r1_raw: float, p_s: float,
-                           _already_valid: bool = True) -> float:
+def correct_detector_error(r1_raw: float, p_s: float) -> float:
     """Remove the detector/generator flip rate from an observed error rate.
 
     Inverts  r' = p_S (1 - r) + (1 - p_S) r, so r = (r' - p_S)/(1 - 2 p_S).
     """
     check_flip_rate("p_s", p_s)
-    if _already_valid:
-        check_probability("observed rate", r1_raw)
+    check_probability("observed rate", r1_raw)
+    return _detector_corrected(r1_raw, p_s)
+
+
+def _detector_corrected(r1_raw: float, p_s: float) -> float:
+    """``correct_detector_error`` unchecked, for estimates that may leave [0, 1]
+    before their clamp; ``ObservedRates`` has already checked p_s."""
     return (r1_raw - p_s) / (1.0 - 2.0 * p_s)
 
 
@@ -169,7 +173,7 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
 
     r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
     if obs.p_s > 0.0:
-        r1_min_raw = correct_detector_error(r1_min_raw, obs.p_s, _already_valid=False)
+        r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
     r1_min_tilde, c = _clamp01(r1_min_raw)
     clamped |= c
     q1_max, c = _clamp01(q1_max_raw)
@@ -236,7 +240,7 @@ def _key_term_corner(nu: SourceDistribution, obs: ObservedRates
         return 0.0, 1.0, True
     r1_raw = s_num / den
     if obs.p_s > 0.0:
-        r1_raw = correct_detector_error(r1_raw, obs.p_s, _already_valid=False)
+        r1_raw = _detector_corrected(r1_raw, obs.p_s)
     r1, cr = _clamp01(r1_raw)
     q1, cq = _clamp01(q1_raw)
     return q1, r1, cr or cq

@@ -16,7 +16,7 @@ from decoybb84.bounds import hbar
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED, VACUUM,
                                ChannelStrategy)
 from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
-                             correct_detector_error)
+                             _detector_corrected)
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
 from decoybb84.gf2 import BitVector, lex_order
 from decoybb84.hashing import ToeplitzHash
@@ -272,7 +272,7 @@ def interval_symmetric_reference(nu: SourceDistribution, obs: ObservedRates
     else:
         r1_max_raw = s_num / den_min
         if obs.p_s > 0.0:
-            r1_max_raw = correct_detector_error(r1_max_raw, obs.p_s, _already_valid=False)
+            r1_max_raw = _detector_corrected(r1_max_raw, obs.p_s)
         r1_max, c = _clamp01(r1_max_raw)
         clamped |= c
         q1_min, c = _clamp01(q1_min_raw)
@@ -280,7 +280,7 @@ def interval_symmetric_reference(nu: SourceDistribution, obs: ObservedRates
 
     r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
     if obs.p_s > 0.0:
-        r1_min_raw = correct_detector_error(r1_min_raw, obs.p_s, _already_valid=False)
+        r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
     r1_min_tilde, c = _clamp01(r1_min_raw)
     clamped |= c
     q1_max, c = _clamp01(q1_max_raw)
