@@ -27,6 +27,15 @@ law for e with every label XORed by label(s0).  One histogram per
 coset of S therefore gives every row: O(2^N 2^l) work rather than one pass
 over 2^N words per shift (standard coset decoding, MacWilliams & Sloane,
 *The Theory of Error-Correcting Codes*, ch. 1).
+
+The channel then meets the two label laws in array passes: all terms of a
+joint law at once, summed in law order by one cumulative sum, and a
+product law one site at a time by the ``np.dot`` that ``np.tensordot``
+would run.  The figures take every key difference in one pass and the
+eigenvalues of every x-block from one batched ``eigvalsh``.  Each pass
+forms its floats by the same operations, in the same order, as the
+per-term and per-site loops it replaced, so every law and figure is the
+same to the bit; a ``matmul`` or a regrouped sum would not be.
 """
 
 from __future__ import annotations

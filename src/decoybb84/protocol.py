@@ -193,11 +193,13 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
 
     Fast path: an exact preimage exists (no residual error).  Otherwise, with
     the 2^lm codewords under the guard, the syndrome of ``received`` under
-    the parity checks of Im M_e names its coset, and the error patterns are
-    walked by weight until some have that syndrome: received ^ e are then
-    the nearest codewords, and ``solve`` gives the seed of the lex-smallest.
-    The walk stops once its patterns would outnumber the code, and the code
-    is enumerated instead, so a decode costs at most min(ball, 2^lm) words.
+    the parity checks of Im M_e names its coset, and the error patterns e
+    are walked by weight until some have that syndrome: the words
+    received ^ e are then the nearest codewords, ``kernels.nearest_index``
+    picks the lex-smallest and ``solve`` gives its seed (MacWilliams &
+    Sloane, ch. 1).  The walk stops before its ball of patterns would
+    outnumber the code, and the code is then enumerated as before, so the
+    walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
     """
     exact = solve(m_e, received)
     if exact is not None:
@@ -207,6 +209,7 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
         raise CapacityError(
             f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
     checks = parity_checks(m_e)
+    # unit[j]: the syndrome of bit j alone, bit k from check k.
     h = np.array(checks, dtype=np.uint64)[:, None]
     unit = np.bitwise_or.reduce((h >> np.arange(n, dtype=np.uint64) & np.uint64(1))
                                 << np.arange(len(checks), dtype=np.uint64)[:, None], axis=0)
