@@ -83,18 +83,22 @@ def least_weight_errors(unit: np.ndarray, syndrome: int, budget: int) -> np.ndar
 
     ``unit[j]`` is the syndrome of bit j alone; syndromes add by XOR.  The
     patterns are walked by weight, each weight in colex order: those of
-    weight w with top bit j are the first C(j, w-1) patterns of weight w-1
+    weight w+1 with top bit j are the first C(j, w) patterns of weight w
     with bit j set.  Returns None, before building a weight, when the
     patterns up to it would number more than ``budget``.
     """
+    if syndrome == 0:
+        return np.zeros(1, dtype=np.uint64)
     n = len(unit)
-    unit = np.asarray(unit, dtype=np.uint64)
+    ball = 1 + n
+    if ball > budget:
+        return None
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    unit = np.asarray(unit, dtype=np.uint64)
     tops = np.arange(n, dtype=np.uint8)
-    pats = syns = np.zeros(1, dtype=np.uint64)
-    ball = 1
-    below = np.ones(n, dtype=np.int64)  # C(j, w): the patterns of weight w under bit j
-    for w in range(n + 1):
+    pats, syns = bits, unit  # weight 1
+    below = np.arange(n)  # C(j, w): the patterns of weight w under bit j
+    for w in range(1, n + 1):
         hit = np.flatnonzero(syns == syndrome)
         if hit.size:
             return pats[hit]

@@ -58,6 +58,29 @@ def test_nearest_index_tie_goes_to_lex_smallest_on_unsorted_input():
     assert kernels.nearest_index(code[::-1], 0, 4) == 0
 
 
+def test_least_weight_errors_match_enumeration():
+    # Every pattern of the n-cube by weight: the least weight with the
+    # syndrome, and its patterns, in colex order (by their integer value).
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 9):
+        for k in (1, 3, 6):
+            unit = rng.integers(0, 1 << k, size=n, dtype=np.uint64)
+            syn = span_array(unit)  # syn[e]: the syndrome of pattern e
+            weight = np.bitwise_count(np.arange(1 << n))
+            for s in range(1 << k):
+                found = np.flatnonzero(syn == s)
+                for budget in (1, n + 1, 1 << n):
+                    got = kernels.least_weight_errors(unit, s, budget)
+                    if found.size == 0:
+                        assert got is None
+                        continue
+                    w = weight[found].min()
+                    if (weight <= w).sum() > budget:
+                        assert got is None
+                    else:
+                        assert got.tolist() == sorted(found[weight[found] == w].tolist())
+
+
 def _walk_toeplitz_counts(l, m):
     """Membership counts by walking every seed: X^T u is accumulated over a
     Gray-code walk of u, one seed-array XOR per step."""
