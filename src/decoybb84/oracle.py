@@ -158,7 +158,8 @@ def pairwise_figures(dist: PauliErrorDistribution) -> EveFigures:
     px = dist.x_marginal()
     cond = _conditional(dist.probs, px)
     signs = _sign_matrix(l)
-    # inner[x, d] = sum_z (-1)^(z.d) P(z|x); row d - 1 of w holds column d.
+    # inner[x, d] = sum_z (-1)^(z.d) P(z|x).  Row d - 1 of w is column d,
+    # contiguous, so each row sums as the 1-D column did.
     inner = cond @ signs.T
     w = np.ascontiguousarray(inner.T[1:])
     min_pair_fid = min(1.0, float((px * np.abs(w)).sum(axis=1).min()))

@@ -258,7 +258,7 @@ class TestCosetDecode:
     def test_matches_min_distance_decode(self, monkeypatch):
         calls = self._record(monkeypatch)
         rng = np.random.default_rng(5)
-        scans = 0
+        scans = ties = 0
         for trial in range(60):
             n = int(rng.integers(2, 25))
             lm = int(rng.integers(1, min(n, 9) + 1))
@@ -271,9 +271,12 @@ class TestCosetDecode:
                 z = decode_to_seed(m_e, received)
                 assert mat_vec_mul(m_e, z) == min_distance_decode(received, code)
                 assert z == scan_decode(m_e, received)
-                scans += any(name == "least_weight_errors" and out is None
-                             for name, out, _ in calls)
-        assert scans > 10  # some walks outgrew their code and fell back to the scan
+                walks = [out for name, out, _ in calls if name == "least_weight_errors"]
+                scans += any(out is None for out in walks)
+                ties += any(out is not None and len(out) > 1 for out in walks)
+        # Some walks outgrew their code and fell back to the scan; some ended
+        # on several nearest codewords.
+        assert scans > 10 and ties > 10
 
     def test_weight_zero_is_the_exact_preimage(self, monkeypatch):
         calls = self._record(monkeypatch)
@@ -320,6 +323,8 @@ class TestCosetDecode:
     def test_far_word_falls_back_within_twice_the_scan_memory(self, monkeypatch):
         # N = 64, lm = 20: the ball reaches C(64, <= 4) = 679,121 patterns,
         # weight 5 would pass 2^20, and the received word lies farther out.
+        ball = [sum(math.comb(64, w) for w in range(top + 1)) for top in (4, 5)]
+        assert ball[0] <= 1 << 20 < ball[1]
         rng = np.random.default_rng(64)
         m_e = random_full_rank_matrix(rng, 64, 20)
         received = BitVector(64, int(rng.integers(0, 1 << 63)) << 1 | 1)
