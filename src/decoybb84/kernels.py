@@ -95,24 +95,24 @@ def least_weight_errors(unit: np.ndarray, syndrome: int, budget: int) -> np.ndar
         return None
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
     unit = np.asarray(unit, dtype=np.uint64)
-    tops = np.arange(n, dtype=np.uint8)
     pats, syns = bits, unit  # weight 1
     below = np.arange(n)  # C(j, w): the patterns of weight w under bit j
     for w in range(1, n + 1):
         hit = np.flatnonzero(syns == syndrome)
         if hit.size:
             return pats[hit]
-        ball += math.comb(n, w + 1)
+        size = math.comb(n, w + 1)
+        ball += size
         if ball > budget:
             return None
         starts = np.array([math.comb(j, w + 1) for j in range(n)])  # sum of below[:j]
-        top = np.repeat(tops, below)
-        src = np.arange(len(top)) - np.repeat(starts, below)
+        src = np.arange(size)
+        src -= np.repeat(starts, below)  # the pattern of weight w each one extends
+        pats, syns = pats.take(src), syns.take(src)
+        del src  # at most three arrays of the new weight at a time
+        pats |= np.repeat(bits, below)
+        syns ^= np.repeat(unit, below)
         below = starts
-        pats = pats.take(src)
-        pats |= bits.take(top)
-        syns = syns.take(src)
-        syns ^= unit.take(top)
     return None
 
 

@@ -209,10 +209,12 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
         raise CapacityError(
             f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
     checks = parity_checks(m_e)
-    # unit[j]: the syndrome of bit j alone, bit k from check k.
-    h = np.array(checks, dtype=np.uint64)[:, None]
-    unit = np.bitwise_or.reduce((h >> np.arange(n, dtype=np.uint64) & np.uint64(1))
-                                << np.arange(len(checks), dtype=np.uint64)[:, None], axis=0)
+    unit = [0] * n  # unit[j]: the syndrome of bit j alone, bit k from check k
+    for k, h in enumerate(checks):
+        while h:
+            low = h & -h
+            unit[low.bit_length() - 1] |= 1 << k
+            h ^= low
     syndrome = sum(((c & received.bits).bit_count() & 1) << k for k, c in enumerate(checks))
     errors = kernels.least_weight_errors(unit, syndrome, 1 << lm)
     if errors is None:
