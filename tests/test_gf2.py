@@ -1,11 +1,14 @@
 """GF(2) linear algebra: worked examples plus exhaustive consistency checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, lex_keys,
-                           mat_vec_mul, pack_rows, rank, solve, span_ints)
+                           mat_vec_mul, pack_rows, parity_checks, rank, solve,
+                           span_ints)
 from oracles import min_distance_decode
 
 
@@ -309,3 +312,44 @@ class TestPacking:
         assert (t.rows, t.cols) == shape[::-1]
         assert t.transpose() == m
         assert t.to_array().tolist() == m.to_array().T.tolist()
+
+
+def pin_matrices():
+    """A fixed set of matrices: random, tall, wide and rank-deficient ones
+    (a product through a narrow middle, with some rows zeroed), 0 to 14
+    rows and columns."""
+    rng = np.random.default_rng(20261019)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (14, 3), (3, 14), (14, 14)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 15, size=2)) for _ in range(233)]
+    out = []
+    for i, (rows, cols) in enumerate(shapes):
+        if i % 3 == 2:
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            bits = (rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))) & 1
+            bits *= rng.random((rows, 1)) < 0.8
+        else:
+            bits = rng.integers(0, 2, (rows, cols))
+        out.append(BitMatrix(rows, cols, tuple(pack_rows(bits.reshape(rows, cols)))))
+    return out, rng
+
+
+# sha256 of the ordered outputs over ``pin_matrices()``, one line per
+# matrix: the kernel basis, the parity checks, then ``solve`` on four
+# image words and four random words ("-" for no preimage).
+PINNED_GF2 = "b0ff791f639f90e1509cff58cd68b494434cfe8bdcc78687157770172446cec2"
+
+
+def test_pinned_gf2_outputs():
+    matrices, rng = pin_matrices()
+    lines = []
+    for m in matrices:
+        vs = [mat_vec_mul(m, BitVector(m.cols, int(u))).bits
+              for u in rng.integers(0, 1 << m.cols, size=4)]
+        vs += [int(v) for v in rng.integers(0, 1 << m.rows, size=4)]
+        sols = [solve(m, BitVector(m.rows, v)) for v in vs]
+        lines.append(" ".join([f"{m.rows}x{m.cols}",
+                               ",".join(str(b.bits) for b in kernel_basis(m)),
+                               ",".join(map(str, parity_checks(m))),
+                               ",".join("-" if s is None else str(s.bits) for s in sols)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (240, PINNED_GF2)
