@@ -35,9 +35,9 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundViolation, CapacityError, check_law, check_probability
-# kernel_basis, mat_vec_mul, rank, span_ints, build_toeplitz: unused, kept for
-# perfbench's LAYER_MAP.
-from .gf2 import _eliminate, kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
+# kernel_basis, mat_vec_mul, rank, span_ints and build_toeplitz are unused
+# here, kept only because perfbench's LAYER_MAP lists bounds as a binder.
+from .gf2 import _rref, kernel_basis, mat_vec_mul, rank, span_array, span_ints  # noqa: F401
 from .hashing import build_toeplitz  # noqa: F401
 
 DECODING_GUARD_N = 14
@@ -251,8 +251,8 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     # Word j stands for j << n0: the words with part 0 zero.  Its class is
     # M_e^T w, numbered by its bits at the pivot columns of a reduced basis.
     rows = np.array(m_e.row_bits[n0:], dtype=np.int64)
-    basis, pivots = _eliminate(rows.tolist(), c1_dim)
-    basis = np.array(basis[:len(pivots)], dtype=np.int64)
+    basis, pivots = _rref(rows.tolist(), c1_dim)
+    basis = np.array(basis, dtype=np.int64)
     cls = span_array((rows[:, None] >> np.int64(pivots) & 1) @ (1 << np.arange(len(pivots))))
     # Row i of H_s is (s >> i) & (2^m - 1) | 1 << (m + i): w is in C2-perp iff
     # v = M_e^T w has syndrome (v & (2^m - 1)) ^ XOR_i v_(m+i) (s >> i) = 0.

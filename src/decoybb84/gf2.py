@@ -12,6 +12,13 @@ way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
 ``uint64`` word arrays, on which the exhaustive hot loops (decode tables,
 membership counts) run in :mod:`decoybb84.kernels`.
 
+``_reduce`` is the one row reduction: each row is XORed with the pivot
+rows at its lowest bit until it is a new pivot or cancels.  ``rank``
+counts its pivots.  ``kernel_basis`` reads the reduced row-echelon form,
+the pivots back-reduced by ``_rref``.  ``solve`` and ``parity_checks``
+read one reduction of (M | I): the rows that cancel are the checks, and
+the pivot rows back-substitute a preimage.
+
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.
     * "Lexicographically smallest" compares the coordinate tuple
@@ -172,38 +179,17 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, out)
 
 
-def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place Gaussian elimination; returns (reduced rows, pivot columns)."""
-    work = rows[:]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for k in range(r, len(work)):
-            if (work[k] >> c) & 1:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for k in range(len(work)):
-            if k != r and ((work[k] >> c) & 1):
-                work[k] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
-
-
-def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], list[int]]:
+def _reduce(rows: Sequence[int], mask: int,
+            pivots: dict[int, int] | None = None) -> tuple[dict[int, int], list[int]]:
     """Reduce packed rows against each other on the bits inside ``mask``.
 
     ``mask`` is the low bits 0 .. c-1.  Returns the pivot rows, keyed by
     their lowest set bit (all their other bits inside ``mask`` lie higher),
-    and what is left of the rows that cancel inside ``mask``.
+    and what is left of the rows that cancel inside ``mask``.  Given the
+    pivots of an earlier call, the rows are reduced against them and the
+    new pivots join that dict.
     """
-    pivots: dict[int, int] = {}
+    pivots = {} if pivots is None else pivots
     rest = []
     for r in rows:
         while r & mask:
@@ -218,22 +204,62 @@ def _reduce(rows: Sequence[int], mask: int) -> tuple[dict[int, int], list[int]]:
     return pivots, rest
 
 
+def _rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
+    """The nonzero rows of the reduced row-echelon form and their pivot
+    columns, by increasing column: ``_reduce``'s pivot rows with each pivot
+    bit cleared from the rows of lower pivots, highest pivot first."""
+    pivots, _ = _reduce(rows, (1 << cols) - 1)
+    lows = sorted(pivots)
+    for i in range(len(lows) - 1, 0, -1):
+        top = lows[i]
+        for low in lows[:i]:
+            if pivots[low] & top:
+                pivots[low] ^= pivots[top]
+    return [pivots[low] for low in lows], [low.bit_length() - 1 for low in lows]
+
+
+def _reduce_with_ids(m: BitMatrix) -> tuple[dict[int, int], list[int]]:
+    """Reduce the rows of (M | I), row i's identity bit above M's last column.
+
+    Returns ``_reduce``'s pivot rows, whose identity bits name the rows of
+    M that each one sums, and the parity checks: the identity bits of the
+    rows that cancel inside M, each a set of rows that sums to zero.
+    """
+    pivots, rest = _reduce([row | 1 << (m.cols + i) for i, row in enumerate(m.row_bits)],
+                           (1 << m.cols) - 1)
+    return pivots, [r >> m.cols for r in rest]
+
+
+def _preimage(pivots: dict[int, int], cols: int, v: int) -> int:
+    """The u with M u = v and free unknowns 0, for v in Im M, from the pivot
+    rows of ``_reduce_with_ids``: a pivot row sums the rows of M at its
+    identity bits, so its right-hand side is the parity of those bits of v,
+    and each pivot's unknown follows from the higher ones."""
+    u = 0
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        if ((row >> cols & v).bit_count() + (row & u).bit_count()) & 1:
+            u |= low
+    return u
+
+
 def rank(m: BitMatrix) -> int:
     """GF(2) rank: the number of pivots after reducing the rows."""
     return len(_reduce(m.row_bits, (1 << m.cols) - 1)[0])
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of ``{v : M v = 0}`` from the reduced row-echelon form."""
-    work, pivots = _eliminate(list(m.row_bits), m.cols)
+    """Basis of ``{v : M v = 0}`` from the reduced row-echelon form: one
+    vector per free column, which sets the pivot unknowns that cancel it."""
+    rows, pivots = _rref(m.row_bits, m.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for i, p in enumerate(pivots):
-            if (work[i] >> free) & 1:
+        for row, p in zip(rows, pivots):
+            if (row >> free) & 1:
                 v |= 1 << p
         basis.append(BitVector(m.cols, v))
     return basis
@@ -242,35 +268,23 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     """One solution ``u`` of ``M u = v``, or None if ``v`` is not in the image.
 
-    Reduces the rows of (M | v), with v's bit i above row i's last column:
-    a row of M that cancels while its v bit stays is 0 = 1.  Then each
-    pivot's unknown follows from the higher ones; free unknowns are 0.
+    ``v`` is in the image iff every parity check has even parity with it;
+    then ``_preimage`` back-substitutes, free unknowns 0.
     """
     if m.rows != v.length:
         raise DimensionMismatch(f"matrix rows {m.rows} != vector length {v.length}")
-    mask = (1 << m.cols) - 1
-    pivots, rest = _reduce([row | (v.bits >> i & 1) << m.cols
-                            for i, row in enumerate(m.row_bits)], mask)
-    if any(rest):
+    pivots, checks = _reduce_with_ids(m)
+    if any((h & v.bits).bit_count() & 1 for h in checks):
         return None
-    u = 0
-    for low in sorted(pivots, reverse=True):
-        row = pivots[low]
-        if ((row >> m.cols) + (row & u).bit_count()) & 1:
-            u |= low
-    return BitVector(m.cols, u)
+    return BitVector(m.cols, _preimage(pivots, m.cols, v.bits))
 
 
 def parity_checks(m: BitMatrix) -> list[int]:
     """Independent checks h with h M = 0 (bit i of h weighs row i).
 
-    The words c of the code Im M are those with every h . c = 0.  Reduces
-    the rows of (M | I), with row i's identity bit above M's last column: a
-    row that cancels inside M leaves the set of rows that sum to zero.
+    The words c of the code Im M are those with every h . c = 0.
     """
-    _, rest = _reduce([row | 1 << (m.cols + i) for i, row in enumerate(m.row_bits)],
-                      (1 << m.cols) - 1)
-    return [r >> m.cols for r in rest]
+    return _reduce_with_ids(m)[1]
 
 
 def span_ints(basis: Sequence[int]) -> list[int]:

@@ -4,7 +4,7 @@ The hash matrix is the l x (l+m) block matrix (X, I): X is l x m with
 ``X[i][j] = seed[i+j]`` (0-based; seed bit k is the textbook-indexed random
 variable Y_{k+1}, so the diagonals run over Y_1..Y_{l+m-1}) and I is the l x l identity in the
 last l columns.  Compressing an (l+m)-bit string Z to the l bits M_p Z
-(``ToeplitzHash.apply``, one ``mat_vec_mul``) sacrifices m bits.
+(``mat_vec_mul`` with ``ToeplitzHash.matrix()``) sacrifices m bits.
 
 The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
@@ -27,7 +27,9 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionMismatch
-from .gf2 import BitMatrix, BitVector, mat_vec_mul
+# mat_vec_mul is unused here, kept only because perfbench's LAYER_MAP lists
+# hashing as a binder.
+from .gf2 import BitMatrix, BitVector, mat_vec_mul  # noqa: F401
 
 DEFAULT_SEED_GUARD = 20
 
@@ -49,10 +51,6 @@ class ToeplitzHash:
 
     def matrix(self) -> BitMatrix:
         return build_toeplitz(self.l, self.m, self.seed)
-
-    def apply(self, z: BitVector) -> BitVector:
-        """Compress l+m bits to the l output bits M_p z."""
-        return mat_vec_mul(self.matrix(), z)
 
 
 def build_toeplitz(l: int, m: int, seed: BitVector) -> BitMatrix:
@@ -140,9 +138,6 @@ class RandomMatrixHash:
 
     def matrix(self) -> BitMatrix:
         return self.matrix_bits
-
-    def apply(self, z: BitVector) -> BitVector:
-        return mat_vec_mul(self.matrix_bits, z)
 
 
 def random_matrix_universality_profile(l: int, m: int) -> dict[int, Fraction]:

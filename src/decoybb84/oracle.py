@@ -48,8 +48,8 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionMismatch, check_law
-from .gf2 import (BitMatrix, _eliminate, kernel_basis, lex_order, mat_vec_mul, rank,
-                  span_array, span_ints)
+from .gf2 import (BitMatrix, _reduce, kernel_basis, lex_order, mat_vec_mul, rank, span_array,
+                  span_ints)
 
 ORACLE_GUARD_L = 4
 REDUCE_GUARD_N = 16
@@ -279,11 +279,11 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
     words = span_array(basis)
     order = lex_order(words, n)
     dec = span_array(labels, dtype=np.int64)[order][kernels.decode_table(words[order], n)]
-    packed, pivots = _eliminate([s | (lab << n) for s, lab in
-                                 zip(basis[:n_shift], labels[:n_shift])], n)
-    span = span_array(packed, dtype=np.int64)
+    pivots, _ = _reduce([s | (lab << n) for s, lab in zip(basis[:n_shift], labels[:n_shift])],
+                        (1 << n) - 1)
+    span = span_array(list(pivots.values()), dtype=np.int64)
     shifts, shift_lab = span & ((1 << n) - 1), span >> n
-    reps = span_array([1 << b for b in range(n) if b not in pivots], dtype=np.int64)
+    reps = span_array([1 << b for b in range(n) if 1 << b not in pivots], dtype=np.int64)
     grid = reps[:, None] ^ shifts
     rows = np.arange(len(reps))[:, None] * n_lab
     probs = np.bincount((rows + (dec[grid] ^ shift_lab)).ravel(),
@@ -297,15 +297,21 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     """Accept a per-position symbol law or an explicit joint pattern law.
 
     A joint law comes back as the arrays (x patterns, z patterns, probs).
+    Site keys must be bit pairs and joint patterns N-bit words.
     """
     if isinstance(channel, Mapping):
         probs = check_law("joint channel law", list(channel.values()))
+        for key in channel:
+            if not all(0 <= e < 1 << n for e in key):
+                raise ValueError(f"joint channel pattern {key} outside [0, 2^{n})")
         ex, ez = np.array(list(channel), dtype=np.int64).reshape(-1, 2).T
         return "joint", (ex, ez, probs)
     site_laws = []
     for i, law in enumerate(channel):
         mat = np.zeros((2, 2))
         for (x, z), p in law.items():
+            if not {x, z} <= {0, 1}:
+                raise ValueError(f"site {i} key {(x, z)} outside {{0, 1}}^2")
             mat[x, z] = p
         site_laws.append(check_law(f"site {i} law", mat))
     if len(site_laws) != n:
@@ -357,26 +363,15 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     c2perp_basis = kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))
 
     # Complete the C1perp basis to a C2perp basis in Gray order; the added
-    # generators carry the l logical phase labels.  ``echelon`` maps each
-    # top bit to a row of the running echelon form of C1perp + chosen.
-    echelon: dict[int, int] = {}
-
-    def extends(v: int) -> bool:
-        while v:
-            top = v.bit_length() - 1
-            if top not in echelon:
-                echelon[top] = v
-                return True
-            v ^= echelon[top]
-        return False
-
-    for v in c1_basis:
-        extends(v)
+    # generators carry the l logical phase labels.  A word is picked when
+    # it does not reduce to zero against the pivots of C1perp + chosen.
+    mask = (1 << n) - 1
+    pivots, _ = _reduce(c1_basis, mask)
     chosen: list[int] = []
     for v in span_ints([b.bits for b in c2perp_basis]):
         if len(chosen) == l:
             break
-        if extends(v):
+        if not _reduce([v], mask, pivots)[1]:
             chosen.append(v)
     if len(chosen) != l:
         raise ValueError("code pair does not expose l logical phase bits")

@@ -44,8 +44,8 @@ from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, InfeasibleObservation, check_flip_rate,
                      check_law)
-from .gf2 import (BitMatrix, BitVector, mat_vec_mul, pack_rows, parity_checks, rank, solve,
-                  span_array)
+from .gf2 import (BitMatrix, BitVector, _preimage, _reduce_with_ids, mat_vec_mul, pack_rows,
+                  rank, solve, span_array)
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
@@ -191,15 +191,17 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
                    guard: int = DECODE_GUARD) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
-    Fast path: an exact preimage exists (no residual error).  Otherwise, with
-    the 2^lm codewords under the guard, the syndrome of ``received`` under
-    the parity checks of Im M_e names its coset, and the error patterns e
-    are walked by weight until some have that syndrome: the words
-    received ^ e are then the nearest codewords, ``kernels.nearest_index``
-    picks the lex-smallest and ``solve`` gives its seed (MacWilliams &
-    Sloane, ch. 1).  The walk stops before its ball of patterns would
-    outnumber the code, and the code is then enumerated as before, so the
-    walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
+    Fast path: ``solve`` finds an exact preimage (no residual error).
+    Otherwise, with the 2^lm codewords under the guard, one reduction of
+    (M_e | I) gives the parity checks of Im M_e and the pivot rows.  The
+    syndrome of ``received`` under the checks names its coset, and the
+    error patterns e are walked by weight until some have that syndrome:
+    the words received ^ e are then the nearest codewords,
+    ``kernels.nearest_index`` picks the lex-smallest, and its seed follows
+    by back-substitution on the pivot rows (MacWilliams & Sloane, ch. 1).
+    The walk stops before its ball of patterns would outnumber the code,
+    and the code is then enumerated as before, so the walk costs
+    min(ball, 2^lm) words and a decode at most 2^lm more.
     """
     exact = solve(m_e, received)
     if exact is not None:
@@ -208,7 +210,7 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     if 1 << lm > guard:
         raise CapacityError(
             f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
-    checks = parity_checks(m_e)
+    pivots, checks = _reduce_with_ids(m_e)
     unit = [0] * n  # unit[j]: the syndrome of bit j alone, bit k from check k
     for k, h in enumerate(checks):
         while h:
@@ -222,7 +224,8 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
         words = span_array(m_e.transpose().row_bits)
         return BitVector(lm, kernels.nearest_index(words, received.bits, n))
     nearest = errors ^ np.uint64(received.bits)
-    return solve(m_e, BitVector(n, int(nearest[kernels.nearest_index(nearest, received.bits, n)])))
+    word = int(nearest[kernels.nearest_index(nearest, received.bits, n)])
+    return BitVector(lm, _preimage(pivots, lm, word))
 
 
 def error_correct(x_send: BitVector, x_recv: BitVector, m_e: BitMatrix,

@@ -128,6 +128,30 @@ class TestSolveAndRankByEnumeration:
                     assert mat_vec_mul(m, got).bits == v
 
 
+class TestParityChecks:
+    """``parity_checks`` against the image of M enumerated over all u."""
+
+    def test_worked_example(self):
+        # Rows 0 and 2 repeat and row 3 is zero: two checks, one per relation.
+        m = BitMatrix.from_rows([[1, 1], [0, 1], [1, 1], [0, 0]])
+        assert sorted(parity_checks(m)) == [0b0101, 0b1000]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checks_cut_out_the_image(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(60):
+            rows, cols = (int(v) for v in rng.integers(0, 8, size=2))
+            bits = rng.integers(0, 2, size=(rows, cols)) * (rng.random((rows, 1)) < 0.8)
+            m = BitMatrix(rows, cols, tuple(pack_rows(bits)))
+            checks = parity_checks(m)
+            assert len(checks) == rows - rank(m)
+            assert rank(BitMatrix(len(checks), rows, tuple(checks))) == len(checks)
+            image = {mat_vec_mul(m, BitVector(cols, u)).bits for u in range(1 << cols)}
+            passing = {c for c in range(1 << rows)
+                       if all((h & c).bit_count() % 2 == 0 for h in checks)}
+            assert passing == image
+
+
 class TestDualCode:
     """The dual of the code spanned by the rows of M is the kernel of M."""
 

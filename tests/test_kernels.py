@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decoybb84 import kernels
-from decoybb84.gf2 import _eliminate, lex_key, lex_order, span_array
+from decoybb84.gf2 import _reduce, lex_key, lex_order, span_array
 
 
 def _brute_nearest(code, y, n_bits):
@@ -109,16 +109,16 @@ def test_toeplitz_counts_match_seed_walk():
 
 
 def _per_u_toeplitz_counts(l, m):
-    """Membership counts from one ``_eliminate`` per u on its l+m-1
+    """Membership counts from one ``_reduce`` per u on its l+m-1
     generator words (seed bit k adds u shifted by k, cut to m bits)."""
     n_seed = l + m - 1
     counts = np.zeros(1 << (l + m), dtype=np.int64)
     for u in range(1 << l):
         rev = lex_key(u, l)  # u_i at bit l-1-i
         gens = [((rev << k) >> (l - 1)) & ((1 << m) - 1) for k in range(n_seed)]
-        work, pivots = _eliminate(gens, m)
-        r = len(pivots)
-        counts[span_array(work[:r], dtype=np.int64) | (u << m)] = 1 << (n_seed - r)
+        pivots, _ = _reduce(gens, (1 << m) - 1)
+        counts[span_array(list(pivots.values()), dtype=np.int64) | (u << m)] = \
+            1 << (n_seed - len(pivots))
     return counts
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import decoybb84.protocol as protocol_mod
-from decoybb84 import kernels
+from decoybb84 import gf2, kernels
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
 from decoybb84.cli import input_keys, load_input, parse_key_values
@@ -284,6 +284,33 @@ class TestCosetDecode:
         z = BitVector(2, 0b10)
         assert decode_to_seed(m_e, mat_vec_mul(m_e, z)) == z
         assert calls == []
+
+    def test_misses_reduce_m_e_twice(self, monkeypatch):
+        # An exact decode reduces M_e once, in solve.  A miss reduces it once
+        # more, for the checks, the syndrome and the seed of the chosen
+        # codeword alike, whether the walk or the scan finds that codeword.
+        rng = np.random.default_rng(12)
+        m_e = random_full_rank_matrix(rng, 12, 6)
+        code = {mat_vec_mul(m_e, BitVector(6, z)).bits for z in range(1 << 6)}
+        calls = self._record(monkeypatch)
+        reductions = []
+
+        def counting(*args, _f=gf2._reduce):
+            reductions.append(args)
+            return _f(*args)
+        monkeypatch.setattr(gf2, "_reduce", counting)
+        paths = set()
+        for y in rng.integers(0, 1 << 12, size=40).tolist() + sorted(code)[:4]:
+            received = BitVector(12, y)
+            calls.clear()
+            reductions.clear()
+            z = decode_to_seed(m_e, received)
+            assert z == scan_decode(m_e, received)
+            walks = [out is None for name, out, _ in calls if name == "least_weight_errors"]
+            paths.add("exact" if y in code else "scan" if walks == [True] else "walk")
+            assert len(reductions) == (1 if y in code else 2)
+            assert all(len(rows) == 12 for rows, _ in reductions)
+        assert paths == {"exact", "walk", "scan"}
 
     def test_ties_go_to_the_lex_smallest_codeword(self, monkeypatch):
         # The even-weight code of length 5: a word of weight 1 (coordinate
