@@ -12,12 +12,10 @@ way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
 ``uint64`` word arrays, on which the exhaustive hot loops (decode tables,
 membership counts) run in :mod:`decoybb84.kernels`.
 
-``_reduce`` is the one row reduction: each row is XORed with the pivot
-rows at its lowest bit until it is a new pivot or cancels.  ``rank``
-counts its pivots.  ``kernel_basis`` reads the reduced row-echelon form,
-the pivots back-reduced by ``_rref``.  ``solve`` and ``parity_checks``
-read one reduction of (M | I): the rows that cancel are the checks, and
-the pivot rows back-substitute a preimage.
+``_reduce`` is the one row reduction.  ``rank`` counts its pivots,
+``kernel_basis`` reads them back-reduced to row-echelon form, and ``solve``
+and ``parity_checks`` read one reduction of (M | I): the rows that cancel
+are the checks, and the pivot rows back-substitute a preimage.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.
@@ -185,9 +183,8 @@ def _reduce(rows: Sequence[int], mask: int,
 
     ``mask`` is the low bits 0 .. c-1.  Returns the pivot rows, keyed by
     their lowest set bit (all their other bits inside ``mask`` lie higher),
-    and what is left of the rows that cancel inside ``mask``.  Given the
-    pivots of an earlier call, the rows are reduced against them and the
-    new pivots join that dict.
+    and what is left of the rows that cancel inside ``mask``.  Pivots
+    passed in from an earlier call are reduced against and extended.
     """
     pivots = {} if pivots is None else pivots
     rest = []
@@ -206,12 +203,11 @@ def _reduce(rows: Sequence[int], mask: int,
 
 def _rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """The nonzero rows of the reduced row-echelon form and their pivot
-    columns, by increasing column: ``_reduce``'s pivot rows with each pivot
-    bit cleared from the rows of lower pivots, highest pivot first."""
+    columns, in increasing order: ``_reduce``'s pivots, each pivot bit
+    cleared from the lower pivot rows, highest first."""
     pivots, _ = _reduce(rows, (1 << cols) - 1)
     lows = sorted(pivots)
-    for i in range(len(lows) - 1, 0, -1):
-        top = lows[i]
+    for i, top in reversed(list(enumerate(lows))):
         for low in lows[:i]:
             if pivots[low] & top:
                 pivots[low] ^= pivots[top]
@@ -219,22 +215,18 @@ def _rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
 
 
 def _reduce_with_ids(m: BitMatrix) -> tuple[dict[int, int], list[int]]:
-    """Reduce the rows of (M | I), row i's identity bit above M's last column.
-
-    Returns ``_reduce``'s pivot rows, whose identity bits name the rows of
-    M that each one sums, and the parity checks: the identity bits of the
-    rows that cancel inside M, each a set of rows that sums to zero.
-    """
+    """``_reduce`` on the rows of (M | I), row i's identity bit above M: the
+    pivot rows, whose identity bits name the rows of M they sum, and the
+    parity checks, the identity bits of the rows that cancel inside M."""
     pivots, rest = _reduce([row | 1 << (m.cols + i) for i, row in enumerate(m.row_bits)],
                            (1 << m.cols) - 1)
     return pivots, [r >> m.cols for r in rest]
 
 
 def _preimage(pivots: dict[int, int], cols: int, v: int) -> int:
-    """The u with M u = v and free unknowns 0, for v in Im M, from the pivot
-    rows of ``_reduce_with_ids``: a pivot row sums the rows of M at its
-    identity bits, so its right-hand side is the parity of those bits of v,
-    and each pivot's unknown follows from the higher ones."""
+    """The u with M u = v, free unknowns 0, for v in Im M and the pivot rows
+    of ``_reduce_with_ids``: a row's right-hand side is the parity of v at
+    its identity bits, and each pivot's unknown follows from the higher ones."""
     u = 0
     for low in sorted(pivots, reverse=True):
         row = pivots[low]
@@ -249,8 +241,7 @@ def rank(m: BitMatrix) -> int:
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of ``{v : M v = 0}`` from the reduced row-echelon form: one
-    vector per free column, which sets the pivot unknowns that cancel it."""
+    """Basis of ``{v : M v = 0}`` from the reduced row-echelon form."""
     rows, pivots = _rref(m.row_bits, m.cols)
     pivot_set = set(pivots)
     basis = []
@@ -280,10 +271,8 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
 
 
 def parity_checks(m: BitMatrix) -> list[int]:
-    """Independent checks h with h M = 0 (bit i of h weighs row i).
-
-    The words c of the code Im M are those with every h . c = 0.
-    """
+    """Independent checks h with h M = 0 (bit i of h weighs row i): the
+    words c of the code Im M are those with every h . c = 0."""
     return _reduce_with_ids(m)[1]
 
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionMismatch
-# mat_vec_mul is unused here, kept only because perfbench's LAYER_MAP lists
-# hashing as a binder.
+# mat_vec_mul: unused here, kept for perfbench's LAYER_MAP.
 from .gf2 import BitMatrix, BitVector, mat_vec_mul  # noqa: F401
 
 DEFAULT_SEED_GUARD = 20

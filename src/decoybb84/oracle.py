@@ -297,7 +297,6 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     """Accept a per-position symbol law or an explicit joint pattern law.
 
     A joint law comes back as the arrays (x patterns, z patterns, probs).
-    Site keys must be bit pairs and joint patterns N-bit words.
     """
     if isinstance(channel, Mapping):
         probs = check_law("joint channel law", list(channel.values()))

@@ -191,14 +191,13 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
                    guard: int = DECODE_GUARD) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
-    Fast path: ``solve`` finds an exact preimage (no residual error).
-    Otherwise, with the 2^lm codewords under the guard, one reduction of
-    (M_e | I) gives the parity checks of Im M_e and the pivot rows.  The
-    syndrome of ``received`` under the checks names its coset, and the
-    error patterns e are walked by weight until some have that syndrome:
-    the words received ^ e are then the nearest codewords,
-    ``kernels.nearest_index`` picks the lex-smallest, and its seed follows
-    by back-substitution on the pivot rows (MacWilliams & Sloane, ch. 1).
+    Fast path: an exact preimage exists (no residual error).  Otherwise,
+    with the 2^lm codewords under the guard, one reduction of (M_e | I)
+    gives the parity checks of Im M_e and its pivot rows.  The syndrome of
+    ``received`` names its coset, and the error patterns e are walked by
+    weight until some have that syndrome: the words received ^ e are then
+    the nearest codewords, ``kernels.nearest_index`` picks the lex-smallest
+    and its seed follows from the pivot rows (MacWilliams & Sloane, ch. 1).
     The walk stops before its ball of patterns would outnumber the code,
     and the code is then enumerated as before, so the walk costs
     min(ball, 2^lm) words and a decode at most 2^lm more.
