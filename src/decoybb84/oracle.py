@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -301,7 +302,7 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     if isinstance(channel, Mapping):
         probs = check_law("joint channel law", list(channel.values()))
         for key in channel:
-            if not all(0 <= e < 1 << n for e in key):
+            if not all(isinstance(e, Integral) and 0 <= e < 1 << n for e in key):
                 raise ValueError(f"joint channel pattern {key} outside [0, 2^{n})")
         ex, ez = np.array(list(channel), dtype=np.int64).reshape(-1, 2).T
         return "joint", (ex, ez, probs)
@@ -309,7 +310,7 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     for i, law in enumerate(channel):
         mat = np.zeros((2, 2))
         for (x, z), p in law.items():
-            if not {x, z} <= {0, 1}:
+            if not all(isinstance(b, Integral) and 0 <= b <= 1 for b in (x, z)):
                 raise ValueError(f"site {i} key {(x, z)} outside {{0, 1}}^2")
             mat[x, z] = p
         site_laws.append(check_law(f"site {i} law", mat))

@@ -424,17 +424,18 @@ class TestReduceCodeChannel:
         with pytest.raises(ValueError, match="joint channel law"):
             reduce_code_channel(joint, m_e, m_p)
 
-    @pytest.mark.parametrize("key", [(-1, 0), (0, 2)], ids=["negative", "two"])
+    @pytest.mark.parametrize("key", [(-1, 0), (0, 2), (1.0, 0)], ids=["negative", "two", "float"])
     def test_site_key_outside_bits_rejected(self, key):
         m_e, m_p = self._repetition_pair()
         site = {(0, 0): 0.5, key: 0.5}
         with pytest.raises(ValueError, match=rf"site 1 key \({key[0]}, {key[1]}\)"):
             reduce_code_channel([{(0, 0): 1.0}, site, {(0, 0): 1.0}], m_e, m_p)
 
-    @pytest.mark.parametrize("key", [(-1, 0), (0, -3), (8, 0)],
-                             ids=["minus-one", "minus-three", "two-to-the-n"])
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -3), (8, 0), (1.5, 0)],
+                             ids=["minus-one", "minus-three", "two-to-the-n", "fraction"])
     def test_joint_pattern_outside_words_rejected(self, key):
-        # -1 and -3 would alias to 2^N - 1 and 2^N - 3; 2^N would index past the table.
+        # -1 and -3 would alias to 2^N - 1 and 2^N - 3, and 1.5 to 1; 2^N
+        # would index past the table.
         m_e, m_p = self._repetition_pair()
         joint = {(0, 0): 0.5, key: 0.5}
         with pytest.raises(ValueError,
