@@ -13,9 +13,9 @@ way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
 membership counts) run in :mod:`decoybb84.kernels`.
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots,
-``kernel_basis`` reads them back-reduced to row-echelon form, and ``solve``
-and ``parity_checks`` read one reduction of (M | I): the rows that cancel
-are the checks, and the pivot rows back-substitute a preimage.
+``kernel_basis`` reads them back-reduced (the reduced row-echelon form),
+and ``solve`` and ``parity_checks`` read one reduction of (M | I): the rows
+that cancel are the checks, and the pivot rows back-substitute a preimage.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.

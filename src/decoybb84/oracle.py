@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,6 +53,7 @@ from .gf2 import (BitMatrix, _reduce, kernel_basis, lex_order, mat_vec_mul, rank
 
 ORACLE_GUARD_L = 4
 REDUCE_GUARD_N = 16
+_SITE_KEYS = {(0, 0), (0, 1), (1, 0), (1, 1)}
 _SUM_TOL = 1e-12
 
 
@@ -302,16 +302,17 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     if isinstance(channel, Mapping):
         probs = check_law("joint channel law", list(channel.values()))
         for key in channel:
-            if not all(isinstance(e, Integral) and 0 <= e < 1 << n for e in key):
+            ex, ez = key
+            if not (0 <= ex < 1 << n and 0 <= ez < 1 << n and int(ex) == ex and int(ez) == ez):
                 raise ValueError(f"joint channel pattern {key} outside [0, 2^{n})")
         ex, ez = np.array(list(channel), dtype=np.int64).reshape(-1, 2).T
         return "joint", (ex, ez, probs)
     site_laws = []
     for i, law in enumerate(channel):
+        if not law.keys() <= _SITE_KEYS:
+            raise ValueError(f"site {i} key {min(law.keys() - _SITE_KEYS)} outside {{0, 1}}^2")
         mat = np.zeros((2, 2))
         for (x, z), p in law.items():
-            if not all(isinstance(b, Integral) and 0 <= b <= 1 for b in (x, z)):
-                raise ValueError(f"site {i} key {(x, z)} outside {{0, 1}}^2")
             mat[x, z] = p
         site_laws.append(check_law(f"site {i} law", mat))
     if len(site_laws) != n:

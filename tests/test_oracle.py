@@ -424,7 +424,7 @@ class TestReduceCodeChannel:
         with pytest.raises(ValueError, match="joint channel law"):
             reduce_code_channel(joint, m_e, m_p)
 
-    @pytest.mark.parametrize("key", [(-1, 0), (0, 2), (1.0, 0)], ids=["negative", "two", "float"])
+    @pytest.mark.parametrize("key", [(-1, 0), (0, 2)], ids=["negative", "two"])
     def test_site_key_outside_bits_rejected(self, key):
         m_e, m_p = self._repetition_pair()
         site = {(0, 0): 0.5, key: 0.5}
