@@ -12,10 +12,11 @@ way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
 ``uint64`` word arrays, on which the exhaustive hot loops (decode tables,
 membership counts) run in :mod:`decoybb84.kernels`.
 
-``_reduce`` is the one row reduction.  ``rank`` counts its pivots,
-``kernel_basis`` reads them back-reduced (the reduced row-echelon form),
-and ``solve`` and ``parity_checks`` read one reduction of (M | I): the rows
-that cancel are the checks, and the pivot rows back-substitute a preimage.
+``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
+``kernel_basis`` back-substitutes on them once per free column.  ``solve``
+and ``parity_checks`` read one reduction of (M | I): the rows that cancel
+are the checks, and the pivot rows back-substitute a preimage.  ``_rref``
+back-reduces the pivots to the reduced row-echelon form.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.
@@ -203,14 +204,19 @@ def _reduce(rows: Sequence[int], mask: int,
 
 def _rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """The nonzero rows of the reduced row-echelon form and their pivot
-    columns, in increasing order: ``_reduce``'s pivots, each pivot bit
-    cleared from the lower pivot rows, highest first."""
+    columns, in increasing order: ``_reduce``'s pivot rows, highest first,
+    each cleared of the higher pivot bits by their rows, already reduced."""
     pivots, _ = _reduce(rows, (1 << cols) - 1)
     lows = sorted(pivots)
-    for i, top in reversed(list(enumerate(lows))):
-        for low in lows[:i]:
-            if pivots[low] & top:
-                pivots[low] ^= pivots[top]
+    pivot_bits = sum(lows)
+    for low in reversed(lows):
+        row = pivots[low]
+        hits = row & pivot_bits ^ low
+        while hits:
+            top = hits & -hits
+            row ^= pivots[top]
+            hits ^= top
+        pivots[low] = row
     return [pivots[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
@@ -223,11 +229,11 @@ def _reduce_with_ids(m: BitMatrix) -> tuple[dict[int, int], list[int]]:
     return pivots, [r >> m.cols for r in rest]
 
 
-def _preimage(pivots: dict[int, int], cols: int, v: int) -> int:
-    """The u with M u = v, free unknowns 0, for v in Im M and the pivot rows
-    of ``_reduce_with_ids``: a row's right-hand side is the parity of v at
-    its identity bits, and each pivot's unknown follows from the higher ones."""
-    u = 0
+def _preimage(pivots: dict[int, int], cols: int, v: int, u: int = 0) -> int:
+    """Back-substitution on ``_reduce``'s pivot rows, highest first: each
+    pivot's unknown makes its row's parity with u equal that of v at the
+    row's identity bits (above column ``cols``, as ``_reduce_with_ids``
+    sets them).  Free unknowns keep their bits of ``u``."""
     for low in sorted(pivots, reverse=True):
         row = pivots[low]
         if ((row >> cols & v).bit_count() + (row & u).bit_count()) & 1:
@@ -241,19 +247,11 @@ def rank(m: BitMatrix) -> int:
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of ``{v : M v = 0}`` from the reduced row-echelon form."""
-    rows, pivots = _rref(m.row_bits, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(rows, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        basis.append(BitVector(m.cols, v))
-    return basis
+    """Basis of ``{v : M v = 0}``: one vector per free column, its pivot
+    unknowns back-substituted on the reduced rows."""
+    pivots, _ = _reduce(m.row_bits, (1 << m.cols) - 1)
+    return [BitVector(m.cols, _preimage(pivots, m.cols, 0, 1 << free))
+            for free in range(m.cols) if 1 << free not in pivots]
 
 
 def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
