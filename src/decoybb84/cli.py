@@ -152,7 +152,7 @@ def load_input(fmt: str, spec):
 def cmd_verify_toeplitz(args) -> int:
     guard = DEFAULT_SEED_GUARD if args.guard_override is None else args.guard_override
     profile = universality_profile(args.l, args.m, guard=guard)
-    summary = profile_summary(profile, args.m)
+    summary = profile_summary(profile)
     payload = {
         "l": args.l,
         "m": args.m,

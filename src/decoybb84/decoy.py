@@ -111,11 +111,11 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
     """
     if nu.v2 != 0.0:
         raise ValueError("source has a multi-photon component; use the interval estimator")
-    q1_raw = (obs.p_nu_times - nu.v0 * obs.p0) / nu.v1 - obs.p_dark
-    # The error-balance denominator equals nu1 * q1, so the two degenerate
+    # With nu2 = 0 the multi-photon terms of the x balance vanish.  The
+    # error-balance denominator equals nu1 * q1, so the two degenerate
     # together: all counts explained by vacuum plus dark counts means q1 = 0
     # and an undefined error rate (reported as 0 with a warning flag).
-    denom = obs.p_nu_times - nu.v0 * obs.p0 - nu.v1 * obs.p_dark
+    q1_raw, denom, s_num = _x_balance(nu, obs, obs.p_dark)
     if denom < -_FEAS_TOL:
         raise InfeasibleObservation(f"counting balance denominator {denom} is not positive")
     if obs.p_nu_plus is not None:
@@ -128,9 +128,7 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
             raise InfeasibleObservation("+ basis rates match no multi-photon-free channel")
     if denom <= 0.0:
         return Estimate(0.0, q1_raw < 0.0), Estimate(0.0, True)
-    r1_raw = (obs.s_nu_times * obs.p_nu_times
-              - 0.5 * nu.v0 * obs.p0
-              - 0.5 * nu.v1 * obs.p_dark) / denom
+    r1_raw = s_num / denom
     if obs.p_s > 0.0:
         r1_raw = _detector_corrected(r1_raw, obs.p_s)
     q1, cq = _clamp01(q1_raw)

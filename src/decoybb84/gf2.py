@@ -13,10 +13,13 @@ way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
 membership counts) run in :mod:`decoybb84.kernels`.
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
-``kernel_basis`` back-substitutes on them once per free column.  ``solve``
-and ``parity_checks`` read one reduction of (M | I): the rows that cancel
-are the checks, and the pivot rows back-substitute a preimage.  ``_rref``
-back-reduces the pivots to the reduced row-echelon form.
+``kernel_basis`` back-substitutes on them once per free column.
+``_reduce_with_ids`` reduces (M | I): the rows that cancel are the parity
+checks, and ``_preimage`` back-substitutes a preimage on the pivot rows.
+The EC decode (``protocol.decode_to_seed``) reads these two directly;
+``solve`` and ``parity_checks`` are views of the same reduction for
+callers outside the package.  ``_rref`` back-reduces the pivots to the
+reduced row-echelon form.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.

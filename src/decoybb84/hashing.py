@@ -12,9 +12,9 @@ gives that fraction exactly (as a rational number) for every nonzero Z,
 over all 2^(l+m-1) seeds, from one Gaussian elimination batched over
 every y-part in blocks (``kernels.toeplitz_image_counts``), which still
 computes each y-part's rank, and ``profile_summary`` checks it on
-the integer counts.  A completely random binary matrix is
-provided behind the same interface for comparison; the security condition
-is all the downstream bounds need, so both families are interchangeable.
+the integer counts.  The exact profile of completely random binary
+matrices is kept for comparison; the security condition is all the
+downstream bounds need, so both families are interchangeable.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def universality_profile(l: int, m: int,
     return UniversalityProfile(l, m, kernels.toeplitz_image_counts(l, m))
 
 
-def profile_summary(profile: UniversalityProfile, m: int) -> dict:
+def profile_summary(profile: UniversalityProfile) -> dict:
     """Classify a profile against the 2^-m condition.
 
     Returns the worst fraction, whether the bound holds for every nonzero Z,
@@ -111,7 +111,7 @@ def profile_summary(profile: UniversalityProfile, m: int) -> dict:
     nonzero.  Works on the integer counts; only the reported fractions are
     built.
     """
-    denom = profile.denom
+    m, denom = profile.m, profile.denom
     grid = profile.counts.reshape(-1, 1 << m)  # grid[y, x]
     worst = int(grid.reshape(-1)[1:].max())
     return {
@@ -121,22 +121,6 @@ def profile_summary(profile: UniversalityProfile, m: int) -> dict:
         "zero_when_y_zero": not grid[0, 1:].any(),
         "sharp_when_both_nonzero": bool((grid[1:, 1:] == denom >> m).all()),
     }
-
-
-@dataclass(frozen=True)
-class RandomMatrixHash:
-    """Completely random l x (l+m) hash matrix, same interface as Toeplitz.
-
-    Needs (l+m)*l random bits instead of l+m-1; kept for comparison tests
-    since the downstream theory only uses the 2^-m membership condition.
-    """
-
-    l: int
-    m: int
-    matrix_bits: BitMatrix
-
-    def matrix(self) -> BitMatrix:
-        return self.matrix_bits
 
 
 def random_matrix_universality_profile(l: int, m: int) -> dict[int, Fraction]:

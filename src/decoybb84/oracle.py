@@ -302,18 +302,24 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
     if isinstance(channel, Mapping):
         probs = check_law("joint channel law", list(channel.values()))
         for key in channel:
-            ex, ez = key
-            if not (0 <= ex < 1 << n and 0 <= ez < 1 << n and int(ex) == ex and int(ez) == ez):
+            try:
+                ex, ez = key
+                inside = 0 <= ex < 1 << n and 0 <= ez < 1 << n and int(ex) == ex and int(ez) == ez
+            except (TypeError, ValueError):
+                raise ValueError(f"joint channel key {key!r} is not a pair of integer "
+                                 "patterns") from None
+            if not inside:
                 raise ValueError(f"joint channel pattern {key} outside [0, 2^{n})")
         ex, ez = np.array(list(channel), dtype=np.int64).reshape(-1, 2).T
         return "joint", (ex, ez, probs)
     site_laws = []
     for i, law in enumerate(channel):
-        if not law.keys() <= _SITE_KEYS:
-            raise ValueError(f"site {i} key {min(law.keys() - _SITE_KEYS)} outside {{0, 1}}^2")
+        for key in law:
+            if key not in _SITE_KEYS:
+                raise ValueError(f"site {i} key {key!r} outside {{0, 1}}^2")
         mat = np.zeros((2, 2))
         for (x, z), p in law.items():
-            mat[x, z] = p
+            mat[int(x), int(z)] = p  # a key equal to a bit pair, such as (1.0, 0), indexes as it
         site_laws.append(check_law(f"site {i} law", mat))
     if len(site_laws) != n:
         raise DimensionMismatch(f"channel has {len(site_laws)} sites, code expects {n}")

@@ -45,7 +45,9 @@ from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, InfeasibleObservation, check_flip_rate,
                      check_law)
 from .gf2 import (BitMatrix, BitVector, _preimage, _reduce_with_ids, mat_vec_mul, pack_rows,
-                  rank, solve, span_array)
+                  rank, span_array)
+# solve: unused here, kept for perfbench's LAYER_MAP.
+from .gf2 import solve  # noqa: F401
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
@@ -191,32 +193,34 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
                    guard: int = DECODE_GUARD) -> BitVector:
     """Recover z from a noisy M_e z by minimum-distance decoding.
 
-    Fast path: an exact preimage exists (no residual error).  Otherwise,
-    with the 2^lm codewords under the guard, one reduction of (M_e | I)
-    gives the parity checks of Im M_e and its pivot rows.  The syndrome of
-    ``received`` names its coset, and the error patterns e are walked by
+    One coset decode over one reduction of (M_e | I): its checks give the
+    syndrome of ``received``, and its pivot rows back-substitute the seed
+    of the chosen codeword (MacWilliams & Sloane, ch. 1).  Syndrome 0 is
+    the code itself, so ``received`` is its own nearest codeword and its
+    preimage (free unknowns 0) is returned at once.  Otherwise, with the
+    2^lm codewords under the guard, the error patterns e are walked by
     weight until some have that syndrome: the words received ^ e are then
-    the nearest codewords, ``kernels.nearest_index`` picks the lex-smallest
-    and its seed follows from the pivot rows (MacWilliams & Sloane, ch. 1).
-    The walk stops before its ball of patterns would outnumber the code,
-    and the code is then enumerated as before, so the walk costs
-    min(ball, 2^lm) words and a decode at most 2^lm more.
+    the nearest codewords, and ``kernels.nearest_index`` picks the
+    lex-smallest.  The walk stops before its ball of patterns would
+    outnumber the code, and the code is then enumerated as before, so the
+    walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
     """
-    exact = solve(m_e, received)
-    if exact is not None:
-        return exact
     n, lm = m_e.rows, m_e.cols
+    if n != received.length:
+        raise DimensionMismatch(f"matrix rows {n} != vector length {received.length}")
+    pivots, checks = _reduce_with_ids(m_e)
+    syndrome = sum(((c & received.bits).bit_count() & 1) << k for k, c in enumerate(checks))
+    if syndrome == 0:
+        return BitVector(lm, _preimage(pivots, lm, received.bits))
     if 1 << lm > guard:
         raise CapacityError(
             f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
-    pivots, checks = _reduce_with_ids(m_e)
     unit = [0] * n  # unit[j]: the syndrome of bit j alone, bit k from check k
     for k, h in enumerate(checks):
         while h:
             low = h & -h
             unit[low.bit_length() - 1] |= 1 << k
             h ^= low
-    syndrome = sum(((c & received.bits).bit_count() & 1) << k for k, c in enumerate(checks))
     errors = kernels.least_weight_errors(unit, syndrome, 1 << lm)
     if errors is None:
         # Word z of the span of M_e's columns is M_e z, so its index is the seed.

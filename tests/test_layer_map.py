@@ -5,9 +5,12 @@ when a listed function or binding is gone, or when a module binds a traced
 function the map does not list.  Installing and removing it here makes a
 refactor that moves such a binding fail in the test suite, not only in a
 traced benchmark run.  Its ``HOOKS`` read call arguments by name, so every
-hook is also fired once here.
+hook is also fired once here.  A module may import a name it never reads
+only to bind it for the map, so each such import must be a binding the map
+lists: one left behind when the map shrinks fails here.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -18,7 +21,9 @@ from decoybb84.channel import ChannelStrategy
 from decoybb84.decoy import SourceDistribution
 from decoybb84.gf2 import BitMatrix
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "decoybb84"
 
 
 def load_tracer():
@@ -68,3 +73,28 @@ def test_every_hook_counts(tmp_path):
     assert set(tracer_mod.HOOKS) <= {tracer_mod.SPAN_NAMES[i] for i in tracer.name}
     assert {key: tracer.counts.get(key, 0) > 0 for key in tracer_mod.COUNTERS} \
         == dict.fromkeys(tracer_mod.COUNTERS, True)
+
+
+def unread_imports(src):
+    """(module, name) of each name a module imports and never reads.  The
+    package's ``__init__`` imports to export, and ``__future__`` imports
+    bind nothing that is read."""
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unread |= {(path.stem, name) for alias in node.names
+                           if (name := alias.asname or alias.name.split(".")[0]) not in read}
+    return unread
+
+
+def test_unread_imports_are_listed_bindings():
+    listed = {(module, func) for _, func, binders in load_tracer().LAYER_MAP
+              for module in binders}
+    assert unread_imports(SRC) - listed == set()

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import math
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -441,6 +442,29 @@ class TestReduceCodeChannel:
         with pytest.raises(ValueError,
                            match=rf"joint channel pattern \({key[0]}, {key[1]}\) outside"):
             reduce_code_channel(joint, m_e, m_p)
+
+    def test_site_keys_that_do_not_compare_rejected(self):
+        # The first bad key is named; picking the least of (0, "a") and
+        # (0, 2) would compare "a" with 2.
+        m_e, m_p = self._repetition_pair()
+        site = {(0, 0): 0.5, (0, "a"): 0.25, (0, 2): 0.25}
+        with pytest.raises(ValueError, match=r"site 1 key \(0, 'a'\) outside"):
+            reduce_code_channel([{(0, 0): 1.0}, site, {(0, 0): 1.0}], m_e, m_p)
+
+    @pytest.mark.parametrize("key", [(0, 0, 0), (1,), ("a", 0)],
+                             ids=["triple", "single", "non-numeric"])
+    def test_joint_key_not_a_pattern_pair_rejected(self, key):
+        m_e, m_p = self._repetition_pair()
+        joint = {(0, 0): 0.5, key: 0.5}
+        with pytest.raises(ValueError, match=rf"joint channel key {re.escape(repr(key))} is not"):
+            reduce_code_channel(joint, m_e, m_p)
+
+    def test_site_key_equal_to_a_bit_pair_accepted(self):
+        # (1.0, 0) equals (1, 0), as a joint pattern 1.0 equals 1.
+        m_e, m_p = self._repetition_pair()
+        dist, pph = reduce_code_channel([{(0, 0): 0.8, (1.0, 0): 0.2}] * 3, m_e, m_p)
+        want, want_pph = reduce_code_channel([{(0, 0): 0.8, (1, 0): 0.2}] * 3, m_e, m_p)
+        assert dist.probs.tobytes() == want.probs.tobytes() and pph == want_pph
 
     def test_logical_marginal_matches_pph(self):
         rng = np.random.default_rng(3)

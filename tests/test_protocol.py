@@ -18,8 +18,8 @@ from decoybb84.channel import ChannelStrategy
 from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
-from decoybb84.errors import CapacityError, InfeasibleObservation
-from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, span_array
+from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
+from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, solve, span_array
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
                                 decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
@@ -278,27 +278,32 @@ class TestCosetDecode:
         # on several nearest codewords.
         assert scans > 10 and ties > 10
 
-    def test_weight_zero_is_the_exact_preimage(self, monkeypatch):
-        calls = self._record(monkeypatch)
-        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 0]])
-        z = BitVector(2, 0b10)
-        assert decode_to_seed(m_e, mat_vec_mul(m_e, z)) == z
-        assert calls == []
-
-    def test_misses_reduce_m_e_twice(self, monkeypatch):
-        # An exact decode reduces M_e once, in solve.  A miss reduces it once
-        # more, for the checks, the syndrome and the seed of the chosen
-        # codeword alike, whether the walk or the scan finds that codeword.
-        rng = np.random.default_rng(12)
-        m_e = random_full_rank_matrix(rng, 12, 6)
-        code = {mat_vec_mul(m_e, BitVector(6, z)).bits for z in range(1 << 6)}
-        calls = self._record(monkeypatch)
+    def _count_reductions(self, monkeypatch):
         reductions = []
 
         def counting(*args, _f=gf2._reduce):
             reductions.append(args)
             return _f(*args)
         monkeypatch.setattr(gf2, "_reduce", counting)
+        return reductions
+
+    def test_weight_zero_is_the_exact_preimage(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        reductions = self._count_reductions(monkeypatch)
+        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 0]])
+        z = BitVector(2, 0b10)
+        assert decode_to_seed(m_e, mat_vec_mul(m_e, z)) == z
+        assert calls == [] and len(reductions) == 1
+
+    def test_every_decode_reduces_m_e_once(self, monkeypatch):
+        # One reduction of (M_e | I) gives the syndrome, and the seed of the
+        # chosen codeword, whether the word is exact (syndrome 0) or the walk
+        # or the scan finds that codeword.
+        rng = np.random.default_rng(12)
+        m_e = random_full_rank_matrix(rng, 12, 6)
+        code = {mat_vec_mul(m_e, BitVector(6, z)).bits for z in range(1 << 6)}
+        calls = self._record(monkeypatch)
+        reductions = self._count_reductions(monkeypatch)
         paths = set()
         for y in rng.integers(0, 1 << 12, size=40).tolist() + sorted(code)[:4]:
             received = BitVector(12, y)
@@ -308,9 +313,27 @@ class TestCosetDecode:
             assert z == scan_decode(m_e, received)
             walks = [out is None for name, out, _ in calls if name == "least_weight_errors"]
             paths.add("exact" if y in code else "scan" if walks == [True] else "walk")
-            assert len(reductions) == (1 if y in code else 2)
-            assert all(len(rows) == 12 for rows, _ in reductions)
+            assert len(reductions) == 1 and len(reductions[0][0]) == 12
         assert paths == {"exact", "walk", "scan"}
+
+    def test_exact_words_skip_the_guard(self, monkeypatch):
+        # Rank-deficient M_e too: a word of the code returns its preimage
+        # with free unknowns 0, as solve does, before the guard and before
+        # any kernel.
+        calls = self._record(monkeypatch)
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            lm = int(rng.integers(1, min(n, 8) + 1))
+            m_e = BitMatrix.from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
+            word = mat_vec_mul(m_e, BitVector(lm, int(rng.integers(0, 1 << lm))))
+            assert decode_to_seed(m_e, word, guard=1) == solve(m_e, word)
+        assert calls == []
+
+    def test_length_mismatch_rejected(self):
+        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(DimensionMismatch, match="matrix rows 3 != vector length 4"):
+            decode_to_seed(m_e, BitVector(4, 0b0111))
 
     def test_ties_go_to_the_lex_smallest_codeword(self, monkeypatch):
         # The even-weight code of length 5: a word of weight 1 (coordinate
@@ -324,7 +347,7 @@ class TestCosetDecode:
         assert len(errors) == 1 and len(errors[0]) == 5
 
     def test_random_matrices_match_the_scan(self):
-        # Rank-deficient M_e too: solve's preimage (free unknowns 0) is the
+        # Rank-deficient M_e too: the exact preimage (free unknowns 0) is the
         # least index z of the chosen codeword, as in the scan.
         rng = np.random.default_rng(6)
         for _ in range(150):

@@ -16,9 +16,9 @@ ALLOWLIST = {
     "oracle.dense_mutual_information": "dense density-matrix cross-check of the block formulas",
     "oracle.dense_fidelity": "dense density-matrix cross-check of the block formulas",
     "oracle.dense_trace_norm": "dense density-matrix cross-check of the block formulas",
-    "hashing.RandomMatrixHash": "fully random hash family, compared against Toeplitz",
     "hashing.random_matrix_universality_profile": "exact profile of the random family",
-    "gf2.parity_checks": "the check view of the (M | I) reduction that decode_to_seed reads",
+    "gf2.solve": "the preimage view of the (M | I) reduction; the benchmark traces it",
+    "gf2.parity_checks": "the check view of the (M | I) reduction, for callers outside the package",
     "gf2.BitMatrix.from_rows": "matrix from 0/1 rows, for callers outside the package",
     "gf2.BitMatrix.from_row_ints": "matrix from packed rows; the benchmark builds its codes so",
     "gf2.BitMatrix.identity": "identity matrix, for callers outside the package",
