@@ -84,10 +84,6 @@ class ClassCounts:
     j5: int = 0
     t: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.k0 + self.k1 + self.k2
-
     def j_tuple(self) -> tuple[int, ...]:
         return (self.j0, self.j1, self.j2, self.j3, self.j4, self.j5)
 

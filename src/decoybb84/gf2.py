@@ -6,20 +6,20 @@ products and syndrome scans allocation-free at desk scale.
 
 numpy is used at the edges only.  ``pack_rows`` is the one path from 0/1
 arrays to packed integers (``np.packbits``, little-endian bit order):
-``BitVector.from_bits``, ``BitMatrix.from_rows`` and
-``BitMatrix.transpose`` go through it, and ``BitMatrix.to_array`` is the
-way back (``np.unpackbits``).  ``span_array`` and the lex helpers build
-``uint64`` word arrays, on which the exhaustive hot loops (decode tables,
-membership counts) run in :mod:`decoybb84.kernels`.
+``BitVector.from_bits`` and ``BitMatrix.transpose`` go through it, and
+``BitMatrix.to_array`` is the way back (``np.unpackbits``).
+``span_array`` and the lex helpers build ``uint64`` word arrays, on which
+the exhaustive hot loops (decode tables, membership counts) run in
+:mod:`decoybb84.kernels`.
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
 ``kernel_basis`` back-substitutes on them once per free column.
 ``_reduce_with_ids`` reduces (M | I): the rows that cancel are the parity
 checks, and ``_preimage`` back-substitutes a preimage on the pivot rows.
 The EC decode (``protocol.decode_to_seed``) reads these two directly;
-``solve`` and ``parity_checks`` are views of the same reduction for
-callers outside the package.  ``_rref`` back-reduces the pivots to the
-reduced row-echelon form.
+``solve`` is the preimage view of the same reduction, which the benchmark
+traces.  ``_rref`` back-reduces the pivots to the reduced row-echelon
+form.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.
@@ -87,10 +87,6 @@ class BitVector:
             raise ValueError("bits outside [0, 2^length)")
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
     def from_bits(cls, bits: Sequence[int] | np.ndarray) -> "BitVector":
         bits = np.asarray(bits)
         if bits.ndim != 1:
@@ -110,15 +106,8 @@ class BitVector:
     def __len__(self) -> int:
         return self.length
 
-    def weight(self) -> int:
-        """Hamming weight."""
-        return self.bits.bit_count()
-
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def lex_key(self) -> int:
-        return lex_key(self.bits, self.length)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.to_tuple())
@@ -142,23 +131,8 @@ class BitMatrix:
                 raise ValueError("row bits outside [0, 2^cols)")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        cols = len(rows[0]) if len(rows) else 0
-        if any(len(row) != cols for row in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(pack_rows(np.reshape(rows, (len(rows), cols)))))
-
-    @classmethod
     def from_row_ints(cls, rows: int, cols: int, row_bits: Sequence[int]) -> "BitMatrix":
         return cls(rows, cols, tuple(row_bits))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, tuple(pack_rows(self.to_array().T)))
@@ -269,12 +243,6 @@ def solve(m: BitMatrix, v: BitVector) -> BitVector | None:
     if any((h & v.bits).bit_count() & 1 for h in checks):
         return None
     return BitVector(m.cols, _preimage(pivots, m.cols, v.bits))
-
-
-def parity_checks(m: BitMatrix) -> list[int]:
-    """Independent checks h with h M = 0 (bit i of h weighs row i): the
-    words c of the code Im M are those with every h . c = 0."""
-    return _reduce_with_ids(m)[1]
 
 
 def span_ints(basis: Sequence[int]) -> list[int]:

@@ -12,9 +12,9 @@ gives that fraction exactly (as a rational number) for every nonzero Z,
 over all 2^(l+m-1) seeds, from one Gaussian elimination batched over
 every y-part in blocks (``kernels.toeplitz_image_counts``), which still
 computes each y-part's rank, and ``profile_summary`` checks it on
-the integer counts.  The exact profile of completely random binary
-matrices is kept for comparison; the security condition is all the
-downstream bounds need, so both families are interchangeable.
+the integer counts.  The security condition is all the downstream bounds
+need, so any family that meets it would do; the tests compare against the
+exact profile of completely random binary matrices.
 """
 
 from __future__ import annotations
@@ -122,25 +122,3 @@ def profile_summary(profile: UniversalityProfile) -> dict:
         "sharp_when_both_nonzero": bool((grid[1:, 1:] == denom >> m).all()),
     }
 
-
-def random_matrix_universality_profile(l: int, m: int) -> dict[int, Fraction]:
-    """Exact membership fractions for the fully random matrix family.
-
-    Enumerates all 2^(l*(l+m)) matrices, so only tiny sizes are feasible.
-    """
-    n_bits = l * (l + m)
-    if n_bits > 16:
-        raise CapacityError(f"matrix space 2^{n_bits} exceeds guard 2^16")
-    width = l + m
-    counts = np.zeros(1 << width, dtype=np.int64)
-    for mat in range(1 << n_bits):
-        rows = tuple((mat >> (i * width)) & ((1 << width) - 1) for i in range(l))
-        # Row space of M_p equals Im M_p^T.
-        seen = {0}
-        for r in rows:
-            if r != 0 and r not in seen:
-                seen |= {s ^ r for s in seen}
-        for z in seen:
-            counts[z] += 1
-    denom = 1 << n_bits
-    return {z: Fraction(int(counts[z]), denom) for z in range(1, 1 << width)}

@@ -12,11 +12,12 @@ from that block structure:
 * the optimal key-guessing probability is the covariant-measurement value
   sum_x P(x) (sum_z sqrt(P(z|x)) sqrt(2^-l))^2.
 
-A dense density-matrix path (dimension 4^l) exists purely as a
-cross-check for small l.  ``reduce_code_channel`` grinds an N-qubit
-channel plus a code pair (error-correction generator, hash matrix) down to
-this logical level by exhaustive minimum-distance decoding, and also
-reports the exact phase-error probability of that decoder.
+The tests cross-check these closed forms against a dense density-matrix
+path (dimension 4^l) for small l.  ``reduce_code_channel`` grinds an
+N-qubit channel plus a code pair (error-correction generator, hash
+matrix) down to this logical level by exhaustive minimum-distance
+decoding, and also reports the exact phase-error probability of that
+decoder.
 
 Both sides are one labelled code given by independent generators with
 linear labels: Im m_e with the columns of m_p as labels on the key side,
@@ -40,7 +41,6 @@ same to the bit; a ``matmul`` or a regrouped sum would not be.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -119,7 +119,8 @@ def eve_mutual_information(dist: PauliErrorDistribution) -> float:
     Each x-block of Eve's per-key state is pure while the same block of the
     key-averaged state is diagonal with the conditional phase probabilities,
     so the average relative entropy collapses to sum_x P(x) H(Z | X = x).
-    The dense-matrix path cross-checks this closed form for small l.
+    The tests cross-check this closed form against the direct definition on
+    dense density matrices for small l.
     """
     return _mutual_information(dist.x_marginal(), dist.conditional_phase())
 
@@ -187,75 +188,6 @@ def pairwise_figures(dist: PauliErrorDistribution) -> EveFigures:
         opt_success_prob=_success_probability(px, cond, l),
         phase_error_prob=phase_error_probability(dist),
     )
-
-
-# ----------------------------------------------------------------------
-# Dense density-matrix cross-check path (dimension 4^l; l <= 2 intended).
-
-
-def dense_eve_state(dist: PauliErrorDistribution, y: int) -> np.ndarray:
-    """Eve's full density matrix for final key y, basis index x*2^l + z."""
-    l = dist.l
-    dim = 1 << (2 * l)
-    rho = np.zeros((dim, dim))
-    cond = dist.conditional_phase()
-    px = dist.x_marginal()
-    for x in range(1 << l):
-        if px[x] == 0:
-            continue
-        amps = np.array([
-            (-1.0) ** ((z & y).bit_count()) * math.sqrt(cond[x, z])
-            for z in range(1 << l)
-        ])
-        base = x << l
-        rho[base:base + (1 << l), base:base + (1 << l)] += px[x] * np.outer(amps, amps)
-    return rho
-
-
-def dense_average_state(dist: PauliErrorDistribution) -> np.ndarray:
-    """Key-averaged Eve state: diagonal with entries P(x, z)."""
-    return np.diag(dist.probs.ravel())
-
-
-def quantum_relative_entropy_bits(rho: np.ndarray, sigma: np.ndarray,
-                                  tol: float = 1e-12) -> float:
-    """D(rho || sigma) in bits for Hermitian PSD matrices, supp rho <= supp sigma."""
-    lam_r, vec_r = np.linalg.eigh(rho)
-    lam_s, vec_s = np.linalg.eigh(sigma)
-    term_r = float((lam_r[lam_r > tol] * np.log2(lam_r[lam_r > tol])).sum())
-    term_s = 0.0
-    for i, lam in enumerate(lam_s):
-        if lam > tol:
-            v = vec_s[:, i]
-            term_s += float(v @ rho @ v) * math.log2(lam)
-    return term_r - term_s
-
-
-def dense_mutual_information(dist: PauliErrorDistribution) -> float:
-    """Average over keys of D(rho_E(y) || rho_bar), the direct definition."""
-    rho_bar = dense_average_state(dist)
-    total = 0.0
-    n = 1 << dist.l
-    for y in range(n):
-        total += quantum_relative_entropy_bits(dense_eve_state(dist, y), rho_bar)
-    return total / n
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(a)
-    lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.T
-
-
-def dense_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr sqrt(sqrt(b) a sqrt(b)) for PSD a, b."""
-    rb = _psd_sqrt(b)
-    lam = np.linalg.eigvalsh(rb @ a @ rb)
-    return float(np.sqrt(np.clip(lam, 0.0, None)).sum())
-
-
-def dense_trace_norm(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 # ----------------------------------------------------------------------

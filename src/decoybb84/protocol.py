@@ -204,6 +204,8 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     lex-smallest.  The walk stops before its ball of patterns would
     outnumber the code, and the code is then enumerated as before, so the
     walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
+    The walk and the scan pack words into ``uint64``, so a code longer
+    than 64 bits decodes only its own words.
     """
     n, lm = m_e.rows, m_e.cols
     if n != received.length:
@@ -212,6 +214,8 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     syndrome = sum(((c & received.bits).bit_count() & 1) << k for k, c in enumerate(checks))
     if syndrome == 0:
         return BitVector(lm, _preimage(pivots, lm, received.bits))
+    if n > 64:
+        raise CapacityError(f"code length N={n} exceeds the 64-bit words of the EC decode")
     if 1 << lm > guard:
         raise CapacityError(
             f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")

@@ -6,8 +6,16 @@ The two channel samplers are the earlier per-group code, kept verbatim:
 the library's samplers must make the same draws.  So is the symmetric
 decoy interval at the end, which the library's key-term corner must
 reproduce bit for bit.
+
+Two references need no speed and so run only here: Eve's states as dense
+density matrices (dimension 4^l), which check the oracle's block formulas,
+and the exact universality profile of completely random binary matrices,
+which the Toeplitz family is compared with.  ``matrix_from_rows`` builds a
+``BitMatrix`` from 0/1 rows for the worked examples.
 """
 
+import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,10 +26,16 @@ from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETEC
 from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
                              _detector_corrected)
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
-from decoybb84.gf2 import BitVector, lex_order
+from decoybb84.gf2 import BitMatrix, BitVector, lex_key, lex_order, pack_rows
 from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
 from decoybb84.oracle import PauliErrorDistribution
+
+
+def matrix_from_rows(rows: Sequence[Sequence[int]]) -> BitMatrix:
+    """The matrix with the given 0/1 rows, column j at bit j."""
+    cols = len(rows[0]) if len(rows) else 0
+    return BitMatrix(len(rows), cols, tuple(pack_rows(np.reshape(rows, (len(rows), cols)))))
 
 
 def min_distance_decode(received: BitVector, codewords: Sequence[BitVector],
@@ -47,8 +61,8 @@ def min_distance_decode(received: BitVector, codewords: Sequence[BitVector],
             best, best_dist, best_key = c, d, None
         elif d == best_dist:
             if best_key is None:
-                best_key = best.lex_key()
-            k = c.lex_key()
+                best_key = lex_key(best.bits, n)
+            k = lex_key(c.bits, n)
             if k < best_key:
                 best, best_key = c, k
     return best
@@ -65,6 +79,29 @@ def transpose_image_membership(h: ToeplitzHash, z: BitVector) -> bool:
         if (y_part >> i) & 1:
             acc ^= (h.seed.bits >> i) & ((1 << h.m) - 1)
     return acc == x_part
+
+
+def random_matrix_universality_profile(l: int, m: int) -> dict[int, Fraction]:
+    """Exact membership fractions for the fully random matrix family.
+
+    Enumerates all 2^(l*(l+m)) matrices, so only tiny sizes are feasible.
+    """
+    n_bits = l * (l + m)
+    if n_bits > 16:
+        raise CapacityError(f"matrix space 2^{n_bits} exceeds guard 2^16")
+    width = l + m
+    counts = np.zeros(1 << width, dtype=np.int64)
+    for mat in range(1 << n_bits):
+        rows = tuple((mat >> (i * width)) & ((1 << width) - 1) for i in range(l))
+        # Row space of M_p equals Im M_p^T.
+        seen = {0}
+        for r in rows:
+            if r != 0 and r not in seen:
+                seen |= {s ^ r for s in seen}
+        for z in seen:
+            counts[z] += 1
+    denom = 1 << n_bits
+    return {z: Fraction(int(counts[z]), denom) for z in range(1, 1 << width)}
 
 
 def per_shift_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: int,
@@ -119,6 +156,75 @@ def pauli_from_dict(l: int, entries: Mapping[tuple[int, int], float]) -> PauliEr
     for (x, z), v in entries.items():
         p[x, z] = v
     return PauliErrorDistribution(l, p)
+
+
+# ----------------------------------------------------------------------
+# Dense density-matrix path (dimension 4^l; l <= 2 intended).
+
+
+def dense_eve_state(dist: PauliErrorDistribution, y: int) -> np.ndarray:
+    """Eve's full density matrix for final key y, basis index x*2^l + z."""
+    l = dist.l
+    dim = 1 << (2 * l)
+    rho = np.zeros((dim, dim))
+    cond = dist.conditional_phase()
+    px = dist.x_marginal()
+    for x in range(1 << l):
+        if px[x] == 0:
+            continue
+        amps = np.array([
+            (-1.0) ** ((z & y).bit_count()) * math.sqrt(cond[x, z])
+            for z in range(1 << l)
+        ])
+        base = x << l
+        rho[base:base + (1 << l), base:base + (1 << l)] += px[x] * np.outer(amps, amps)
+    return rho
+
+
+def dense_average_state(dist: PauliErrorDistribution) -> np.ndarray:
+    """Key-averaged Eve state: diagonal with entries P(x, z)."""
+    return np.diag(dist.probs.ravel())
+
+
+def quantum_relative_entropy_bits(rho: np.ndarray, sigma: np.ndarray,
+                                  tol: float = 1e-12) -> float:
+    """D(rho || sigma) in bits for Hermitian PSD matrices, supp rho <= supp sigma."""
+    lam_r, vec_r = np.linalg.eigh(rho)
+    lam_s, vec_s = np.linalg.eigh(sigma)
+    term_r = float((lam_r[lam_r > tol] * np.log2(lam_r[lam_r > tol])).sum())
+    term_s = 0.0
+    for i, lam in enumerate(lam_s):
+        if lam > tol:
+            v = vec_s[:, i]
+            term_s += float(v @ rho @ v) * math.log2(lam)
+    return term_r - term_s
+
+
+def dense_mutual_information(dist: PauliErrorDistribution) -> float:
+    """Average over keys of D(rho_E(y) || rho_bar), the direct definition."""
+    rho_bar = dense_average_state(dist)
+    total = 0.0
+    n = 1 << dist.l
+    for y in range(n):
+        total += quantum_relative_entropy_bits(dense_eve_state(dist, y), rho_bar)
+    return total / n
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    lam, vec = np.linalg.eigh(a)
+    lam = np.clip(lam, 0.0, None)
+    return (vec * np.sqrt(lam)) @ vec.T
+
+
+def dense_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Tr sqrt(sqrt(b) a sqrt(b)) for PSD a, b."""
+    rb = _psd_sqrt(b)
+    lam = np.linalg.eigvalsh(rb @ a @ rb)
+    return float(np.sqrt(np.clip(lam, 0.0, None)).sum())
+
+
+def dense_trace_norm(a: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def sample_detection(strategy: ChannelStrategy, cls: np.ndarray, basis: np.ndarray,

@@ -25,14 +25,15 @@ from decoybb84.channel import ChannelStrategy
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import BoundViolation
-from decoybb84.gf2 import BitMatrix, rank
+from decoybb84.gf2 import rank
 from decoybb84.hashing import universality_profile
-from decoybb84.oracle import (PauliErrorDistribution, dense_mutual_information,
-                              eve_mutual_information, optimal_success_probability,
-                              pairwise_figures, reduce_code_channel)
+from decoybb84.oracle import (PauliErrorDistribution, eve_mutual_information,
+                              optimal_success_probability, pairwise_figures,
+                              reduce_code_channel)
 from decoybb84.protocol import SessionConfig, run_session
 from decoybb84.rates import RateInputs, all_rates, verify_rate_ordering
 
+from oracles import dense_mutual_information, matrix_from_rows
 from test_decoy import forward_rates
 
 
@@ -260,11 +261,11 @@ def test_criterion_4_dark_count_bound_ordering():
 
 def _random_code_pair(rng, n, lm, l):
     while True:
-        m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
+        m_e = matrix_from_rows(rng.integers(0, 2, (n, lm)).tolist())
         if rank(m_e) == lm:
             break
     while True:
-        m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
+        m_p = matrix_from_rows(rng.integers(0, 2, (l, lm)).tolist())
         if rank(m_p) == l:
             break
     return m_e, m_p

@@ -13,6 +13,7 @@ from decoybb84.errors import CapacityError
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul, span_ints
 from decoybb84.hashing import build_toeplitz
 from decoybb84.protocol import random_full_rank_matrix
+from oracles import matrix_from_rows
 
 
 def max_bound_over_inputs(candidates, kind="forward"):
@@ -335,7 +336,7 @@ class TestOracleDominance:
         (6, 1, 2, 5, 3), (3, 3, 0, 4, 3),
     ])
     def test_averaged_oracle_below_bound(self, n1, k2, t, lm, m):
-        from decoybb84.gf2 import BitMatrix, BitVector, rank
+        from decoybb84.gf2 import BitVector, rank
         from decoybb84.hashing import build_toeplitz
         from decoybb84.oracle import reduce_code_channel
 
@@ -343,7 +344,7 @@ class TestOracleDominance:
         l = lm - m
         rng = np.random.default_rng(n1 * 100 + k2 * 10 + t)
         while True:
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
+            m_e = matrix_from_rows(rng.integers(0, 2, (n, lm)).tolist())
             if rank(m_e) == lm:
                 break
         # fixed weight-t pattern on the first n1 positions

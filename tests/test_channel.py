@@ -84,13 +84,13 @@ class TestClassify:
             cls = rng.integers(0, 3, size=n)
             det = np.where(rng.integers(0, 2, size=n) == 1, DARK, NORMAL)
             counts = parts(cls, det)
-            assert counts.total == n
+            assert counts.k0 + counts.k1 + counts.k2 == n
             assert sum(counts.j_tuple()) == n
             assert (counts.k0, counts.k1, counts.k2) == tuple(np.bincount(cls, minlength=3))
 
     def test_undetected_skipped(self):
         counts = parts([SINGLE, SINGLE], [NORMAL, UNDETECTED])
-        assert counts.total == 1
+        assert counts.k0 + counts.k1 + counts.k2 == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -379,6 +379,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_code_longer_than_64_bits_exit_2(self, tmp_path, capsys):
+        # No sacrifice bits and a noisy single-photon channel leave an EC
+        # code of N = 100 bits that the received word misses.
+        cfg, strat = tmp_path / "session.cfg", tmp_path / "strategy.cfg"
+        cfg.write_text("n = 100\nn_bar = 100\nn_under = 2\nn_prime = 20000\n"
+                       "nus = [[0.0, 1.0, 0.0]]\ni0 = 1\np_bar = [0.1, 0.45, 0.45]\n"
+                       'm_rule = "constant:0"\n')
+        strat.write_text("p_dark = 0.001\nq_vacuum = 0.001\nq_single = 0.6\n"
+                         "q_multi_times = 0.7\nq_multi_plus = 0.7\n"
+                         "single_error_times = [0.55, 0.15, 0.15, 0.15]\n"
+                         "single_error_plus = [0.55, 0.15, 0.15, 0.15]\n"
+                         "multi_flip_times = 0.05\nmulti_flip_plus = 0.05\n")
+        args = ["simulate", "--config", str(cfg), "--strategy", str(strat), "--trials", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: code length N=100 exceeds") and err.count("\n") == 1
+
 
 class TestBound:
     def test_values_and_ordering(self, tmp_path):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
-from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, lex_key, lex_keys,
-                           mat_vec_mul, pack_rows, parity_checks, rank, solve,
-                           span_ints)
-from oracles import min_distance_decode
+from decoybb84.gf2 import (BitMatrix, BitVector, _reduce_with_ids, kernel_basis, lex_key,
+                           lex_keys, mat_vec_mul, pack_rows, rank, solve, span_ints)
+from oracles import matrix_from_rows, min_distance_decode
 
 
 def bv(*bits):
@@ -18,58 +17,58 @@ def bv(*bits):
 
 class TestMatVecMul:
     def test_identity(self):
-        m = BitMatrix.identity(3)
+        m = BitMatrix(3, 3, (1, 2, 4))
         assert mat_vec_mul(m, bv(1, 0, 1)) == bv(1, 0, 1)
 
     def test_xor_by_hand(self):
-        m = BitMatrix.from_rows([[1, 1], [0, 1]])
+        m = matrix_from_rows([[1, 1], [0, 1]])
         assert mat_vec_mul(m, bv(1, 1)) == bv(0, 1)
 
     def test_zero_matrix(self):
-        m = BitMatrix.zeros(3, 4)
-        assert mat_vec_mul(m, bv(1, 1, 1, 1)) == BitVector.zeros(3)
+        m = BitMatrix(3, 4, (0, 0, 0))
+        assert mat_vec_mul(m, bv(1, 1, 1, 1)) == BitVector(3, 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_vec_mul(BitMatrix.identity(3), bv(1, 0))
+            mat_vec_mul(BitMatrix(3, 3, (1, 2, 4)), bv(1, 0))
 
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(4)) == 4
+        assert rank(BitMatrix(4, 4, (1, 2, 4, 8))) == 4
 
     def test_repeated_rows(self):
-        assert rank(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
+        assert rank(matrix_from_rows([[1, 1], [1, 1]])) == 1
 
     def test_zero(self):
-        assert rank(BitMatrix.zeros(3, 3)) == 0
+        assert rank(BitMatrix(3, 3, (0, 0, 0))) == 0
 
     def test_rank_nullity(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 9))
-            m = BitMatrix.from_rows(rng.integers(0, 2, (rows, cols)).tolist())
+            m = matrix_from_rows(rng.integers(0, 2, (rows, cols)).tolist())
             assert rank(m) + len(kernel_basis(m)) == cols
 
 
 class TestKernelBasis:
     def test_identity_trivial(self):
-        assert kernel_basis(BitMatrix.identity(2)) == []
+        assert kernel_basis(BitMatrix(2, 2, (1, 2))) == []
 
     def test_parity_check(self):
-        basis = kernel_basis(BitMatrix.from_rows([[1, 1]]))
+        basis = kernel_basis(matrix_from_rows([[1, 1]]))
         assert [b.to_tuple() for b in basis] == [(1, 1)]
 
     def test_zero_matrix(self):
-        assert len(kernel_basis(BitMatrix.zeros(2, 3))) == 3
+        assert len(kernel_basis(BitMatrix(2, 3, (0, 0)))) == 3
 
     def test_spans_exact_kernel_exhaustively(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             rows = int(rng.integers(1, 6))
             cols = int(rng.integers(1, 12))
-            m = BitMatrix.from_rows(rng.integers(0, 2, (rows, cols)).tolist())
+            m = matrix_from_rows(rng.integers(0, 2, (rows, cols)).tolist())
             basis = kernel_basis(m)
             spanned = set(span_ints([v.bits for v in basis]))
             brute = {v for v in range(1 << cols)
@@ -84,16 +83,16 @@ def in_image(m, v):
 
 class TestImageMembership:
     def test_zero_vector_always_member(self):
-        m = BitMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
-        assert in_image(m, BitVector.zeros(3))
+        m = matrix_from_rows([[1, 0], [1, 1], [0, 1]])
+        assert in_image(m, BitVector(3, 0))
 
     def test_identity_all_members(self):
-        m = BitMatrix.identity(3)
+        m = BitMatrix(3, 3, (1, 2, 4))
         for v in range(8):
             assert in_image(m, BitVector(3, v))
 
     def test_repetition_column(self):
-        m = BitMatrix.from_rows([[1], [1]])
+        m = matrix_from_rows([[1], [1]])
         assert in_image(m, bv(1, 1))
         assert not in_image(m, bv(1, 0))
 
@@ -102,7 +101,7 @@ class TestImageMembership:
         for _ in range(100):
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 7))
-            m = BitMatrix.from_rows(rng.integers(0, 2, (rows, cols)).tolist())
+            m = matrix_from_rows(rng.integers(0, 2, (rows, cols)).tolist())
             u = BitVector(cols, int(rng.integers(0, 1 << cols)))
             v = mat_vec_mul(m, u)
             got = solve(m, v)
@@ -129,12 +128,13 @@ class TestSolveAndRankByEnumeration:
 
 
 class TestParityChecks:
-    """``parity_checks`` against the image of M enumerated over all u."""
+    """The parity checks of ``_reduce_with_ids`` against the image of M
+    enumerated over all u."""
 
     def test_worked_example(self):
         # Rows 0 and 2 repeat and row 3 is zero: two checks, one per relation.
-        m = BitMatrix.from_rows([[1, 1], [0, 1], [1, 1], [0, 0]])
-        assert sorted(parity_checks(m)) == [0b0101, 0b1000]
+        m = matrix_from_rows([[1, 1], [0, 1], [1, 1], [0, 0]])
+        assert sorted(_reduce_with_ids(m)[1]) == [0b0101, 0b1000]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_checks_cut_out_the_image(self, seed):
@@ -143,7 +143,7 @@ class TestParityChecks:
             rows, cols = (int(v) for v in rng.integers(0, 8, size=2))
             bits = rng.integers(0, 2, size=(rows, cols)) * (rng.random((rows, 1)) < 0.8)
             m = BitMatrix(rows, cols, tuple(pack_rows(bits)))
-            checks = parity_checks(m)
+            checks = _reduce_with_ids(m)[1]
             assert len(checks) == rows - rank(m)
             assert rank(BitMatrix(len(checks), rows, tuple(checks))) == len(checks)
             image = {mat_vec_mul(m, BitVector(cols, u)).bits for u in range(1 << cols)}
@@ -156,14 +156,14 @@ class TestDualCode:
     """The dual of the code spanned by the rows of M is the kernel of M."""
 
     def test_full_rank_square_empty(self):
-        assert kernel_basis(BitMatrix.identity(3)) == []
+        assert kernel_basis(BitMatrix(3, 3, (1, 2, 4))) == []
 
     def test_repetition_self_dual(self):
-        dual = kernel_basis(BitMatrix.from_rows([[1, 1]]))
+        dual = kernel_basis(matrix_from_rows([[1, 1]]))
         assert set(span_ints([v.bits for v in dual])) == {0, 0b11}
 
     def test_zero_code_dual_is_everything(self):
-        assert len(kernel_basis(BitMatrix.zeros(1, 2))) == 2
+        assert len(kernel_basis(BitMatrix(1, 2, (0,)))) == 2
 
     def test_span_ints_gray_code_order(self):
         # The oracle's logical phase labels are indices into this order.
@@ -184,7 +184,7 @@ class TestDualCode:
         for _ in range(30):
             rows = int(rng.integers(1, 6))
             cols = int(rng.integers(1, 10))
-            m = BitMatrix.from_rows(rng.integers(0, 2, (rows, cols)).tolist())
+            m = matrix_from_rows(rng.integers(0, 2, (rows, cols)).tolist())
             dual = kernel_basis(m)
             ddual = kernel_basis(BitMatrix(len(dual), cols, tuple(v.bits for v in dual)))
             original = set(span_ints(list(m.row_bits)))
@@ -233,7 +233,7 @@ class TestBitVector:
         for _ in range(50):
             n = int(rng.integers(0, 20))
             v = BitVector(n, int(rng.integers(0, 1 << n)) if n else 0)
-            assert 0 <= v.weight() <= n
+            assert 0 <= v.bits.bit_count() <= n
 
     def test_bits_beyond_length_rejected(self):
         with pytest.raises(ValueError):
@@ -241,7 +241,7 @@ class TestBitVector:
 
     def test_lex_key_orders_tuples(self):
         vs = [BitVector(3, v) for v in range(8)]
-        by_key = sorted(vs, key=lambda v: v.lex_key())
+        by_key = sorted(vs, key=lambda v: lex_key(v.bits, v.length))
         by_tuple = sorted(vs, key=lambda v: v.to_tuple())
         assert [v.bits for v in by_key] == [v.bits for v in by_tuple]
 
@@ -292,12 +292,12 @@ class TestPacking:
             bits = rng.integers(0, 2, size=(4, width))
             assert BitVector.from_bits(bits[0]) == BitVector(width, loop_pack(bits[0]))
             assert BitVector.from_bits(bits[0].tolist()) == BitVector.from_bits(bits[0])
-            m = BitMatrix.from_rows(bits.tolist())
+            m = matrix_from_rows(bits.tolist())
             assert (m.rows, m.cols) == (4, width)
             assert m.row_bits == tuple(loop_pack(r) for r in bits)
-            assert BitMatrix.from_rows(bits) == m
+            assert matrix_from_rows(bits) == m
             assert m.to_array().tolist() == bits.tolist()
-        assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
+        assert matrix_from_rows([]) == BitMatrix(0, 0, ())
 
     @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0.5], [[0, 1]], [float("nan")]])
     def test_from_bits_rejects_non_bits(self, bits):
@@ -324,7 +324,9 @@ class TestPacking:
     @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 1, 0]], [[0, 2]]])
     def test_from_rows_rejects_ragged_and_non_bits(self, rows):
         with pytest.raises(ValueError):
-            BitMatrix.from_rows(rows)
+            pack_rows(rows)
+        with pytest.raises(ValueError):
+            BitVector.from_bits(rows)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (24, 15),
                                        (5, 64), (3, 65), (70, 2), (9, 130)])
@@ -373,7 +375,7 @@ def test_pinned_gf2_outputs():
         sols = [solve(m, BitVector(m.rows, v)) for v in vs]
         lines.append(" ".join([f"{m.rows}x{m.cols}",
                                ",".join(str(b.bits) for b in kernel_basis(m)),
-                               ",".join(map(str, parity_checks(m))),
+                               ",".join(map(str, _reduce_with_ids(m)[1])),
                                ",".join("-" if s is None else str(s.bits) for s in sols)]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (240, PINNED_GF2)

@@ -8,10 +8,10 @@ import pytest
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
 from decoybb84.hashing import (ToeplitzHash, UniversalityProfile,
-                               build_toeplitz, profile_summary,
-                               random_matrix_universality_profile, sample_seed,
+                               build_toeplitz, profile_summary, sample_seed,
                                universality_profile)
-from oracles import transpose_image_membership
+from oracles import (matrix_from_rows, random_matrix_universality_profile,
+                     transpose_image_membership)
 
 
 def bv(*bits):
@@ -222,7 +222,7 @@ class TestRandomMatrixAlternative:
         rng = np.random.default_rng(9)
         l, m = 2, 2
         for _ in range(10):
-            mat = BitMatrix.from_rows(rng.integers(0, 2, (l, l + m)).tolist())
+            mat = matrix_from_rows(rng.integers(0, 2, (l, l + m)).tolist())
             kern = kernel_basis(mat)
             for z in range(1 << (l + m)):
                 ortho = all((k.bits & z).bit_count() % 2 == 0 for k in kern)

@@ -16,24 +16,24 @@ from decoybb84.errors import CapacityError
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
                            span_array, span_ints)
 from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _contract,
-                              _label_transitions, _normalize_channel, dense_average_state,
-                              dense_eve_state, dense_fidelity,
-                              dense_mutual_information, dense_trace_norm,
+                              _label_transitions, _normalize_channel,
                               eve_mutual_information, optimal_success_probability,
                               pairwise_figures, phase_error_probability,
                               reduce_code_channel)
-from oracles import (contract_reference, min_distance_decode, pauli_from_dict,
+from oracles import (contract_reference, dense_average_state, dense_eve_state,
+                     dense_fidelity, dense_mutual_information, dense_trace_norm,
+                     matrix_from_rows, min_distance_decode, pauli_from_dict,
                      per_shift_transitions)
 
 
 def random_code_pair(rng, n, lm, l):
     """Injective N x lm M_e and full-row-rank l x lm M_p, drawn until they fit."""
     while True:
-        m_e = BitMatrix.from_rows(rng.integers(0, 2, (n, lm)).tolist())
+        m_e = matrix_from_rows(rng.integers(0, 2, (n, lm)).tolist())
         if rank(m_e) == lm:
             break
     while True:
-        m_p = BitMatrix.from_rows(rng.integers(0, 2, (l, lm)).tolist())
+        m_p = matrix_from_rows(rng.integers(0, 2, (l, lm)).tolist())
         if rank(m_p) == l:
             break
     return m_e, m_p
@@ -387,7 +387,7 @@ class TestReduceCodeChannel:
     def _repetition_pair(self):
         # M_e = I_3 sends 3 bits; M_p = (1 1 1) hashes to 1 bit; the dual
         # pair is {000, 111} over the trivial coset, a 3-bit repetition code.
-        return BitMatrix.identity(3), BitMatrix.from_rows([[1, 1, 1]])
+        return BitMatrix(3, 3, (1, 2, 4)), matrix_from_rows([[1, 1, 1]])
 
     def test_noiseless_point_mass(self):
         m_e, m_p = self._repetition_pair()
@@ -555,8 +555,8 @@ class TestReduceCodeChannel:
         assert got == PINNED_LAWS[case]
 
     def test_guard(self):
-        m_e = BitMatrix.identity(17)
-        m_p = BitMatrix.from_rows([[1] * 17])
+        m_e = BitMatrix(17, 17, tuple(1 << i for i in range(17)))
+        m_p = matrix_from_rows([[1] * 17])
         with pytest.raises(CapacityError):
             reduce_code_channel([{(0, 0): 1.0}] * 17, m_e, m_p)
 

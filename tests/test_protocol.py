@@ -19,12 +19,12 @@ from decoybb84.cli import input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
-from decoybb84.gf2 import BitMatrix, BitVector, mat_vec_mul, solve, span_array
+from decoybb84.gf2 import BitVector, mat_vec_mul, solve, span_array
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
                                 decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
-from oracles import min_distance_decode
+from oracles import matrix_from_rows, min_distance_decode
 
 
 def single_photon_config(**overrides):
@@ -61,7 +61,7 @@ class TestNoiselessSession:
     def test_truth_counts(self):
         out = run_session(single_photon_config(), ChannelStrategy())
         for counts in out.truth.values():
-            assert counts.total == 64
+            assert counts.k0 + counts.k1 + counts.k2 == 64
             assert counts.k1 == 64 and counts.t == 0
 
 
@@ -172,7 +172,7 @@ class TestClampBranch:
 
 class TestErrorCorrection:
     def _repetition(self):
-        return BitMatrix.from_rows([[1], [1], [1]])
+        return matrix_from_rows([[1], [1], [1]])
 
     def _correct(self, x_send, x_recv, m_e, rng):
         """error_correct, checking that the announced word is M_e z + x_send."""
@@ -290,7 +290,7 @@ class TestCosetDecode:
     def test_weight_zero_is_the_exact_preimage(self, monkeypatch):
         calls = self._record(monkeypatch)
         reductions = self._count_reductions(monkeypatch)
-        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 0]])
+        m_e = matrix_from_rows([[1, 0], [0, 1], [1, 1], [1, 0]])
         z = BitVector(2, 0b10)
         assert decode_to_seed(m_e, mat_vec_mul(m_e, z)) == z
         assert calls == [] and len(reductions) == 1
@@ -325,13 +325,13 @@ class TestCosetDecode:
         for _ in range(40):
             n = int(rng.integers(2, 16))
             lm = int(rng.integers(1, min(n, 8) + 1))
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
+            m_e = matrix_from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
             word = mat_vec_mul(m_e, BitVector(lm, int(rng.integers(0, 1 << lm))))
             assert decode_to_seed(m_e, word, guard=1) == solve(m_e, word)
         assert calls == []
 
     def test_length_mismatch_rejected(self):
-        m_e = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+        m_e = matrix_from_rows([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(DimensionMismatch, match="matrix rows 3 != vector length 4"):
             decode_to_seed(m_e, BitVector(4, 0b0111))
 
@@ -340,7 +340,7 @@ class TestCosetDecode:
         # 4) lies at distance 1 from five codewords, and 00000 is the
         # lex-smallest of them.
         calls = self._record(monkeypatch)
-        m_e = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+        m_e = matrix_from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                                    [1, 1, 1, 1]])
         assert decode_to_seed(m_e, BitVector(5, 1 << 4)) == BitVector(4, 0)
         errors = [out for name, out, _ in calls if name == "least_weight_errors"]
@@ -353,11 +353,14 @@ class TestCosetDecode:
         for _ in range(150):
             n = int(rng.integers(2, 25))
             lm = int(rng.integers(1, min(n, 10) + 1))
-            m_e = BitMatrix.from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
+            m_e = matrix_from_rows(rng.integers(0, 2, size=(n, lm)).tolist())
             received = BitVector(n, int(rng.integers(0, 1 << n)))
             assert decode_to_seed(m_e, received) == scan_decode(m_e, received)
 
     def test_capacity_error_as_before(self):
+        """The guard rule: a word off the code raises once the 2^lm codewords
+        exceed ``decode_guard``, whatever the walk would spend; a word of the
+        code never does."""
         rng = np.random.default_rng(7)
         m_e = random_full_rank_matrix(rng, 12, 6)
         codeword = mat_vec_mul(m_e, BitVector(6, 0b101101))
@@ -369,6 +372,16 @@ class TestCosetDecode:
             assert str(info.value) == f"exhaustive decode of 2^6 codewords exceeds guard {guard}"
         for guard in (64, 65, 1 << 20):
             assert decode_to_seed(m_e, noisy, guard) == scan_decode(m_e, noisy)
+
+    def test_code_longer_than_64_bits_fails_cleanly(self):
+        # The walk and the scan pack words into uint64; a word of the code
+        # needs neither and still decodes.
+        rng = np.random.default_rng(65)
+        m_e = random_full_rank_matrix(rng, 65, 6)
+        codeword = mat_vec_mul(m_e, BitVector(6, 0b100111))
+        assert decode_to_seed(m_e, codeword) == BitVector(6, 0b100111)
+        with pytest.raises(CapacityError, match="code length N=65 exceeds the 64-bit"):
+            decode_to_seed(m_e, codeword ^ BitVector(65, 1 << 64))
 
     def test_far_word_falls_back_within_twice_the_scan_memory(self, monkeypatch):
         # N = 64, lm = 20: the ball reaches C(64, <= 4) = 679,121 patterns,

@@ -1,10 +1,14 @@
 """``src/decoybb84`` holds no public function, class or method that nothing calls.
 
 The package is parsed with ``ast``.  A public module-level function or class
-counts as used when some module of ``src/`` reads its name, or when the
-package's ``__init__`` exports it.  A public method counts as used when
-``src/`` reads an attribute of its name.  Everything else must be on the
-allowlist, with the reason it stays.
+counts as used when some module of ``src/`` reads its name, bare or as an
+attribute, or when the package's ``__init__`` exports it.  A public method
+or property counts as used only when ``src/`` reads an attribute of its
+name on something other than a module that ``import`` binds: ``np.zeros``
+does not use a method ``zeros``, and a local variable ``total`` does not
+use a property ``total``.  Code that only the tests call lives in
+``tests/``.  Everything else must be on the allowlist, with the reason it
+stays.
 """
 
 import ast
@@ -13,16 +17,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "decoybb84"
 
 ALLOWLIST = {
-    "oracle.dense_mutual_information": "dense density-matrix cross-check of the block formulas",
-    "oracle.dense_fidelity": "dense density-matrix cross-check of the block formulas",
-    "oracle.dense_trace_norm": "dense density-matrix cross-check of the block formulas",
-    "hashing.random_matrix_universality_profile": "exact profile of the random family",
-    "gf2.solve": "the preimage view of the (M | I) reduction; the benchmark traces it",
-    "gf2.parity_checks": "the check view of the (M | I) reduction, for callers outside the package",
-    "gf2.BitMatrix.from_rows": "matrix from 0/1 rows, for callers outside the package",
-    "gf2.BitMatrix.from_row_ints": "matrix from packed rows; the benchmark builds its codes so",
-    "gf2.BitMatrix.identity": "identity matrix, for callers outside the package",
-    "gf2.BitVector.weight": "Hamming weight, for callers outside the package",
+    "gf2.solve": "perfbench/tracer.py's LAYER_MAP traces it through the protocol.solve "
+                 "binding, and Tracer.install stops when that binding is missing",
+    "gf2.BitMatrix.from_row_ints": "perfbench/workloads.py builds its code pairs with it",
 }
 
 
@@ -37,20 +34,30 @@ def public_definitions(tree):
                         yield f"{node.name}.{sub.name}", sub.name
 
 
+def module_bindings(tree):
+    """Names that ``import x`` or ``from . import x`` binds to a module."""
+    return {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module is None
+            for alias in node.names}
+
+
 def unused_definitions(src):
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    read = set()
+    names, attrs = set(), set()
     for tree in trees.values():
+        modules = module_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                (names if on_module else attrs).add(node.attr)
     exported = {alias.asname or alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     return {f"{module}.{qual}" for module, tree in trees.items()
             for qual, name in public_definitions(tree)
-            if name not in read and qual not in exported}
+            if name not in attrs and ("." in qual or name not in names) and qual not in exported}
 
 
 def test_every_public_name_is_used_or_allowlisted():
@@ -59,3 +66,28 @@ def test_every_public_name_is_used_or_allowlisted():
 
 def test_every_allowlist_entry_has_a_reason():
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_scan_counts_only_attribute_reads_off_imported_modules(tmp_path):
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "grid.py").write_text(
+        "import numpy as np\n"
+        "\n"
+        "\n"
+        "class Grid:\n"
+        "    def zeros(self):\n"
+        "        return np.zeros(3)\n"
+        "\n"
+        "    @property\n"
+        "    def total(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def cells(self):\n"
+        "        return 9\n"
+        "\n"
+        "\n"
+        "def area(grid):\n"
+        "    total = grid.cells()\n"
+        "    return total\n")
+    (tmp_path / "user.py").write_text("from .grid import Grid, area\n\nAREA = area(Grid())\n")
+    assert unused_definitions(tmp_path) == {"grid.Grid.zeros", "grid.Grid.total"}
