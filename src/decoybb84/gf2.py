@@ -5,8 +5,9 @@ packed integer is coordinate ``i``), which makes XOR row operations,
 products and syndrome scans allocation-free at desk scale.
 
 numpy is used at the edges only.  ``pack_rows`` is the one path from 0/1
-arrays to packed integers (``np.packbits``, little-endian bit order):
-``BitVector.from_bits`` and ``BitMatrix.transpose`` go through it, and
+arrays to packed integers (one product with the bit weights per chunk of
+columns): every random code draw, ``BitVector.from_bits`` and
+``BitMatrix.transpose`` go through it, and
 ``BitMatrix.to_array`` is the way back (``np.unpackbits``).
 ``span_array`` and the lex helpers build ``uint64`` word arrays, on which
 the exhaustive hot loops (decode tables, membership counts) run in
@@ -39,6 +40,11 @@ from .errors import CapacityError, DimensionMismatch
 
 DEFAULT_SPAN_GUARD = 1 << 20
 
+# pack_rows' column chunk and its bit weights 2^0 .. 2^(_CHUNK-1): a chunk's
+# product stays inside int64.
+_CHUNK = 62
+_WEIGHTS = np.int64(1) << np.arange(_CHUNK, dtype=np.int64)
+
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -62,15 +68,21 @@ def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:
-    """The rows of a 2-D 0/1 array as packed ints, column j at bit j."""
+    """The rows of a 2-D 0/1 array as packed ints, column j at bit j: one
+    integer product per chunk of ``_CHUNK`` columns, the chunks of a wider
+    row joined as Python ints."""
     bits = np.asarray(bits)
     # Integers are all 0 or 1 exactly when their OR is (a negative sets the sign bit).
     if not (0 <= np.bitwise_or.reduce(bits, axis=None) <= 1 if bits.dtype.kind in "biu"
             else ((bits == 0) | (bits == 1)).all()):
         raise ValueError("bits must be 0 or 1")
-    packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
-    width, raw = packed.shape[-1], packed.tobytes()
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
+    bits = bits.astype(np.int64, copy=False)
+    cols = bits.shape[1]
+    packed = (bits[:, :_CHUNK] @ _WEIGHTS[:cols]).tolist()
+    for c in range(_CHUNK, cols, _CHUNK):
+        high = (bits[:, c:c + _CHUNK] @ _WEIGHTS[:cols - c]).tolist()
+        packed = [low | h << c for low, h in zip(packed, high)]
+    return packed
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,22 @@ The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
 gives that fraction exactly (as a rational number) for every nonzero Z,
 over all 2^(l+m-1) seeds, from one Gaussian elimination batched over
-every y-part in blocks (``kernels.toeplitz_image_counts``), which still
-computes each y-part's rank, and ``profile_summary`` checks it on
-the integer counts.  The security condition is all the downstream bounds
-need, so any family that meets it would do; the tests compare against the
-exact profile of completely random binary matrices.
+every y-part in blocks (``kernels.toeplitz_image_counts``): each y-part u
+gets the rank r(u) of its map seed -> X^T u, and every Z = (x, u) in that
+map's image is hit by 2^(l+m-1-r(u)) seeds.  ``profile_summary`` checks
+the condition on the 2^l ranks alone; the 2^(l+m) integer counts are
+expanded only when a fraction is read.  The security condition is all the
+downstream bounds need, so any family that meets it would do; the tests
+compare against the exact profile of completely random binary matrices.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -70,25 +74,36 @@ class UniversalityProfile(Mapping):
 
     Keys are packed Z values (x-part in the low m bits, y-part above) in
     increasing order; ``profile[z]`` is ``Fraction(counts[z], denom)`` with
-    ``denom = 2^(l+m-1)``, built on access from the integer ``counts``.
+    ``denom = 2^(l+m-1)``.  ``rank`` and ``basis`` are
+    ``kernels.toeplitz_image_counts``'s; the integer ``counts`` are expanded
+    from them on first access.
     """
 
-    def __init__(self, l: int, m: int, counts: np.ndarray):
+    def __init__(self, l: int, m: int, rank: np.ndarray, basis: np.ndarray):
         self.l = l
         self.m = m
-        self.counts = counts
+        self.rank = rank
+        self.basis = basis
         self.denom = 1 << (l + m - 1)
 
-    def __getitem__(self, z: int) -> Fraction:
-        if not 0 < z < len(self.counts):
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return kernels.expand_image_counts(self.l, self.m, self.rank, self.basis)
+
+    def __getitem__(self, z) -> Fraction:
+        try:
+            z = operator.index(z)  # as a dict would: True is 1, 1.5 and "3" are no keys
+        except TypeError:
+            raise KeyError(z) from None
+        if not 0 < z < 1 << (self.l + self.m):
             raise KeyError(z)
         return Fraction(int(self.counts[z]), self.denom)
 
     def __iter__(self):
-        return iter(range(1, len(self.counts)))
+        return iter(range(1, 1 << (self.l + self.m)))
 
     def __len__(self) -> int:
-        return len(self.counts) - 1
+        return (1 << (self.l + self.m)) - 1
 
 
 def universality_profile(l: int, m: int,
@@ -99,7 +114,7 @@ def universality_profile(l: int, m: int,
     if l + m - 1 > guard:
         raise CapacityError(
             f"seed space 2^{l + m - 1} exceeds guard 2^{guard}")
-    return UniversalityProfile(l, m, kernels.toeplitz_image_counts(l, m))
+    return UniversalityProfile(l, m, *kernels.toeplitz_image_counts(l, m))
 
 
 def profile_summary(profile: UniversalityProfile) -> dict:
@@ -108,17 +123,19 @@ def profile_summary(profile: UniversalityProfile) -> dict:
     Returns the worst fraction, whether the bound holds for every nonzero Z,
     and the three structural facts used in the exhaustive verification:
     zero fraction when the y-part vanishes, exact 2^-m when both parts are
-    nonzero.  Works on the integer counts; only the reported fractions are
-    built.
+    nonzero.  Reads only the ranks: the Z = (x, u) of rank r(u) hit by any
+    seed have fraction 2^-r(u), and all 2^m have it exactly when r(u) = m.
+    u = 0 adds nonzero Z only when r(0) > 0.
     """
-    m, denom = profile.m, profile.denom
-    grid = profile.counts.reshape(-1, 1 << m)  # grid[y, x]
-    worst = int(grid.reshape(-1)[1:].max())
+    m, rank = profile.m, profile.rank
+    zero = int(rank[0])
+    low = int(rank[1:].min())
+    if zero:
+        low = min(low, zero)
     return {
         "bound": Fraction(1, 1 << m),
-        "max_fraction": Fraction(worst, denom),
-        "within_bound": worst << m <= denom,
-        "zero_when_y_zero": not grid[0, 1:].any(),
-        "sharp_when_both_nonzero": bool((grid[1:, 1:] == denom >> m).all()),
+        "max_fraction": Fraction(1, 1 << low),
+        "within_bound": low >= m,
+        "zero_when_y_zero": zero == 0,
+        "sharp_when_both_nonzero": bool((rank[1:] == m).all()),
     }
-

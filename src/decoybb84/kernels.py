@@ -5,10 +5,10 @@
 * ``nearest_index``, one vectorized distance scan for a single word,
 * ``least_weight_errors``, the error patterns of least weight with a given
   syndrome, from a walk over the patterns by weight,
-* ``toeplitz_image_counts``, the exact Toeplitz membership counts from the
-  image and nullity of one small linear map per y-part, all reduced by one
-  batched Gaussian elimination over blocks of y-parts under a fixed word
-  budget,
+* ``toeplitz_image_counts``, the rank and image basis of one small linear
+  map per y-part, all reduced by one batched Gaussian elimination over
+  blocks of y-parts under a fixed word budget; ``expand_image_counts``
+  turns them into the exact Toeplitz membership count of every Z,
 * ``restricted_decode_flags``, the minimum-weight decodes of the
   decoding-error verifier for all hash seeds and error patterns at once,
   from one table of coset leaders per seed (MacWilliams & Sloane, ch. 1).
@@ -29,8 +29,9 @@ import numpy as np
 
 from .gf2 import lex_key, lex_keys, span_array
 
-# Array words per block of y-parts in toeplitz_image_counts and of seeds in
-# restricted_decode_flags: a bound on the working set, not on the results.
+# Array words per block of y-parts in toeplitz_image_counts and
+# expand_image_counts and of seeds in restricted_decode_flags: a bound on
+# the working set, not on the results.
 _BLOCK_WORDS = 1 << 14
 
 
@@ -116,38 +117,50 @@ def least_weight_errors(unit: np.ndarray, syndrome: int, budget: int) -> np.ndar
     return None
 
 
-def toeplitz_image_counts(l: int, m: int) -> np.ndarray:
-    """For every Z in F_2^(l+m): the number of seeds with Z in Im M_p^T.
+def toeplitz_image_counts(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and reduced image basis of seed -> X^T u for every y-part u.
 
     Z = (x, u) (x in the low m bits) lies in Im M_p^T iff x = X^T u.  For
     fixed u the map seed -> X^T u is linear: seed bit k adds u_(k-j) to
-    coordinate j.  So Z is hit by 2^nullity seeds when x lies in the image
-    of that map and by none otherwise.  One Gaussian elimination over a
-    block of u at a time gives every image and rank: per column, each u
-    picks its first generator with that bit as pivot and clears the bit
-    from all its generators.
+    coordinate j.  So Z is hit by 2^(l+m-1-rank[u]) seeds when x lies in the
+    span of ``basis[:, u]`` and by none otherwise (``expand_image_counts``).
+    One Gaussian elimination over a block of u at a time gives every image
+    and rank: per column c, each u picks its first generator with bit c as
+    pivot, ``basis[c, u]`` (0 when none has it), and clears the bit from all
+    its generators, so ``basis[c, u]`` has no bit below c.
     """
     n_seed = l + m - 1
-    counts = np.zeros(1 << (l + m), dtype=np.int64)
     rev = lex_keys(l, dtype=np.int64)[:, None]  # u_i at bit l-1-i
     shifts = np.arange(n_seed)
-    # A block's spans (2^m words per u) and generators stay near _BLOCK_WORDS.
-    step = max(1, _BLOCK_WORDS >> max(m, 4))
+    basis = np.zeros((m, 1 << l), dtype=np.int64)
+    # A block's generators (l+m-1 words per u) stay near _BLOCK_WORDS.
+    step = max(1, _BLOCK_WORDS // max(n_seed, 1))
     for u0 in range(0, 1 << l, step):
-        us = np.arange(u0, min(u0 + step, 1 << l))
         # Generator k (seed bit k's effect on X^T u) is bits l-1 .. l+m-2 of
         # the reversed u shifted up by k.
         gens = (rev[u0:u0 + step] << shifts) >> (l - 1) & ((1 << m) - 1)
-        basis = np.zeros((m, len(us)), dtype=np.int64)
-        rows = np.arange(len(us))
+        rows = np.arange(len(gens))
         for c in range(m):
             has = gens >> c & 1
             pivot = has.argmax(axis=1)
-            basis[c] = gens[rows, pivot] * has[rows, pivot]  # 0 where no generator has bit c
+            block = basis[c, u0:u0 + step]
+            block[:] = gens[rows, pivot] * has[rows, pivot]
             # The pivot clears itself too, so it drops out of later columns.
-            gens ^= has * basis[c, :, None]
-        rank = np.count_nonzero(basis, axis=0)
-        counts[span_array(basis, dtype=np.int64) | us << m] = 1 << (n_seed - rank)
+            gens ^= has * block[:, None]
+    return np.count_nonzero(basis, axis=0), basis
+
+
+def expand_image_counts(l: int, m: int, rank: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """For every Z in F_2^(l+m): the number of seeds with Z in Im M_p^T,
+    from ``toeplitz_image_counts``'s ranks and bases."""
+    n_seed = l + m - 1
+    counts = np.zeros(1 << (l + m), dtype=np.int64)
+    # A block's spans (2^m words per u) stay near _BLOCK_WORDS.
+    step = max(1, _BLOCK_WORDS >> max(m, 4))
+    for u0 in range(0, 1 << l, step):
+        us = np.arange(u0, min(u0 + step, 1 << l))
+        counts[span_array(basis[:, u0:u0 + step], dtype=np.int64) | us << m] = \
+            1 << (n_seed - rank[u0:u0 + step])
     return counts
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,19 @@ class TestVerifyToeplitz:
         # A 0 override is a guard of 2^0 seeds, not "no override".
         assert main(["--guard-override", "0", "verify-toeplitz", "--l", "1", "--m", "1"]) == 2
         assert "exceeds guard 2^0" in capsys.readouterr().err
+
+    def test_summary_builds_no_count_array(self, tmp_path):
+        # Without --full only the 2^l ranks and image bases are built; the
+        # counts at (13, 12) would be a 2^25-entry int64 array (256 MiB).
+        tracemalloc.start()
+        try:
+            rc = main(["--guard-override", "24", "--format", "json", "--out",
+                       str(tmp_path / "r.json"), "verify-toeplitz", "--l", "13", "--m", "12"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 32 << 20, peak
 
     @pytest.mark.parametrize("l,m", [(0, 3), (-1, 2), (2, -1)])
     def test_bad_l_m_exit_2(self, capsys, l, m):

@@ -286,6 +286,19 @@ class TestPacking:
         ones = np.ones((2, width), dtype=np.int64)
         assert pack_rows(ones) == [(1 << width) - 1] * 2
 
+    @pytest.mark.parametrize("width", [0, 1, 61, 62, 63, 64, 124, 125, 200])
+    def test_pack_rows_matches_bit_loop_across_chunks(self, width):
+        # Widths on both sides of one, two and three 62-column chunks.
+        rng = np.random.default_rng(1000 + width)
+        for rows in (0, 1, 4):
+            for dtype in (bool, np.int8, np.int64, np.float64):
+                bits = rng.integers(0, 2, size=(rows, width)).astype(dtype)
+                assert pack_rows(bits) == [loop_pack(r) for r in bits], (rows, dtype)
+                top = np.zeros((rows, width), dtype=dtype)
+                top[:, -1:] = 1  # only the last column set
+                assert pack_rows(top) == [(1 << width) >> 1] * rows
+        assert pack_rows(np.zeros((3, width), dtype=np.int64)) == [0] * 3
+
     def test_from_bits_and_from_rows(self):
         rng = np.random.default_rng(3)
         for width in (0, 1, 9, 64, 65, 130):

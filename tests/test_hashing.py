@@ -129,20 +129,45 @@ class TestUniversalityProfile:
                 with pytest.raises(KeyError):
                     profile[z]
 
+    def test_mapping_takes_integer_keys_only(self):
+        # As in a dict: True is the key 1 and a numpy integer its value;
+        # floats, strings and None are no keys, whatever their value.
+        profile = universality_profile(2, 2)
+        assert True in profile and profile[True] == profile[1]
+        assert np.int64(3) in profile and profile[np.int64(3)] == profile[3]
+        assert False not in profile
+        for key in (1.5, 2.0, "3", None, (1,)):
+            assert key not in profile
+            assert profile.get(key) is None
+            with pytest.raises(KeyError):
+                profile[key]
+
     def test_summary_matches_fraction_loop(self):
         rng = np.random.default_rng(3)
+        failed = set()
         for l in range(1, 11):
             for m in range(0, 11 - l):
                 profile = universality_profile(l, m)
                 got = profile_summary(profile)
                 assert got == _summary_by_fractions(profile, m), (l, m)
                 assert all(type(v) in (bool, Fraction) for v in got.values())
-                # One count moved off the Toeplitz value, so the flags can fail.
-                counts = profile.counts.copy()
-                z = int(rng.integers(1, len(counts)))
-                counts[z] = (counts[z] + 1) if rng.integers(2) else profile.denom
-                broken = UniversalityProfile(l, m, counts)
-                assert profile_summary(broken) == _summary_by_fractions(broken, m), (l, m, z)
+                if m:
+                    broken = _break_a_rank(profile, rng)
+                    got = profile_summary(broken)
+                    assert got == _summary_by_fractions(broken, m), (l, m)
+                    failed |= {key for key, v in got.items() if v is False}
+        # Each flag failed somewhere, so each can fail.
+        assert failed == {"within_bound", "zero_when_y_zero", "sharp_when_both_nonzero"}
+
+    def test_rank_summary_matches_count_summary(self):
+        rng = np.random.default_rng(5)
+        for l in range(1, 15):
+            for m in range(0, 15 - l):
+                profile = universality_profile(l, m)
+                assert profile_summary(profile) == _summary_by_counts(profile), (l, m)
+                if m:
+                    broken = _break_a_rank(profile, rng)
+                    assert profile_summary(broken) == _summary_by_counts(broken), (l, m)
 
     def test_membership_equals_kernel_orthogonality(self):
         # Z in Im M_p^T iff Z is orthogonal to Ker M_p.
@@ -156,6 +181,30 @@ class TestUniversalityProfile:
                 zv = BitVector(l + m, z)
                 ortho = all((k.bits & z).bit_count() % 2 == 0 for k in kern)
                 assert transpose_image_membership(h, zv) == ortho
+
+
+def _break_a_rank(profile, rng):
+    """The profile with one rank moved off the Toeplitz value (m >= 1):
+    either one u != 0 loses a basis vector (r(u) < m), or u = 0 gains
+    one (r(0) > 0).  The basis stays reduced, so the counts follow."""
+    basis = profile.basis.copy()
+    c = int(rng.integers(profile.m))
+    if rng.integers(2):
+        basis[c, int(rng.integers(1, 1 << profile.l))] = 0
+    else:
+        basis[c, 0] = 1 << c
+    return UniversalityProfile(profile.l, profile.m, np.count_nonzero(basis, axis=0), basis)
+
+
+def _summary_by_counts(profile):
+    """The 2^-m classification read off the expanded count array."""
+    m, denom = profile.m, profile.denom
+    grid = profile.counts.reshape(-1, 1 << m)  # grid[y, x]
+    worst = int(grid.reshape(-1)[1:].max())
+    return {"bound": Fraction(1, 1 << m), "max_fraction": Fraction(worst, denom),
+            "within_bound": worst << m <= denom,
+            "zero_when_y_zero": not grid[0, 1:].any(),
+            "sharp_when_both_nonzero": bool((grid[1:, 1:] == denom >> m).all())}
 
 
 def _summary_by_fractions(profile, m):

@@ -81,6 +81,11 @@ def test_least_weight_errors_match_enumeration():
                         assert got.tolist() == sorted(found[weight[found] == w].tolist())
 
 
+def _counts(l, m):
+    """The kernel's ranks and bases, expanded to the count of every Z."""
+    return kernels.expand_image_counts(l, m, *kernels.toeplitz_image_counts(l, m))
+
+
 def _walk_toeplitz_counts(l, m):
     """Membership counts by walking every seed: X^T u is accumulated over a
     Gray-code walk of u, one seed-array XOR per step."""
@@ -104,8 +109,7 @@ def _walk_toeplitz_counts(l, m):
 def test_toeplitz_counts_match_seed_walk():
     for l in range(1, 13):
         for m in range(0, 13 - l):
-            assert np.array_equal(kernels.toeplitz_image_counts(l, m),
-                                  _walk_toeplitz_counts(l, m)), (l, m)
+            assert np.array_equal(_counts(l, m), _walk_toeplitz_counts(l, m)), (l, m)
 
 
 def _per_u_toeplitz_counts(l, m):
@@ -125,17 +129,17 @@ def _per_u_toeplitz_counts(l, m):
 @pytest.mark.parametrize("l, m", [(14, 2), (12, 6)])
 def test_toeplitz_counts_across_u_blocks(l, m):
     # At the default block size both sizes take several u blocks.
-    got = kernels.toeplitz_image_counts(l, m)
+    got = _counts(l, m)
     assert got.dtype == np.int64
     assert np.array_equal(got, _per_u_toeplitz_counts(l, m))
 
 
 def test_toeplitz_counts_small_blocks(monkeypatch):
-    # Blocks of one or a few u, down to one u per block.
-    monkeypatch.setattr(kernels, "_BLOCK_WORDS", 1 << 5)
-    for l, m in [(1, 3), (4, 0), (5, 2), (6, 5), (7, 4), (3, 7)]:
-        assert np.array_equal(kernels.toeplitz_image_counts(l, m),
-                              _per_u_toeplitz_counts(l, m)), (l, m)
+    # Blocks of one or a few u, down to one u per block in both passes.
+    for block_words in (1 << 5, 1):
+        monkeypatch.setattr(kernels, "_BLOCK_WORDS", block_words)
+        for l, m in [(1, 3), (4, 0), (5, 2), (6, 5), (7, 4), (3, 7)]:
+            assert np.array_equal(_counts(l, m), _per_u_toeplitz_counts(l, m)), (l, m, block_words)
 
 
 @pytest.mark.parametrize("l", range(1, 17))
@@ -145,7 +149,9 @@ def test_toeplitz_counts_full_rank_for_nonzero_u(l):
     # every x is hit by 2^(l-1) seeds; u = 0 maps every seed to x = 0.
     # m = 0 is included: every u then has the single count 2^(l-1).
     for m in range(0, 17 - l):
-        rows = kernels.toeplitz_image_counts(l, m).reshape(1 << l, 1 << m)
+        rank, basis = kernels.toeplitz_image_counts(l, m)
+        assert rank[0] == 0 and (rank[1:] == m).all(), (l, m)
+        rows = kernels.expand_image_counts(l, m, rank, basis).reshape(1 << l, 1 << m)
         assert (rows[1:] == 1 << (l - 1)).all(), (l, m)
         assert rows[0, 0] == 1 << (l + m - 1), (l, m)
         assert not rows[0, 1:].any(), (l, m)
@@ -169,7 +175,7 @@ def test_toeplitz_counts_brute_force():
             span |= {s ^ r for s in span}
         for z in span:
             counts[z] += 1
-    assert np.array_equal(counts, kernels.toeplitz_image_counts(l, m))
+    assert np.array_equal(counts, _counts(l, m))
 
 
 def _linear(images, x):
