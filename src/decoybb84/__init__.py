@@ -14,21 +14,17 @@ Library layout:
   restricted-decode kernels
 """
 
-from .bounds import (BoundInputs, averaged_eve_info_bound, averaged_success_bound,
-                     distinguishability_bounds, eve_info_bound, forward_bound, hbar,
-                     min_decoding_bound, per_bit_eve_info_bound, reverse_bound,
-                     success_bound, twoway_bound, verify_proposition_decoding)
+from .bounds import (EC_DIRECTIONS, BoundInputs, averaged_bound, averaged_eve_info_bound,
+                     distinguishability_bounds, eve_info_bound, hbar, min_decoding_bound,
+                     per_bit_eve_info_bound, success_bound, verify_proposition_decoding)
 from .channel import ChannelStrategy, ClassCounts, apply_bit_errors, classify, sample_flips
 from .decoy import (EstimateInterval, ObservedRates, SourceDistribution,
-                    correct_detector_error, estimate_interval_symmetric,
-                    estimate_vacuum_single, minimize_key_term)
+                    estimate_interval_symmetric, estimate_vacuum_single, minimize_key_term)
 from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
 from .hashing import ToeplitzHash, build_toeplitz, sample_seed, universality_profile
-from .oracle import (EveFigures, PauliErrorDistribution, eve_mutual_information,
-                     optimal_success_probability, pairwise_figures,
+from .oracle import (EveFigures, PauliErrorDistribution, pairwise_figures,
                      phase_error_probability, reduce_code_channel)
 from .protocol import SessionConfig, SessionOutcome, error_correct, run_session
-from .rates import (RateInputs, all_rates, gllp_effective_params, rate_forward,
-                    rate_gllp_ilm, rate_reverse, rate_twoway, verify_rate_ordering)
+from .rates import RateInputs, all_rates, gllp_effective_params, verify_rate_ordering
 
 __version__ = "0.1.0"

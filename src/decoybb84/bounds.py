@@ -5,9 +5,9 @@ single / multi, normal or dark count), the phase-error count t among normal
 single-photon detections, and the sacrifice-bit budget m:
 
 * ``min_decoding_bound``        min{2^(K1 hbar(t/K1) + K2 - m), 1}
-* ``forward_bound``             K2 = J2 + J4 + J5   (one-way, Alice -> Bob)
-* ``reverse_bound``             K2 = J0 + J2        (one-way, Bob -> Alice)
-* ``twoway_bound``              K2 = J0 + J2 + J4 + J5
+* ``averaged_bound``            its average over t, with K2 read from
+  ``EC_DIRECTIONS``: J2 + J4 + J5 (forward, Alice -> Bob), J0 + J2
+  (reverse, Bob -> Alice) or J0 + J2 + J4 + J5 (two-way)
 * ``eve_info_bound``            hbar(P) + l P   (information from phase error)
 * ``success_bound``             covariant-guessing bound in P and key size
 * averaged variants over the hash/statistics randomness.
@@ -138,19 +138,31 @@ class BoundInputs:
         self.t_distribution = dist
 
 
-# The J parts (indices into J0..J5) that Eve holds outright under each
-# error-correction direction; their sum is K2.
-K2_PARTS = {"forward": (2, 4, 5), "reverse": (0, 2), "twoway": (0, 2, 4, 5)}
+# What each error-correction direction leaves to the key.  First, the J
+# parts (indices into J0..J5) that Eve holds outright; their sum is K2.
+# Second, the key's credit per sent pulse in the asymptotic rates, from
+# (nu, p0, p_D): the rate of the parts of {0, 3, 4, 5} outside K2, where J0
+# detects at nu0 (p0 - p_D) and the dark counts J3, J4, J5 at nu0 p_D,
+# nu1 p_D, nu2 p_D.  So forward keeps the vacuum counts, reverse every dark
+# count and two-way only the vacuum dark counts (the GLLP-ILM rate credits
+# none).  The two-way bound depends only on the t-marginal, so mixing over
+# adaptively chosen codes leaves it unchanged.
+EC_DIRECTIONS = {
+    "forward": ((2, 4, 5), lambda nu, p0, p_dark: nu.v0 * p0),
+    "reverse": ((0, 2), lambda nu, p0, p_dark: p_dark),
+    "twoway": ((0, 2, 4, 5), lambda nu, p0, p_dark: nu.v0 * p_dark),
+}
 
 
 def k2_count(j: Sequence[int], direction: str) -> int:
     """K2 for the counts j = (J0, ..., J5) under the given direction."""
-    if direction not in K2_PARTS:
+    if direction not in EC_DIRECTIONS:
         raise ValueError(f"unknown error-correction direction {direction!r}")
-    return sum(j[i] for i in K2_PARTS[direction])
+    return sum(j[i] for i in EC_DIRECTIONS[direction][0])
 
 
-def _averaged_bound(inputs: BoundInputs, direction: str) -> float:
+def averaged_bound(inputs: BoundInputs, direction: str) -> float:
+    """The phase-error bound averaged over t for the given direction."""
     if inputs.t_distribution is None:
         raise ValueError("t_distribution required")
     k2 = k2_count((inputs.j0, inputs.j1, inputs.j2, inputs.j3, inputs.j4, inputs.j5),
@@ -159,36 +171,12 @@ def _averaged_bound(inputs: BoundInputs, direction: str) -> float:
                for t, p in inputs.t_distribution.items())
 
 
-def forward_bound(inputs: BoundInputs) -> float:
-    """Averaged phase-error bound for forward error correction."""
-    return _averaged_bound(inputs, "forward")
-
-
-def reverse_bound(inputs: BoundInputs) -> float:
-    """Averaged phase-error bound for reverse error correction."""
-    return _averaged_bound(inputs, "reverse")
-
-
-def twoway_bound(inputs: BoundInputs) -> float:
-    """Averaged phase-error bound valid for any two-way error correction.
-
-    Depends only on the t-marginal, so mixing over adaptively chosen codes
-    leaves the value unchanged.
-    """
-    return _averaged_bound(inputs, "twoway")
-
-
 def averaged_eve_info_bound(p_av: float, n_bar: int) -> float:
     """Bound P_av (N_bar + 1 - log2 P_av) on Eve's averaged information."""
     check_probability("p_av", p_av)
     if p_av == 0.0:
         return 0.0
     return p_av * (n_bar + 1.0 - math.log2(p_av))
-
-
-def averaged_success_bound(p_av: float, n_under: int) -> float:
-    """Guessing bound evaluated at the minimum key size N_under."""
-    return success_bound(p_av, n_under)
 
 
 def per_bit_eve_info_bound(p_av: float, n_under: int) -> float:

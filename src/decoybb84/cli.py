@@ -259,21 +259,16 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     spec = _parse_json(_load(args.inputs))
     inputs = load_input("bound", spec)
-    fwd = bounds_mod.forward_bound(inputs)
-    rev = bounds_mod.reverse_bound(inputs)
-    two = bounds_mod.twoway_bound(inputs)
-    payload = {
-        "inputs": spec,
-        "forward_bound": fwd,
-        "reverse_bound": rev,
-        "twoway_bound": two,
-    }
+    payload = {"inputs": spec}
+    for direction in bounds_mod.EC_DIRECTIONS:
+        payload[f"{direction}_bound"] = bounds_mod.averaged_bound(inputs, direction)
+    fwd, rev, two = payload["forward_bound"], payload["reverse_bound"], payload["twoway_bound"]
     if inputs.n_bar is not None:
         payload["averaged_eve_info_forward"] = \
             bounds_mod.averaged_eve_info_bound(fwd, inputs.n_bar)
     if inputs.n_under is not None:
         payload["averaged_success_forward"] = \
-            bounds_mod.averaged_success_bound(fwd, inputs.n_under)
+            bounds_mod.success_bound(fwd, inputs.n_under)
         payload["per_bit_eve_info_forward"] = \
             bounds_mod.per_bit_eve_info_bound(fwd, inputs.n_under)
     ordering_ok = two >= fwd - 1e-15 and two >= rev - 1e-15
@@ -396,7 +391,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, CapacityError) as exc:
+    except (ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -136,19 +136,13 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
     return Estimate(q1, cq), Estimate(r1, cr)
 
 
-def correct_detector_error(r1_raw: float, p_s: float) -> float:
+def _detector_corrected(r1_raw: float, p_s: float) -> float:
     """Remove the detector/generator flip rate from an observed error rate.
 
     Inverts  r' = p_S (1 - r) + (1 - p_S) r, so r = (r' - p_S)/(1 - 2 p_S).
+    Unchecked, for estimates that may leave [0, 1] before their clamp;
+    ``ObservedRates`` has already checked p_s.
     """
-    check_flip_rate("p_s", p_s)
-    check_probability("observed rate", r1_raw)
-    return _detector_corrected(r1_raw, p_s)
-
-
-def _detector_corrected(r1_raw: float, p_s: float) -> float:
-    """``correct_detector_error`` unchecked, for estimates that may leave [0, 1]
-    before their clamp; ``ObservedRates`` has already checked p_s."""
     return (r1_raw - p_s) / (1.0 - 2.0 * p_s)
 
 

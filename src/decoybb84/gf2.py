@@ -18,9 +18,9 @@ the exhaustive hot loops (decode tables, membership counts) run in
 ``_reduce_with_ids`` reduces (M | I): the rows that cancel are the parity
 checks, and ``_preimage`` back-substitutes a preimage on the pivot rows.
 The EC decode (``protocol.decode_to_seed``) reads these two directly;
-``solve`` is the preimage view of the same reduction, which the benchmark
-traces.  ``_rref`` back-reduces the pivots to the reduced row-echelon
-form.
+``solve`` is the preimage view of the same reduction, kept for the
+binding that the benchmark's ``LAYER_MAP`` names.  ``_rref`` back-reduces
+the pivots to the reduced row-echelon form.
 
 Conventions:
     * Coordinate 0 is the least significant bit of the packed integer.

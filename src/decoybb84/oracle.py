@@ -78,10 +78,6 @@ class PauliErrorDistribution:
     def x_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=1)
 
-    def conditional_phase(self) -> np.ndarray:
-        """P(z|x) rows; rows with P(x)=0 are left as zeros."""
-        return _conditional(self.probs, self.x_marginal())
-
 
 def _conditional(probs: np.ndarray, px: np.ndarray) -> np.ndarray:
     cond = np.zeros_like(probs)
@@ -113,18 +109,6 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(p[nz] * np.log2(p[nz])).sum())
 
 
-def eve_mutual_information(dist: PauliErrorDistribution) -> float:
-    """Eve's information about the final key in bits.
-
-    Each x-block of Eve's per-key state is pure while the same block of the
-    key-averaged state is diagonal with the conditional phase probabilities,
-    so the average relative entropy collapses to sum_x P(x) H(Z | X = x).
-    The tests cross-check this closed form against the direct definition on
-    dense density matrices for small l.
-    """
-    return _mutual_information(dist.x_marginal(), dist.conditional_phase())
-
-
 def _mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
     total = 0.0
     for x in np.flatnonzero(px > 0):
@@ -137,11 +121,6 @@ def _sign_matrix(l: int) -> np.ndarray:
     idx = np.arange(1 << l, dtype=np.uint64)
     par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
     return 1.0 - 2.0 * par
-
-
-def optimal_success_probability(dist: PauliErrorDistribution) -> float:
-    """Eve's best key-guessing probability (covariant measurement value)."""
-    return _success_probability(dist.x_marginal(), dist.conditional_phase(), dist.l)
 
 
 def _success_probability(px: np.ndarray, cond: np.ndarray, l: int) -> float:

@@ -202,7 +202,7 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     weight until some have that syndrome: the words received ^ e are then
     the nearest codewords, and ``kernels.nearest_index`` picks the
     lex-smallest.  The walk stops before its ball of patterns would
-    outnumber the code, and the code is then enumerated as before, so the
+    outnumber the code, and the whole code is then scanned, so the
     walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
     The walk and the scan pack words into ``uint64``, so a code longer
     than 64 bits decodes only its own words.

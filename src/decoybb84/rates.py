@@ -1,6 +1,8 @@
 """Asymptotic key-generation rates and their ordering chain.
 
-Six rates per sent pulse (the 1/2 factor is basis sifting):
+Six rates per sent pulse (the 1/2 factor is basis sifting), each the
+single-photon term plus a direction's credit from ``bounds.EC_DIRECTIONS``
+minus the error-correction debit:
 
 * forward  (dark counts and vacuum credited to the key),
 * reverse  (dark counts credited),
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import hbar
+from .bounds import EC_DIRECTIONS, hbar
 from .decoy import SourceDistribution
 from .errors import check_probability
 
@@ -45,17 +47,6 @@ class RateInputs:
         for name in ("q1", "r1", "p0", "p_dark", "p_nu_plus", "s_nu_plus"):
             check_probability(name, getattr(self, name))
 
-    def correction(self) -> float:
-        """Error-correction debit p_nu_plus (1 - eta(s_nu_plus))."""
-        return self.p_nu_plus * (1.0 - shannon_eta(self.s_nu_plus))
-
-    def photon_term(self) -> float:
-        return self.nu.v1 * self.q1 * (1.0 - hbar(self.r1))
-
-    def photon_term_bar(self) -> float:
-        q1b, r1b = gllp_effective_params(self.q1, self.r1, self.p_dark)
-        return self.nu.v1 * q1b * (1.0 - hbar(r1b))
-
 
 def gllp_effective_params(q1: float, r1: float, p_dark: float) -> tuple[float, float]:
     """Effective (yield, error rate) counting dark-count singles as signal."""
@@ -66,46 +57,30 @@ def gllp_effective_params(q1: float, r1: float, p_dark: float) -> tuple[float, f
     return q1_bar, r1_bar
 
 
-def rate_forward(inputs: RateInputs) -> float:
-    """Forward error correction: credit the detected vacuum contribution."""
-    return 0.5 * (inputs.photon_term() + inputs.nu.v0 * inputs.p0
-                  - inputs.correction())
-
-
-def rate_reverse(inputs: RateInputs) -> float:
-    """Reverse error correction: credit all dark counts."""
-    return 0.5 * (inputs.photon_term() + inputs.p_dark - inputs.correction())
-
-
-def rate_twoway(inputs: RateInputs) -> float:
-    """Two-way error correction: only vacuum dark counts stay credited."""
-    return 0.5 * (inputs.photon_term() + inputs.nu.v0 * inputs.p_dark
-                  - inputs.correction())
-
-
-def rate_gllp_ilm(inputs: RateInputs) -> float:
-    """Effective-parameter rate with no dark-count credit."""
-    return 0.5 * (inputs.photon_term_bar() - inputs.correction())
-
-
-def rate_bar_forward(inputs: RateInputs) -> float:
-    return 0.5 * (inputs.photon_term_bar() + inputs.nu.v0 * inputs.p0
-                  - inputs.correction())
-
-
-def rate_bar_reverse(inputs: RateInputs) -> float:
-    return 0.5 * (inputs.photon_term_bar() - inputs.correction())
+# Report name -> (effective single-photon parameters?, credited direction).
+# GLLP-ILM and barred reverse credit nothing: one formula under two names.
+RATES = (
+    ("forward", False, "forward"),
+    ("reverse", False, "reverse"),
+    ("twoway", False, "twoway"),
+    ("gllp_ilm", True, None),
+    ("bar_forward", True, "forward"),
+    ("bar_reverse", True, None),
+)
 
 
 def all_rates(inputs: RateInputs) -> dict[str, float]:
-    return {
-        "forward": rate_forward(inputs),
-        "reverse": rate_reverse(inputs),
-        "twoway": rate_twoway(inputs),
-        "gllp_ilm": rate_gllp_ilm(inputs),
-        "bar_forward": rate_bar_forward(inputs),
-        "bar_reverse": rate_bar_reverse(inputs),
-    }
+    """Every rate of ``RATES``, keyed by its report name."""
+    debit = inputs.p_nu_plus * (1.0 - shannon_eta(inputs.s_nu_plus))
+    rates = {}
+    for name, effective, direction in RATES:
+        q1, r1 = gllp_effective_params(inputs.q1, inputs.r1, inputs.p_dark) \
+            if effective else (inputs.q1, inputs.r1)
+        photon = inputs.nu.v1 * q1 * (1.0 - hbar(r1))  # >= +0.0: a 0.0 credit adds nothing
+        credit = EC_DIRECTIONS[direction][1](inputs.nu, inputs.p0, inputs.p_dark) \
+            if direction else 0.0
+        rates[name] = 0.5 * (photon + credit - debit)
+    return rates
 
 
 def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
@@ -121,12 +96,9 @@ def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
     if p_nu_plus <= 0.0:
         raise ValueError("counting rate must be positive")
     photon = nu.v1 * q1 * (1.0 - hbar(r1)) / p_nu_plus
-    if direction == "forward":
-        credit = nu.v0 * p0 / p_nu_plus
-    elif direction == "reverse":
-        credit = p_dark / p_nu_plus
-    else:
+    if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
+    credit = EC_DIRECTIONS[direction][1](nu, p0, p_dark) / p_nu_plus
     return n * (1.0 - photon - credit)
 
 

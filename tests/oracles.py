@@ -14,7 +14,9 @@ which the Toeplitz family is compared with.  ``matrix_from_rows`` builds a
 ``BitMatrix`` from 0/1 rows for the worked examples.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -150,6 +152,61 @@ def contract_reference(channel, ax: np.ndarray, az: np.ndarray) -> tuple[np.ndar
     return logical, float((p_z * (1.0 - az[:, 0])).sum())
 
 
+def logical_law_reference(channel, m_e: BitMatrix, m_p: BitMatrix) -> tuple[np.ndarray, float]:
+    """(logical law, p_ph) of ``reduce_code_channel`` by enumeration, N <= 8.
+
+    Both decoders are the library's: minimum distance with ties to the
+    lex-smallest codeword, averaged over the transmitted word.  Codeword
+    M_e z carries the key label M_p z and shifts over the whole code.  A
+    phase codeword w in C2perp carries the unique a with M_e^T w = M_p^T a,
+    its phase on the final key (Shor and Preskill, PRL 85, 441 (2000)); the
+    shifts are C1perp, where a = 0.  ``channel`` is a joint law
+    ``{(x_pattern, z_pattern): prob}`` or a list of per-site laws.
+    """
+    n, lm, l = m_e.rows, m_e.cols, m_p.rows
+    if n > 8:
+        raise CapacityError(f"N={n} exceeds the reference guard 8")
+
+    def image(rows, v):  # bit i is row i . v
+        return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(rows))
+
+    def row_sum(rows, v):  # the rows at the set bits of v, summed
+        return functools.reduce(operator.xor, (r for i, r in enumerate(rows) if v >> i & 1), 0)
+
+    key_code = {image(m_e.row_bits, z): image(m_p.row_bits, z) for z in range(1 << lm)}
+    phase_of = {row_sum(m_p.row_bits, a): a for a in range(1 << l)}
+    phase_code = {w: phase_of[v] for w in range(1 << n)
+                  if (v := row_sum(m_e.row_bits, w)) in phase_of}
+    ax = _averaged_decoder(key_code, list(key_code), n, l)
+    az = _averaged_decoder(phase_code, [w for w, a in phase_code.items() if a == 0], n, l)
+
+    if isinstance(channel, Mapping):
+        joint = np.zeros((1 << n, 1 << n))
+        for (ex, ez), p in channel.items():
+            joint[ex, ez] += p
+    else:
+        joint = np.ones((1, 1))
+        for law in channel:  # site i lands on bit i of (ex, ez)
+            site = np.zeros((2, 2))
+            for (x, z), p in law.items():
+                site[x, z] = p
+            joint = np.kron(site, joint)
+    return ax.T @ joint @ az, float(joint.sum(axis=0) @ (1.0 - az[:, 0]))
+
+
+def _averaged_decoder(code: Mapping[int, int], shifts: Sequence[int], n: int,
+                      l: int) -> np.ndarray:
+    """Row e: the law of label(decode(e ^ s)) ^ label(s) over the shifts s,
+    for the code ``{codeword: label}``."""
+    words = [BitVector(n, c) for c in code]
+    dec = [code[min_distance_decode(BitVector(n, e), words).bits] for e in range(1 << n)]
+    counts = np.zeros((1 << n, 1 << l))
+    for e in range(1 << n):
+        for s in shifts:
+            counts[e, dec[e ^ s] ^ code[s]] += 1
+    return counts / len(shifts)
+
+
 def pauli_from_dict(l: int, entries: Mapping[tuple[int, int], float]) -> PauliErrorDistribution:
     """The l-bit logical law with probability ``entries[(x, z)]`` at (x, z)."""
     p = np.zeros((1 << l, 1 << l))
@@ -167,8 +224,9 @@ def dense_eve_state(dist: PauliErrorDistribution, y: int) -> np.ndarray:
     l = dist.l
     dim = 1 << (2 * l)
     rho = np.zeros((dim, dim))
-    cond = dist.conditional_phase()
     px = dist.x_marginal()
+    cond = np.divide(dist.probs, px[:, None], out=np.zeros_like(dist.probs),
+                     where=px[:, None] > 0)
     for x in range(1 << l):
         if px[x] == 0:
             continue

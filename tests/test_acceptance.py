@@ -16,10 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decoybb84.bounds import (BoundInputs, averaged_eve_info_bound,
-                              averaged_success_bound, eve_info_bound,
-                              forward_bound, hbar, reverse_bound,
-                              success_bound, twoway_bound,
+from decoybb84.bounds import (BoundInputs, averaged_bound, averaged_eve_info_bound,
+                              eve_info_bound, hbar, success_bound,
                               verify_proposition_decoding)
 from decoybb84.channel import ChannelStrategy
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
@@ -27,9 +25,7 @@ from decoybb84.decoy import (ObservedRates, SourceDistribution,
 from decoybb84.errors import BoundViolation
 from decoybb84.gf2 import rank
 from decoybb84.hashing import universality_profile
-from decoybb84.oracle import (PauliErrorDistribution, eve_mutual_information,
-                              optimal_success_probability, pairwise_figures,
-                              reduce_code_channel)
+from decoybb84.oracle import PauliErrorDistribution, pairwise_figures, reduce_code_channel
 from decoybb84.protocol import SessionConfig, run_session
 from decoybb84.rates import RateInputs, all_rates, verify_rate_ordering
 
@@ -166,7 +162,7 @@ def test_criterion_2_mutual_information_vs_dense():
         for _ in range(60):
             dist = PauliErrorDistribution(
                 l, rng.dirichlet(np.ones(1 << (2 * l))).reshape(1 << l, 1 << l))
-            diff = abs(eve_mutual_information(dist) - dense_mutual_information(dist))
+            diff = abs(pairwise_figures(dist).mutual_info_bits - dense_mutual_information(dist))
             worst = max(worst, diff)
     verdict("criterion 2 (closed-form MI vs density matrices)", worst <= 1e-9,
             f"worst deviation {worst:.3e}")
@@ -247,8 +243,8 @@ def test_criterion_4_dark_count_bound_ordering():
             t_dist[int(t)] = t_dist.get(int(t), 0.0) + float(w)
         inputs = BoundInputs(j0=j[0], j1=j[1], j2=j[2], j3=j[3], j4=j[4],
                              j5=j[5], m=m, t_distribution=t_dist)
-        two = twoway_bound(inputs)
-        if two < forward_bound(inputs) - 1e-15 or two < reverse_bound(inputs) - 1e-15:
+        two = averaged_bound(inputs, "twoway")
+        if any(two < averaged_bound(inputs, d) - 1e-15 for d in ("forward", "reverse")):
             violations += 1
     verdict("criterion 4 (two-way dominates one-way bounds)",
             violations == 0, "10000 instances")
@@ -288,13 +284,14 @@ def test_criterion_5_averaged_bounds_dominate_sessions():
             laws.append({(0, 0): (1 - px) * (1 - pz), (0, 1): (1 - px) * pz,
                          (1, 0): px * (1 - pz), (1, 1): px * pz})
         dist, pph = reduce_code_channel(laws, m_e, m_p)
-        infos.append(eve_mutual_information(dist))
-        succs.append(optimal_success_probability(dist))
+        fig = pairwise_figures(dist)
+        infos.append(fig.mutual_info_bits)
+        succs.append(fig.opt_success_prob)
         pphs.append(pph)
     p_av = float(np.mean(pphs))
     assert max(pphs) <= 0.5  # ensemble sanity: the monotone step applies
     info_bound = averaged_eve_info_bound(p_av, n_bar)
-    succ_bound = averaged_success_bound(p_av, n_under)
+    succ_bound = success_bound(p_av, n_under)
     info_slack = info_bound - float(np.mean(infos))
     succ_slack = succ_bound - float(np.mean(succs))
     ok = info_slack >= -1e-9 and succ_slack >= -1e-9
@@ -319,14 +316,13 @@ def test_criterion_5_concavity_and_monotonicity_properties():
         assert f(mid) >= lam * f(a) + (1 - lam) * f(b) - 1e-12
         # concavity of the guessing bound in the phase-error probability
         n_under = int(rng.integers(1, 12))
-        lhs = averaged_success_bound(mid if mid <= 1 else 1.0, n_under)
-        rhs = (lam * averaged_success_bound(min(a, 1.0), n_under)
-               + (1 - lam) * averaged_success_bound(min(b, 1.0), n_under))
+        lhs = success_bound(mid if mid <= 1 else 1.0, n_under)
+        rhs = (lam * success_bound(min(a, 1.0), n_under)
+               + (1 - lam) * success_bound(min(b, 1.0), n_under))
         assert lhs >= rhs - 1e-12
         # monotone increasing below 1/2 (the printed derivative sign is a typo)
         p1, p2 = sorted(rng.uniform(0, 0.5, size=2))
-        assert averaged_success_bound(p2, n_under) >= \
-            averaged_success_bound(p1, n_under) - 1e-12
+        assert success_bound(p2, n_under) >= success_bound(p1, n_under) - 1e-12
     verdict("criterion 5 (concavity/monotonicity properties)", True,
             "1000 random triples")
 

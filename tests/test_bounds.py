@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from decoybb84.bounds import (BoundInputs, DecodingCheck, averaged_eve_info_bound,
-                              averaged_success_bound, binary_entropy,
-                              distinguishability_bounds, eve_info_bound,
-                              forward_bound, hbar, k2_count, min_decoding_bound,
-                              per_bit_eve_info_bound, reverse_bound, success_bound,
-                              twoway_bound, verify_proposition_decoding)
+from decoybb84.bounds import (EC_DIRECTIONS, BoundInputs, DecodingCheck, averaged_bound,
+                              averaged_eve_info_bound, binary_entropy,
+                              distinguishability_bounds, eve_info_bound, hbar, k2_count,
+                              min_decoding_bound, per_bit_eve_info_bound, success_bound,
+                              verify_proposition_decoding)
+from decoybb84.decoy import SourceDistribution
 from decoybb84.errors import CapacityError
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul, span_ints
 from decoybb84.hashing import build_toeplitz
@@ -23,12 +23,10 @@ def max_bound_over_inputs(candidates, kind="forward"):
     so their worst case sits at deterministic (extremal) strategies; callers
     supply those as explicit BoundInputs candidates.
     """
-    fn = {"forward": forward_bound, "reverse": reverse_bound,
-          "twoway": twoway_bound}[kind]
     best = None
     best_inputs = None
     for cand in candidates:
-        val = fn(cand)
+        val = averaged_bound(cand, kind)
         if best is None or val > best:
             best, best_inputs = val, cand
     if best is None:
@@ -198,40 +196,58 @@ class TestK2:
         with pytest.raises(ValueError, match="sideways"):
             k2_count(self.J, "sideways")
 
+    def test_credit_is_the_rate_of_the_parts_left_to_the_key(self):
+        # Per sent pulse J0 detects at nu0 (p0 - p_D), and J3, J4, J5 (the
+        # dark counts) at nu0 p_D, nu1 p_D, nu2 p_D.  Each direction's
+        # credit must be the rate of the parts of {0, 3, 4, 5} outside K2.
+        assert set(EC_DIRECTIONS) == {"forward", "reverse", "twoway"}
+        rng = np.random.default_rng(24)
+        for _ in range(1000):
+            v0 = float(rng.uniform(0, 1))
+            v2 = float(rng.uniform(0, 1 - v0))
+            nu = SourceDistribution(v0, 1 - v0 - v2, v2)
+            p_dark = float(rng.uniform(0, 0.1))
+            p0 = float(rng.uniform(p_dark, 1))
+            rate = {0: nu.v0 * (p0 - p_dark), 3: nu.v0 * p_dark, 4: nu.v1 * p_dark,
+                    5: nu.v2 * p_dark}
+            for direction, (parts, credit) in EC_DIRECTIONS.items():
+                kept = sum(rate[i] for i in rate if i not in parts)
+                assert abs(kept - credit(nu, p0, p_dark)) <= 1e-15, direction
+
 
 class TestAveragedBounds:
     def test_forward_point_mass(self):
         inputs = make_inputs((0, 5, 0, 0, 0, 0), 10, {0: 1.0})
-        assert forward_bound(inputs) == pytest.approx(2.0 ** -10)
+        assert averaged_bound(inputs, "forward") == pytest.approx(2.0 ** -10)
 
     def test_forward_worked(self):
         inputs = make_inputs((0, 4, 2, 0, 0, 0), 8, {2: 1.0})
-        assert forward_bound(inputs) == pytest.approx(0.25)
+        assert averaged_bound(inputs, "forward") == pytest.approx(0.25)
 
     def test_forward_two_term_average(self):
         inputs = make_inputs((0, 4, 0, 0, 0, 0), 6, {0: 0.5, 4: 0.5})
-        assert forward_bound(inputs) == pytest.approx(0.5 * (1 / 64 + 0.25))
+        assert averaged_bound(inputs, "forward") == pytest.approx(0.5 * (1 / 64 + 0.25))
 
     def test_reverse_point_mass(self):
         inputs = make_inputs((0, 5, 0, 0, 0, 0), 10, {0: 1.0})
-        assert reverse_bound(inputs) == pytest.approx(2.0 ** -10)
+        assert averaged_bound(inputs, "reverse") == pytest.approx(2.0 ** -10)
 
     def test_reverse_worked(self):
         inputs = make_inputs((3, 2, 1, 0, 0, 0), 10, {1: 1.0})
-        assert reverse_bound(inputs) == pytest.approx(2.0 ** -4)
+        assert averaged_bound(inputs, "reverse") == pytest.approx(2.0 ** -4)
 
     def test_reverse_below_forward_when_exponent_smaller(self):
         inputs = make_inputs((1, 4, 1, 0, 2, 1), 9, {1: 1.0})
         # reverse exponent J0+J2 = 2; forward J2+J4+J5 = 4
-        assert reverse_bound(inputs) < forward_bound(inputs)
+        assert averaged_bound(inputs, "reverse") < averaged_bound(inputs, "forward")
 
     def test_twoway_trivial(self):
         inputs = make_inputs((0, 6, 0, 0, 0, 0), 4, {0: 1.0})
-        assert twoway_bound(inputs) == pytest.approx(2.0 ** -4)
+        assert averaged_bound(inputs, "twoway") == pytest.approx(2.0 ** -4)
 
     def test_twoway_worked(self):
         inputs = make_inputs((1, 2, 0, 0, 1, 0), 5, {0: 1.0})
-        assert twoway_bound(inputs) == pytest.approx(2.0 ** -3)
+        assert averaged_bound(inputs, "twoway") == pytest.approx(2.0 ** -3)
 
     def test_twoway_dominates(self):
         rng = np.random.default_rng(3)
@@ -244,35 +260,38 @@ class TestAveragedBounds:
             for t, p in zip(ts, ps):
                 dist[int(t)] = dist.get(int(t), 0.0) + float(p)
             inputs = make_inputs(j, m, dist)
-            two = twoway_bound(inputs)
-            assert two >= forward_bound(inputs) - 1e-15
-            assert two >= reverse_bound(inputs) - 1e-15
+            two = averaged_bound(inputs, "twoway")
+            assert two >= averaged_bound(inputs, "forward") - 1e-15
+            assert two >= averaged_bound(inputs, "reverse") - 1e-15
 
     def test_monotone_in_m_and_counts(self):
+        def bound(j, m, t):
+            return averaged_bound(make_inputs(tuple(j), m, {t: 1.0}), "forward")
+
         rng = np.random.default_rng(4)
         for _ in range(200):
             j = [int(x) for x in rng.integers(0, 15, size=6)]
             m = int(rng.integers(1, 30))
             t = int(rng.integers(0, j[1] + 1))
-            dist = {t: 1.0}
-            base = forward_bound(make_inputs(tuple(j), m, dist))
-            assert forward_bound(make_inputs(tuple(j), m + 1, dist)) <= base + 1e-15
+            base = bound(j, m, t)
+            assert bound(j, m + 1, t) <= base + 1e-15
             j_up = list(j)
             j_up[2] += 1  # J2 enters every K2 variant
-            assert forward_bound(make_inputs(tuple(j_up), m, dist)) >= base - 1e-15
+            assert bound(j_up, m, t) >= base - 1e-15
 
     def test_missing_distribution(self):
         with pytest.raises(ValueError):
-            forward_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, None))
+            averaged_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, None), "forward")
 
     def test_nan_distribution_rejected(self):
         with pytest.raises(ValueError):
-            forward_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, {0: float("nan"), 1: 1.0}))
+            averaged_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, {0: float("nan"), 1: 1.0}),
+                           "forward")
 
     def test_max_over_strategies(self):
         cands = [make_inputs((0, 4, k2, 0, 0, 0), 6, {1: 1.0}) for k2 in range(4)]
         val, best = max_bound_over_inputs(cands, "forward")
-        assert best.j2 == 3 and val == forward_bound(cands[-1])
+        assert best.j2 == 3 and val == averaged_bound(cands[-1], "forward")
 
     def test_worst_case_t(self):
         assert worst_case_t_bound(4, 0, 6) == \
@@ -292,15 +311,15 @@ class TestAveragedInfoSuccess:
         assert averaged_eve_info_bound(1e-300, 50) < 1e-290
 
     def test_success_matches_closed_form(self):
-        assert averaged_success_bound(0.0, 5) == pytest.approx(2.0 ** -5)
-        assert averaged_success_bound(0.01, 8) == pytest.approx(0.026241, abs=1e-6)
+        assert success_bound(0.0, 5) == pytest.approx(2.0 ** -5)
+        assert success_bound(0.01, 8) == pytest.approx(0.026241, abs=1e-6)
 
     def test_success_monotone_below_half(self):
         # Monotone increasing in the averaged probability for P <= 1/2
         # (the derivative sqrt((1-p)/q) - sqrt(p/(1-q)) stays nonnegative).
         n_under = 4
         grid = np.linspace(0.0, 0.5, 200)
-        vals = [averaged_success_bound(p, n_under) for p in grid]
+        vals = [success_bound(p, n_under) for p in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_per_bit(self):
@@ -366,8 +385,8 @@ class TestOracleDominance:
         avg = total / n_seeds
         bound = min(1.0, 2.0 ** (n1 * hbar(t / n1) + k2 - m))
         assert avg <= bound + 1e-12
-        assert avg <= forward_bound(BoundInputs(
-            j1=n1, j2=k2, m=m, t_distribution={t: 1.0})) + 1e-12
+        assert avg <= averaged_bound(BoundInputs(
+            j1=n1, j2=k2, m=m, t_distribution={t: 1.0}), "forward") + 1e-12
 
 
 class TestPropositionDecoding:

@@ -322,10 +322,27 @@ class TestSimulate:
             paths.append(tmp_path / name)
             paths[-1].write_text(readme_block(name))
         out = tmp_path / "r.json"
-        rc = main(["--format", "json", "--out", str(out), "simulate", "--config",
-                   str(paths[0]), "--strategy", str(paths[1]), "--trials", "20"])
-        assert rc == 0  # an n = 64, n_prime = 512 session exits 2 within 20 trials
-        assert json.loads(out.read_text())["payload"]["statuses"]["completed"] == 20
+
+        def simulate(trials):
+            rc = main(["--format", "json", "--out", str(out), "simulate", "--config",
+                       str(paths[0]), "--strategy", str(paths[1]), "--trials", str(trials)])
+            assert rc == 0  # an n = 64, n_prime = 512 session exits 2 within 20 trials
+            payload = json.loads(out.read_text())["payload"]
+            done = [s for s in payload["sessions"] if s["status"] == "completed"]
+            return (payload["statuses"], sum(s["abort_step"] == 6 for s in payload["sessions"]),
+                    sum(s["keys_match"] for s in done),
+                    sum(s["plus"]["ec_success"] and s["times"]["ec_success"] for s in done))
+
+        assert simulate(20)[0]["completed"] == 20
+        # The README's 128-trial figures: all complete, keys match in 61, EC
+        # succeeds in both bases in 60; margin_bits = 4 aborts 87 at step 6.
+        statuses, step6, matched, ec_both = simulate(128)
+        assert (statuses["completed"], step6, matched, ec_both) == (128, 0, 61, 60)
+        session = paths[0].read_text()
+        assert "margin_bits = 0\n" in session
+        paths[0].write_text(session.replace("margin_bits = 0\n", "margin_bits = 4\n"))
+        _, step6, matched, _ = simulate(128)
+        assert (step6, matched) == (87, 21)
 
     def test_nan_probabilities_exit_2(self, tmp_path):
         cfg = tmp_path / "session.cfg"

@@ -8,7 +8,7 @@ import pytest
 
 from decoybb84.bounds import hbar
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
-                             correct_detector_error, estimate_interval_symmetric,
+                             estimate_interval_symmetric,
                              estimate_vacuum_single, minimize_key_term)
 from decoybb84.errors import InfeasibleObservation
 from oracles import (feasibility_check, interval_symmetric_reference, key_term_reference,
@@ -117,19 +117,29 @@ class TestEstimateVacuumSingle:
 
 
 class TestCorrectDetectorError:
+    """The detector-flip correction r = (r' - p_S)/(1 - 2 p_S) on the estimator
+    path: a perfect single-photon source with no dark counts observes r' as
+    its error rate, so the r1 estimate is the corrected r' (clamped)."""
+
+    @staticmethod
+    def corrected(r1_observed, p_s):
+        obs = ObservedRates(p0=0.0, p_dark=0.0, p_nu_times=0.5, s_nu_times=r1_observed,
+                            p_s=p_s)
+        return estimate_vacuum_single(SourceDistribution(0.0, 1.0), obs)[1].value
+
     def test_identity_at_zero(self):
-        assert correct_detector_error(0.3, 0.0) == pytest.approx(0.3)
+        assert self.corrected(0.3, 0.0) == pytest.approx(0.3)
 
     def test_all_error_from_detector(self):
-        assert correct_detector_error(0.01, 0.01) == pytest.approx(0.0)
+        assert self.corrected(0.01, 0.01) == pytest.approx(0.0)
 
     def test_worked_value(self):
-        assert correct_detector_error(0.0875, 0.01) == \
+        assert self.corrected(0.0875, 0.01) == \
             pytest.approx(0.0775 / 0.98, abs=1e-12)
 
     def test_rejects_half(self):
         with pytest.raises(ValueError):
-            correct_detector_error(0.2, 0.5)
+            self.corrected(0.2, 0.5)
 
 
 class TestIntervalSymmetric:

@@ -6,9 +6,7 @@ import pytest
 from decoybb84.bounds import hbar
 from decoybb84.decoy import SourceDistribution
 from decoybb84.rates import (RateInputs, all_rates, gllp_effective_params,
-                             initial_eve_information_asymptotic, rate_bar_forward,
-                             rate_bar_reverse, rate_forward, rate_gllp_ilm,
-                             rate_reverse, rate_twoway, shannon_eta,
+                             initial_eve_information_asymptotic, shannon_eta,
                              verify_rate_ordering)
 
 
@@ -50,55 +48,53 @@ class TestRateFormulas:
     def test_perfect_single_photon_half(self):
         inputs = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=1.0, r1=0.0,
                             p0=0.0, p_dark=0.0, p_nu_plus=1.0, s_nu_plus=0.0)
-        assert rate_forward(inputs) == pytest.approx(0.5)
-        assert rate_reverse(inputs) == pytest.approx(0.5)
+        r = all_rates(inputs)
+        assert r["forward"] == pytest.approx(0.5)
+        assert r["reverse"] == pytest.approx(0.5)
 
     def test_entropy_clamp_kills_photon_term(self):
         inputs = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=0.8, r1=0.6,
                             p0=0.0, p_dark=0.0, p_nu_plus=0.5, s_nu_plus=0.0)
-        assert rate_forward(inputs) == pytest.approx(0.0)
+        assert all_rates(inputs)["forward"] == pytest.approx(0.0)
 
     def test_dual_evaluation(self):
         # Independent re-evaluation of every display, straight substitution.
         nu = SourceDistribution(0.5, 0.5)
         inputs = RateInputs(nu=nu, q1=0.2, r1=0.0875, p0=0.01, p_dark=0.001,
                             p_nu_plus=0.1055, s_nu_plus=0.109)
+        r = all_rates(inputs)
         photon = 0.5 * 0.2 * (1 - hbar(0.0875))
         corr = 0.1055 * (1 - (1 - hbar(0.109)))
         q1b = 0.2 + 0.001
         r1b = (0.0875 * 0.2 + 0.0005) / 0.201
         photon_bar = 0.5 * q1b * (1 - hbar(r1b))
-        assert rate_forward(inputs) == \
-            pytest.approx((photon + 0.5 * 0.01 - corr) / 2, abs=1e-12)
-        assert rate_reverse(inputs) == \
-            pytest.approx((photon + 0.001 - corr) / 2, abs=1e-12)
-        assert rate_twoway(inputs) == \
-            pytest.approx((photon + 0.5 * 0.001 - corr) / 2, abs=1e-12)
-        assert rate_gllp_ilm(inputs) == \
-            pytest.approx((photon_bar - corr) / 2, abs=1e-12)
-        assert rate_bar_forward(inputs) == \
-            pytest.approx((photon_bar + 0.5 * 0.01 - corr) / 2, abs=1e-12)
-        assert rate_bar_reverse(inputs) == \
-            pytest.approx((photon_bar - corr) / 2, abs=1e-12)
+        assert r["forward"] == pytest.approx((photon + 0.5 * 0.01 - corr) / 2, abs=1e-12)
+        assert r["reverse"] == pytest.approx((photon + 0.001 - corr) / 2, abs=1e-12)
+        assert r["twoway"] == pytest.approx((photon + 0.5 * 0.001 - corr) / 2, abs=1e-12)
+        assert r["gllp_ilm"] == pytest.approx((photon_bar - corr) / 2, abs=1e-12)
+        assert r["bar_forward"] == pytest.approx((photon_bar + 0.5 * 0.01 - corr) / 2, abs=1e-12)
+        assert r["bar_reverse"] == pytest.approx((photon_bar - corr) / 2, abs=1e-12)
 
     def test_refinement_strictly_beats_effective_params(self):
         inputs = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=0.3, r1=0.02,
                             p0=0.02, p_dark=0.01, p_nu_plus=0.32, s_nu_plus=0.02)
-        assert rate_forward(inputs) > rate_bar_forward(inputs)
+        r = all_rates(inputs)
+        assert r["forward"] > r["bar_forward"]
 
     def test_two_way_vacuum_limit(self):
         # As v0 -> 1 the two-way credit approaches the full dark-count rate.
         nu = SourceDistribution(0.98, 0.02)
         inputs = RateInputs(nu=nu, q1=0.5, r1=0.1, p0=0.02, p_dark=0.01,
                             p_nu_plus=0.05, s_nu_plus=0.1)
-        assert rate_twoway(inputs) - rate_bar_reverse(inputs) >= 0
-        credit = 2 * rate_twoway(inputs) - 2 * rate_reverse(inputs)
+        r = all_rates(inputs)
+        assert r["twoway"] - r["bar_reverse"] >= 0
+        credit = 2 * r["twoway"] - 2 * r["reverse"]
         assert credit == pytest.approx(0.98 * 0.01 - 0.01, abs=1e-12)
 
     def test_negative_rates_returned_raw(self):
         inputs = RateInputs(nu=SourceDistribution(0.5, 0.5), q1=0.01, r1=0.4,
                             p0=0.0, p_dark=0.0, p_nu_plus=1.0, s_nu_plus=0.5)
-        assert rate_forward(inputs) < 0.0
+        assert all_rates(inputs)["forward"] < 0.0
 
     def test_linearity_in_terms(self):
         # Every rate is (credit terms - debit)/2: doubling each term through
@@ -107,7 +103,7 @@ class TestRateFormulas:
                             p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0)
         doubled = RateInputs(nu=SourceDistribution(0.0, 1.0), q1=0.4, r1=0.1,
                              p0=0.0, p_dark=0.0, p_nu_plus=0.0, s_nu_plus=0.0)
-        assert rate_forward(doubled) == pytest.approx(2 * rate_forward(inputs))
+        assert all_rates(doubled)["forward"] == pytest.approx(2 * all_rates(inputs)["forward"])
 
 
 class TestInitialEveInformation:
@@ -158,14 +154,14 @@ class TestOrderingChain:
         inputs = RateInputs(nu=SourceDistribution(0.5, 0.5), q1=0.4, r1=0.06,
                             p0=0.5, p_dark=0.01, p_nu_plus=0.3, s_nu_plus=0.06)
         if inputs.nu.v0 * inputs.p0 >= inputs.p_dark:
-            assert rate_forward(inputs) >= rate_reverse(inputs)
+            assert all_rates(inputs)["forward"] >= all_rates(inputs)["reverse"]
 
     def test_continuity_spot(self):
         base = RateInputs(nu=SourceDistribution(0.3, 0.7), q1=0.5, r1=0.1,
                           p0=0.05, p_dark=0.01, p_nu_plus=0.4, s_nu_plus=0.08)
         bumped = RateInputs(nu=base.nu, q1=0.5 + 1e-9, r1=0.1, p0=0.05,
                             p_dark=0.01, p_nu_plus=0.4, s_nu_plus=0.08)
-        assert abs(rate_forward(bumped) - rate_forward(base)) < 1e-8
+        assert abs(all_rates(bumped)["forward"] - all_rates(base)["forward"]) < 1e-8
 
     def test_eta_default_shannon(self):
         assert shannon_eta(0.0) == 1.0
