@@ -72,8 +72,8 @@ INPUT_FORMATS = {
     "bound": (bounds_mod.BoundInputs, ("m", "t_distribution"), (), ()),
     "estimate-decoy": (decoy_mod.ObservedRates, ("nu",), ("nu",), ()),
     "rates": (rates_mod.RateInputs, (), (), ()),
-    # Trial seeds come from --seed, and only --transcript records one.
-    "session": (SessionConfig, (), (), ("rng_seed", "record_transcript")),
+    # Trial seeds come from --seed.
+    "session": (SessionConfig, (), (), ("rng_seed",)),
     "strategy": (ChannelStrategy, (), (), ()),
 }
 
@@ -223,10 +223,9 @@ def cmd_simulate(args) -> int:
     statuses = {"completed": 0, "aborted": 0}
     for trial in range(args.trials):
         cfg.rng_seed = args.seed + trial
-        # Only trial 0's transcript is written, so only it is built.
-        cfg.record_transcript = bool(args.transcript) and trial == 0
         outcome = run_session(cfg, strategy)
-        if cfg.record_transcript:
+        # Only trial 0's transcript is written, so only it is rendered.
+        if args.transcript and trial == 0:
             with open(args.transcript, "w") as fh:
                 fh.write("\n".join(outcome.transcript) + "\n")
         statuses[outcome.status] += 1

@@ -132,7 +132,7 @@ def toeplitz_image_counts(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     n_seed = l + m - 1
     rev = lex_keys(l, dtype=np.int64)[:, None]  # u_i at bit l-1-i
     shifts = np.arange(n_seed)
-    basis = np.zeros((m, 1 << l), dtype=np.int64)
+    basis = np.zeros((m, 1 << l), dtype=np.min_scalar_type((1 << m) - 1))  # m-bit words
     # A block's generators (l+m-1 words per u) stay near _BLOCK_WORDS.
     step = max(1, _BLOCK_WORDS // max(n_seed, 1))
     for u0 in range(0, 1 << l, step):
@@ -143,10 +143,10 @@ def toeplitz_image_counts(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         for c in range(m):
             has = gens >> c & 1
             pivot = has.argmax(axis=1)
-            block = basis[c, u0:u0 + step]
-            block[:] = gens[rows, pivot] * has[rows, pivot]
+            word = gens[rows, pivot] * has[rows, pivot]
+            basis[c, u0:u0 + step] = word
             # The pivot clears itself too, so it drops out of later columns.
-            gens ^= has * block[:, None]
+            gens ^= has * word[:, None]
     return np.count_nonzero(basis, axis=0), basis
 
 

@@ -10,7 +10,10 @@ each basis.  Both error-correction directions run through one
 ``error_correct`` call; forward has Alice mask and Bob decode, reverse swaps
 the two roles.  Everything is driven by one numpy Generator seeded from the
 config, so a session is a pure function of (config, strategy, seed): the
-transcript of announcements is byte-identical across runs.
+transcript of announcements is byte-identical across runs.  The session
+stores each announcement as its values; the text is rendered only when
+``SessionOutcome.transcript`` is read, so a session whose log nobody reads
+formats none of it.
 
 Conventions the protocol text leaves open (documented assumptions):
 
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -89,9 +93,12 @@ class SessionConfig:
     ec_direction: str = "forward"
     rng_seed: int = 0
     decode_guard: int = DECODE_GUARD
-    record_transcript: bool = True
 
     def __post_init__(self):
+        for name in ("n", "n_bar", "n_under", "n_prime", "i0", "margin_bits", "decode_guard"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         k = len(self.nus)
         if k < 1:
             raise ValueError("need at least one source distribution")
@@ -137,12 +144,21 @@ class SessionOutcome:
     plus: BasisResult | None
     times: BasisResult | None
     experiment: DExperimental | None
-    transcript: tuple[str, ...]
+    # (step, party, render, args): each line of the log is
+    # f"{step} {party} {render(*args)}", with args bound at announce time.
+    announcements: tuple[tuple[int, str, Callable[..., str], tuple], ...] = \
+        field(repr=False, compare=False)
     truth: dict
     bounds_report: dict
     config: SessionConfig
     initial: DInitial | None = None
     initial_tilde: DInitial | None = None
+
+    @property
+    def transcript(self) -> tuple[str, ...]:
+        """The public announcements, one line each, rendered on every read."""
+        return tuple(f"{step} {who} {render(*args)}"
+                     for step, who, render, args in self.announcements)
 
     @property
     def completed(self) -> bool:
@@ -177,6 +193,57 @@ def _comma_list(values: np.ndarray) -> str:
             keep[:, j - 1] = quot != 0  # a leading zero unless more digits follow
         rest = quot
     return text[keep].tobytes()[:-1].decode("ascii")
+
+
+# Payload renderers, one per kind of announcement.  They run only when a
+# transcript is read, on the values bound at announce time; being module
+# functions, they close over nothing of a session and pickle by name.
+
+
+def _say_kinds(kinds):
+    return "kinds " + _comma_list(kinds)
+
+
+def _say_mask(label, mask):
+    return f"{label} " + _hexbits(mask)
+
+
+def _say_counts(c, e):
+    return "counts C=" + ",".join(map(str, c.tolist())) + " E=" + ",".join(map(str, e.tolist()))
+
+
+def _say_abort(reason):
+    return f"abort {reason}"
+
+
+def _say_check_positions(tag, at):
+    return f"check-{tag} positions " + _comma_list(at)
+
+
+def _say_check_bits(tag, bits, at):
+    return f"check-{tag} bits " + _hexbits(bits[at])
+
+
+def _say_errors(kind, errs):
+    return f"H[{kind}]={errs}"
+
+
+def _say_kind_bits(kind, bits, at, errs=None):
+    text = f"bits kind={kind} " + _hexbits(bits[at])
+    return text if errs is None else text + " " + _say_errors(kind, errs)
+
+
+def _say_sizes(name, lm, m, clamped):
+    return f"{name} lm={lm} m={m} l={lm - m}" + (" clamped" if clamped else "")
+
+
+def _say_code(name, rows):
+    digest = hashlib.sha256(b"".join(r.to_bytes(16, "little") for r in rows)).hexdigest()
+    return f"{name} code " + digest[:16]
+
+
+def _say_word(name, label, bits):
+    return f"{name} {label} " + format(bits, "x")
 
 
 def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
@@ -315,12 +382,12 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     i0x = cfg.i0            # raw-key kind, x basis
     i0p = cfg.i0 + k        # raw-key kind, + basis
 
-    transcript: list[str] = []
+    announcements: list[tuple] = []
 
-    def announce(step: int, who: str, what: Callable[[], str]):
-        # ``what`` builds the message only when the transcript is kept.
-        if cfg.record_transcript:
-            transcript.append(f"{step} {who} {what()}")
+    def announce(step: int, who: str, render: Callable[..., str], *args):
+        # ``render(*args)`` runs only when the transcript is read, so args
+        # are values no later step changes: no array mutated later, no cfg.
+        announcements.append((step, who, render, args))
 
     # Step 1: Alice draws kinds and photon classes; nothing is public yet.
     kinds = categorical(cfg.p_bar, rng.random(cfg.n_prime))
@@ -349,15 +416,14 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     bob_bits = bob_bits ^ flip_det.astype(np.int8)
 
     # Step 2: Alice announces the kinds.
-    announce(2, "alice", lambda: "kinds " + _comma_list(kinds))
+    announce(2, "alice", _say_kinds, kinds)
 
     # Step 3: Bob announces detections, common-basis positions, counts.
     c_counts = np.bincount(kinds[detected], minlength=n_kinds)
     e_counts = np.bincount(kinds[common], minlength=n_kinds)
-    announce(3, "bob", lambda: "detected " + _hexbits(detected))
-    announce(3, "bob", lambda: "common " + _hexbits(common))
-    announce(3, "bob", lambda: "counts C=" + ",".join(map(str, c_counts.tolist()))
-             + " E=" + ",".join(map(str, e_counts.tolist())))
+    announce(3, "bob", _say_mask, "detected", detected)
+    announce(3, "bob", _say_mask, "common", common)
+    announce(3, "bob", _say_counts, c_counts, e_counts)
 
     truth: dict = {}
     h_counts = np.zeros(n_kinds, dtype=np.int64)
@@ -366,14 +432,14 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                          strategy.p_dark)
 
     def finish_abort(step: int, reason: str) -> SessionOutcome:
-        announce(step, "both", lambda: f"abort {reason}")
+        announce(step, "both", _say_abort, reason)
         return SessionOutcome(
             status="aborted", abort_step=step, abort_reason=reason,
             plus=None, times=None,
             experiment=DExperimental(tuple(c_counts.tolist()),
                                      tuple(e_counts.tolist()),
                                      tuple(h_counts.tolist())),
-            transcript=tuple(transcript), truth=truth, bounds_report={},
+            announcements=tuple(announcements), truth=truth, bounds_report={},
             config=cfg, initial=d_i, initial_tilde=d_i_tilde)
 
     # Step 4: check bits for the two raw-key kinds; abort if too few pulses.
@@ -392,10 +458,9 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         raw_positions[kind] = pos[keep]
         errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
         h_counts[kind] = errs
-        announce(4, "alice", lambda: f"check-{tag} positions " + _comma_list(check_pos))
-        announce(4, "alice", lambda: f"check-{tag} bits "
-                 + _hexbits(alice_bits[check_pos]))
-        announce(4, "bob", lambda: f"H[{kind}]={errs}")
+        announce(4, "alice", _say_check_positions, tag, check_pos)
+        announce(4, "alice", _say_check_bits, tag, alice_bits, check_pos)
+        announce(4, "bob", _say_errors, kind, errs)
 
     # Step 5: remaining kinds are fully announced on their common positions.
     for kind in range(1, n_kinds):
@@ -404,9 +469,8 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         pos = np.flatnonzero(common & (kinds == kind))
         errs = int((alice_bits[pos] != bob_bits[pos]).sum())
         h_counts[kind] = errs
-        announce(5, "alice", lambda: f"bits kind={kind} " + _hexbits(alice_bits[pos]))
-        announce(5, "bob", lambda: f"bits kind={kind} " + _hexbits(bob_bits[pos])
-                 + f" H[{kind}]={errs}")
+        announce(5, "alice", _say_kind_bits, kind, alice_bits, pos)
+        announce(5, "bob", _say_kind_bits, kind, bob_bits, pos, errs)
 
     experiment = DExperimental(tuple(c_counts.tolist()),
                                tuple(e_counts.tolist()),
@@ -436,8 +500,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         if lm - m_bits > cfg.n_bar:
             m_bits = lm - cfg.n_bar
             clamped = True
-        announce(6, "both", lambda: f"{name} lm={lm} m={m_bits} l={lm - m_bits}"
-                 + (" clamped" if clamped else ""))
+        announce(6, "both", _say_sizes, name, lm, m_bits, clamped)
         results[name] = BasisResult(observed_error=float(err), lm=lm,
                                     m=m_bits, length=lm - m_bits,
                                     m_clamped=clamped)
@@ -453,13 +516,12 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         raw = {"alice": BitVector.from_bits(alice_bits[pos]),
                "bob": BitVector.from_bits(bob_bits[pos])}
         m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
-        announce(step_ec, "both", lambda: f"{name} code " + hashlib.sha256(
-            b"".join(r.to_bytes(16, "little") for r in m_e.row_bits)).hexdigest()[:16])
+        announce(step_ec, "both", _say_code, name, m_e.row_bits)
         z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng,
                                          cfg.decode_guard)
-        announce(step_ec, sender, lambda: f"{name} masked " + format(masked.bits, "x"))
+        announce(step_ec, sender, _say_word, name, "masked", masked.bits)
         hash_fn = sample_seed(rng, res.length, res.m)
-        announce(step_pa, "both", lambda: f"{name} pa-seed " + format(hash_fn.seed.bits, "x"))
+        announce(step_pa, "both", _say_word, name, "pa-seed", hash_fn.seed.bits)
         m_p = hash_fn.matrix()
         seeds = {sender: z, receiver: z_hat}
         res.alice_key = mat_vec_mul(m_p, seeds["alice"])
@@ -473,7 +535,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     return SessionOutcome(
         status="completed", abort_step=None, abort_reason=None,
         plus=results["plus"], times=results["times"],
-        experiment=experiment, transcript=tuple(transcript),
+        experiment=experiment, announcements=tuple(announcements),
         truth=truth, bounds_report=report, config=cfg,
         initial=d_i, initial_tilde=d_i_tilde)
 

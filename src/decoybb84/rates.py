@@ -12,7 +12,8 @@ minus the error-correction debit:
 
 The effective parameters fold dark counts into the single-photon pool:
 q1_bar = q1 + p_D and r1_bar mixes the channel error rate with the fair
-coin of a dark count.  Concavity of the entropy makes the refined rates
+coin of a dark count.  With q1 = p_D = 0 the pool is empty and an
+effective row has no photon term.  Concavity of the entropy makes the refined rates
 dominate the barred ones whenever inputs are physical (p0 >= p_D in
 particular, since a vacuum pulse can always fire the dark counter).
 """
@@ -74,8 +75,9 @@ def all_rates(inputs: RateInputs) -> dict[str, float]:
     debit = inputs.p_nu_plus * (1.0 - shannon_eta(inputs.s_nu_plus))
     rates = {}
     for name, effective, direction in RATES:
-        q1, r1 = gllp_effective_params(inputs.q1, inputs.r1, inputs.p_dark) \
-            if effective else (inputs.q1, inputs.r1)
+        q1, r1 = inputs.q1, inputs.r1
+        if effective and q1 + inputs.p_dark > 0.0:  # else no pool: q1 = 0, no photon term
+            q1, r1 = gllp_effective_params(q1, r1, inputs.p_dark)
         photon = inputs.nu.v1 * q1 * (1.0 - hbar(r1))  # >= +0.0: a 0.0 credit adds nothing
         credit = EC_DIRECTIONS[direction][1](inputs.nu, inputs.p0, inputs.p_dark) \
             if direction else 0.0

@@ -533,6 +533,10 @@ BAD_INPUTS = {
     "list-bound": (BOUND_FLAG, [BOUND_INPUTS], "expected a JSON object, got list"),
     "null-estimate-decoy": (DECOY_FLAG, None, "expected a JSON object, got NoneType"),
     "number-rates": (RATES_FLAG, 3, "expected a JSON object, got int"),
+    "float-session-i0": (SESSION_FLAG, SESSION_CONFIG.replace("i0 = 1\n", "i0 = 1.0\n"),
+                         "i0 must be an integer, got 1.0"),
+    "float-session-n": (SESSION_FLAG, SESSION_CONFIG.replace("n = 64\n", "n = 24.5\n"),
+                        "n must be an integer, got 24.5"),
     "half-session-p_s": (SESSION_FLAG, SESSION_CONFIG + "p_s = 0.6\n",
                          "p_s=0.6 must be below 1/2"),
     "half-session-p_s_tilde": (SESSION_FLAG, SESSION_CONFIG + "p_s_tilde = 0.5\n",
@@ -674,6 +678,22 @@ class TestRates:
               "rates", "--params", str(path)])
         row = json.loads(out.read_text())["payload"]["rows"][0]
         assert row["bar_reverse"] == pytest.approx(row["reverse"], abs=1e-15)
+
+    def test_no_single_photon_pool(self, tmp_path):
+        # q1 = p_D = 0: the effective pool is empty, so the effective rows
+        # have no photon term, and the vacuum credit alone keeps forward at 0.
+        params = {"nu": [0.5, 0.5, 0.0], "q1": 0.0, "r1": 0.0, "p0": 0.01,
+                  "p_dark": 0.0, "p_nu_plus": 0.005, "s_nu_plus": 0.5}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "r.json"
+        assert main(["--format", "json", "--out", str(out),
+                     "rates", "--params", str(path)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["ordering_ok"]
+        want = {"forward": 0.0, "reverse": -0.0025, "twoway": -0.0025,
+                "gllp_ilm": -0.0025, "bar_forward": 0.0, "bar_reverse": -0.0025}
+        assert {name: payload["rows"][0][name] for name in want} == want
 
     def test_sweep(self, tmp_path):
         sweep = {"sweep": [RATE_PARAMS, dict(RATE_PARAMS, q1=0.3)]}

@@ -1,5 +1,7 @@
 """Kernels against brute-force and walk oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,29 @@ def test_toeplitz_counts_full_rank_for_nonzero_u(l):
         assert (rows[1:] == 1 << (l - 1)).all(), (l, m)
         assert rows[0, 0] == 1 << (l + m - 1), (l, m)
         assert not rows[0, 1:].any(), (l, m)
+
+
+@pytest.mark.parametrize("m, dtype", [(0, np.uint8), (8, np.uint8), (9, np.uint16),
+                                      (16, np.uint16), (17, np.uint32), (33, np.uint64)])
+def test_toeplitz_bases_are_m_bit_words(m, dtype):
+    rank, basis = kernels.toeplitz_image_counts(2, m)
+    assert basis.dtype == dtype and basis.shape == (m, 4)
+    assert rank.tolist() == [0] + [m] * 3
+
+
+def test_toeplitz_bases_stored_narrowly():
+    # (16, 8): 2^16 y-parts with 8 basis words each.  The peak stays below
+    # what the bases alone would take as int64 (4 MB); as uint8 they take 0.5 MB.
+    l, m = 16, 8
+    tracemalloc.start()
+    try:
+        rank, basis = kernels.toeplitz_image_counts(l, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.nbytes == m << l
+    assert peak < 8 * m << l
+    assert rank[0] == 0 and (rank[1:] == m).all()
 
 
 def test_toeplitz_counts_brute_force():
