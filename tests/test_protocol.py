@@ -777,9 +777,11 @@ PINNED_ELEVEN_KIND_SESSIONS = {
 }
 
 
-# Each edge config leaves some draw group empty.  The two without detected
-# single photons use a constant m rule so that steps 7-10 run: the default
-# rule, with no single-photon yield to estimate, aborts at step 6.
+# Each edge config but the last leaves some draw group empty.  The two
+# without detected single photons use a constant m rule so that steps 7-10
+# run: the default rule, with no single-photon yield to estimate, aborts at
+# step 6.  The last aborts at step 6 on the times basis, after the plus
+# sizes are decided.
 
 def all_multi_config(rng_seed):
     # SourceDistribution refuses v1 = 0 (the estimators need single photons);
@@ -801,10 +803,17 @@ def no_single_config(rng_seed):
                    nus=(SourceDistribution(0.2, 0.5, 0.3),))
 
 
+def strict_config(rng_seed):
+    # N_under = 8: these seeds decide the plus sizes, then abort at step 6
+    # on the times basis.
+    return replace(desk_config(rng_seed), n_under=8)
+
+
 EDGE_CASES = {
     "all-multi": (all_multi_config, DESK_STRATEGY),
     "zero-kind": (zero_kind_config, DESK_STRATEGY),
     "no-single": (no_single_config, replace(DESK_STRATEGY, q_single=0.0)),
+    "times-abort": (strict_config, DESK_STRATEGY),
 }
 
 PINNED_EDGE_SESSIONS = {
@@ -817,6 +826,8 @@ PINNED_EDGE_SESSIONS = {
     ("no-single", 0): '483ae636b718097a completed 15:163/15:163 11:1e3/11:1e3',
     ("no-single", 1): 'dd732e3e9155516e completed 11:44b/11:44b 15:4b71/15:4b71',
     ("no-single", 2): '990cbce255b7da40 completed 15:2417/15:3997 11:24e/11:24e',
+    ("times-abort", 22): '6072c4867d829f20 aborted - -',
+    ("times-abort", 29): 'a3a82b481677f9ef aborted - -',
 }
 
 
@@ -873,6 +884,12 @@ class TestPinnedSessions:
         make_config, strategy = EDGE_CASES[case]
         out = run_session(make_config(seed), strategy)
         assert session_fingerprint(out) == PINNED_EDGE_SESSIONS[case, seed]
+
+    def test_step6_abort_on_times(self):
+        out = run_session(strict_config(22), DESK_STRATEGY)
+        assert (out.abort_step, out.plus, out.times) == (6, None, None)
+        assert out.transcript[-2:] == ("6 both plus lm=16 m=8 l=8",
+                                       "6 both abort times: N eta - m = 7 < N_under=8")
 
     def test_desk_decodes(self, monkeypatch):
         # Every EC decode of desk sessions 0..127 in both directions, as the
