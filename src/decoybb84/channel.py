@@ -23,6 +23,8 @@ Draws.  A session (``protocol.run_session``) makes every random draw from
 one numpy Generator seeded by ``rng_seed``, in this order; the order, sizes
 and dtypes are the contract that keeps seeded transcripts byte for byte.
 N' is the pulse count, A_0 the vacuum-decoy pulses, N the sifted key size.
+``protocol._transmit`` makes draws 1-8, through the functions named here,
+``protocol._check_bits`` draw 9 and ``protocol._correct_and_amplify`` draw 10.
 
 1. step 1, kinds: ``rng.random(N')``, float64, mapped by
    :func:`categorical` over ``p_bar``;

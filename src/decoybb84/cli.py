@@ -222,15 +222,14 @@ def cmd_simulate(args) -> int:
     sessions = []
     statuses = {"completed": 0, "aborted": 0}
     for trial in range(args.trials):
-        cfg.rng_seed = args.seed + trial
-        outcome = run_session(cfg, strategy)
+        outcome = run_session(dataclasses.replace(cfg, rng_seed=args.seed + trial), strategy)
         # Only trial 0's transcript is written, so only it is rendered.
         if args.transcript and trial == 0:
             with open(args.transcript, "w") as fh:
                 fh.write("\n".join(outcome.transcript) + "\n")
         statuses[outcome.status] += 1
         entry = {
-            "seed": cfg.rng_seed,
+            "seed": outcome.config.rng_seed,
             "status": outcome.status,
             "abort_step": outcome.abort_step,
             "abort_reason": outcome.abort_reason,

@@ -1,19 +1,18 @@
 """Seeded end-to-end simulation of the decoy-state BB84 session.
 
-One session walks the ten protocol steps: pulse-kind assignment over the
-2k+1 kinds (vacuum decoy, then the k source distributions in the x basis,
-then the same k in the + basis), transmission through a channel strategy,
-public announcements, check-bit sampling with both abort conditions,
-error-correction-rate and sacrifice-bit decisions (with the max/min key
-size clamps), then error correction and Toeplitz privacy amplification for
-each basis.  Both error-correction directions run through one
-``error_correct`` call; forward has Alice mask and Bob decode, reverse swaps
-the two roles.  Everything is driven by one numpy Generator seeded from the
-config, so a session is a pure function of (config, strategy, seed): the
-transcript of announcements is byte-identical across runs.  The session
-stores each announcement as its values; the text is rendered only when
-``SessionOutcome.transcript`` is read, so a session whose log nobody reads
-formats none of it.
+A session runs its phases in draw order: ``_transmit`` (step 1 and the
+channel, all private), ``_announce_detections`` (steps 2-3),
+``_check_bits`` (steps 4-5, once the step-4 counts suffice), ``decide_sizes``
+(step 6: the EC length, the sacrifice bits m, the N_bar clamp and the
+N_under abort, a pure function of the public D_initial and D_experimental)
+and ``_correct_and_amplify`` (steps 7-10, error correction then Toeplitz
+privacy amplification, once per basis).  Both error-correction directions
+run through one ``error_correct`` call; forward has Alice mask and Bob
+decode, reverse swaps the two roles.  Everything is driven by one numpy
+Generator seeded from the config, so a session is a pure function of
+(config, strategy, seed).  Each phase appends its announcements to one log
+as (step, party, render, args); the text is rendered only when
+``SessionOutcome.transcript`` is read, byte-identical across runs.
 
 Conventions the protocol text leaves open (documented assumptions):
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable
 
@@ -359,39 +358,35 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
 
 
 def _constant_m(m_rule) -> int | None:
-    """K for ``"constant:K"``, None for ``"initial-eve-info"``."""
+    """K >= 0 for ``"constant:K"``, None for ``"initial-eve-info"``."""
     if m_rule == "initial-eve-info":
         return None
     if isinstance(m_rule, str) and m_rule.startswith("constant:"):
         try:
-            return int(m_rule.split(":", 1)[1])
+            k = int(m_rule.split(":", 1)[1])
         except ValueError:
             pass
+        else:
+            if k < 0:
+                raise ValueError(f"m_rule {m_rule!r} needs K >= 0")
+            return k
     raise ValueError(f"unknown m_rule {m_rule!r}; "
                      "use 'initial-eve-info' or 'constant:K'")
 
 
 # ----------------------------------------------------------------------
-# The session.
+# The session: one function per phase, called in draw order.
+
+# Per basis, in the order steps 6-10 take them: its name, its check-bit tag,
+# its raw-key kind as i0 + k * offset, and its EC step (PA is the next).
+_BASES = (("plus", "+", 1, 7), ("times", "x", 0, 9))
 
 
-def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome:
-    rng = np.random.default_rng(cfg.rng_seed)
-    k = cfg.k
-    n_kinds = 2 * k + 1
-    i0x = cfg.i0            # raw-key kind, x basis
-    i0p = cfg.i0 + k        # raw-key kind, + basis
-
-    announcements: list[tuple] = []
-
-    def announce(step: int, who: str, render: Callable[..., str], *args):
-        # ``render(*args)`` runs only when the transcript is read, so args
-        # are values no later step changes: no array mutated later, no cfg.
-        announcements.append((step, who, render, args))
-
-    # Step 1: Alice draws kinds and photon classes; nothing is public yet.
+def _transmit(cfg: SessionConfig, strategy: ChannelStrategy, rng: np.random.Generator):
+    """Draws 1-8.  Returns kinds, labels ``cls + 3 * det``, phase flips,
+    the detected and common-basis masks, then Alice's and Bob's bits."""
+    k, n_kinds = cfg.k, 2 * cfg.k + 1
     kinds = categorical(cfg.p_bar, rng.random(cfg.n_prime))
-    a_counts = np.bincount(kinds, minlength=n_kinds)
     cls = np.zeros(cfg.n_prime, dtype=np.int8)  # VACUUM, SINGLE, MULTI = 0, 1, 2
     groups = [np.flatnonzero(kinds == kind) for kind in range(1, n_kinds)]
     for kind, pos, u in zip(range(1, n_kinds), groups, group_uniforms(rng, groups)):
@@ -413,131 +408,131 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     ud = rng.random(cfg.n_prime)
     flip_det = sig & (((bob_basis == TIMES) & (ud < cfg.p_s))
                       | ((bob_basis == PLUS) & (ud < cfg.p_s_tilde)))
-    bob_bits = bob_bits ^ flip_det.astype(np.int8)
+    return (kinds, cls + 3 * det, zflip, detected, common,
+            alice_bits, bob_bits ^ flip_det.astype(np.int8))
 
-    # Step 2: Alice announces the kinds.
-    announce(2, "alice", _say_kinds, kinds)
 
-    # Step 3: Bob announces detections, common-basis positions, counts.
+def _announce_detections(log: list, n_kinds: int, kinds, detected, common):
+    """Alice announces the kinds, Bob the detected and common-basis masks
+    and their counts per kind, which are returned."""
     c_counts = np.bincount(kinds[detected], minlength=n_kinds)
     e_counts = np.bincount(kinds[common], minlength=n_kinds)
-    announce(3, "bob", _say_mask, "detected", detected)
-    announce(3, "bob", _say_mask, "common", common)
-    announce(3, "bob", _say_counts, c_counts, e_counts)
+    log.extend([(2, "alice", _say_kinds, (kinds,)),
+                (3, "bob", _say_mask, ("detected", detected)),
+                (3, "bob", _say_mask, ("common", common)),
+                (3, "bob", _say_counts, (c_counts, e_counts))])
+    return c_counts, e_counts
 
-    truth: dict = {}
-    h_counts = np.zeros(n_kinds, dtype=np.int64)
-    d_i = DInitial(tuple(a_counts.tolist()), cfg.nus, cfg.p_s, strategy.p_dark)
-    d_i_tilde = DInitial(tuple(a_counts.tolist()), cfg.nus, cfg.p_s_tilde,
-                         strategy.p_dark)
 
-    def finish_abort(step: int, reason: str) -> SessionOutcome:
-        announce(step, "both", _say_abort, reason)
-        return SessionOutcome(
-            status="aborted", abort_step=step, abort_reason=reason,
-            plus=None, times=None,
-            experiment=DExperimental(tuple(c_counts.tolist()),
-                                     tuple(e_counts.tolist()),
-                                     tuple(h_counts.tolist())),
-            announcements=tuple(announcements), truth=truth, bounds_report={},
-            config=cfg, initial=d_i, initial_tilde=d_i_tilde)
-
-    # Step 4: check bits for the two raw-key kinds; abort if too few pulses.
-    if e_counts[i0x] <= cfg.n or e_counts[i0p] <= cfg.n:
-        return finish_abort(4, f"E_i0={int(e_counts[i0x])} "
-                               f"E_i0k={int(e_counts[i0p])} <= N={cfg.n}")
-
-    raw_positions: dict[int, np.ndarray] = {}
-    for kind, tag in ((i0x, "x"), (i0p, "+")):
+def _check_bits(cfg: SessionConfig, rng: np.random.Generator, log: list,
+                kinds, common, alice_bits, bob_bits):
+    """Draw 9: E - N check bits of each raw-key kind, x then +, then every
+    bit of the other kinds.  Returns the error counts per kind and each
+    basis's raw-key positions, in ``_BASES`` order."""
+    h_counts = np.zeros(2 * cfg.k + 1, dtype=np.int64)
+    raw = {}
+    for name, tag, offset, _ in reversed(_BASES):
+        kind = cfg.i0 + cfg.k * offset
         pos = np.flatnonzero(common & (kinds == kind))
-        n_check = len(pos) - cfg.n
-        chosen = np.sort(rng.choice(len(pos), size=n_check, replace=False))
+        chosen = np.sort(rng.choice(len(pos), size=len(pos) - cfg.n, replace=False))
         check_pos = pos[chosen]
-        keep = np.ones(len(pos), dtype=bool)
-        keep[chosen] = False
-        raw_positions[kind] = pos[keep]
-        errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
-        h_counts[kind] = errs
-        announce(4, "alice", _say_check_positions, tag, check_pos)
-        announce(4, "alice", _say_check_bits, tag, alice_bits, check_pos)
-        announce(4, "bob", _say_errors, kind, errs)
-
-    # Step 5: remaining kinds are fully announced on their common positions.
-    for kind in range(1, n_kinds):
-        if kind in (i0x, i0p):
-            continue
+        raw[name] = np.delete(pos, chosen)
+        h_counts[kind] = errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
+        log.extend([(4, "alice", _say_check_positions, (tag, check_pos)),
+                    (4, "alice", _say_check_bits, (tag, alice_bits, check_pos)),
+                    (4, "bob", _say_errors, (kind, errs))])
+    for kind in sorted(set(range(1, len(h_counts))) - {cfg.i0, cfg.i0 + cfg.k}):
         pos = np.flatnonzero(common & (kinds == kind))
-        errs = int((alice_bits[pos] != bob_bits[pos]).sum())
-        h_counts[kind] = errs
-        announce(5, "alice", _say_kind_bits, kind, alice_bits, pos)
-        announce(5, "bob", _say_kind_bits, kind, bob_bits, pos, errs)
+        h_counts[kind] = errs = int((alice_bits[pos] != bob_bits[pos]).sum())
+        log.extend([(5, "alice", _say_kind_bits, (kind, alice_bits, pos)),
+                    (5, "bob", _say_kind_bits, (kind, bob_bits, pos, errs))])
+    return h_counts, [raw[name] for name, *_ in _BASES]
 
-    experiment = DExperimental(tuple(c_counts.tolist()),
-                               tuple(e_counts.tolist()),
-                               tuple(h_counts.tolist()))
 
-    # Ground truth for the oracle/bounds tests: classify raw-key positions.
-    labels = cls + 3 * det
-    for kind, name in ((i0p, "plus"), (i0x, "times")):
-        pos = raw_positions[kind]
-        truth[name] = classify(labels[pos], zflip[pos])
-
-    # Step 6: error-correction rates, sacrifice sizes, aborts and clamps.
+def decide_sizes(cfg: SessionConfig, d_init: DInitial, d_init_tilde: DInitial,
+                 d_exp: DExperimental) -> tuple[list[BasisResult], str | None]:
+    """Step 6 from public data: per basis, + (reading ``d_init``) then x
+    (``d_init_tilde``), lm = floor(N eta(e)), m by ``cfg.m_rule`` and the
+    N_bar clamp.  Returns the bases decided and the reason the first with
+    under N_under key bits aborts, or None.  Of ``cfg`` it reads only the
+    public protocol parameters."""
     constant_m = _constant_m(cfg.m_rule)
-    results: dict[str, BasisResult] = {}
-    for kind, name, d_init in ((i0p, "plus", d_i), (i0x, "times", d_i_tilde)):
-        n_check = int(e_counts[kind]) - cfg.n
-        err = h_counts[kind] / n_check
+    results = []
+    for (name, _, offset, _), d_i in zip(_BASES, (d_init, d_init_tilde)):
+        kind = cfg.i0 + cfg.k * offset
+        err = d_exp.h[kind] / (d_exp.e[kind] - cfg.n)
         lm = math.floor(cfg.n * shannon_eta(err))
-        if constant_m is None:
-            m_bits = initial_eve_info_m_rule(cfg, d_init, experiment, name, lm)
-        else:
-            m_bits = max(0, constant_m)
-        clamped = False
+        m_bits = (initial_eve_info_m_rule(cfg, d_i, d_exp, name, lm)
+                  if constant_m is None else constant_m)
         if lm - m_bits < cfg.n_under:
-            return finish_abort(6, f"{name}: N eta - m = {lm - m_bits} "
-                                   f"< N_under={cfg.n_under}")
-        if lm - m_bits > cfg.n_bar:
+            return results, f"{name}: N eta - m = {lm - m_bits} < N_under={cfg.n_under}"
+        clamped = lm - m_bits > cfg.n_bar
+        if clamped:
             m_bits = lm - cfg.n_bar
-            clamped = True
-        announce(6, "both", _say_sizes, name, lm, m_bits, clamped)
-        results[name] = BasisResult(observed_error=float(err), lm=lm,
-                                    m=m_bits, length=lm - m_bits,
-                                    m_clamped=clamped)
+        results.append(BasisResult(observed_error=err, lm=lm, m=m_bits,
+                                   length=lm - m_bits, m_clamped=clamped))
+    return results, None
 
-    # Steps 7-10: error correction then privacy amplification, per basis.
-    # Forward EC: Alice masks and Bob decodes; reverse EC swaps the roles.
+
+def _correct_and_amplify(cfg: SessionConfig, rng: np.random.Generator, log: list,
+                         name: str, step: int, res: BasisResult, x_alice, x_bob):
+    """Draw 10 for one basis: EC at ``step``, PA at the next.  Fills in
+    the keys and EC success of ``res``."""
     sender, receiver = (("alice", "bob") if cfg.ec_direction == "forward"
                         else ("bob", "alice"))
-    for kind, name, step_ec, step_pa in ((i0p, "plus", 7, 8),
-                                         (i0x, "times", 9, 10)):
-        res = results[name]
-        pos = raw_positions[kind]
-        raw = {"alice": BitVector.from_bits(alice_bits[pos]),
-               "bob": BitVector.from_bits(bob_bits[pos])}
-        m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
-        announce(step_ec, "both", _say_code, name, m_e.row_bits)
-        z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng,
-                                         cfg.decode_guard)
-        announce(step_ec, sender, _say_word, name, "masked", masked.bits)
-        hash_fn = sample_seed(rng, res.length, res.m)
-        announce(step_pa, "both", _say_word, name, "pa-seed", hash_fn.seed.bits)
-        m_p = hash_fn.matrix()
-        seeds = {sender: z, receiver: z_hat}
-        res.alice_key = mat_vec_mul(m_p, seeds["alice"])
-        res.bob_key = mat_vec_mul(m_p, seeds["bob"])
-        res.ec_success = z_hat == z
+    raw = {"alice": BitVector.from_bits(x_alice), "bob": BitVector.from_bits(x_bob)}
+    m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
+    z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng, cfg.decode_guard)
+    hash_fn = sample_seed(rng, res.length, res.m)
+    log.extend([(step, "both", _say_code, (name, m_e.row_bits)),
+                (step, sender, _say_word, (name, "masked", masked.bits)),
+                (step + 1, "both", _say_word, (name, "pa-seed", hash_fn.seed.bits))])
+    m_p = hash_fn.matrix()
+    seeds = {sender: z, receiver: z_hat}
+    res.alice_key = mat_vec_mul(m_p, seeds["alice"])
+    res.bob_key = mat_vec_mul(m_p, seeds["bob"])
+    res.ec_success = z_hat == z
 
-    report = {
-        "plus": _basis_report(results["plus"], cfg, truth["plus"]),
-        "times": _basis_report(results["times"], cfg, truth["times"]),
-    }
+
+def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome:
+    rng = np.random.default_rng(cfg.rng_seed)
+    kinds, labels, zflip, detected, common, alice_bits, bob_bits = _transmit(cfg, strategy, rng)
+    log: list[tuple] = []  # (step, party, render, args), rendered when read
+    c_counts, e_counts = _announce_detections(log, 2 * cfg.k + 1, kinds, detected, common)
+    d_init = DInitial(tuple(np.bincount(kinds, minlength=2 * cfg.k + 1).tolist()),
+                      cfg.nus, cfg.p_s, strategy.p_dark)
+    d_init_tilde = replace(d_init, p_s=cfg.p_s_tilde)
+
+    e_x, e_p = int(e_counts[cfg.i0]), int(e_counts[cfg.i0 + cfg.k])
+    step, reason = 4, None
+    h_counts, raw, truth = np.zeros_like(c_counts), [], {}
+    if min(e_x, e_p) <= cfg.n:
+        reason = f"E_i0={e_x} E_i0k={e_p} <= N={cfg.n}"
+    else:
+        h_counts, raw = _check_bits(cfg, rng, log, kinds, common, alice_bits, bob_bits)
+        # Ground truth for the oracle/bounds tests: classify raw-key positions.
+        truth = {name: classify(labels[pos], zflip[pos]) for (name, *_), pos in zip(_BASES, raw)}
+    experiment = DExperimental(*(tuple(v.tolist()) for v in (c_counts, e_counts, h_counts)))
+    if reason is None:
+        step = 6
+        results, reason = decide_sizes(cfg, d_init, d_init_tilde, experiment)
+        log.extend((6, "both", _say_sizes, (name, res.lm, res.m, res.m_clamped))
+                   for (name, *_), res in zip(_BASES, results))
+    report = {}
+    if reason is None:
+        for (name, _, _, step_ec), res, pos in zip(_BASES, results, raw):
+            _correct_and_amplify(cfg, rng, log, name, step_ec, res,
+                                 alice_bits[pos], bob_bits[pos])
+            report[name] = _basis_report(res, cfg, truth[name])
+    else:
+        log.append((step, "both", _say_abort, (reason,)))
+        results = [None, None]
     return SessionOutcome(
-        status="completed", abort_step=None, abort_reason=None,
-        plus=results["plus"], times=results["times"],
-        experiment=experiment, announcements=tuple(announcements),
-        truth=truth, bounds_report=report, config=cfg,
-        initial=d_i, initial_tilde=d_i_tilde)
+        status="aborted" if reason else "completed",
+        abort_step=step if reason else None, abort_reason=reason,
+        plus=results[0], times=results[1], experiment=experiment,
+        announcements=tuple(log), truth=truth, bounds_report=report, config=cfg,
+        initial=d_init, initial_tilde=d_init_tilde)
 
 
 def _basis_report(res: BasisResult, cfg: SessionConfig,

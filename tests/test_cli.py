@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from decoybb84 import cli as cli_mod
 from decoybb84.channel import ChannelStrategy
 from decoybb84.cli import INPUT_FORMATS, build_parser, input_keys, load_input, main, \
     parse_key_values
@@ -292,6 +293,21 @@ class TestSimulate:
         for session in report["payload"]["sessions"]:
             assert session["keys_match"]
 
+    def test_each_outcome_keeps_its_trial_seed(self, session_files, tmp_path, monkeypatch):
+        # Trial i runs on a config of its own, so an outcome kept past its
+        # trial still reads seed --seed + i, not the last trial's.
+        cfg, strat = session_files
+        run, kept = cli_mod.run_session, []
+
+        def keep(config, strategy):
+            kept.append(run(config, strategy))
+            return kept[-1]
+
+        monkeypatch.setattr(cli_mod, "run_session", keep)
+        assert main(["--out", str(tmp_path / "r.txt"), "--seed", "5", "simulate",
+                     "--config", str(cfg), "--strategy", str(strat), "--trials", "3"]) == 0
+        assert [out.config.rng_seed for out in kept] == [5, 6, 7]
+
     def test_golden_bytes(self, session_files, tmp_path):
         cfg, strat = session_files
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -537,6 +553,8 @@ BAD_INPUTS = {
                          "i0 must be an integer, got 1.0"),
     "float-session-n": (SESSION_FLAG, SESSION_CONFIG.replace("n = 64\n", "n = 24.5\n"),
                         "n must be an integer, got 24.5"),
+    "negative-session-m_rule": (SESSION_FLAG, SESSION_CONFIG + 'm_rule = "constant:-3"\n',
+                                "m_rule 'constant:-3' needs K >= 0"),
     "half-session-p_s": (SESSION_FLAG, SESSION_CONFIG + "p_s = 0.6\n",
                          "p_s=0.6 must be below 1/2"),
     "half-session-p_s_tilde": (SESSION_FLAG, SESSION_CONFIG + "p_s_tilde = 0.5\n",

@@ -1,6 +1,7 @@
 """End-to-end session behavior: aborts, clamps, determinism, statistics."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ from decoybb84.decoy import (ObservedRates, SourceDistribution,
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
 from decoybb84.gf2 import BitVector, mat_vec_mul, solve, span_array
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
-                                decode_to_seed, error_correct,
+                                decide_sizes, decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
 from oracles import matrix_from_rows, min_distance_decode
@@ -558,6 +559,9 @@ class TestConfigFiles:
         cfg = single_photon_config(m_rule="constant:12")
         out = run_session(cfg, ChannelStrategy())
         assert out.completed and out.plus.m == 12
+        # A negative K would sacrifice no bits at all.
+        with pytest.raises(ValueError, match=r"^m_rule 'constant:-3' needs K >= 0$"):
+            single_photon_config(m_rule="constant:-3")
 
 
 def inline_m_rule(cfg, d_init, d_e, basis, lm):
@@ -890,6 +894,38 @@ class TestPinnedSessions:
         assert (out.abort_step, out.plus, out.times) == (6, None, None)
         assert out.transcript[-2:] == ("6 both plus lm=16 m=8 l=8",
                                        "6 both abort times: N eta - m = 7 < N_under=8")
+
+    def test_decide_sizes_replays_step_6(self):
+        # Step 6 from the outcome's public fields alone, with the config's
+        # private fields changed: every pinned session decides the same
+        # sizes, or aborts for the same reason after the same bases.
+        assert list(inspect.signature(decide_sizes).parameters) == \
+            ["cfg", "d_init", "d_init_tilde", "d_exp"]
+        sessions = ([(desk_config(seed), DESK_STRATEGY) for seed in PINNED_DESK_SESSIONS]
+                    + [(eleven_kind_config(seed), DESK_STRATEGY)
+                       for seed in PINNED_ELEVEN_KIND_SESSIONS]
+                    + [(EDGE_CASES[case][0](seed), EDGE_CASES[case][1])
+                       for case, seed in PINNED_EDGE_SESSIONS])
+        aborts = 0
+        for cfg, strategy in sessions:
+            out = run_session(cfg, strategy)
+            public = replace(out.config, rng_seed=out.config.rng_seed + 1, decode_guard=1)
+            results, reason = decide_sizes(public, out.initial, out.initial_tilde,
+                                           out.experiment)
+            sizes = [(r.observed_error, r.lm, r.m, r.length, r.m_clamped) for r in results]
+            if out.completed:
+                assert reason is None
+                assert sizes == [(r.observed_error, r.lm, r.m, r.length, r.m_clamped)
+                                 for r in (out.plus, out.times)]
+            else:
+                aborts += 1
+                assert (out.abort_step, reason) == (6, out.abort_reason)
+                decided = [line for line in out.transcript if line.startswith("6 both ")][:-1]
+                assert decided == [f"6 both {name} lm={lm} m={m} l={length}"
+                                   + (" clamped" if clamped else "")
+                                   for name, (_, lm, m, length, clamped)
+                                   in zip(("plus", "times"), sizes)]
+        assert (len(sessions), aborts) == (31, 2)
 
     def test_desk_decodes(self, monkeypatch):
         # Every EC decode of desk sessions 0..127 in both directions, as the
