@@ -231,7 +231,8 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
         raise ValueError("c1_dim - m must be >= 1")
     rng = rng or np.random.default_rng(0)
 
-    # Imported here: protocol imports this module.
+    # Imported here: protocol imports this module through decoy and rates,
+    # and perfbench's LAYER_MAP lists no second binder of the sampler.
     from .protocol import random_full_rank_matrix
     m_e = random_full_rank_matrix(rng, n, c1_dim)
     seeds = np.arange(1 << (c1_dim - 1))

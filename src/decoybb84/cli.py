@@ -38,16 +38,20 @@ EXIT_USAGE = 2
 ORACLE_TOLERANCE = 1e-9
 
 
-def _write_report(args, report: dict) -> None:
-    text = to_json(report) if args.format == "json" else to_text(report)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc}") from exc
-    else:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is no path."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_report(args, report: dict) -> None:
+    _write(args.out, to_json(report) if args.format == "json" else to_text(report))
 
 
 def _load(path: str) -> str:
@@ -214,6 +218,42 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _session_entry(outcome) -> dict:
+    """A ``simulate`` report's entry for one session.  A completed session
+    adds each basis's sizes and EC result, and the exact bound its realized
+    classification ``outcome.truth`` gives, which the parties never see."""
+    entry = {
+        "seed": outcome.config.rng_seed,
+        "status": outcome.status,
+        "abort_step": outcome.abort_step,
+        "abort_reason": outcome.abort_reason,
+    }
+    if not outcome.completed:
+        return entry
+    cfg = outcome.config
+    entry["keys_match"] = outcome.keys_match()
+    for name in ("plus", "times"):
+        res, truth = getattr(outcome, name), outcome.truth[name]
+        j = truth.j_tuple()
+        entry[name] = {
+            "observed_error": res.observed_error,
+            "eta": rates_mod.shannon_eta(res.observed_error),
+            "lm": res.lm,
+            "m": res.m,
+            "length": res.length,
+            "m_clamped": res.m_clamped,
+            "length_within_window": cfg.n_under <= res.length <= cfg.n_bar,
+            "ec_success": res.ec_success,
+            "truth_phase_error_bound": bounds_mod.min_decoding_bound(
+                truth.j1, bounds_mod.k2_count(j, cfg.ec_direction), truth.t, res.m),
+            "truth_twoway_bound": bounds_mod.min_decoding_bound(
+                truth.j1, bounds_mod.k2_count(j, "twoway"), truth.t, res.m),
+        }
+    entry["plus_key"] = str(outcome.plus.alice_key)
+    entry["times_key"] = str(outcome.times.alice_key)
+    return entry
+
+
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -225,24 +265,9 @@ def cmd_simulate(args) -> int:
         outcome = run_session(dataclasses.replace(cfg, rng_seed=args.seed + trial), strategy)
         # Only trial 0's transcript is written, so only it is rendered.
         if args.transcript and trial == 0:
-            with open(args.transcript, "w") as fh:
-                fh.write("\n".join(outcome.transcript) + "\n")
+            _write(args.transcript, "\n".join(outcome.transcript) + "\n")
         statuses[outcome.status] += 1
-        entry = {
-            "seed": outcome.config.rng_seed,
-            "status": outcome.status,
-            "abort_step": outcome.abort_step,
-            "abort_reason": outcome.abort_reason,
-        }
-        if outcome.completed:
-            entry.update({
-                "keys_match": outcome.keys_match(),
-                "plus": outcome.bounds_report["plus"],
-                "times": outcome.bounds_report["times"],
-                "plus_key": str(outcome.plus.alice_key),
-                "times_key": str(outcome.times.alice_key),
-            })
-        sessions.append(entry)
+        sessions.append(_session_entry(outcome))
     payload = {
         "trials": args.trials,
         "statuses": statuses,

@@ -129,8 +129,7 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
     if denom <= 0.0:
         return Estimate(0.0, q1_raw < 0.0), Estimate(0.0, True)
     r1_raw = s_num / denom
-    if obs.p_s > 0.0:
-        r1_raw = _detector_corrected(r1_raw, obs.p_s)
+    r1_raw = _detector_corrected(r1_raw, obs.p_s)
     q1, cq = _clamp01(q1_raw)
     r1, cr = _clamp01(r1_raw)
     return Estimate(q1, cq), Estimate(r1, cr)
@@ -164,8 +163,7 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
     den_min = _x_balance(nu, obs, 1.0)[1]
 
     r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
-    if obs.p_s > 0.0:
-        r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
+    r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
     r1_min_tilde, c = _clamp01(r1_min_raw)
     clamped |= c
     q1_max, c = _clamp01(q1_max_raw)
@@ -231,8 +229,7 @@ def _key_term_corner(nu: SourceDistribution, obs: ObservedRates
         # No single-photon credit survives the worst case.
         return 0.0, 1.0, True
     r1_raw = s_num / den
-    if obs.p_s > 0.0:
-        r1_raw = _detector_corrected(r1_raw, obs.p_s)
+    r1_raw = _detector_corrected(r1_raw, obs.p_s)
     r1, cr = _clamp01(r1_raw)
     q1, cq = _clamp01(q1_raw)
     return q1, r1, cr or cq

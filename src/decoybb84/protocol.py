@@ -14,6 +14,11 @@ Generator seeded from the config, so a session is a pure function of
 as (step, party, render, args); the text is rendered only when
 ``SessionOutcome.transcript`` is read, byte-identical across runs.
 
+The outcome also carries ``truth``, the realized classification of each
+basis's raw key.  The parties never see it, and no bound is computed here:
+the exact bound it gives is the analyst's, built by the caller that reports
+it (``cli``'s ``simulate`` entry).
+
 Conventions the protocol text leaves open (documented assumptions):
 
 * the receiver measures each detected pulse in a uniformly random basis,
@@ -40,9 +45,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .bounds import k2_count, min_decoding_bound
 from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
-                      ClassCounts, apply_bit_errors, categorical, classify, group_uniforms,
+                      apply_bit_errors, categorical, classify, group_uniforms,
                       sample_detection, sample_flips, uniform_mask)
 from .decoy import ObservedRates, SourceDistribution, minimize_key_term
 from .errors import (CapacityError, DimensionMismatch, InfeasibleObservation, check_flip_rate,
@@ -148,10 +152,9 @@ class SessionOutcome:
     announcements: tuple[tuple[int, str, Callable[..., str], tuple], ...] = \
         field(repr=False, compare=False)
     truth: dict
-    bounds_report: dict
     config: SessionConfig
-    initial: DInitial | None = None
-    initial_tilde: DInitial | None = None
+    initial: DInitial
+    initial_tilde: DInitial
 
     @property
     def transcript(self) -> tuple[str, ...]:
@@ -173,25 +176,8 @@ def _hexbits(bits: np.ndarray) -> str:
     return np.packbits(bits.astype(np.uint8)).tobytes().hex()
 
 
-def _comma_list(values: np.ndarray) -> str:
-    """``",".join(map(str, values))`` for nonnegative ints, with no str() per
-    value: each value's digits fill one fixed-width row of a uint8 buffer
-    ending in a comma, and the leading zeros are dropped.  The digits come
-    last first, by one division by 10 per column, in the narrowest unsigned
-    type that holds the largest value."""
-    values = np.asarray(values)
-    top = int(values.max(initial=0))
-    rest = values.astype(np.min_scalar_type(top))
-    width = len(str(top))
-    text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
-    for j in range(width - 1, -1, -1):
-        quot = rest // 10
-        text[:, j] = rest - quot * 10 + ord("0")
-        if j:
-            keep[:, j - 1] = quot != 0  # a leading zero unless more digits follow
-        rest = quot
-    return text[keep].tobytes()[:-1].decode("ascii")
+def _ints(values: np.ndarray) -> str:
+    return ",".join(map(str, values.tolist()))
 
 
 # Payload renderers, one per kind of announcement.  They run only when a
@@ -200,7 +186,7 @@ def _comma_list(values: np.ndarray) -> str:
 
 
 def _say_kinds(kinds):
-    return "kinds " + _comma_list(kinds)
+    return "kinds " + _ints(kinds)
 
 
 def _say_mask(label, mask):
@@ -208,7 +194,7 @@ def _say_mask(label, mask):
 
 
 def _say_counts(c, e):
-    return "counts C=" + ",".join(map(str, c.tolist())) + " E=" + ",".join(map(str, e.tolist()))
+    return f"counts C={_ints(c)} E={_ints(e)}"
 
 
 def _say_abort(reason):
@@ -216,7 +202,7 @@ def _say_abort(reason):
 
 
 def _say_check_positions(tag, at):
-    return f"check-{tag} positions " + _comma_list(at)
+    return f"check-{tag} positions " + _ints(at)
 
 
 def _say_check_bits(tag, bits, at):
@@ -449,13 +435,24 @@ def _check_bits(cfg: SessionConfig, rng: np.random.Generator, log: list,
     return h_counts, [raw[name] for name, *_ in _BASES]
 
 
+def _step4_abort(cfg: SessionConfig, e_counts) -> str | None:
+    """Why step 4 aborts, or None when both raw-key kinds have more than N
+    common-basis pulses, which leaves E - N > 0 check bits each."""
+    e_x, e_p = int(e_counts[cfg.i0]), int(e_counts[cfg.i0 + cfg.k])
+    return f"E_i0={e_x} E_i0k={e_p} <= N={cfg.n}" if min(e_x, e_p) <= cfg.n else None
+
+
 def decide_sizes(cfg: SessionConfig, d_init: DInitial, d_init_tilde: DInitial,
                  d_exp: DExperimental) -> tuple[list[BasisResult], str | None]:
     """Step 6 from public data: per basis, + (reading ``d_init``) then x
     (``d_init_tilde``), lm = floor(N eta(e)), m by ``cfg.m_rule`` and the
     N_bar clamp.  Returns the bases decided and the reason the first with
     under N_under key bits aborts, or None.  Of ``cfg`` it reads only the
-    public protocol parameters."""
+    public protocol parameters.  Data of a session that aborted at step 4
+    raise ``ValueError`` with the step-4 reason."""
+    step4 = _step4_abort(cfg, d_exp.e)
+    if step4 is not None:
+        raise ValueError(f"step 4 aborted: {step4}")
     constant_m = _constant_m(cfg.m_rule)
     results = []
     for (name, _, offset, _), d_i in zip(_BASES, (d_init, d_init_tilde)):
@@ -503,12 +500,9 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
                       cfg.nus, cfg.p_s, strategy.p_dark)
     d_init_tilde = replace(d_init, p_s=cfg.p_s_tilde)
 
-    e_x, e_p = int(e_counts[cfg.i0]), int(e_counts[cfg.i0 + cfg.k])
-    step, reason = 4, None
+    step, reason = 4, _step4_abort(cfg, e_counts)
     h_counts, raw, truth = np.zeros_like(c_counts), [], {}
-    if min(e_x, e_p) <= cfg.n:
-        reason = f"E_i0={e_x} E_i0k={e_p} <= N={cfg.n}"
-    else:
+    if reason is None:
         h_counts, raw = _check_bits(cfg, rng, log, kinds, common, alice_bits, bob_bits)
         # Ground truth for the oracle/bounds tests: classify raw-key positions.
         truth = {name: classify(labels[pos], zflip[pos]) for (name, *_), pos in zip(_BASES, raw)}
@@ -518,12 +512,10 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         results, reason = decide_sizes(cfg, d_init, d_init_tilde, experiment)
         log.extend((6, "both", _say_sizes, (name, res.lm, res.m, res.m_clamped))
                    for (name, *_), res in zip(_BASES, results))
-    report = {}
     if reason is None:
         for (name, _, _, step_ec), res, pos in zip(_BASES, results, raw):
             _correct_and_amplify(cfg, rng, log, name, step_ec, res,
                                  alice_bits[pos], bob_bits[pos])
-            report[name] = _basis_report(res, cfg, truth[name])
     else:
         log.append((step, "both", _say_abort, (reason,)))
         results = [None, None]
@@ -531,25 +523,6 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         status="aborted" if reason else "completed",
         abort_step=step if reason else None, abort_reason=reason,
         plus=results[0], times=results[1], experiment=experiment,
-        announcements=tuple(log), truth=truth, bounds_report=report, config=cfg,
+        announcements=tuple(log), truth=truth, config=cfg,
         initial=d_init, initial_tilde=d_init_tilde)
 
-
-def _basis_report(res: BasisResult, cfg: SessionConfig,
-                  truth: ClassCounts) -> dict:
-    # Simulator-side ground truth lets analyses attach the exact bound the
-    # realized classification would give; the parties never see these.
-    return {
-        "observed_error": res.observed_error,
-        "eta": shannon_eta(res.observed_error),
-        "lm": res.lm,
-        "m": res.m,
-        "length": res.length,
-        "m_clamped": res.m_clamped,
-        "length_within_window": cfg.n_under <= res.length <= cfg.n_bar,
-        "ec_success": res.ec_success,
-        "truth_phase_error_bound": min_decoding_bound(
-            truth.j1, k2_count(truth.j_tuple(), cfg.ec_direction), truth.t, res.m),
-        "truth_twoway_bound": min_decoding_bound(
-            truth.j1, k2_count(truth.j_tuple(), "twoway"), truth.t, res.m),
-    }

@@ -5,13 +5,17 @@ digest of the canonical payload JSON.  Identical manifests therefore imply
 byte-identical reports, which the golden-file tests rely on.  Reports are
 strict JSON: a NaN or infinite value raises ``ValueError`` instead of being
 written as a non-standard token.
+
+A payload holds plain values only: dicts, lists, tuples, strings, ints,
+floats, bools, None, and ``Fraction``s, written as ``{"num", "den"}``.
+Anything else, a numpy scalar or array included, raises ``TypeError``
+naming its type; the caller converts its values before reporting them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 SCHEMA = "decoybb84/report-v1"
@@ -19,45 +23,31 @@ TOOL_VERSION = "0.1.0"
 
 
 def _canonical(obj):
-    """JSON-safe deep copy with deterministic ordering-friendly types."""
+    """JSON-ready deep copy of a payload of plain values and ``Fraction``s."""
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, float):
-        return obj
-    if hasattr(obj, "__dict__"):
-        return _canonical(vars(obj))
-    return str(obj)
+    raise TypeError(f"a report holds plain values only, not {type(obj).__name__}")
 
 
 def payload_digest(payload: dict) -> str:
-    blob = json.dumps(_canonical(payload), sort_keys=True, allow_nan=False,
+    """SHA-256 of a canonical payload's compact, key-sorted JSON."""
+    blob = json.dumps(payload, sort_keys=True, allow_nan=False,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    seed: int | None
-    config_paths: tuple[str, ...]
-    tool_version: str
-    digest: str
 
 
 def build_report(command: str, payload: dict, seed: int | None = None,
                  config_paths: tuple[str, ...] = ()) -> dict:
     payload = _canonical(payload)
-    manifest = RunManifest(command=command, seed=seed,
-                           config_paths=tuple(config_paths),
-                           tool_version=TOOL_VERSION,
-                           digest=payload_digest(payload))
-    return {"schema": SCHEMA, "manifest": _canonical(manifest), "payload": payload}
+    manifest = {"command": command, "seed": seed, "config_paths": list(config_paths),
+                "tool_version": TOOL_VERSION, "digest": payload_digest(payload)}
+    return {"schema": SCHEMA, "manifest": manifest, "payload": payload}
 
 
 def to_json(report: dict) -> str:

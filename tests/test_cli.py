@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from decoybb84 import cli as cli_mod
@@ -625,6 +626,17 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_unwritable_transcript_exit_2(session_files, tmp_path, capsys):
+    # The transcript goes through the report's writer, with the same error.
+    cfg, strat = session_files
+    log = tmp_path / "no" / "such" / "dir" / "t.log"
+    assert main(["simulate", "--config", str(cfg), "--strategy", str(strat),
+                 "--transcript", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {log}") and err.count("\n") == 1
+    assert out == "" and not log.parent.exists()
+
+
 class TestEstimateDecoy:
     def test_round_trip_recovers_truth(self, tmp_path):
         path = tmp_path / "obs.json"
@@ -778,6 +790,14 @@ class TestManifest:
             build_report("rates", {"bad": value})
         with pytest.raises(ValueError):
             to_json(report)
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.bool_(True), np.array([1, 2]), object()],
+                             ids=["int64", "bool_", "array", "object"])
+    def test_non_plain_value_rejected(self, value):
+        # Only plain values are reported; the caller converts a numpy one.
+        from decoybb84.reports import build_report
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            build_report("rates", {"rows": [{"bad": value}]})
 
 
 class TestPinnedReports:

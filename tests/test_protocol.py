@@ -17,13 +17,12 @@ import decoybb84.protocol as protocol_mod
 from decoybb84 import gf2, kernels
 from decoybb84.bounds import hbar
 from decoybb84.channel import ChannelStrategy
-from decoybb84.cli import input_keys, load_input, parse_key_values
+from decoybb84.cli import _session_entry, input_keys, load_input, parse_key_values
 from decoybb84.decoy import (ObservedRates, SourceDistribution,
                              estimate_interval_symmetric, estimate_vacuum_single)
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
 from decoybb84.gf2 import BitVector, mat_vec_mul, solve, span_array
-from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, _comma_list,
-                                decide_sizes, decode_to_seed, error_correct,
+from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, decide_sizes, decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
 from oracles import matrix_from_rows, min_distance_decode
@@ -680,28 +679,13 @@ class TestTranscriptAndReport:
 
     def test_truth_bounds_attached(self):
         out = run_session(single_photon_config(), ChannelStrategy())
+        entry = _session_entry(out)
         for name in ("plus", "times"):
-            rep = out.bounds_report[name]
+            rep = entry[name]
             assert 0.0 < rep["truth_phase_error_bound"] <= 1.0
             assert rep["truth_phase_error_bound"] <= \
                 rep["truth_twoway_bound"] + 1e-15
             assert rep["length_within_window"]
-
-
-class TestCommaList:
-    @pytest.mark.parametrize("values", [
-        [], [0], [7], [9, 10], [10, 9], [99, 100, 0], [999, 1000, 1], [0, 0, 0],
-        [10 ** 18, 9, 0], list(range(1012)), [4, 10, 0, 10, 2]])
-    def test_matches_join(self, values):
-        arr = np.array(values, dtype=np.int64)
-        assert _comma_list(arr) == ",".join(map(str, values))
-
-    def test_random_values(self):
-        rng = np.random.default_rng(11)
-        for size in (1, 2, 17, 500, 4000):
-            for top in (3, 11, 1000, 10 ** 7):
-                v = rng.integers(0, top + 1, size=size)
-                assert _comma_list(v) == ",".join(map(str, v.tolist()))
 
 
 class TestPhaseTruth:
@@ -847,7 +831,7 @@ class TestPinnedSessions:
         def refuse(_):
             raise AssertionError("rendered")
 
-        monkeypatch.setattr(protocol_mod, "_comma_list", refuse)
+        monkeypatch.setattr(protocol_mod, "_ints", refuse)
         monkeypatch.setattr(protocol_mod, "_hexbits", refuse)
         out = run_session(desk_config(0), DESK_STRATEGY)
         with pytest.raises(AssertionError, match="rendered"):
@@ -926,6 +910,22 @@ class TestPinnedSessions:
                                    for name, (_, lm, m, length, clamped)
                                    in zip(("plus", "times"), sizes)]
         assert (len(sessions), aborts) == (31, 2)
+
+    def test_decide_sizes_refuses_step_4_abort(self):
+        # Seed 0 with N' = 60 aborts at step 4; its public data decide nothing.
+        out = run_session(replace(desk_config(0), n_prime=60), DESK_STRATEGY)
+        assert (out.abort_step, out.abort_reason) == (4, "E_i0=3 E_i0k=7 <= N=24")
+        with pytest.raises(ValueError, match="^step 4 aborted: E_i0=3 E_i0k=7 <= N=24$"):
+            decide_sizes(out.config, out.initial, out.initial_tilde, out.experiment)
+
+    def test_decide_sizes_refuses_e_equal_to_n(self):
+        # E = N leaves no check bit to estimate the error rate from.
+        out = run_session(desk_config(0), DESK_STRATEGY)
+        e = list(out.experiment.e)
+        e[1] = 24
+        with pytest.raises(ValueError, match=f"E_i0=24 E_i0k={e[2]} <= N=24"):
+            decide_sizes(out.config, out.initial, out.initial_tilde,
+                         replace(out.experiment, e=tuple(e)))
 
     def test_desk_decodes(self, monkeypatch):
         # Every EC decode of desk sessions 0..127 in both directions, as the
