@@ -11,7 +11,8 @@ run through one ``error_correct`` call; forward has Alice mask and Bob
 decode, reverse swaps the two roles.  Everything is driven by one numpy
 Generator seeded from the config, so a session is a pure function of
 (config, strategy, seed).  Each phase appends its announcements to one log
-as (step, party, render, args); the text is rendered only when
+as (step, party, template, args), the template a ``str.format`` string of
+the line's payload; the text is rendered only when
 ``SessionOutcome.transcript`` is read, byte-identical across runs.
 
 The outcome also carries ``truth``, the realized classification of each
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import string
 from dataclasses import dataclass, field, replace
 from numbers import Integral
-from typing import Callable
 
 import numpy as np
 
@@ -147,10 +148,10 @@ class SessionOutcome:
     plus: BasisResult | None
     times: BasisResult | None
     experiment: DExperimental | None
-    # (step, party, render, args): each line of the log is
-    # f"{step} {party} {render(*args)}", with args bound at announce time.
-    announcements: tuple[tuple[int, str, Callable[..., str], tuple], ...] = \
-        field(repr=False, compare=False)
+    # (step, party, template, args): each line of the log is
+    # f"{step} {party} " + _PAYLOAD.format(template, *args), with args bound
+    # at announce time.
+    announcements: tuple[tuple[int, str, str, tuple], ...] = field(repr=False, compare=False)
     truth: dict
     config: SessionConfig
     initial: DInitial
@@ -159,8 +160,8 @@ class SessionOutcome:
     @property
     def transcript(self) -> tuple[str, ...]:
         """The public announcements, one line each, rendered on every read."""
-        return tuple(f"{step} {who} {render(*args)}"
-                     for step, who, render, args in self.announcements)
+        return tuple(f"{step} {who} " + _PAYLOAD.format(template, *args)
+                     for step, who, template, args in self.announcements)
 
     @property
     def completed(self) -> bool:
@@ -180,55 +181,25 @@ def _ints(values: np.ndarray) -> str:
     return ",".join(map(str, values.tolist()))
 
 
-# Payload renderers, one per kind of announcement.  They run only when a
-# transcript is read, on the values bound at announce time; being module
-# functions, they close over nothing of a session and pickle by name.
+class _Payload(string.Formatter):
+    """Renders a log entry's payload template when a transcript is read.
+
+    Spec ``ints`` joins an integer array, ``bits`` packs a bit array, or
+    ``bits[at]`` of a pair ``(bits, at)``, to hex, and ``code`` digests the
+    rows of an EC code; any other spec is ``format``'s."""
+
+    def format_field(self, value, spec):
+        if spec == "ints":
+            return _ints(value)
+        if spec == "bits":
+            return _hexbits(value[0][value[1]] if isinstance(value, tuple) else value)
+        if spec == "code":
+            rows = b"".join(r.to_bytes(16, "little") for r in value)
+            return hashlib.sha256(rows).hexdigest()[:16]
+        return format(value, spec)
 
 
-def _say_kinds(kinds):
-    return "kinds " + _ints(kinds)
-
-
-def _say_mask(label, mask):
-    return f"{label} " + _hexbits(mask)
-
-
-def _say_counts(c, e):
-    return f"counts C={_ints(c)} E={_ints(e)}"
-
-
-def _say_abort(reason):
-    return f"abort {reason}"
-
-
-def _say_check_positions(tag, at):
-    return f"check-{tag} positions " + _ints(at)
-
-
-def _say_check_bits(tag, bits, at):
-    return f"check-{tag} bits " + _hexbits(bits[at])
-
-
-def _say_errors(kind, errs):
-    return f"H[{kind}]={errs}"
-
-
-def _say_kind_bits(kind, bits, at, errs=None):
-    text = f"bits kind={kind} " + _hexbits(bits[at])
-    return text if errs is None else text + " " + _say_errors(kind, errs)
-
-
-def _say_sizes(name, lm, m, clamped):
-    return f"{name} lm={lm} m={m} l={lm - m}" + (" clamped" if clamped else "")
-
-
-def _say_code(name, rows):
-    digest = hashlib.sha256(b"".join(r.to_bytes(16, "little") for r in rows)).hexdigest()
-    return f"{name} code " + digest[:16]
-
-
-def _say_word(name, label, bits):
-    return f"{name} {label} " + format(bits, "x")
+_PAYLOAD = _Payload()
 
 
 def random_full_rank_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
@@ -278,12 +249,9 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
             unit[low.bit_length() - 1] |= 1 << k
             h ^= low
     errors = kernels.least_weight_errors(unit, syndrome, 1 << lm)
-    if errors is None:
-        # Word z of the span of M_e's columns is M_e z, so its index is the seed.
-        words = span_array(m_e.transpose().row_bits)
-        return BitVector(lm, kernels.nearest_index(words, received.bits, n))
-    nearest = errors ^ np.uint64(received.bits)
-    word = int(nearest[kernels.nearest_index(nearest, received.bits, n)])
+    words = (span_array(m_e.transpose().row_bits) if errors is None
+             else errors ^ np.uint64(received.bits))
+    word = int(words[kernels.nearest_index(words, received.bits, n)])
     return BitVector(lm, _preimage(pivots, lm, word))
 
 
@@ -403,10 +371,10 @@ def _announce_detections(log: list, n_kinds: int, kinds, detected, common):
     and their counts per kind, which are returned."""
     c_counts = np.bincount(kinds[detected], minlength=n_kinds)
     e_counts = np.bincount(kinds[common], minlength=n_kinds)
-    log.extend([(2, "alice", _say_kinds, (kinds,)),
-                (3, "bob", _say_mask, ("detected", detected)),
-                (3, "bob", _say_mask, ("common", common)),
-                (3, "bob", _say_counts, (c_counts, e_counts))])
+    log.extend([(2, "alice", "kinds {:ints}", (kinds,)),
+                (3, "bob", "detected {:bits}", (detected,)),
+                (3, "bob", "common {:bits}", (common,)),
+                (3, "bob", "counts C={:ints} E={:ints}", (c_counts, e_counts))])
     return c_counts, e_counts
 
 
@@ -424,14 +392,15 @@ def _check_bits(cfg: SessionConfig, rng: np.random.Generator, log: list,
         check_pos = pos[chosen]
         raw[name] = np.delete(pos, chosen)
         h_counts[kind] = errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
-        log.extend([(4, "alice", _say_check_positions, (tag, check_pos)),
-                    (4, "alice", _say_check_bits, (tag, alice_bits, check_pos)),
-                    (4, "bob", _say_errors, (kind, errs))])
+        log.extend([(4, "alice", "check-{} positions {:ints}", (tag, check_pos)),
+                    (4, "alice", "check-{} bits {:bits}", (tag, (alice_bits, check_pos))),
+                    (4, "bob", "H[{}]={}", (kind, errs))])
     for kind in sorted(set(range(1, len(h_counts))) - {cfg.i0, cfg.i0 + cfg.k}):
         pos = np.flatnonzero(common & (kinds == kind))
         h_counts[kind] = errs = int((alice_bits[pos] != bob_bits[pos]).sum())
-        log.extend([(5, "alice", _say_kind_bits, (kind, alice_bits, pos)),
-                    (5, "bob", _say_kind_bits, (kind, bob_bits, pos, errs))])
+        log.extend([(5, "alice", "bits kind={} {:bits}", (kind, (alice_bits, pos))),
+                    (5, "bob", "bits kind={0} {1:bits} H[{0}]={2}",
+                     (kind, (bob_bits, pos), errs))])
     return h_counts, [raw[name] for name, *_ in _BASES]
 
 
@@ -481,9 +450,9 @@ def _correct_and_amplify(cfg: SessionConfig, rng: np.random.Generator, log: list
     m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
     z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng, cfg.decode_guard)
     hash_fn = sample_seed(rng, res.length, res.m)
-    log.extend([(step, "both", _say_code, (name, m_e.row_bits)),
-                (step, sender, _say_word, (name, "masked", masked.bits)),
-                (step + 1, "both", _say_word, (name, "pa-seed", hash_fn.seed.bits))])
+    log.extend([(step, "both", "{} code {:code}", (name, m_e.row_bits)),
+                (step, sender, "{} masked {:x}", (name, masked.bits)),
+                (step + 1, "both", "{} pa-seed {:x}", (name, hash_fn.seed.bits))])
     m_p = hash_fn.matrix()
     seeds = {sender: z, receiver: z_hat}
     res.alice_key = mat_vec_mul(m_p, seeds["alice"])
@@ -494,7 +463,7 @@ def _correct_and_amplify(cfg: SessionConfig, rng: np.random.Generator, log: list
 def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome:
     rng = np.random.default_rng(cfg.rng_seed)
     kinds, labels, zflip, detected, common, alice_bits, bob_bits = _transmit(cfg, strategy, rng)
-    log: list[tuple] = []  # (step, party, render, args), rendered when read
+    log: list[tuple] = []  # (step, party, template, args), rendered when read
     c_counts, e_counts = _announce_detections(log, 2 * cfg.k + 1, kinds, detected, common)
     d_init = DInitial(tuple(np.bincount(kinds, minlength=2 * cfg.k + 1).tolist()),
                       cfg.nus, cfg.p_s, strategy.p_dark)
@@ -510,14 +479,15 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     if reason is None:
         step = 6
         results, reason = decide_sizes(cfg, d_init, d_init_tilde, experiment)
-        log.extend((6, "both", _say_sizes, (name, res.lm, res.m, res.m_clamped))
+        log.extend((6, "both", "{} lm={} m={} l={}" + (" clamped" if res.m_clamped else ""),
+                    (name, res.lm, res.m, res.length))
                    for (name, *_), res in zip(_BASES, results))
     if reason is None:
         for (name, _, _, step_ec), res, pos in zip(_BASES, results, raw):
             _correct_and_amplify(cfg, rng, log, name, step_ec, res,
                                  alice_bits[pos], bob_bits[pos])
     else:
-        log.append((step, "both", _say_abort, (reason,)))
+        log.append((step, "both", "abort {}", (reason,)))
         results = [None, None]
     return SessionOutcome(
         status="aborted" if reason else "completed",

@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import astuple, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -664,18 +666,51 @@ class TestInitialEveInfoRule:
         assert seen == {(True, True), (True, False), (False, True), (False, False), "raised"}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# What each placeholder of the README's transcript grammar matches.
+GRAMMAR_FIELDS = {
+    "ints": r"\d+(?:,\d+)*", "bits": r"(?:[0-9a-f]{2})*", "tag": r"[x+]",
+    "kind": r"\d+", "count": r"\d+", "basis": "plus|times", "ec": "7|9", "pa": "8|10",
+    "sender": "alice|bob", "code": "[0-9a-f]{16}", "word": "0|[1-9a-f][0-9a-f]*",
+    "abort": "4|6", "reason": ".+",
+}
+
+
+def readme_grammar() -> dict:
+    """Each line shape of the README's transcript grammar block, as a regex."""
+    section = README.read_text().split("### Transcript grammar\n", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    return {shape: re.compile("".join(
+        f"(?:{GRAMMAR_FIELDS[part[1:-1]]})" if part.startswith("<") else re.escape(part)
+        for part in re.split(r"(<[a-z]+>)", shape)))
+        for shape in block.splitlines()}
+
+
 class TestTranscriptAndReport:
     def test_transcript_grammar(self):
-        import re
-        out = run_session(single_photon_config(), ChannelStrategy())
-        line_re = re.compile(r"^(\d+) (alice|bob|both) \S.*$")
-        steps = []
-        for line in out.transcript:
-            match = line_re.match(line)
-            assert match, line
-            steps.append(int(match.group(1)))
-        assert steps == sorted(steps)  # announcements in protocol order
-        assert set(steps) >= {2, 3, 4, 6, 7, 8, 9, 10}
+        # Every line of the pinned sessions, of a step-4 abort, a clamp and
+        # a reverse EC has exactly one README shape, and every shape occurs.
+        runs = [(single_photon_config(), ChannelStrategy())]
+        runs += [(desk_config(seed), DESK_STRATEGY) for seed in PINNED_DESK_SESSIONS]
+        runs += [(eleven_kind_config(seed), DESK_STRATEGY)
+                 for seed in PINNED_ELEVEN_KIND_SESSIONS]
+        runs += [(EDGE_CASES[case][0](seed), EDGE_CASES[case][1])
+                 for case, seed in PINNED_EDGE_SESSIONS]
+        runs += [(replace(desk_config(0), **change), DESK_STRATEGY)
+                 for change in ({"n_prime": 60}, {"n_bar": 4}, {"ec_direction": "reverse"})]
+        shapes = readme_grammar()
+        seen, session_steps = set(), []
+        for cfg, strategy in runs:
+            transcript = run_session(cfg, strategy).transcript
+            for line in transcript:
+                matched = [shape for shape, regex in shapes.items() if regex.fullmatch(line)]
+                assert len(matched) == 1, (line, matched)
+                seen.update(matched)
+            session_steps.append([int(line.split(" ", 1)[0]) for line in transcript])
+        assert seen == set(shapes)
+        assert all(steps == sorted(steps) for steps in session_steps)  # protocol order
+        assert set(session_steps[0]) >= {2, 3, 4, 6, 7, 8, 9, 10}
 
     def test_truth_bounds_attached(self):
         out = run_session(single_photon_config(), ChannelStrategy())
@@ -827,12 +862,14 @@ class TestPinnedSessions:
 
     def test_session_renders_no_announcement(self, monkeypatch):
         # The log is rendered when read: a session whose transcript is never
-        # read calls no renderer, and reading it calls them.
-        def refuse(_):
+        # read formats no field and digests no EC code, and reading it does.
+        def refuse(*_):
             raise AssertionError("rendered")
 
         monkeypatch.setattr(protocol_mod, "_ints", refuse)
         monkeypatch.setattr(protocol_mod, "_hexbits", refuse)
+        monkeypatch.setattr(protocol_mod._PAYLOAD, "format_field", refuse)
+        monkeypatch.setattr(protocol_mod, "hashlib", SimpleNamespace(sha256=refuse))
         out = run_session(desk_config(0), DESK_STRATEGY)
         with pytest.raises(AssertionError, match="rendered"):
             out.transcript
@@ -852,8 +889,8 @@ class TestPinnedSessions:
         assert session_fingerprint(second) == PINNED_DESK_SESSIONS[1]
 
     def test_announcements_out_of_repr_and_eq(self):
-        # They hold arrays; their renderers are module functions, so an
-        # outcome still pickles.
+        # They hold arrays and template strings, and the formatter is not
+        # stored on the outcome, so an outcome still pickles.
         a, b = (run_session(desk_config(0), DESK_STRATEGY) for _ in range(2))
         assert a == b and repr(a) == repr(b)
         assert "announcements" not in repr(a)

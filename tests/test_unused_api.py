@@ -1,9 +1,10 @@
-"""``src/decoybb84`` holds no public function, class or method that nothing calls.
+"""``src/decoybb84`` holds no function, class or method that nothing calls.
 
-The package is parsed with ``ast``.  A public module-level function or class
-counts as used when some module of ``src/`` reads its name, bare or as an
-attribute; an export from the package's ``__init__`` is not a read.  A
-public method or property counts as used only when ``src/`` reads an
+The package is parsed with ``ast``.  A module-level function or class,
+public or private (a dunder is neither), counts as used when some module of
+``src/`` reads its name, bare or as an attribute; an export from the
+package's ``__init__`` is not a read.  A public method or property of a
+public class counts as used only when ``src/`` reads an
 attribute of its name on something other than a module that ``import``
 binds: ``np.zeros`` does not use a method ``zeros``, and a local variable
 ``total`` does not use a property ``total``.  Code that only the tests
@@ -25,12 +26,13 @@ ALLOWLIST = {
 }
 
 
-def public_definitions(tree):
-    """(qualified name, bare name) of each public function, class and method."""
+def definitions(tree):
+    """(qualified name, bare name) of each module-level function and class
+    but a dunder, and of each public method of a public class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             yield node.name, node.name
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
                         yield f"{node.name}.{sub.name}", sub.name
@@ -56,7 +58,7 @@ def unused_definitions(src):
                 on_module = isinstance(node.value, ast.Name) and node.value.id in modules
                 (names if on_module else attrs).add(node.attr)
     return {f"{module}.{qual}" for module, tree in trees.items()
-            for qual, name in public_definitions(tree)
+            for qual, name in definitions(tree)
             if name not in attrs and ("." in qual or name not in names)}
 
 
@@ -104,3 +106,33 @@ def test_scan_does_not_count_an_export_as_a_read(tmp_path):
         "    return 2\n")
     (tmp_path / "user.py").write_text("from .lib import used\n\nVALUE = used()\n")
     assert unused_definitions(tmp_path) == {"lib.helper"}
+
+
+def test_scan_counts_private_module_level_definitions(tmp_path):
+    # A private function or class that no module reads is dead code; a
+    # dunder is called by the interpreter, and a method of a private class
+    # (here one its base class calls) is not scanned.
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "lib.py").write_text(
+        "import string\n"
+        "\n"
+        "\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+        "\n"
+        "\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "class _Fmt(string.Formatter):\n"
+        "    def format_field(self, value, spec):\n"
+        "        return str(value)\n"
+        "\n"
+        "\n"
+        "class _Unread:\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "FMT = _Fmt()\n")
+    assert unused_definitions(tmp_path) == {"lib._helper", "lib._Unread"}
