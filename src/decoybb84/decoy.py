@@ -44,8 +44,9 @@ class ObservedRates:
 
     ``p0`` is the vacuum counting rate (dark counts included), ``p_D`` the
     dark-count rate, ``p_nu_*``/``s_nu_*`` the per-basis counting and error
-    rates of the nu-distributed pulses, and ``p_S``/``p_S_tilde`` the
-    detector/generator error probabilities of the two bases.
+    rates of the nu-distributed pulses, and ``p_S`` the x basis's
+    detector/generator error probability.  The + basis rates enter only
+    feasibility checks, which take no flip rate.
     """
 
     p0: float
@@ -55,13 +56,11 @@ class ObservedRates:
     p_nu_plus: float | None = None
     s_nu_plus: float | None = None
     p_s: float = 0.0
-    p_s_tilde: float = 0.0
 
     def __post_init__(self):
         for name in ("p0", "p_dark", "p_nu_times", "s_nu_times"):
             check_probability(name, getattr(self, name))
         check_flip_rate("p_s", self.p_s)
-        check_flip_rate("p_s_tilde", self.p_s_tilde)
         for name in ("p_nu_plus", "s_nu_plus"):
             if getattr(self, name) is not None:
                 check_probability(name, getattr(self, name))

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -59,16 +59,14 @@ from .gf2 import solve  # noqa: F401
 from .hashing import sample_seed
 from .rates import initial_eve_information_asymptotic, shannon_eta
 
-DECODE_GUARD = 1 << 20  # codewords an exhaustive EC decode may scan
+DECODE_GUARD = 1 << 20  # words an EC decode may spend on its walk or its scan
 
 
 @dataclass(frozen=True)
 class DInitial:
-    """Initial data: pulse-kind counts, source laws, detector calibration."""
+    """Initial data beyond the config: pulse-kind counts, dark-count calibration."""
 
     a: tuple[int, ...]
-    nus: tuple[SourceDistribution, ...]
-    p_s: float
     p_dark: float
 
 
@@ -155,7 +153,6 @@ class SessionOutcome:
     truth: dict
     config: SessionConfig
     initial: DInitial
-    initial_tilde: DInitial
 
     @property
     def transcript(self) -> tuple[str, ...]:
@@ -220,15 +217,14 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
     syndrome of ``received``, and its pivot rows back-substitute the seed
     of the chosen codeword (MacWilliams & Sloane, ch. 1).  Syndrome 0 is
     the code itself, so ``received`` is its own nearest codeword and its
-    preimage (free unknowns 0) is returned at once.  Otherwise, with the
-    2^lm codewords under the guard, the error patterns e are walked by
-    weight until some have that syndrome: the words received ^ e are then
-    the nearest codewords, and ``kernels.nearest_index`` picks the
-    lex-smallest.  The walk stops before its ball of patterns would
-    outnumber the code, and the whole code is then scanned, so the
-    walk costs min(ball, 2^lm) words and a decode at most 2^lm more.
-    The walk and the scan pack words into ``uint64``, so a code longer
-    than 64 bits decodes only its own words.
+    preimage (free unknowns 0) is returned at once.  Otherwise the error
+    patterns e are walked by weight until some have that syndrome: the
+    words received ^ e are then the nearest codewords, and
+    ``kernels.nearest_index`` picks the lex-smallest.  The walk stops
+    before its ball of patterns would pass min(2^lm, guard); the whole
+    code is then scanned if its 2^lm words are within the guard, and
+    ``CapacityError`` raised if not.  The walk and the scan pack words into
+    ``uint64``, so a code longer than 64 bits decodes only its own words.
     """
     n, lm = m_e.rows, m_e.cols
     if n != received.length:
@@ -239,16 +235,19 @@ def decode_to_seed(m_e: BitMatrix, received: BitVector,
         return BitVector(lm, _preimage(pivots, lm, received.bits))
     if n > 64:
         raise CapacityError(f"code length N={n} exceeds the 64-bit words of the EC decode")
-    if 1 << lm > guard:
-        raise CapacityError(
-            f"exhaustive decode of 2^{lm} codewords exceeds guard {guard}")
     unit = [0] * n  # unit[j]: the syndrome of bit j alone, bit k from check k
     for k, h in enumerate(checks):
         while h:
             low = h & -h
             unit[low.bit_length() - 1] |= 1 << k
             h ^= low
-    errors = kernels.least_weight_errors(unit, syndrome, 1 << lm)
+    errors = kernels.least_weight_errors(unit, syndrome, min(1 << lm, guard))
+    if errors is None and 1 << lm > guard:
+        weight, ball = 0, 1  # up to the weight whose ball stopped the walk
+        while ball <= guard:
+            weight, ball = weight + 1, ball + math.comb(n, weight + 1)
+        raise CapacityError(f"EC decode walk stopped at weight {weight}: its ball of {ball} "
+                            f"patterns and the 2^{lm} codewords both exceed guard {guard}")
     words = (span_array(m_e.transpose().row_bits) if errors is None
              else errors ^ np.uint64(received.bits))
     word = int(words[kernels.nearest_index(words, received.bits, n)])
@@ -282,8 +281,8 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
     Phase errors of one basis are bit errors of the conjugate basis, so the
     single-photon yield and phase-error rate come from
     ``decoy.minimize_key_term`` on the conjugate raw-key kind (with the
-    detector calibration carried by the initial data), or (0, 1) when the
-    observations admit no estimate.  They are fed into
+    initial data's p_D and that kind's flip rate: p_S for plus, p~_S for
+    times), or (0, 1) when the observations admit no estimate.  They are fed into
     ``rates.initial_eve_information_asymptotic``,
     N (1 - nu1 q1 (1 - hbar(r1)) / p - credit / p), plus a margin knob.
     A finite-sample statistical treatment is out of scope here.
@@ -301,7 +300,8 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
     p_key = max(p_key, 1e-12)
     obs = ObservedRates(p0=p0_hat, p_dark=d_init.p_dark,
                         p_nu_times=max(p_conj, 1e-12),
-                        s_nu_times=min(1.0, s_conj), p_s=d_init.p_s)
+                        s_nu_times=min(1.0, s_conj),
+                        p_s=cfg.p_s if basis == "plus" else cfg.p_s_tilde)
     try:
         q1, r1, _ = minimize_key_term(nu, obs)
     except InfeasibleObservation:
@@ -411,24 +411,23 @@ def _step4_abort(cfg: SessionConfig, e_counts) -> str | None:
     return f"E_i0={e_x} E_i0k={e_p} <= N={cfg.n}" if min(e_x, e_p) <= cfg.n else None
 
 
-def decide_sizes(cfg: SessionConfig, d_init: DInitial, d_init_tilde: DInitial,
+def decide_sizes(cfg: SessionConfig, d_init: DInitial,
                  d_exp: DExperimental) -> tuple[list[BasisResult], str | None]:
-    """Step 6 from public data: per basis, + (reading ``d_init``) then x
-    (``d_init_tilde``), lm = floor(N eta(e)), m by ``cfg.m_rule`` and the
-    N_bar clamp.  Returns the bases decided and the reason the first with
-    under N_under key bits aborts, or None.  Of ``cfg`` it reads only the
-    public protocol parameters.  Data of a session that aborted at step 4
-    raise ``ValueError`` with the step-4 reason."""
+    """Step 6 from public data: per basis, + then x, lm = floor(N eta(e)),
+    m by ``cfg.m_rule`` and the N_bar clamp.  Returns the bases decided and
+    the reason the first with under N_under key bits aborts, or None.  Of
+    ``cfg`` it reads only the public protocol parameters.  Data of a session
+    that aborted at step 4 raise ``ValueError`` with the step-4 reason."""
     step4 = _step4_abort(cfg, d_exp.e)
     if step4 is not None:
         raise ValueError(f"step 4 aborted: {step4}")
     constant_m = _constant_m(cfg.m_rule)
     results = []
-    for (name, _, offset, _), d_i in zip(_BASES, (d_init, d_init_tilde)):
+    for name, _, offset, _ in _BASES:
         kind = cfg.i0 + cfg.k * offset
         err = d_exp.h[kind] / (d_exp.e[kind] - cfg.n)
         lm = math.floor(cfg.n * shannon_eta(err))
-        m_bits = (initial_eve_info_m_rule(cfg, d_i, d_exp, name, lm)
+        m_bits = (initial_eve_info_m_rule(cfg, d_init, d_exp, name, lm)
                   if constant_m is None else constant_m)
         if lm - m_bits < cfg.n_under:
             return results, f"{name}: N eta - m = {lm - m_bits} < N_under={cfg.n_under}"
@@ -466,8 +465,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     log: list[tuple] = []  # (step, party, template, args), rendered when read
     c_counts, e_counts = _announce_detections(log, 2 * cfg.k + 1, kinds, detected, common)
     d_init = DInitial(tuple(np.bincount(kinds, minlength=2 * cfg.k + 1).tolist()),
-                      cfg.nus, cfg.p_s, strategy.p_dark)
-    d_init_tilde = replace(d_init, p_s=cfg.p_s_tilde)
+                      strategy.p_dark)
 
     step, reason = 4, _step4_abort(cfg, e_counts)
     h_counts, raw, truth = np.zeros_like(c_counts), [], {}
@@ -478,7 +476,7 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
     experiment = DExperimental(*(tuple(v.tolist()) for v in (c_counts, e_counts, h_counts)))
     if reason is None:
         step = 6
-        results, reason = decide_sizes(cfg, d_init, d_init_tilde, experiment)
+        results, reason = decide_sizes(cfg, d_init, experiment)
         log.extend((6, "both", "{} lm={} m={} l={}" + (" clamped" if res.m_clamped else ""),
                     (name, res.lm, res.m, res.length))
                    for (name, *_), res in zip(_BASES, results))
@@ -494,5 +492,5 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         abort_step=step if reason else None, abort_reason=reason,
         plus=results[0], times=results[1], experiment=experiment,
         announcements=tuple(log), truth=truth, config=cfg,
-        initial=d_init, initial_tilde=d_init_tilde)
+        initial=d_init)
 

@@ -12,11 +12,17 @@ density matrices (dimension 4^l), which check the oracle's block formulas,
 and the exact universality profile of completely random binary matrices,
 which the Toeplitz family is compared with.  ``matrix_from_rows`` builds a
 ``BitMatrix`` from 0/1 rows for the worked examples.
+
+``replay_public_decisions`` rebuilds a session's step-4 and step-6 lines
+from its transcript, its config and the detector's dark-count rate alone,
+so no decision can have read the simulator's private data.  Only the
+m-rule's estimate is the library's own.
 """
 
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,6 +38,7 @@ from decoybb84.gf2 import BitMatrix, BitVector, lex_key, lex_order, pack_rows
 from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
 from decoybb84.oracle import PauliErrorDistribution
+from decoybb84.protocol import DExperimental, DInitial, initial_eve_info_m_rule
 
 
 def matrix_from_rows(rows: Sequence[Sequence[int]]) -> BitMatrix:
@@ -468,3 +475,44 @@ def key_term_reference(nu: SourceDistribution, obs: ObservedRates
     interval = interval_symmetric_reference(nu, obs)
     return interval.q1_min, interval.r1_max, \
         interval.q1_min * (1.0 - hbar(interval.r1_max))
+
+
+def replay_public_decisions(cfg, p_dark: float, transcript: Sequence[str]) -> list[str]:
+    """The ``4 both abort`` line, or the ``6 both`` lines, that a session
+    with this config and transcript must announce.
+
+    Parses the kinds (giving D_initial's counts a), the ``C``/``E`` counts
+    and every ``H[k]=`` of the step-4 and step-5 bob lines, then decides as
+    the parties do: abort at step 4 unless both raw-key kinds have more than
+    N common-basis pulses; per basis, + then x, lm = floor(N (1 - hbar(H /
+    (E - N)))), m from ``constant:K`` or ``initial_eve_info_m_rule``, abort
+    when lm - m < N_under, else clamp the length lm - m to N_bar.
+    """
+    n_kinds = 2 * cfg.k + 1
+    a = [0] * n_kinds
+    h = [0] * n_kinds
+    for line in transcript:
+        if line.startswith("2 alice kinds "):
+            for kind in line[len("2 alice kinds "):].split(","):
+                a[int(kind)] += 1
+        elif counts := re.fullmatch(r"3 bob counts C=(\S+) E=(\S+)", line):
+            c, e = ([int(v) for v in group.split(",")] for group in counts.groups())
+        elif errors := re.fullmatch(r"[45] bob .*H\[(\d+)\]=(\d+)", line):
+            h[int(errors[1])] = int(errors[2])
+    n, x_kind, plus_kind = cfg.n, cfg.i0, cfg.i0 + cfg.k
+    if min(e[x_kind], e[plus_kind]) <= n:
+        return [f"4 both abort E_i0={e[x_kind]} E_i0k={e[plus_kind]} <= N={n}"]
+    d_init, d_exp = DInitial(tuple(a), p_dark), DExperimental(tuple(c), tuple(e), tuple(h))
+    lines = []
+    for basis, kind in (("plus", plus_kind), ("times", x_kind)):
+        lm = math.floor(n * (1.0 - hbar(h[kind] / (e[kind] - n))))
+        if cfg.m_rule.startswith("constant:"):
+            m = int(cfg.m_rule[len("constant:"):])
+        else:
+            m = initial_eve_info_m_rule(cfg, d_init, d_exp, basis, lm)
+        if lm - m < cfg.n_under:
+            return lines + [f"6 both abort {basis}: N eta - m = {lm - m} < N_under={cfg.n_under}"]
+        clamped = lm - m > cfg.n_bar
+        m = lm - cfg.n_bar if clamped else m
+        lines.append(f"6 both {basis} lm={lm} m={m} l={lm - m}" + " clamped" * clamped)
+    return lines

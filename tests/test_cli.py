@@ -519,6 +519,9 @@ BAD_INPUTS = {
                                    "bogus": 1, "n_bar": 10}, "unknown key 'bogus'"),
     "unknown-estimate-decoy": (DECOY_FLAG, dict(OBSERVATIONS, p_nu_tims=0.1),
                                "unknown key 'p_nu_tims'"),
+    # No estimator reads a + basis flip rate, so the file may not give one.
+    "unknown-estimate-decoy-p_s_tilde": (DECOY_FLAG, dict(OBSERVATIONS, p_s_tilde=0.1),
+                                         "unknown key 'p_s_tilde'"),
     "unknown-rates": (RATES_FLAG, dict(RATE_PARAMS, bogus=1), "unknown key 'bogus'"),
     "unknown-rates-sweep-row": (RATES_FLAG, {"sweep": [RATE_PARAMS, dict(RATE_PARAMS, n_undr=2)]},
                                 "unknown key 'n_undr'"),

@@ -27,7 +27,7 @@ from decoybb84.gf2 import BitVector, mat_vec_mul, solve, span_array
 from decoybb84.protocol import (DExperimental, DInitial, SessionConfig, decide_sizes, decode_to_seed, error_correct,
                                 initial_eve_info_m_rule, random_full_rank_matrix,
                                 run_session)
-from oracles import matrix_from_rows, min_distance_decode
+from oracles import matrix_from_rows, min_distance_decode, replay_public_decisions
 
 
 def single_photon_config(**overrides):
@@ -361,20 +361,43 @@ class TestCosetDecode:
             assert decode_to_seed(m_e, received) == scan_decode(m_e, received)
 
     def test_capacity_error_as_before(self):
-        """The guard rule: a word off the code raises once the 2^lm codewords
-        exceed ``decode_guard``, whatever the walk would spend; a word of the
-        code never does."""
+        """The guard rule: a word off the code raises only once the walk's
+        ball and the 2^lm codewords both pass ``decode_guard``; a word of
+        the code never does.  N = 12 and weight 1 make a ball of 13."""
         rng = np.random.default_rng(7)
         m_e = random_full_rank_matrix(rng, 12, 6)
         codeword = mat_vec_mul(m_e, BitVector(6, 0b101101))
         noisy = codeword ^ BitVector(12, 1)
-        for guard in (1, 32, 63):
+        for guard in range(1, 13):
             assert decode_to_seed(m_e, codeword, guard) == BitVector(6, 0b101101)
             with pytest.raises(CapacityError) as info:
                 decode_to_seed(m_e, noisy, guard)
-            assert str(info.value) == f"exhaustive decode of 2^6 codewords exceeds guard {guard}"
-        for guard in (64, 65, 1 << 20):
+            assert str(info.value) == ("EC decode walk stopped at weight 1: its ball of 13 "
+                                       f"patterns and the 2^6 codewords both exceed guard {guard}")
+        for guard in (*range(13, 66), 1 << 20):
             assert decode_to_seed(m_e, noisy, guard) == scan_decode(m_e, noisy)
+
+    def test_walk_under_a_guard_below_the_code(self):
+        # N = 20, lm = 12 and guard 256 < 2^12: the ball reaches 211
+        # patterns at weight 2 and 1,351 at weight 3, so a word within
+        # distance 2 of the code decodes as the brute force does, and any
+        # farther word raises.
+        rng = np.random.default_rng(20)
+        outcomes = set()
+        for _ in range(4):
+            m_e = random_full_rank_matrix(rng, 20, 12)
+            code = [mat_vec_mul(m_e, BitVector(12, z)) for z in range(1 << 12)]
+            for y in rng.integers(0, 1 << 20, size=12).tolist():
+                received = BitVector(20, y)
+                nearest = min_distance_decode(received, code)
+                if (nearest ^ received).bits.bit_count() <= 2:
+                    assert mat_vec_mul(m_e, decode_to_seed(m_e, received, 256)) == nearest
+                    outcomes.add("decoded")
+                else:
+                    with pytest.raises(CapacityError, match="weight 3: its ball of 1351 "):
+                        decode_to_seed(m_e, received, 256)
+                    outcomes.add("raised")
+        assert outcomes == {"decoded", "raised"}
 
     def test_code_longer_than_64_bits_fails_cleanly(self):
         # The walk and the scan pack words into uint64; a word of the code
@@ -419,11 +442,6 @@ class TestExperimentData:
         assert sum(d_i.a) == out.config.n_prime
         assert all(c <= a for c, a in zip(d_e.c, d_i.a))
         assert all(e <= c for e, c in zip(d_e.e, d_e.c))
-
-    def test_tilde_variant(self):
-        cfg = single_photon_config(p_s=0.01, p_s_tilde=0.03)
-        out = run_session(cfg, ChannelStrategy())
-        assert out.initial.p_s == 0.01 and out.initial_tilde.p_s == 0.03
 
     def test_statistics_converge(self):
         # Counting rates per kind approach the strategy detection rates.
@@ -582,7 +600,8 @@ def inline_m_rule(cfg, d_init, d_e, basis, lm):
     p_key = max(p_key, 1e-12)
     obs = ObservedRates(p0=p0_hat, p_dark=d_init.p_dark,
                         p_nu_times=max(p_conj, 1e-12),
-                        s_nu_times=min(1.0, s_conj), p_s=d_init.p_s)
+                        s_nu_times=min(1.0, s_conj),
+                        p_s=cfg.p_s if basis == "plus" else cfg.p_s_tilde)
     fell_back = False
     try:
         if nu.v2 == 0.0:
@@ -643,20 +662,22 @@ class TestInitialEveInfoRule:
                 c = rng.binomial(a, rng.uniform(0.0, 1.0, size=2 * k + 1))
                 e = rng.binomial(c, 0.5 + 0.5 * rng.uniform(size=2 * k + 1))
                 h = rng.binomial(np.maximum(e - n, 0), rng.uniform(0.0, 0.7, size=2 * k + 1))
-                d_init = DInitial(tuple(a.tolist()), nus,
-                                  float(rng.choice([0.0, 0.02, 0.3, 0.5, 0.6])),
-                                  float(rng.choice([0.0, 1e-3, 0.05])))
+                d_init = DInitial(tuple(a.tolist()), float(rng.choice([0.0, 1e-3, 0.05])))
                 d_e = DExperimental(tuple(c.tolist()), tuple(e.tolist()), tuple(h.tolist()))
                 margin = int(rng.integers(-3, 4))
                 lm = int(rng.integers(0, n + 1)) if rng.random() < 0.3 else n
                 rule_cfg = replace(cfg, margin_bits=margin)
+                # Set past the config's own check, so that a rate of 1/2 or
+                # more reaches the rule; plus reads p_S and times p~_S.
+                rule_cfg.p_s, rule_cfg.p_s_tilde = (
+                    float(v) for v in rng.choice([0.0, 0.02, 0.3, 0.5, 0.6], size=2))
                 for basis in ("plus", "times"):
                     try:
                         want, fell_back = inline_m_rule(rule_cfg, d_init, d_e, basis, lm)
                     except ValueError:
                         # ObservedRates rejects p_S >= 1/2, which has no
                         # detector correction, before any fallback can hide it.
-                        assert d_init.p_s >= 0.5
+                        assert (rule_cfg.p_s if basis == "plus" else rule_cfg.p_s_tilde) >= 0.5
                         with pytest.raises(ValueError, match=r"^p_s=.* must be below 1/2$"):
                             initial_eve_info_m_rule(rule_cfg, d_init, d_e, basis, lm)
                         seen.add("raised")
@@ -920,8 +941,7 @@ class TestPinnedSessions:
         # Step 6 from the outcome's public fields alone, with the config's
         # private fields changed: every pinned session decides the same
         # sizes, or aborts for the same reason after the same bases.
-        assert list(inspect.signature(decide_sizes).parameters) == \
-            ["cfg", "d_init", "d_init_tilde", "d_exp"]
+        assert list(inspect.signature(decide_sizes).parameters) == ["cfg", "d_init", "d_exp"]
         sessions = ([(desk_config(seed), DESK_STRATEGY) for seed in PINNED_DESK_SESSIONS]
                     + [(eleven_kind_config(seed), DESK_STRATEGY)
                        for seed in PINNED_ELEVEN_KIND_SESSIONS]
@@ -931,8 +951,7 @@ class TestPinnedSessions:
         for cfg, strategy in sessions:
             out = run_session(cfg, strategy)
             public = replace(out.config, rng_seed=out.config.rng_seed + 1, decode_guard=1)
-            results, reason = decide_sizes(public, out.initial, out.initial_tilde,
-                                           out.experiment)
+            results, reason = decide_sizes(public, out.initial, out.experiment)
             sizes = [(r.observed_error, r.lm, r.m, r.length, r.m_clamped) for r in results]
             if out.completed:
                 assert reason is None
@@ -953,7 +972,7 @@ class TestPinnedSessions:
         out = run_session(replace(desk_config(0), n_prime=60), DESK_STRATEGY)
         assert (out.abort_step, out.abort_reason) == (4, "E_i0=3 E_i0k=7 <= N=24")
         with pytest.raises(ValueError, match="^step 4 aborted: E_i0=3 E_i0k=7 <= N=24$"):
-            decide_sizes(out.config, out.initial, out.initial_tilde, out.experiment)
+            decide_sizes(out.config, out.initial, out.experiment)
 
     def test_decide_sizes_refuses_e_equal_to_n(self):
         # E = N leaves no check bit to estimate the error rate from.
@@ -961,8 +980,29 @@ class TestPinnedSessions:
         e = list(out.experiment.e)
         e[1] = 24
         with pytest.raises(ValueError, match=f"E_i0=24 E_i0k={e[2]} <= N=24"):
-            decide_sizes(out.config, out.initial, out.initial_tilde,
-                         replace(out.experiment, e=tuple(e)))
+            decide_sizes(out.config, out.initial, replace(out.experiment, e=tuple(e)))
+
+    def test_public_decisions_replay_from_the_transcript(self):
+        # The step-4 abort or the step-6 lines of each session, rebuilt from
+        # its transcript, config and dark-count rate alone: desk sessions in
+        # both EC directions, eleven kinds, every edge config, step-4 aborts
+        # (N' = 60), clamps (N_bar = 4) and detector flip rates in both bases.
+        flips = {"p_s": 0.02, "p_s_tilde": 0.1, "margin_bits": 2}
+        cases = [("desk", desk_config, DESK_STRATEGY, range(16)),
+                 ("eleven-kind", eleven_kind_config, DESK_STRATEGY, range(4))]
+        cases += [(case, make, strategy, range(4)) for case, (make, strategy) in EDGE_CASES.items()]
+        cases += [(str(change), lambda seed, change=change: replace(desk_config(seed), **change),
+                   DESK_STRATEGY, range(8))
+                  for change in ({"ec_direction": "reverse"}, {"n_prime": 60}, {"n_bar": 4}, flips)]
+        seen = set()
+        for case, make_config, strategy, seeds in cases:
+            for seed in seeds:
+                out = run_session(make_config(seed), strategy)
+                decided = [line for line in out.transcript if line.startswith(("4 both", "6 both"))]
+                assert replay_public_decisions(out.config, strategy.p_dark,
+                                               out.transcript) == decided, (case, seed)
+                seen.add(out.abort_step or any(line.endswith(" clamped") for line in decided))
+        assert seen == {4, 6, False, True}  # both aborts, with and without a clamp
 
     def test_desk_decodes(self, monkeypatch):
         # Every EC decode of desk sessions 0..127 in both directions, as the
