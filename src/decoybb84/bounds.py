@@ -17,9 +17,10 @@ argument at desk scale: it enumerates hash seeds and error patterns and
 checks the averaged decoding error of the part-restricted minimum-distance
 decoder against the analytic exponent, raising on any violation.  The
 decoder sees only the syndrome of the error, which is linear in M_e^T w:
-every seed's syndrome map is built on a basis of the image of M_e^T, and
-``kernels.restricted_decode_flags`` decodes all seeds from coset-leader
-tables over that image.
+every seed's syndrome map is built on a basis of the image of M_e^T (read
+from a table of X_s^T u over every y-part u, X_s^T being linear, when that
+is no larger than the direct product), and ``kernels.restricted_decode_flags``
+decodes all seeds from coset-leader tables over that image.
 
 All logarithms are base 2; information is in bits.
 """
@@ -130,7 +131,14 @@ class BoundInputs:
             return
         if not isinstance(self.t_distribution, Mapping):
             raise TypeError("t_distribution must be an object mapping t to its probability")
-        dist = {int(t): float(p) for t, p in self.t_distribution.items()}
+        dist = {}
+        for key, p in self.t_distribution.items():
+            integral = isinstance(key, Integral) and not isinstance(key, bool)
+            if not (integral or isinstance(key, str) and key.removeprefix("-").isdecimal()):
+                raise ValueError(f"t_distribution key {key!r} is not an integer t")
+            if int(key) in dist:
+                raise ValueError(f"t_distribution key {key!r} names t={int(key)} twice")
+            dist[int(key)] = float(p)
         check_law("t_distribution", list(dist.values()))
         for t in dist:
             if not 0 <= t <= self.j1:
@@ -245,9 +253,14 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     cls = span_array((rows[:, None] >> np.int64(pivots) & 1) @ (1 << np.arange(len(pivots))))
     # Row i of H_s is (s >> i) & (2^m - 1) | 1 << (m + i): w is in C2-perp iff
     # v = M_e^T w has syndrome (v & (2^m - 1)) ^ XOR_i v_(m+i) (s >> i) = 0.
-    low = (seeds[:, None, None] >> np.arange(l)) & ((1 << m) - 1)
-    cands = np.bitwise_xor.reduce(low * (basis[:, None] >> m + np.arange(l) & 1), axis=2) \
-        ^ (basis & ((1 << m) - 1))
+    low = (seeds >> np.arange(l)[:, None]) & ((1 << m) - 1)
+    if 1 << l <= l * len(basis):
+        # Row u of xt is X_s^T u, for every y-part u and seed s: low's rows XORed at u's bits.
+        xt = span_array(low, dtype=np.int64)
+        cands = (xt[basis >> m] ^ (basis & ((1 << m) - 1))[:, None]).T
+    else:  # xt, 2^l rows of every seed, would outgrow the (seeds, r, l) product
+        cands = np.bitwise_xor.reduce(low.T[:, None] * (basis[:, None] >> m + np.arange(l) & 1),
+                                      axis=2) ^ (basis & ((1 << m) - 1))
     words = np.arange(1 << n1)
     part1 = words[np.bitwise_count(words) <= t]
     ys = ((np.arange(1 << n2)[:, None] << n1) | part1).ravel()
@@ -256,7 +269,8 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     fail_rate = fails / len(seeds)
     bound = 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m)
 
-    empirical_mean = float(fail_rate.reshape(1 << n2, len(part1)).mean(axis=1).max())
+    # np.mean's own add-reduce and divide, bit for bit, without its dispatch.
+    empirical_mean = float((fail_rate.reshape(1 << n2, -1).sum(axis=1) / len(part1)).max())
     empirical_max = float(fail_rate.max())
     if empirical_max > bound + 1e-12:
         raise BoundViolation(

@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--guard-override", type=int, default=None,
-                        help="raise an exhaustive-enumeration guard")
+                        help="replace verify-toeplitz's seed guard; no other "
+                             "subcommand reads it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-toeplitz",
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.guard_override is not None and args.func is not cmd_verify_toeplitz:
+            raise ValueError("--guard-override is read only by verify-toeplitz, "
+                             f"not {args.command}")
         return args.func(args)
     except (ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,8 @@ columns): every random code draw, ``BitVector.from_bits`` and
 ``BitMatrix.to_array`` is the way back (``np.unpackbits``).
 ``span_array`` and the lex helpers build ``uint64`` word arrays, on which
 the exhaustive hot loops (decode tables, membership counts) run in
-:mod:`decoybb84.kernels`.
+:mod:`decoybb84.kernels`.  ``lex_keys`` builds its table once per width and
+dtype and hands every caller the same read-only array.
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
 ``kernel_basis`` back-substitutes on them once per free column.
@@ -31,6 +32,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,10 +58,13 @@ def lex_key(bits: int, length: int) -> int:
     return int(format(bits, f"0{length}b")[::-1], 2)
 
 
+@functools.cache
 def lex_keys(n_bits: int, dtype=np.uint64) -> np.ndarray:
-    """:func:`lex_key` of every word 0 .. 2^n_bits - 1, built by doubling:
-    bit i of a word is bit n_bits-1-i of its key."""
-    return span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
+    """:func:`lex_key` of every word 0 .. 2^n_bits - 1, built by doubling
+    (bit i of a word is bit n_bits-1-i of its key) once per width and dtype."""
+    keys = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
+    keys.flags.writeable = False
+    return keys
 
 
 def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:

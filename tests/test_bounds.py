@@ -1,5 +1,7 @@
 """Closed-form bound formulas: worked values, clamps, monotonicity, decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ class TestBoundInputs:
         inputs = BoundInputs(j1=2, t_distribution={"1": 1})
         assert inputs.t_distribution == {1: 1.0}
         assert isinstance(inputs.t_distribution[1], float)
+        inputs = BoundInputs(j1=4, m=2, t_distribution={"0": 0.25, "01": 0.25, np.int64(2): 0.5})
+        assert inputs.t_distribution == {0: 0.25, 1: 0.25, 2: 0.5}
+
+    @pytest.mark.parametrize("key", [1.5, "1.5", True, 1.0, "", "x"],
+                             ids=["float", "float-str", "bool", "whole-float", "empty", "word"])
+    def test_non_integer_t_key_rejected(self, key):
+        # Truncating would read {1.5: 1.0} as {1: 1.0}.
+        with pytest.raises(ValueError, match=f"^t_distribution key {key!r} is not an integer"):
+            BoundInputs(j1=4, m=2, t_distribution={key: 1.0})
+
+    @pytest.mark.parametrize("dist", [{"1": 0.0, "01": 1.0}, {"1": 0.5, "01": 0.5},
+                                      {1: 0.5, "1": 0.5}, {np.int64(1): 0.5, "001": 0.5}])
+    def test_t_given_twice_rejected(self, dist):
+        # Merging would keep one of the two probabilities.
+        with pytest.raises(ValueError, match=r"^t_distribution key .* names t=1 twice"):
+            BoundInputs(j1=4, m=2, t_distribution=dist)
 
 
 class TestK2:
@@ -463,6 +481,18 @@ class TestPropositionDecoding:
     def test_guard(self):
         with pytest.raises(CapacityError):
             verify_proposition_decoding(8, 8, 0, 1, 10, 4)
+
+    def test_syndrome_table_no_larger_than_the_product(self):
+        # At l = 10, m = 1 a table of X_s^T u for all 2^10 y-parts and 2^10
+        # seeds would be 8 MiB; the (seeds, r, l) product it would replace is
+        # 0.9 MiB.  (At l = 13, m = 1, inside the guard, it would be 512 MiB.)
+        tracemalloc.start()
+        try:
+            verify_proposition_decoding(0, 11, 0, 0, 11, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
     def test_binary_entropy_helper(self):
         assert binary_entropy(0.5) == pytest.approx(1.0)

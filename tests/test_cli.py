@@ -208,6 +208,19 @@ class TestVerifyToeplitz:
         assert rc == 0
         assert peak < 32 << 20, peak
 
+    @pytest.mark.parametrize("command", [["oracle-check", "--suite-size", "1"],
+                                         ["bound", "--inputs", "{inputs}"]],
+                             ids=["oracle-check", "bound"])
+    def test_guard_override_elsewhere_exit_2(self, tmp_path, capsys, command):
+        # Only verify-toeplitz reads the flag; another subcommand would ignore it.
+        inputs, out = tmp_path / "b.json", tmp_path / "r.json"
+        inputs.write_text(json.dumps(BOUND_INPUTS))
+        argv = ["--guard-override", "24", "--out", str(out)] + command
+        assert main([a.format(inputs=inputs) for a in argv]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --guard-override is read only by verify-toeplitz, not {command[0]}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("l,m", [(0, 3), (-1, 2), (2, -1)])
     def test_bad_l_m_exit_2(self, capsys, l, m):
         assert main(["verify-toeplitz", "--l", str(l), "--m", str(m)]) == 2
@@ -543,6 +556,9 @@ BAD_INPUTS = {
                         '"t_distribution": {"0": 0.6, "1": 0.4}}', "duplicate key 'm'"),
     "duplicate-bound-t": (BOUND_FLAG, '{"j1": 8, "m": 6, '
                           '"t_distribution": {"0": 0.6, "0": 0.4}}', "duplicate key '0'"),
+    # "1" and "01" are distinct JSON keys that name one t.
+    "twice-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution={"1": 0.0, "01": 1.0}),
+                      "t_distribution key '01' names t=1 twice"),
     "duplicate-estimate-decoy": (DECOY_FLAG, json.dumps(OBSERVATIONS)[:-1] + ', "p0": 0.5}',
                                  "duplicate key 'p0'"),
     "duplicate-rates-sweep-row": (RATES_FLAG, '{"sweep": [' + json.dumps(RATE_PARAMS)[:-1]

@@ -257,6 +257,16 @@ class TestBitVector:
             assert [lex_key(w, n) for w in range(1 << n)] == want
             assert lex_keys(n).tolist() == want
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_lex_keys_table_is_shared_and_read_only(self, dtype):
+        for n in range(17):
+            keys = lex_keys(n, dtype)
+            assert keys.dtype == dtype
+            assert keys.tolist() == [lex_key(w, n) for w in range(1 << n)]
+            assert lex_keys(n, dtype) is keys  # built once per width
+            with pytest.raises(ValueError, match="read-only"):
+                keys[0] = 1
+
 
 def loop_pack(row):
     value = 0
