@@ -17,10 +17,9 @@ argument at desk scale: it enumerates hash seeds and error patterns and
 checks the averaged decoding error of the part-restricted minimum-distance
 decoder against the analytic exponent, raising on any violation.  The
 decoder sees only the syndrome of the error, which is linear in M_e^T w:
-every seed's syndrome map is built on a basis of the image of M_e^T (read
-from a table of X_s^T u over every y-part u, X_s^T being linear, when that
-is no larger than the direct product), and ``kernels.restricted_decode_flags``
-decodes all seeds from coset-leader tables over that image.
+every seed's syndrome map is built on a basis of the image of M_e^T, and
+``kernels.restricted_decode_flags`` decodes all seeds from coset-leader
+tables over that image.
 
 All logarithms are base 2; information is in bits.
 """
@@ -253,14 +252,9 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     cls = span_array((rows[:, None] >> np.int64(pivots) & 1) @ (1 << np.arange(len(pivots))))
     # Row i of H_s is (s >> i) & (2^m - 1) | 1 << (m + i): w is in C2-perp iff
     # v = M_e^T w has syndrome (v & (2^m - 1)) ^ XOR_i v_(m+i) (s >> i) = 0.
-    low = (seeds >> np.arange(l)[:, None]) & ((1 << m) - 1)
-    if 1 << l <= l * len(basis):
-        # Row u of xt is X_s^T u, for every y-part u and seed s: low's rows XORed at u's bits.
-        xt = span_array(low, dtype=np.int64)
-        cands = (xt[basis >> m] ^ (basis & ((1 << m) - 1))[:, None]).T
-    else:  # xt, 2^l rows of every seed, would outgrow the (seeds, r, l) product
-        cands = np.bitwise_xor.reduce(low.T[:, None] * (basis[:, None] >> m + np.arange(l) & 1),
-                                      axis=2) ^ (basis & ((1 << m) - 1))
+    low = (seeds[:, None, None] >> np.arange(l)) & ((1 << m) - 1)
+    cands = np.bitwise_xor.reduce(low * (basis[:, None] >> m + np.arange(l) & 1), axis=2) \
+        ^ (basis & ((1 << m) - 1))
     words = np.arange(1 << n1)
     part1 = words[np.bitwise_count(words) <= t]
     ys = ((np.arange(1 << n2)[:, None] << n1) | part1).ravel()

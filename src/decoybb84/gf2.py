@@ -12,7 +12,8 @@ columns): every random code draw, ``BitVector.from_bits`` and
 ``span_array`` and the lex helpers build ``uint64`` word arrays, on which
 the exhaustive hot loops (decode tables, membership counts) run in
 :mod:`decoybb84.kernels`.  ``lex_keys`` builds its table once per width and
-dtype and hands every caller the same read-only array.
+dtype and hands every caller the same read-only array, kept for the life
+of the process (2^n_bits words per width).
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
 ``kernel_basis`` back-substitutes on them once per free column.
@@ -58,10 +59,15 @@ def lex_key(bits: int, length: int) -> int:
     return int(format(bits, f"0{length}b")[::-1], 2)
 
 
-@functools.cache
 def lex_keys(n_bits: int, dtype=np.uint64) -> np.ndarray:
     """:func:`lex_key` of every word 0 .. 2^n_bits - 1, built by doubling
-    (bit i of a word is bit n_bits-1-i of its key) once per width and dtype."""
+    (bit i of a word is bit n_bits-1-i of its key) once per width and dtype,
+    however the dtype is named, and kept read-only for the process's life."""
+    return _lex_keys(n_bits, np.dtype(dtype))
+
+
+@functools.cache
+def _lex_keys(n_bits: int, dtype: np.dtype) -> np.ndarray:
     keys = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
     keys.flags.writeable = False
     return keys

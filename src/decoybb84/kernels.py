@@ -11,8 +11,7 @@
   turns them into the exact Toeplitz membership count of every Z,
 * ``restricted_decode_flags``, the minimum-weight decodes of the
   decoding-error verifier for all hash seeds and error patterns at once,
-  from one table of coset leaders per seed (MacWilliams & Sloane, ch. 1),
-  the classes ranked by inverting one argsort of their least keys.
+  from one table of coset leaders per seed (MacWilliams & Sloane, ch. 1).
 
 Ties go toward the lex-smallest word (coordinate 0 most significant):
 ``decode_table`` by the smallest index of a lex-sorted code and
@@ -183,9 +182,7 @@ def restricted_decode_flags(cands: np.ndarray, cls: np.ndarray, mask1: int,
         | lex_keys(n_bits, dtype=np.int64)
     least = np.full(1 << r, (n_bits + 1) << n_bits)  # above every key: classes with no word
     np.minimum.at(least, cls, key)
-    order = np.argsort(least)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))  # the inverse permutation: argsort(order)
+    rank = np.argsort(np.argsort(least))
     width = 1 << int(np.bitwise_or.reduce(cands, axis=None)).bit_length()  # above every syndrome
     # leaders[k]: the seeds under which rank k is the least in its (syndrome, seed) bucket.
     leaders = np.zeros((1 << r) + 1, dtype=np.int64)  # the last: empty buckets

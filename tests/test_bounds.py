@@ -1,7 +1,5 @@
 """Closed-form bound formulas: worked values, clamps, monotonicity, decoding."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -481,18 +479,6 @@ class TestPropositionDecoding:
     def test_guard(self):
         with pytest.raises(CapacityError):
             verify_proposition_decoding(8, 8, 0, 1, 10, 4)
-
-    def test_syndrome_table_no_larger_than_the_product(self):
-        # At l = 10, m = 1 a table of X_s^T u for all 2^10 y-parts and 2^10
-        # seeds would be 8 MiB; the (seeds, r, l) product it would replace is
-        # 0.9 MiB.  (At l = 13, m = 1, inside the guard, it would be 512 MiB.)
-        tracemalloc.start()
-        try:
-            verify_proposition_decoding(0, 11, 0, 0, 11, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20, peak
 
     def test_binary_entropy_helper(self):
         assert binary_entropy(0.5) == pytest.approx(1.0)

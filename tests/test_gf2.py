@@ -263,7 +263,11 @@ class TestBitVector:
             keys = lex_keys(n, dtype)
             assert keys.dtype == dtype
             assert keys.tolist() == [lex_key(w, n) for w in range(1 << n)]
-            assert lex_keys(n, dtype) is keys  # built once per width
+            # Built once per width and dtype, however the dtype is named.
+            assert lex_keys(n, dtype=dtype) is keys
+            assert lex_keys(n, np.dtype(dtype)) is keys
+            if dtype is np.uint64:
+                assert lex_keys(n) is keys
             with pytest.raises(ValueError, match="read-only"):
                 keys[0] = 1
 
