@@ -1,7 +1,10 @@
 """Hot enumeration kernels, numpy-only, one function each.
 
-* ``decode_table``, a breadth-first search over the n-cube that labels
-  every received word with its nearest codeword,
+* ``decode_table``, a min-plus sweep over the n-cube, one pass per bit,
+  that labels every received word with its nearest codeword in O(n 2^n):
+  Hamming distance is the L1 distance on {0,1}^n, whose distance
+  transform separates by coordinate (Rosenfeld & Pfaltz, J. ACM 13, 1966),
+  so the sweep is exact,
 * ``nearest_index``, one vectorized distance scan for a single word,
 * ``least_weight_errors``, the error patterns of least weight with a given
   syndrome, from a walk over the patterns by weight,
@@ -39,33 +42,26 @@ def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
     """Index of the nearest codeword for every received word in F_2^n.
 
     Ties go to the smallest index, which is the lex-smallest nearest
-    codeword when ``code`` is lex-sorted.  A multi-source breadth-first
-    search over the n-cube: every codeword starts labelled with its index,
-    and a word at distance d+1 from the code takes the smallest label among
-    its neighbours at distance d: their nearest codewords, taken together,
-    are exactly its own.  Costs O(n 2^n radius) and needs no linearity.
+    codeword when ``code`` is lex-sorted.  A min-plus sweep, one pass per
+    bit (Rosenfeld & Pfaltz, J. ACM 13, 1966): each word holds the pair
+    (distance, index) packed in one int64, codewords start at (0, first
+    index) and every other word above all of them.  Hamming distance is
+    the sum of per-bit distances, so after the pass over bit b each word
+    holds the least pair over the codewords that agree with it above bit
+    b, and after the last pass the least over the whole code.  Costs
+    O(n 2^n) whatever the covering radius and needs no linearity.
     """
     code = np.asarray(code, dtype=np.int64)
     if code.size == 0:
         raise ValueError("empty code")
-    size = 1 << n_bits
-    none = np.iinfo(np.uint32).max
-    out = np.full(size, none, dtype=np.uint32)
+    t = np.full(1 << n_bits, np.int64((n_bits + 1) << 32))  # (distance << 32) | index
     words, first = np.unique(code, return_index=True)
-    out[words] = first
-    best = np.empty_like(out)
-    for _ in range(n_bits):  # no word lies farther than n_bits from the code
-        todo = out == none
-        if not todo.any():
-            break
-        best.fill(none)
-        for b in range(n_bits):
-            # Seen in blocks of 2^(b+1), y ^ 2^b swaps the two halves of y's block.
-            blocks = (-1, 2, 1 << b)
-            best_blocks = best.reshape(blocks)
-            np.minimum(best_blocks, out.reshape(blocks)[:, ::-1], out=best_blocks)
-        out[todo] = best[todo]
-    return out
+    t[words] = first
+    for b in range(n_bits):
+        # Seen in blocks of 2^(b+1), y ^ 2^b swaps the two halves of y's block.
+        blocks = t.reshape(-1, 2, 1 << b)
+        np.minimum(blocks, blocks[:, ::-1] + np.int64(1 << 32), out=blocks)
+    return (t & 0xFFFFFFFF).astype(np.uint32)
 
 
 def nearest_index(code: np.ndarray, y: int, n_bits: int) -> int:
@@ -190,7 +186,9 @@ def restricted_decode_flags(cands: np.ndarray, cls: np.ndarray, mask1: int,
     for s0 in range(0, n_seeds, step):
         syn = span_array(cands[s0:s0 + step].T, dtype=np.int64)
         b = syn.shape[1]
+        if s0 == 0 or b < step:  # b changes only in the last block
+            ranks = np.repeat(rank, b)
         first = np.full(width * b, 1 << r)
-        np.minimum.at(first, (syn * b + np.arange(b)).ravel(), np.repeat(rank, b))
+        np.minimum.at(first, (syn * b + np.arange(b)).ravel(), ranks)
         leaders += np.bincount(first, minlength=(1 << r) + 1)
     return n_seeds - leaders[rank[cls[ys]]]

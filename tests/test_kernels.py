@@ -31,11 +31,73 @@ def test_decode_table_matches_brute_force():
             assert table.tolist() == want, (n_bits, code.tolist())
 
 
+def _argmin_table(code, n_bits):
+    """Index of the nearest codeword per word, ties to the first index (np.argmin)."""
+    words = np.arange(1 << n_bits, dtype=np.uint16)
+    return np.argmin(np.bitwise_count(words[:, None] ^ code.astype(np.uint16)), axis=1)
+
+
 def test_decode_table_first_minimum_wins():
     code = np.array([0b00, 0b11], dtype=np.uint64)
     table = kernels.decode_table(code, 2)
     # 0b01 is at distance 1 from both; the first (index 0) must win.
     assert table[0b01] == 0 and table[0b10] == 0
+    # 0b001 is lex-larger than 0b100 (coordinate 0 most significant) but
+    # listed first, and listed again last: index 0 wins every tie and every
+    # word of its own, not the lex-smallest word and not the later copy.
+    code = np.array([0b001, 0b100, 0b001], dtype=np.uint64)
+    table = kernels.decode_table(code, 3)
+    assert table[0b001] == 0 and table[0b101] == 0 and table[0b000] == 0
+    assert table[0b100] == 1 and table[0b110] == 1
+    assert table.tolist() == _argmin_table(code, 3).tolist()
+
+
+def test_decode_table_on_unsorted_repeated_codes():
+    rng = np.random.default_rng(5)
+    for n_bits in (4, 7, 10):
+        code = rng.integers(0, 1 << n_bits, size=20, dtype=np.uint64)
+        code = np.concatenate([code, code[rng.integers(0, 20, size=10)]])
+        assert kernels.decode_table(code, n_bits).tolist() == \
+            _argmin_table(code, n_bits).tolist(), n_bits
+
+
+def test_decode_table_zero_bits():
+    # F_2^0 holds one word, the empty word 0, which is every codeword.
+    for code in ([0], [0, 0]):
+        table = kernels.decode_table(np.array(code, dtype=np.uint64), 0)
+        assert table.dtype == np.uint32 and table.tolist() == [0]
+
+
+@pytest.mark.parametrize("n_bits", [11, 12])
+def test_decode_table_on_lex_sorted_spans(n_bits):
+    # The codes the oracle passes in: a lex-sorted span of independent words.
+    rng = np.random.default_rng(n_bits)
+    for k in range(5, 11):
+        while True:
+            code = span_array(rng.integers(1, 1 << n_bits, size=k, dtype=np.uint64))
+            if np.unique(code).size == code.size:
+                break
+        code = code[lex_order(code, n_bits)]
+        table = kernels.decode_table(code, n_bits)
+        assert table.dtype == np.uint32
+        assert np.array_equal(table, _argmin_table(code, n_bits)), (n_bits, k)
+
+
+def test_decode_table_memory_at_reduction_guard():
+    # N = 16 (oracle.REDUCE_GUARD_N): the sweep holds a few 2^16-word
+    # arrays at a time, less than four int64 arrays of 2^16 words.
+    n_bits = 16
+    code = span_array(1 << np.arange(0, n_bits, 2, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        table = kernels.decode_table(code, n_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 << n_bits
+    # Every word lies at distance popcount(y & odd bits) from its even part.
+    y = np.arange(1 << n_bits, dtype=np.uint64)
+    assert np.array_equal(code[table], y & np.uint64(0x5555))
 
 
 def test_decode_table_rejects_empty_code():
