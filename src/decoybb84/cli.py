@@ -50,10 +50,6 @@ def _write(path: str | None, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_report(args, report: dict) -> None:
-    _write(args.out, to_json(report) if args.format == "json" else to_text(report))
-
-
 def _load(path: str) -> str:
     try:
         with open(path) as fh:
@@ -101,6 +97,10 @@ def _unique_keys(pairs) -> dict:
 def _parse_json(text: str):
     """JSON text to Python, rejecting a key repeated inside one object."""
     return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _load_json(path: str):
+    return _parse_json(_load(path))
 
 
 def parse_key_values(text: str) -> dict:
@@ -151,9 +151,11 @@ def load_input(fmt: str, spec):
 
 
 # ----------------------------------------------------------------------
+# Each cmd_* returns its payload and whether its check passed; main alone
+# builds, writes and exits on the report.
 
 
-def cmd_verify_toeplitz(args) -> int:
+def cmd_verify_toeplitz(args) -> tuple[dict, bool]:
     guard = DEFAULT_SEED_GUARD if args.guard_override is None else args.guard_override
     profile = universality_profile(args.l, args.m, guard=guard)
     summary = profile_summary(profile)
@@ -166,12 +168,10 @@ def cmd_verify_toeplitz(args) -> int:
     if args.full:
         payload["profile"] = {format(z, "b").zfill(args.l + args.m): frac
                               for z, frac in profile.items()}
-    report = build_report("verify-toeplitz", payload)
-    _write_report(args, report)
-    return EXIT_OK if summary["within_bound"] else EXIT_CHECK_FAILED
+    return payload, summary["within_bound"]
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> tuple[dict, bool]:
     if args.suite_size < 1:
         raise ValueError("--suite-size must be at least 1")
     if args.l_min > args.l_max:
@@ -214,8 +214,7 @@ def cmd_oracle_check(args) -> int:
             "the linear trace-norm inequalities are known to be unattainable "
             "(exact values reach 2 sqrt(1-(1-2P)^2)); "
             "--provable-only restricts to the sound legs")
-    _write_report(args, build_report("oracle-check", payload, seed=args.seed))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return payload, ok
 
 
 def _session_entry(outcome) -> dict:
@@ -254,7 +253,7 @@ def _session_entry(outcome) -> dict:
     return entry
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     cfg = load_input("session", parse_key_values(_load(args.config)))
@@ -273,14 +272,11 @@ def cmd_simulate(args) -> int:
         "statuses": statuses,
         "sessions": sessions,
     }
-    report = build_report("simulate", payload, seed=args.seed,
-                          config_paths=(args.config, args.strategy))
-    _write_report(args, report)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_bound(args) -> int:
-    spec = _parse_json(_load(args.inputs))
+def cmd_bound(args) -> tuple[dict, bool]:
+    spec = _load_json(args.inputs)
     inputs = load_input("bound", spec)
     payload = {"inputs": spec}
     for direction in bounds_mod.EC_DIRECTIONS:
@@ -296,17 +292,14 @@ def cmd_bound(args) -> int:
             bounds_mod.per_bit_eve_info_bound(fwd, inputs.n_under)
     ordering_ok = two >= fwd - 1e-15 and two >= rev - 1e-15
     payload["ordering_ok"] = ordering_ok
-    report = build_report("bound", payload, config_paths=(args.inputs,))
-    _write_report(args, report)
-    return EXIT_OK if ordering_ok else EXIT_CHECK_FAILED
+    return payload, ordering_ok
 
 
-def cmd_estimate_decoy(args) -> int:
-    spec = _parse_json(_load(args.observations))
+def cmd_estimate_decoy(args) -> tuple[dict, bool]:
+    spec = _load_json(args.observations)
     obs = load_input("estimate-decoy", spec)
     nu = _CONVERT["nu"](spec["nu"])
     payload: dict = {"nu": [nu.v0, nu.v1, nu.v2], "observations": spec}
-    code = EXIT_OK
     try:
         if nu.v2 == 0.0:
             q1, r1 = decoy_mod.estimate_vacuum_single(nu, obs)
@@ -321,14 +314,11 @@ def cmd_estimate_decoy(args) -> int:
                                            "value": value}
     except InfeasibleObservation as exc:
         payload["infeasible"] = str(exc)
-        code = EXIT_CHECK_FAILED
-    _write_report(args, build_report("estimate-decoy", payload,
-                                     config_paths=(args.observations,)))
-    return code
+    return payload, "infeasible" not in payload
 
 
-def cmd_rates(args) -> int:
-    spec = _parse_json(_load(args.params))
+def cmd_rates(args) -> tuple[dict, bool]:
+    spec = _load_json(args.params)
     rows = [spec]
     if isinstance(spec, dict) and "sweep" in spec:
         _check_keys(spec, ("sweep",), ())
@@ -345,10 +335,7 @@ def cmd_rates(args) -> int:
         entry["ordering_ok"] = report.all_ok
         all_ok &= report.all_ok
         table.append(entry)
-    payload = {"rows": table, "ordering_ok": all_ok}
-    report = build_report("rates", payload, config_paths=(args.params,))
-    _write_report(args, report)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return {"rows": table, "ordering_ok": all_ok}, all_ok
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--guard-override", type=int, default=None,
                         help="replace verify-toeplitz's seed guard; no other "
                              "subcommand reads it")
+    # Each subcommand sets whether its report records --seed and the names
+    # of the flags whose input files it records.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-toeplitz",
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--full", action="store_true",
                    help="include the full per-Z profile in the report")
-    p.set_defaults(func=cmd_verify_toeplitz)
+    p.set_defaults(func=cmd_verify_toeplitz, seeded=False, input_flags=())
 
     p = sub.add_parser("oracle-check",
                        help="exact Eve figures vs closed-form bounds")
@@ -383,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provable-only", action="store_true",
                    help="check only the sound bound legs (the linear "
                         "trace-norm inequalities are a known defect)")
-    p.set_defaults(func=cmd_oracle_check)
+    p.set_defaults(func=cmd_oracle_check, seeded=True, input_flags=())
 
     p = sub.add_parser("simulate", help="run protocol sessions")
     p.add_argument("--config", required=True)
@@ -391,19 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--transcript",
                    help="dump the first session's announcement log here")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, seeded=True, input_flags=("config", "strategy"))
 
     p = sub.add_parser("bound", help="evaluate bound formulas on a JSON file")
     p.add_argument("--inputs", required=True)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, seeded=False, input_flags=("inputs",))
 
     p = sub.add_parser("estimate-decoy", help="decoy estimators on a JSON file")
     p.add_argument("--observations", required=True)
-    p.set_defaults(func=cmd_estimate_decoy)
+    p.set_defaults(func=cmd_estimate_decoy, seeded=False, input_flags=("observations",))
 
     p = sub.add_parser("rates", help="key-rate table and ordering report")
     p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_rates)
+    p.set_defaults(func=cmd_rates, seeded=False, input_flags=("params",))
     return parser
 
 
@@ -417,7 +406,11 @@ def main(argv=None) -> int:
         if args.guard_override is not None and args.func is not cmd_verify_toeplitz:
             raise ValueError("--guard-override is read only by verify-toeplitz, "
                              f"not {args.command}")
-        return args.func(args)
+        payload, ok = args.func(args)
+        report = build_report(args.command, payload, seed=args.seed if args.seeded else None,
+                              config_paths=tuple(getattr(args, f) for f in args.input_flags))
+        _write(args.out, to_json(report) if args.format == "json" else to_text(report))
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

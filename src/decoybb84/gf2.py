@@ -9,11 +9,14 @@ arrays to packed integers (one product with the bit weights per chunk of
 columns): every random code draw, ``BitVector.from_bits`` and
 ``BitMatrix.transpose`` go through it, and
 ``BitMatrix.to_array`` is the way back (``np.unpackbits``).
-``span_array`` and the lex helpers build ``uint64`` word arrays, on which
-the exhaustive hot loops (decode tables, membership counts) run in
-:mod:`decoybb84.kernels`.  ``lex_keys`` builds its table once per width and
-dtype and hands every caller the same read-only array, kept for the life
-of the process (2^n_bits words per width).
+``span_array`` and ``lex_keys`` build word arrays, on which the
+exhaustive hot loops (decode tables, membership counts) run in
+:mod:`decoybb84.kernels`.  ``lex_keys`` is the one lex-order helper for
+arrays: it builds its table once per width and dtype and hands every
+caller the same read-only array, kept for the life of the process (2^n_bits
+words per width).  ``kernels.decode_table`` keeps one int64 table per
+width the oracle decodes at, at most 2^16 words (512 KiB at
+``oracle.REDUCE_GUARD_N``).
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
 ``kernel_basis`` back-substitutes on them once per free column.
@@ -71,11 +74,6 @@ def _lex_keys(n_bits: int, dtype: np.dtype) -> np.ndarray:
     keys = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
     keys.flags.writeable = False
     return keys
-
-
-def lex_order(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Stable argsort of packed ``n_bits``-bit words by :func:`lex_key`."""
-    return np.argsort(lex_keys(n_bits)[words], kind="stable")
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:

@@ -1,7 +1,7 @@
 """Hot enumeration kernels, numpy-only, one function each.
 
 * ``decode_table``, a min-plus sweep over the n-cube, one pass per bit,
-  that labels every received word with its nearest codeword in O(n 2^n):
+  that maps every received word to its nearest codeword in O(n 2^n):
   Hamming distance is the L1 distance on {0,1}^n, whose distance
   transform separates by coordinate (Rosenfeld & Pfaltz, J. ACM 13, 1966),
   so the sweep is exact,
@@ -16,12 +16,12 @@
   decoding-error verifier for all hash seeds and error patterns at once,
   from one table of coset leaders per seed (MacWilliams & Sloane, ch. 1).
 
-Ties go toward the lex-smallest word (coordinate 0 most significant):
-``decode_table`` by the smallest index of a lex-sorted code and
-``nearest_index`` by ``gf2.lex_key`` of the codeword on whatever order it
-is given.  ``restricted_decode_flags`` breaks ties by ``gf2.lex_key`` of
-the error estimate y ^ c, not of c, so its decode depends only on the
-syndrome of y.
+The two codeword decoders share one tie rule, the lex-smallest nearest
+codeword (coordinate 0 most significant), for a code in any order,
+repeats allowed: ``decode_table`` returns that codeword and
+``nearest_index`` its index.  ``restricted_decode_flags`` breaks ties by
+``gf2.lex_key`` of the error estimate y ^ c, not of c, so its decode
+depends only on the syndrome of y.
 """
 
 from __future__ import annotations
@@ -39,29 +39,31 @@ _BLOCK_WORDS = 1 << 14
 
 
 def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
-    """Index of the nearest codeword for every received word in F_2^n.
+    """The nearest codeword to every received word in F_2^n.
 
-    Ties go to the smallest index, which is the lex-smallest nearest
-    codeword when ``code`` is lex-sorted.  A min-plus sweep, one pass per
-    bit (Rosenfeld & Pfaltz, J. ACM 13, 1966): each word holds the pair
-    (distance, index) packed in one int64, codewords start at (0, first
-    index) and every other word above all of them.  Hamming distance is
-    the sum of per-bit distances, so after the pass over bit b each word
-    holds the least pair over the codewords that agree with it above bit
-    b, and after the last pass the least over the whole code.  Costs
-    O(n 2^n) whatever the covering radius and needs no linearity.
+    Ties go to the lex-smallest nearest codeword; ``code`` may come in any
+    order and repeat words.  A min-plus sweep, one pass per bit (Rosenfeld
+    & Pfaltz, J. ACM 13, 1966): each word holds the pair (distance, lex key
+    of a codeword) packed in one int64, codewords start at (0, their own
+    key) and every other word above all of them.  Hamming distance is the
+    sum of per-bit distances, so after the pass over bit b each word holds
+    the least pair over the codewords that agree with it above bit b, and
+    after the last pass the least over the whole code.  A lex key is its
+    own inverse, so the key table maps the winning keys back to codewords.
+    Costs O(n 2^n) whatever the covering radius and needs no linearity.
     """
     code = np.asarray(code, dtype=np.int64)
     if code.size == 0:
         raise ValueError("empty code")
-    t = np.full(1 << n_bits, np.int64((n_bits + 1) << 32))  # (distance << 32) | index
-    words, first = np.unique(code, return_index=True)
-    t[words] = first
+    keys = lex_keys(n_bits, dtype=np.int64)
+    t = np.full(1 << n_bits, np.int64((n_bits + 1) << 32))  # (distance << 32) | key
+    t[code] = keys[code]  # a repeated word writes the same pair
     for b in range(n_bits):
         # Seen in blocks of 2^(b+1), y ^ 2^b swaps the two halves of y's block.
         blocks = t.reshape(-1, 2, 1 << b)
         np.minimum(blocks, blocks[:, ::-1] + np.int64(1 << 32), out=blocks)
-    return (t & 0xFFFFFFFF).astype(np.uint32)
+    t &= 0xFFFFFFFF  # in place: a fresh array would hold one more 2^n table
+    return keys[t]
 
 
 def nearest_index(code: np.ndarray, y: int, n_bits: int) -> int:

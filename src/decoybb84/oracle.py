@@ -48,13 +48,19 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionMismatch, check_law
-from .gf2 import (BitMatrix, _reduce, kernel_basis, lex_order, mat_vec_mul, rank, span_array,
-                  span_ints)
+from .gf2 import BitMatrix, _reduce, kernel_basis, mat_vec_mul, rank, span_array, span_ints
 
 ORACLE_GUARD_L = 4
 REDUCE_GUARD_N = 16
 _SITE_KEYS = {(0, 0), (0, 1), (1, 0), (1, 1)}
 _SUM_TOL = 1e-12
+
+
+def _check_logical_width(l: int) -> None:
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if l > ORACLE_GUARD_L:
+        raise CapacityError(f"l={l} exceeds oracle guard {ORACLE_GUARD_L}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,7 @@ class PauliErrorDistribution:
     probs: np.ndarray  # shape (2^l, 2^l), probs[x, z]
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
-        if self.l > ORACLE_GUARD_L:
-            raise CapacityError(f"l={self.l} exceeds oracle guard {ORACLE_GUARD_L}")
+        _check_logical_width(self.l)
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (1 << self.l, 1 << self.l):
             raise DimensionMismatch(f"probs must have shape (2^l, 2^l), got {p.shape}")
@@ -179,8 +182,8 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
 
     The code is spanned by the independent words ``basis``, which carry the
     linear ``labels``; the shift space S is spanned by the first ``n_shift``
-    of them.  The labelled code is lex-sorted before
-    ``kernels.decode_table``, so ties go to the lex-smallest word; averaging
+    of them.  ``kernels.decode_table`` sends each word to its lex-smallest
+    nearest codeword, whose label a table indexed by word gives; averaging
     over the transmitted word keeps that tie-break honest.
 
     One histogram per coset of S suffices: for s0 in S, row ``e ^ s0`` is row
@@ -189,8 +192,9 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
     ``grid = reps ^ S`` lists every word once with one coset per row.
     """
     words = span_array(basis)
-    order = lex_order(words, n)
-    dec = span_array(labels, dtype=np.int64)[order][kernels.decode_table(words[order], n)]
+    label = np.zeros(1 << n, dtype=np.int64)
+    label[words] = span_array(labels, dtype=np.int64)
+    dec = label[kernels.decode_table(words, n)]
     pivots, _ = _reduce([s | (lab << n) for s, lab in zip(basis[:n_shift], labels[:n_shift])],
                         (1 << n) - 1)
     span = span_array(list(pivots.values()), dtype=np.int64)
@@ -261,6 +265,7 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
         raise DimensionMismatch("m_p columns must equal m_e columns")
     if n > REDUCE_GUARD_N:
         raise CapacityError(f"N={n} exceeds reduction guard {REDUCE_GUARD_N}")
+    _check_logical_width(l)  # before any 2^N x 2^l table
     if rank(m_e) != lm:
         raise ValueError("m_e must be injective (full column rank)")
     if rank(m_p) != l:

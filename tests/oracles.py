@@ -34,7 +34,7 @@ from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETEC
 from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
                              _detector_corrected)
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
-from decoybb84.gf2 import BitMatrix, BitVector, lex_key, lex_order, pack_rows
+from decoybb84.gf2 import BitMatrix, BitVector, lex_key, pack_rows
 from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
 from decoybb84.oracle import PauliErrorDistribution
@@ -119,10 +119,11 @@ def per_shift_transitions(words: np.ndarray, labels: np.ndarray, n: int, n_lab: 
     shifts (s, label_s), one ``bincount`` pass per shift.
 
     It checks the averaging of ``oracle._label_transitions``, so it shares
-    that routine's decoder: the code is lex-sorted, then ``decode_table``.
+    that routine's decoder, ``decode_table`` on the words as given.
     """
-    order = lex_order(words, n)
-    dec = labels[order][decode_table(words[order], n)].astype(np.int64)
+    label = np.zeros(1 << n, dtype=np.int64)
+    label[words] = labels
+    dec = label[decode_table(words, n)]
     es = np.arange(1 << n, dtype=np.int64)
     table = np.zeros((1 << n) * n_lab)
     for s, label in shifts:

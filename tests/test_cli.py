@@ -819,6 +819,35 @@ class TestManifest:
             build_report("rates", {"rows": [{"bad": value}]})
 
 
+    # command line -> (seed recorded, input files recorded), from --seed 7.
+    MANIFEST_CASES = {
+        "verify-toeplitz": (["--l", "2", "--m", "2"], None, ()),
+        "oracle-check": (["--suite-size", "2", "--l-max", "1"], 7, ()),
+        "simulate": (["--config", "{cfg}", "--strategy", "{strat}"], 7, ("cfg", "strat")),
+        "bound": (["--inputs", "{bound}"], None, ("bound",)),
+        "estimate-decoy": (["--observations", "{obs}"], None, ("obs",)),
+        "rates": (["--params", "{rates}"], None, ("rates",)),
+    }
+
+    @pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+    def test_manifest_records_command_seed_and_inputs(self, tmp_path, command):
+        paths = {name: tmp_path / f"{name}.in" for name in ("cfg", "strat", "bound", "obs",
+                                                             "rates")}
+        for name, text in (("cfg", SESSION_CONFIG), ("strat", NOISELESS_STRATEGY),
+                           ("bound", json.dumps(BOUND_INPUTS)),
+                           ("obs", json.dumps(OBSERVATIONS)),
+                           ("rates", json.dumps(RATE_PARAMS))):
+            paths[name].write_text(text)
+        flags, seed, inputs = self.MANIFEST_CASES[command]
+        out = tmp_path / "r.json"
+        argv = ["--seed", "7", "--format", "json", "--out", str(out), command] + \
+            [f.format(**paths) for f in flags]
+        assert main(argv) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert (manifest["command"], manifest["seed"], manifest["config_paths"]) == \
+            (command, seed, [str(paths[name]) for name in inputs])
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
     def test_pinned_digest(self, tmp_path, name):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from decoybb84 import kernels
-from decoybb84.gf2 import _reduce, lex_key, lex_order, span_array
+from decoybb84.gf2 import _reduce, lex_key, span_array
 
 
 def _brute_nearest(code, y, n_bits):
@@ -15,41 +15,44 @@ def _brute_nearest(code, y, n_bits):
                key=lambda i: ((int(code[i]) ^ y).bit_count(), lex_key(int(code[i]), n_bits)))
 
 
-def _random_lex_sorted_code(rng, n_bits, size):
-    code = np.unique(rng.integers(0, 1 << n_bits, size=size, dtype=np.uint64))
-    return code[lex_order(code, n_bits)]
+def _nearest_table(code, n_bits):
+    """The lex-smallest nearest codeword per word, from the full distance matrix."""
+    code = np.asarray(code, dtype=np.uint64)
+    words = np.arange(1 << n_bits, dtype=np.uint64)
+    keys = np.array([lex_key(int(c), n_bits) for c in code], dtype=np.int64)
+    rank = np.bitwise_count(words[:, None] ^ code).astype(np.int64) << n_bits | keys
+    return code[np.argmin(rank, axis=1)].astype(np.int64)
 
 
 def test_decode_table_matches_brute_force():
-    # Random word sets are non-linear; sizes run from a one-word code to dense codes.
+    # Random word sets are non-linear, unsorted and may repeat a word; sizes
+    # run from a one-word code to dense codes.  The nearest codeword does not
+    # depend on the order of the code or on repeats.
     rng = np.random.default_rng(2)
-    for n_bits in range(1, 11):
-        for size in (1, 2, 5, 1 << (n_bits // 2), 1 << (n_bits - 1)):
-            code = _random_lex_sorted_code(rng, n_bits, size)
-            table = kernels.decode_table(code, n_bits)
-            want = [_brute_nearest(code, y, n_bits) for y in range(1 << n_bits)]
-            assert table.tolist() == want, (n_bits, code.tolist())
+    for n_bits in range(0, 11):
+        for size in (1, 2, 5, 1 << (n_bits // 2), 1 << max(n_bits - 1, 0)):
+            code = rng.integers(0, 1 << n_bits, size=size, dtype=np.uint64)
+            want = [int(code[_brute_nearest(code, y, n_bits)]) for y in range(1 << n_bits)]
+            repeated = np.concatenate([code, code[rng.integers(0, size, size=3)]])
+            for variant in (code, rng.permutation(code), rng.permutation(repeated)):
+                table = kernels.decode_table(variant, n_bits)
+                assert table.tolist() == want, (n_bits, variant.tolist())
 
 
-def _argmin_table(code, n_bits):
-    """Index of the nearest codeword per word, ties to the first index (np.argmin)."""
-    words = np.arange(1 << n_bits, dtype=np.uint16)
-    return np.argmin(np.bitwise_count(words[:, None] ^ code.astype(np.uint16)), axis=1)
-
-
-def test_decode_table_first_minimum_wins():
-    code = np.array([0b00, 0b11], dtype=np.uint64)
-    table = kernels.decode_table(code, 2)
-    # 0b01 is at distance 1 from both; the first (index 0) must win.
-    assert table[0b01] == 0 and table[0b10] == 0
-    # 0b001 is lex-larger than 0b100 (coordinate 0 most significant) but
-    # listed first, and listed again last: index 0 wins every tie and every
-    # word of its own, not the lex-smallest word and not the later copy.
+def test_decode_table_lex_smallest_minimum_wins():
+    # 0b01 is at distance 1 from both codewords; 0b00 is lex-smaller.
+    for code in ([0b00, 0b11], [0b11, 0b00]):
+        table = kernels.decode_table(np.array(code, dtype=np.uint64), 2)
+        assert table[0b01] == 0b00 and table[0b10] == 0b00
+    # 0b100 is the tuple (0,0,1), lex-smaller than 0b001, (1,0,0), though
+    # listed after it and though 0b001 is listed again: 0b100 wins every tie
+    # and each codeword keeps its own word.
     code = np.array([0b001, 0b100, 0b001], dtype=np.uint64)
     table = kernels.decode_table(code, 3)
-    assert table[0b001] == 0 and table[0b101] == 0 and table[0b000] == 0
-    assert table[0b100] == 1 and table[0b110] == 1
-    assert table.tolist() == _argmin_table(code, 3).tolist()
+    assert table[0b000] == 0b100 and table[0b101] == 0b100
+    assert table[0b001] == 0b001 and table[0b011] == 0b001
+    assert table[0b100] == 0b100 and table[0b110] == 0b100
+    assert table.tolist() == _nearest_table(code, 3).tolist()
 
 
 def test_decode_table_on_unsorted_repeated_codes():
@@ -58,29 +61,32 @@ def test_decode_table_on_unsorted_repeated_codes():
         code = rng.integers(0, 1 << n_bits, size=20, dtype=np.uint64)
         code = np.concatenate([code, code[rng.integers(0, 20, size=10)]])
         assert kernels.decode_table(code, n_bits).tolist() == \
-            _argmin_table(code, n_bits).tolist(), n_bits
+            _nearest_table(code, n_bits).tolist(), n_bits
 
 
 def test_decode_table_zero_bits():
     # F_2^0 holds one word, the empty word 0, which is every codeword.
     for code in ([0], [0, 0]):
         table = kernels.decode_table(np.array(code, dtype=np.uint64), 0)
-        assert table.dtype == np.uint32 and table.tolist() == [0]
+        assert table.dtype == np.int64 and table.tolist() == [0]
 
 
 @pytest.mark.parametrize("n_bits", [11, 12])
 def test_decode_table_on_lex_sorted_spans(n_bits):
-    # The codes the oracle passes in: a lex-sorted span of independent words.
+    # The codes the oracle passes in, spans of independent words, in span
+    # order and lex-sorted: both give the same table.
     rng = np.random.default_rng(n_bits)
     for k in range(5, 11):
         while True:
             code = span_array(rng.integers(1, 1 << n_bits, size=k, dtype=np.uint64))
             if np.unique(code).size == code.size:
                 break
-        code = code[lex_order(code, n_bits)]
-        table = kernels.decode_table(code, n_bits)
-        assert table.dtype == np.uint32
-        assert np.array_equal(table, _argmin_table(code, n_bits)), (n_bits, k)
+        want = _nearest_table(code, n_bits)
+        lex_sorted = code[np.argsort([lex_key(int(c), n_bits) for c in code])]
+        for variant in (code, lex_sorted):
+            table = kernels.decode_table(variant, n_bits)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, want), (n_bits, k)
 
 
 def test_decode_table_memory_at_reduction_guard():
@@ -96,8 +102,8 @@ def test_decode_table_memory_at_reduction_guard():
         tracemalloc.stop()
     assert peak < 4 * 8 << n_bits
     # Every word lies at distance popcount(y & odd bits) from its even part.
-    y = np.arange(1 << n_bits, dtype=np.uint64)
-    assert np.array_equal(code[table], y & np.uint64(0x5555))
+    y = np.arange(1 << n_bits, dtype=np.int64)
+    assert np.array_equal(table, y & 0x5555)
 
 
 def test_decode_table_rejects_empty_code():

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import re
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -558,6 +559,21 @@ class TestReduceCodeChannel:
         with pytest.raises(CapacityError):
             reduce_code_channel([{(0, 0): 1.0}] * 17, m_e, m_p)
 
+    def test_logical_width_guard_trips_first(self):
+        # l = 8 would build 2^14 x 2^8 float tables before the law's own check.
+        m_e, m_p = random_code_pair(np.random.default_rng(14), 14, 12, 8)
+        channel = [{(0, 0): 0.9, (1, 1): 0.1}] * 14
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^l=8 exceeds oracle guard 4$"):
+                reduce_code_channel(channel, m_e, m_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        with pytest.raises(ValueError, match="^l must be >= 1$"):
+            reduce_code_channel(channel, m_e, BitMatrix(0, 12, ()))
+
     def test_guard_edge_runs(self):
         rng = np.random.default_rng(16)
         n = REDUCE_GUARD_N
@@ -587,6 +603,11 @@ def test_label_transitions_match_per_shift_loop(n, lm, l):
     want = per_shift_transitions(words, labels, n, n_lab,
                                  list(zip(words.tolist(), labels.tolist())))
     assert np.array_equal(got, want)
+    # The generators come in any order: permuted with their labels, the
+    # labelled code, its shift space and so the table are the same.
+    perm = rng.permutation(lm)
+    assert np.array_equal(_label_transitions([gens[i] for i in perm],
+                                             [gen_labels[i] for i in perm], lm, n, n_lab), got)
     # Phase side: k = N - lm shift generators with label 0 and l logical
     # generators with the inverse-Gray labels, as for C1perp in C2perp.
     k = n - lm
@@ -597,6 +618,9 @@ def test_label_transitions_match_per_shift_loop(n, lm, l):
     want = per_shift_transitions(words, labels, n, n_lab,
                                  [(s, 0) for s in span_array(basis[:k]).tolist()])
     assert np.array_equal(got, want)
+    perm = np.concatenate([rng.permutation(k), k + rng.permutation(l)])
+    assert np.array_equal(_label_transitions([basis[i] for i in perm],
+                                             [gen_labels[i] for i in perm], k, n, n_lab), got)
 
 
 def label_laws(rng, n, l):
