@@ -137,12 +137,12 @@ class BoundInputs:
                 raise ValueError(f"t_distribution key {key!r} is not an integer t")
             if int(key) in dist:
                 raise ValueError(f"t_distribution key {key!r} names t={int(key)} twice")
-            dist[int(key)] = float(p)
-        check_law("t_distribution", list(dist.values()))
+            dist[int(key)] = p
+        probs = check_law("t_distribution", list(dist.values()))
         for t in dist:
             if not 0 <= t <= self.j1:
                 raise ValueError(f"t={t} outside [0, J1={self.j1}]")
-        self.t_distribution = dist
+        self.t_distribution = dict(zip(dist, probs.tolist()))
 
 
 # What each error-correction direction leaves to the key.  First, the J

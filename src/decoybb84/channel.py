@@ -19,6 +19,10 @@ with 0/1 probabilities and point-mass error laws are exactly the extremal
 points of the strategy polytope, so no separate representation is needed
 for worst-case searches.
 
+:func:`classify` counts detected pulses into the six dark-split J parts and
+t.  The bounds read nothing else: their K2 is a sum of J parts that
+depends on the error-correction direction (``bounds.k2_count``).
+
 Draws.  A session (``protocol.run_session``) makes every random draw from
 one numpy Generator seeded by ``rng_seed``, in this order; the order, sizes
 and dtypes are the contract that keeps seeded transcripts byte for byte.
@@ -73,11 +77,8 @@ PLUS, TIMES = 0, 1
 
 @dataclass(frozen=True)
 class ClassCounts:
-    """Detected-pulse classification: coarse K parts and dark-split J parts."""
+    """Detected-pulse classification: the dark-split J parts and t."""
 
-    k0: int = 0
-    k1: int = 0
-    k2: int = 0
     j0: int = 0
     j1: int = 0
     j2: int = 0
@@ -91,7 +92,7 @@ class ClassCounts:
 
 
 def classify(labels: np.ndarray, z: np.ndarray) -> ClassCounts:
-    """Count detected pulses into the K and J parts, and t.
+    """Count detected pulses into the J parts, and t.
 
     ``labels`` holds one code ``cls + 3 * det`` per pulse; undetected pulses
     are skipped.  ``z`` holds the phase flips of the same pulses; ``t`` is
@@ -104,7 +105,7 @@ def classify(labels: np.ndarray, z: np.ndarray) -> ClassCounts:
         raise DimensionMismatch("labels and phase flips differ in length")
     j = np.bincount(labels, minlength=9)[3 * NORMAL:].tolist()
     t = int(np.count_nonzero(z[labels == SINGLE + 3 * NORMAL]))
-    return ClassCounts(j[0] + j[3], j[1] + j[4], j[2] + j[5], *j, t=t)
+    return ClassCounts(*j, t=t)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ interval for (yield, error rate) survives.  The estimators here implement
 both regimes plus the detector-error correction and the interval-width
 identities used to judge how close a source is to ideal.
 
-Estimates are clamped to their physical ranges with a ``clamped`` warning
-flag instead of failing: finite samples routinely land epsilon outside.
+Estimates are clamped to their physical ranges with one ``clamped`` warning
+flag per estimate instead of failing: finite samples routinely land epsilon
+outside.  ``estimate_vacuum_single`` returns ``(q1, r1_x, clamped)``.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class ObservedRates:
 
 
 @dataclass(frozen=True)
-class Estimate:
-    value: float
-    clamped: bool = False
-
-
-@dataclass(frozen=True)
 class EstimateInterval:
     """Interval estimates for an approximate single-photon source."""
 
@@ -100,8 +95,8 @@ def _clamp01(x: float) -> tuple[float, bool]:
 
 
 def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
-                           ) -> tuple[Estimate, Estimate]:
-    """Exact (q1, r1_x) for a source with no multi-photon component.
+                           ) -> tuple[float, float, bool]:
+    """Exact (q1, r1_x, clamped) for a source with no multi-photon component.
 
     Solves the two x-basis balance equations
         p_nu   = nu0 p0 + nu1 (p_D + q1)
@@ -126,12 +121,12 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
                 or not -_FEAS_TOL <= s_plus <= denom + _FEAS_TOL:
             raise InfeasibleObservation("+ basis rates match no multi-photon-free channel")
     if denom <= 0.0:
-        return Estimate(0.0, q1_raw < 0.0), Estimate(0.0, True)
+        return 0.0, 0.0, True
     r1_raw = s_num / denom
     r1_raw = _detector_corrected(r1_raw, obs.p_s)
     q1, cq = _clamp01(q1_raw)
     r1, cr = _clamp01(r1_raw)
-    return Estimate(q1, cq), Estimate(r1, cr)
+    return q1, r1, cq or cr
 
 
 def _detector_corrected(r1_raw: float, p_s: float) -> float:
@@ -255,7 +250,7 @@ def minimize_key_term(nu: SourceDistribution, obs: ObservedRates
     (q1_min, r1_max) of ``estimate_interval_symmetric``.
     """
     if nu.v2 == 0.0:
-        q1, r1 = estimate_vacuum_single(nu, obs)
-        return q1.value, r1.value, q1.value * (1.0 - hbar(r1.value))
-    q1, r1, _ = _key_term_corner(nu, obs)
+        q1, r1, _ = estimate_vacuum_single(nu, obs)
+    else:
+        q1, r1, _ = _key_term_corner(nu, obs)
     return q1, r1, q1 * (1.0 - hbar(r1))

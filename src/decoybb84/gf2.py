@@ -12,10 +12,9 @@ columns): every random code draw, ``BitVector.from_bits`` and
 ``span_array`` and ``lex_keys`` build word arrays, on which the
 exhaustive hot loops (decode tables, membership counts) run in
 :mod:`decoybb84.kernels`.  ``lex_keys`` is the one lex-order helper for
-arrays: it builds its table once per width and dtype and hands every
-caller the same read-only array, kept for the life of the process (2^n_bits
-words per width).  ``kernels.decode_table`` keeps one int64 table per
-width the oracle decodes at, at most 2^16 words (512 KiB at
+arrays: it builds one int64 table per width and hands every caller the
+same read-only array, kept for the life of the process (2^n_bits words of
+8 bytes per width; 512 KiB at the oracle's widest decode,
 ``oracle.REDUCE_GUARD_N``).
 
 ``_reduce`` is the one row reduction.  ``rank`` counts its pivots, and
@@ -62,16 +61,12 @@ def lex_key(bits: int, length: int) -> int:
     return int(format(bits, f"0{length}b")[::-1], 2)
 
 
-def lex_keys(n_bits: int, dtype=np.uint64) -> np.ndarray:
-    """:func:`lex_key` of every word 0 .. 2^n_bits - 1, built by doubling
-    (bit i of a word is bit n_bits-1-i of its key) once per width and dtype,
-    however the dtype is named, and kept read-only for the process's life."""
-    return _lex_keys(n_bits, np.dtype(dtype))
-
-
 @functools.cache
-def _lex_keys(n_bits: int, dtype: np.dtype) -> np.ndarray:
-    keys = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=dtype)
+def lex_keys(n_bits: int) -> np.ndarray:
+    """:func:`lex_key` of every word 0 .. 2^n_bits - 1 as int64, built by
+    doubling (bit i of a word is bit n_bits-1-i of its key) once per width
+    and kept read-only for the process's life."""
+    keys = span_array([1 << (n_bits - 1 - i) for i in range(n_bits)], dtype=np.int64)
     keys.flags.writeable = False
     return keys
 

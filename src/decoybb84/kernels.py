@@ -55,7 +55,7 @@ def decode_table(code: np.ndarray, n_bits: int) -> np.ndarray:
     code = np.asarray(code, dtype=np.int64)
     if code.size == 0:
         raise ValueError("empty code")
-    keys = lex_keys(n_bits, dtype=np.int64)
+    keys = lex_keys(n_bits)
     t = np.full(1 << n_bits, np.int64((n_bits + 1) << 32))  # (distance << 32) | key
     t[code] = keys[code]  # a repeated word writes the same pair
     for b in range(n_bits):
@@ -128,7 +128,7 @@ def toeplitz_image_counts(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     its generators, so ``basis[c, u]`` has no bit below c.
     """
     n_seed = l + m - 1
-    rev = lex_keys(l, dtype=np.int64)[:, None]  # u_i at bit l-1-i
+    rev = lex_keys(l)[:, None]  # u_i at bit l-1-i
     shifts = np.arange(n_seed)
     basis = np.zeros((m, 1 << l), dtype=np.min_scalar_type((1 << m) - 1))  # m-bit words
     # A block's generators (l+m-1 words per u) stay near _BLOCK_WORDS.
@@ -177,7 +177,7 @@ def restricted_decode_flags(cands: np.ndarray, cls: np.ndarray, mask1: int,
     """
     n_seeds, r = cands.shape
     key = np.bitwise_count(np.arange(1 << n_bits) & mask1).astype(np.int64) << n_bits \
-        | lex_keys(n_bits, dtype=np.int64)
+        | lex_keys(n_bits)
     least = np.full(1 << r, (n_bits + 1) << n_bits)  # above every key: classes with no word
     np.minimum.at(least, cls, key)
     rank = np.argsort(np.argsort(least))

@@ -195,10 +195,9 @@ def _label_transitions(basis: Sequence[int], labels: Sequence[int], n_shift: int
     label = np.zeros(1 << n, dtype=np.int64)
     label[words] = span_array(labels, dtype=np.int64)
     dec = label[kernels.decode_table(words, n)]
-    pivots, _ = _reduce([s | (lab << n) for s, lab in zip(basis[:n_shift], labels[:n_shift])],
-                        (1 << n) - 1)
-    span = span_array(list(pivots.values()), dtype=np.int64)
-    shifts, shift_lab = span & ((1 << n) - 1), span >> n
+    pivots, _ = _reduce(basis[:n_shift], (1 << n) - 1)
+    shifts = span_array(list(pivots.values()), dtype=np.int64)
+    shift_lab = label[shifts]  # every shift is a codeword
     reps = span_array([1 << b for b in range(n) if 1 << b not in pivots], dtype=np.int64)
     grid = reps[:, None] ^ shifts
     rows = np.arange(len(reps))[:, None] * n_lab

@@ -285,6 +285,9 @@ def initial_eve_info_m_rule(cfg: SessionConfig, d_init: DInitial,
     times), or (0, 1) when the observations admit no estimate.  They are fed into
     ``rates.initial_eve_information_asymptotic``,
     N (1 - nu1 q1 (1 - hbar(r1)) / p - credit / p), plus a margin knob.
+    The pair is the normal one (``decoy._x_balance`` subtracts p_D), so at
+    expected counts the estimate is J1 h(r1) + K2: N times the limit of
+    m / N for the least m that the finite-length bound allows.
     A finite-sample statistical treatment is out of scope here.
     """
     k = cfg.k

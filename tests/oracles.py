@@ -17,8 +17,13 @@ which the Toeplitz family is compared with.  ``matrix_from_rows`` builds a
 from its transcript, its config and the detector's dark-count rate alone,
 so no decision can have read the simulator's private data.  Only the
 m-rule's estimate is the library's own.
+
+``least_sacrifice`` is no oracle of ``bounds``: it inverts
+``bounds.averaged_bound`` by bisection, so that the finite-length bound can
+be compared with the asymptotic rates.
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -28,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from decoybb84.bounds import hbar
+from decoybb84.bounds import BoundInputs, averaged_bound, hbar, k2_count
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED, VACUUM,
                                ChannelStrategy)
 from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
@@ -517,3 +522,29 @@ def replay_public_decisions(cfg, p_dark: float, transcript: Sequence[str]) -> li
         m = lm - cfg.n_bar if clamped else m
         lines.append(f"6 both {basis} lm={lm} m={m} l={lm - m}" + " clamped" * clamped)
     return lines
+
+
+def least_sacrifice(j: Sequence[int], r1: float, direction: str,
+                    target: float = 2.0 ** -10) -> int:
+    """The least m with ``bounds.averaged_bound`` at most ``target`` for the
+    counts j = (J0, ..., J5) and t ~ Binomial(J1, r1), 0 < r1 < 1.
+
+    The pmf is trimmed below 1e-18 and renormalized.  The bound does not
+    grow with m and is at most 2^(J1 + K2 - m), so a bisection over
+    [0, J1 + K2 - log2(target)] finds m.
+    """
+    n1 = j[1]
+    pmf = {t: math.exp(math.lgamma(n1 + 1) - math.lgamma(t + 1) - math.lgamma(n1 - t + 1)
+                       + t * math.log(r1) + (n1 - t) * math.log1p(-r1))
+           for t in range(n1 + 1)}
+    kept = {t: p for t, p in pmf.items() if p >= 1e-18}
+    total = math.fsum(kept.values())
+    inputs = BoundInputs(*j, t_distribution={t: p / total for t, p in kept.items()})
+    lo, hi = 0, n1 + k2_count(j, direction) + math.ceil(-math.log2(target))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if averaged_bound(dataclasses.replace(inputs, m=mid), direction) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

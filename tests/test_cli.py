@@ -192,7 +192,7 @@ class TestVerifyToeplitz:
 
     def test_guard_override_zero_is_applied(self, capsys):
         # A 0 override is a guard of 2^0 seeds, not "no override".
-        assert main(["--guard-override", "0", "verify-toeplitz", "--l", "1", "--m", "1"]) == 2
+        assert main(["verify-toeplitz", "--l", "1", "--m", "1", "--guard-override", "0"]) == 2
         assert "exceeds guard 2^0" in capsys.readouterr().err
 
     def test_summary_builds_no_count_array(self, tmp_path):
@@ -200,8 +200,8 @@ class TestVerifyToeplitz:
         # counts at (13, 12) would be a 2^25-entry int64 array (256 MiB).
         tracemalloc.start()
         try:
-            rc = main(["--guard-override", "24", "--format", "json", "--out",
-                       str(tmp_path / "r.json"), "verify-toeplitz", "--l", "13", "--m", "12"])
+            rc = main(["--format", "json", "--out", str(tmp_path / "r.json"),
+                       "verify-toeplitz", "--l", "13", "--m", "12", "--guard-override", "24"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -212,13 +212,12 @@ class TestVerifyToeplitz:
                                          ["bound", "--inputs", "{inputs}"]],
                              ids=["oracle-check", "bound"])
     def test_guard_override_elsewhere_exit_2(self, tmp_path, capsys, command):
-        # Only verify-toeplitz reads the flag; another subcommand would ignore it.
+        # Only verify-toeplitz has the flag; argparse rejects it elsewhere.
         inputs, out = tmp_path / "b.json", tmp_path / "r.json"
         inputs.write_text(json.dumps(BOUND_INPUTS))
-        argv = ["--guard-override", "24", "--out", str(out)] + command
+        argv = ["--out", str(out)] + command + ["--guard-override", "24"]
         assert main([a.format(inputs=inputs) for a in argv]) == 2
-        assert capsys.readouterr().err == \
-            f"error: --guard-override is read only by verify-toeplitz, not {command[0]}\n"
+        assert "unrecognized arguments: --guard-override 24" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("l,m", [(0, 3), (-1, 2), (2, -1)])
@@ -581,6 +580,25 @@ BAD_INPUTS = {
                                "p_s_tilde=0.5 must be below 1/2"),
     "half-estimate-decoy-p_s": (DECOY_FLAG, dict(OBSERVATIONS, p_s=0.5),
                                 "p_s=0.5 must be below 1/2"),
+    # A bool or a string is not a probability, whatever number it spells.
+    "bool-strategy-p_dark": (STRATEGY_FLAG,
+                             NOISELESS_STRATEGY.replace("p_dark = 0.0", "p_dark = true"),
+                             "p_dark must be a real number, got True"),
+    "bool-session-nus": (SESSION_FLAG, SESSION_CONFIG.replace("[[0.0, 1.0, 0.0]]",
+                                                              "[[false, true, false]]"),
+                         "source distribution must hold real numbers only"),
+    "mixed-session-nus": (SESSION_FLAG, SESSION_CONFIG.replace("[[0.0, 1.0, 0.0]]",
+                                                               "[[0.0, true, 0.0]]"),
+                          "source distribution must hold real numbers only"),
+    "bool-session-p_bar": (SESSION_FLAG, SESSION_CONFIG.replace("[0.1, 0.45, 0.45]",
+                                                                "[false, true, false]"),
+                           "p_bar must hold real numbers only"),
+    "bool-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution={"0": True}),
+                     "t_distribution must hold real numbers only"),
+    "mixed-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution={"0": 0.0, "1": True}),
+                      "t_distribution must hold real numbers only"),
+    "string-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution={"0": "0.5", "1": "0.5"}),
+                       "t_distribution must hold real numbers only"),
 }
 
 

@@ -38,16 +38,15 @@ class TestEstimateVacuumSingle:
         nu = SourceDistribution(0.5, 0.5)
         obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.1055,
                             s_nu_times=0.0115 / 0.1055)
-        q1, r1 = estimate_vacuum_single(nu, obs)
-        assert q1.value == pytest.approx(0.200, abs=1e-12)
-        assert r1.value == pytest.approx(0.0875, abs=1e-12)
-        assert not q1.clamped and not r1.clamped
+        q1, r1, clamped = estimate_vacuum_single(nu, obs)
+        assert q1 == pytest.approx(0.200, abs=1e-12)
+        assert r1 == pytest.approx(0.0875, abs=1e-12)
+        assert not clamped
 
     def test_perfect_source(self):
         nu = SourceDistribution(0.0, 1.0)
         obs = ObservedRates(p0=0.0, p_dark=0.0, p_nu_times=1.0, s_nu_times=0.0)
-        q1, r1 = estimate_vacuum_single(nu, obs)
-        assert (q1.value, r1.value) == (1.0, 0.0)
+        assert estimate_vacuum_single(nu, obs) == (1.0, 0.0, False)
 
     def test_all_counts_from_vacuum_and_dark(self):
         nu = SourceDistribution(0.5, 0.5)
@@ -55,8 +54,8 @@ class TestEstimateVacuumSingle:
         obs = ObservedRates(p0=p0, p_dark=pd,
                             p_nu_times=0.5 * p0 + 0.5 * pd,
                             s_nu_times=0.5)
-        q1, r1 = estimate_vacuum_single(nu, obs)
-        assert q1.value == pytest.approx(0.0, abs=1e-12)
+        q1, _, _ = estimate_vacuum_single(nu, obs)
+        assert q1 == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_raises(self):
         nu = SourceDistribution(0.5, 0.5)
@@ -74,7 +73,7 @@ class TestEstimateVacuumSingle:
             estimate_vacuum_single(nu, obs)
         # Within the tolerance the + counting rate is accepted.
         obs = replace(obs, p_nu_plus=0.1055 + 1e-10, s_nu_plus=0.109)
-        assert estimate_vacuum_single(nu, obs)[0].value == pytest.approx(0.2, abs=1e-12)
+        assert estimate_vacuum_single(nu, obs)[0] == pytest.approx(0.2, abs=1e-12)
 
     @pytest.mark.parametrize("r1p,feasible", [(0.0, True), (1.0, True), (0.3, True),
                                               (-0.1, False), (1.1, False)])
@@ -85,7 +84,7 @@ class TestEstimateVacuumSingle:
         nu = SourceDistribution(0.3, 0.7)
         obs = forward_rates(nu, 0.05, 0.01, 0.1, 0.06, r1p=r1p)
         if feasible:
-            assert estimate_vacuum_single(nu, obs)[1].value == pytest.approx(0.06, abs=1e-12)
+            assert estimate_vacuum_single(nu, obs)[1] == pytest.approx(0.06, abs=1e-12)
         else:
             with pytest.raises(InfeasibleObservation):
                 estimate_vacuum_single(nu, obs)
@@ -100,9 +99,9 @@ class TestEstimateVacuumSingle:
             q1 = float(rng.uniform(0.05, 1 - pd))
             r1 = float(rng.uniform(0, 1))
             obs = forward_rates(nu, p0, pd, q1, r1)
-            got_q, got_r = estimate_vacuum_single(nu, obs)
-            assert got_q.value == pytest.approx(q1, abs=1e-12)
-            assert got_r.value == pytest.approx(r1, abs=1e-12)
+            got_q, got_r, _ = estimate_vacuum_single(nu, obs)
+            assert got_q == pytest.approx(q1, abs=1e-12)
+            assert got_r == pytest.approx(r1, abs=1e-12)
 
     def test_round_trip_with_detector_error(self):
         nu = SourceDistribution(0.3, 0.7)
@@ -111,9 +110,9 @@ class TestEstimateVacuumSingle:
         obs_raw = forward_rates(nu, p0, pd, q1, r1_observed)
         obs = ObservedRates(p0=p0, p_dark=pd, p_nu_times=obs_raw.p_nu_times,
                             s_nu_times=obs_raw.s_nu_times, p_s=ps)
-        got_q, got_r = estimate_vacuum_single(nu, obs)
-        assert got_q.value == pytest.approx(q1, abs=1e-12)
-        assert got_r.value == pytest.approx(r1, abs=1e-12)
+        got_q, got_r, _ = estimate_vacuum_single(nu, obs)
+        assert got_q == pytest.approx(q1, abs=1e-12)
+        assert got_r == pytest.approx(r1, abs=1e-12)
 
 
 class TestCorrectDetectorError:
@@ -125,7 +124,7 @@ class TestCorrectDetectorError:
     def corrected(r1_observed, p_s):
         obs = ObservedRates(p0=0.0, p_dark=0.0, p_nu_times=0.5, s_nu_times=r1_observed,
                             p_s=p_s)
-        return estimate_vacuum_single(SourceDistribution(0.0, 1.0), obs)[1].value
+        return estimate_vacuum_single(SourceDistribution(0.0, 1.0), obs)[1]
 
     def test_identity_at_zero(self):
         assert self.corrected(0.3, 0.0) == pytest.approx(0.3)
@@ -403,12 +402,12 @@ class TestMinimizeKeyTerm:
         s_hat = float(errs[detected].mean())
         obs = ObservedRates(p0=p0_hat, p_dark=pd, p_nu_times=p_hat,
                             s_nu_times=s_hat)
-        got_q, got_r = estimate_vacuum_single(nu, obs)
+        got_q, got_r, _ = estimate_vacuum_single(nu, obs)
         # 5 sigma windows propagated through the linear estimator maps
         sigma_q = (math.sqrt(0.25 / n_sig) + nu.v0 * math.sqrt(0.25 / n_vac)) / nu.v1
         sigma_r = math.sqrt(0.25 / n_sig) / (nu.v1 * q1_true) * 2.5
-        assert abs(got_q.value - q1_true) < 5 * sigma_q
-        assert abs(got_r.value - r1_true) < 5 * sigma_r
+        assert abs(got_q - q1_true) < 5 * sigma_q
+        assert abs(got_r - r1_true) < 5 * sigma_r
 
 
 def _random_channel(rng, p_s):

@@ -19,8 +19,10 @@ class TestCheckProbability:
             check_probability("p_dark", value)
 
     def test_non_numeric_is_type_error(self):
-        with pytest.raises(TypeError):
-            check_probability("p", "0.5")
+        # A bool is not a probability of 0 or 1.
+        for value in ("0.5", None, True, np.False_):
+            with pytest.raises(TypeError, match="^p must be a real number"):
+                check_probability("p", value)
 
 
 class TestCheckLaw:
@@ -43,7 +45,11 @@ class TestCheckLaw:
         with pytest.raises(ValueError):
             check_law("law", [0.5, 0.5 + 5e-10], 1e-12)
 
-    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [0.5, None]], ids=["str", "none"])
+    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [0.5, None], [True, False],
+                                       np.array([1, 0], dtype=bool), [0.0, True],
+                                       ((0.0, 0.0), (np.True_, 0.0))],
+                             ids=["str", "none", "bool", "bool-array", "bool-among-numbers",
+                                  "numpy-bool-nested"])
     def test_non_numeric_is_type_error(self, probs):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^law must hold real numbers only$"):
             check_law("law", probs)

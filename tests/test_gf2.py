@@ -257,17 +257,12 @@ class TestBitVector:
             assert [lex_key(w, n) for w in range(1 << n)] == want
             assert lex_keys(n).tolist() == want
 
-    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
-    def test_lex_keys_table_is_shared_and_read_only(self, dtype):
+    def test_lex_keys_table_is_shared_and_read_only(self):
         for n in range(17):
-            keys = lex_keys(n, dtype)
-            assert keys.dtype == dtype
+            keys = lex_keys(n)
+            assert keys.dtype == np.int64
             assert keys.tolist() == [lex_key(w, n) for w in range(1 << n)]
-            # Built once per width and dtype, however the dtype is named.
-            assert lex_keys(n, dtype=dtype) is keys
-            assert lex_keys(n, np.dtype(dtype)) is keys
-            if dtype is np.uint64:
-                assert lex_keys(n) is keys
+            assert lex_keys(n) is keys  # built once per width
             with pytest.raises(ValueError, match="read-only"):
                 keys[0] = 1
 

@@ -64,8 +64,8 @@ class TestNoiselessSession:
     def test_truth_counts(self):
         out = run_session(single_photon_config(), ChannelStrategy())
         for counts in out.truth.values():
-            assert counts.k0 + counts.k1 + counts.k2 == 64
-            assert counts.k1 == 64 and counts.t == 0
+            assert sum(counts.j_tuple()) == 64
+            assert counts.j1 + counts.j4 == 64 and counts.t == 0
 
 
 class TestReverseDirection:
@@ -605,8 +605,7 @@ def inline_m_rule(cfg, d_init, d_e, basis, lm):
     fell_back = False
     try:
         if nu.v2 == 0.0:
-            q1e, r1e = estimate_vacuum_single(nu, obs)
-            q1, r1 = q1e.value, r1e.value
+            q1, r1, _ = estimate_vacuum_single(nu, obs)
         else:
             interval = estimate_interval_symmetric(nu, obs)
             q1, r1 = interval.q1_min, interval.r1_max

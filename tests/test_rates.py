@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from decoybb84.bounds import hbar
+from decoybb84.bounds import hbar, k2_count
 from decoybb84.decoy import SourceDistribution
 from decoybb84.rates import (RateInputs, all_rates, gllp_effective_params,
                              initial_eve_information_asymptotic, shannon_eta,
                              verify_rate_ordering)
+from oracles import least_sacrifice
 
 
 def random_inputs(rng):
@@ -133,6 +134,44 @@ class TestInitialEveInformation:
         with pytest.raises(ValueError):
             initial_eve_information_asymptotic(
                 SourceDistribution(0.0, 1.0), 1.0, 0.0, 0.0, 0.0, 0.0, 10)
+
+
+class TestFiniteBoundMeetsAsymptoticRate:
+    """The least m that the finite-length bound allows at 2^-10, over N,
+    falls toward (J1 h(r1) + K2) / N, which is the asymptotic formula fed
+    the normal single-photon pair (q1, r1).  Fed the pair with the dark
+    counts folded in, the formula sits above the limit by the concavity
+    slack nu1 / p (q1_bar h(r1_bar) - q1 h(r1) - p_D)."""
+
+    NU = SourceDistribution(0.1, 0.6, 0.3)
+    Q1, Q2, R1 = 0.3, 0.5, 0.03
+
+    def class_rates(self, p_dark):
+        # J0 .. J5 per signal pulse; the vacuum fires only by dark counts (p0 = p_D).
+        nu = self.NU
+        return (0.0, nu.v1 * self.Q1, nu.v2 * self.Q2,
+                nu.v0 * p_dark, nu.v1 * p_dark, nu.v2 * p_dark)
+
+    @pytest.mark.parametrize("p_dark", [0.0, 0.01])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_least_sacrifice_falls_to_the_asymptotic_rate(self, direction, p_dark):
+        rates = self.class_rates(p_dark)
+        p = sum(rates)
+        limit = (rates[1] * hbar(self.R1) + k2_count(rates, direction)) / p
+        per_bit = [least_sacrifice([round(n * r / p) for r in rates], self.R1, direction) / n
+                   for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)]
+        assert all(a > b for a, b in zip(per_bit, per_bit[1:])), per_bit
+        assert per_bit[-1] > limit and per_bit[-1] - limit < 0.01, (per_bit, limit)
+
+        def asymptotic(q1, r1):
+            return initial_eve_information_asymptotic(self.NU, q1, r1, p_dark, p_dark, p,
+                                                      n=1, direction=direction)
+
+        assert asymptotic(self.Q1, self.R1) == pytest.approx(limit, abs=1e-12)
+        q1_bar, r1_bar = gllp_effective_params(self.Q1, self.R1, p_dark)
+        slack = self.NU.v1 / p * (q1_bar * hbar(r1_bar) - self.Q1 * hbar(self.R1) - p_dark)
+        assert asymptotic(q1_bar, r1_bar) - limit == pytest.approx(slack, abs=1e-12)
+        assert slack == pytest.approx(0.02467 if p_dark else 0.0, abs=1e-5)
 
 
 class TestOrderingChain:

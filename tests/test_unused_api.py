@@ -8,8 +8,13 @@ public class counts as used only when ``src/`` reads an
 attribute of its name on something other than a module that ``import``
 binds: ``np.zeros`` does not use a method ``zeros``, and a local variable
 ``total`` does not use a property ``total``.  Code that only the tests
-call lives in ``tests/``.  Everything else must be on the allowlist, with
-the reason it stays.
+call lives in ``tests/``.
+
+A field of a module-level dataclass counts as read when ``src/`` reads an
+attribute of its name (again not off an imported module) or names it in a
+string constant, as the ``getattr`` loops of ``__post_init__`` do.
+
+Everything else must be on an allowlist, with the reason it stays.
 """
 
 import ast
@@ -23,6 +28,17 @@ ALLOWLIST = {
     "gf2.BitMatrix.from_row_ints": "perfbench/workloads.py builds its code pairs with it",
     "bounds.verify_proposition_decoding": "perfbench workloads call it",
     "oracle.reduce_code_channel": "perfbench workloads call it",
+}
+
+# A key names one field, or a class for all of its unread fields.
+FIELD_ALLOWLIST = {
+    "bounds.DecodingCheck": "perfbench's tracer and workloads and tests/test_bounds.py "
+                            "read the result of verify_proposition_decoding",
+    "decoy.EstimateInterval": "cli.cmd_estimate_decoy reports every field through vars()",
+    "protocol.SessionOutcome.experiment": "tests/test_protocol.py checks the public step-4 "
+                                          "and step-6 decisions against it",
+    "protocol.SessionOutcome.initial": "tests/test_protocol.py checks the public step-4 "
+                                       "and step-6 decisions against it",
 }
 
 
@@ -46,28 +62,64 @@ def module_bindings(tree):
             for alias in node.names}
 
 
-def unused_definitions(src):
+def dataclass_fields(tree):
+    """(class name, field name) of each field of a module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                in ("dataclass", "dataclasses.dataclass") for d in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def scan(src):
+    """The parsed modules, the names read bare or off an imported module,
+    the attribute names read off anything else, and the string constants."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    names, attrs = set(), set()
+    names, attrs, strings = set(), set(), set()
     for tree in trees.values():
         modules = module_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 on_module = isinstance(node.value, ast.Name) and node.value.id in modules
                 (names if on_module else attrs).add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    return trees, names, attrs, strings
+
+
+def unused_definitions(src):
+    trees, names, attrs, _ = scan(src)
     return {f"{module}.{qual}" for module, tree in trees.items()
             for qual, name in definitions(tree)
             if name not in attrs and ("." in qual or name not in names)}
+
+
+def unread_fields(src):
+    trees, _, attrs, strings = scan(src)
+    return {f"{module}.{cls}.{field}" for module, tree in trees.items()
+            for cls, field in dataclass_fields(tree)
+            if field not in attrs and field not in strings}
 
 
 def test_every_public_name_is_used_or_allowlisted():
     assert unused_definitions(SRC) == set(ALLOWLIST)
 
 
+def test_every_dataclass_field_is_read_or_allowlisted():
+    # Each unread field maps to the allowlist key that covers it: the field
+    # itself or its class.  Every key must still cover some field.
+    covering = {field: field if field in FIELD_ALLOWLIST else field.rsplit(".", 1)[0]
+                for field in unread_fields(SRC)}
+    assert {field for field, key in covering.items() if key not in FIELD_ALLOWLIST} == set()
+    assert set(covering.values()) == set(FIELD_ALLOWLIST)
+
+
 def test_every_allowlist_entry_has_a_reason():
-    assert all(reason.strip() for reason in ALLOWLIST.values())
+    assert all(reason.strip() for reason in (ALLOWLIST | FIELD_ALLOWLIST).values())
 
 
 def test_scan_counts_only_attribute_reads_off_imported_modules(tmp_path):
@@ -136,3 +188,41 @@ def test_scan_counts_private_module_level_definitions(tmp_path):
         "\n"
         "FMT = _Fmt()\n")
     assert unused_definitions(tmp_path) == {"lib._helper", "lib._Unread"}
+
+
+def test_field_scan_counts_attribute_reads_and_named_strings(tmp_path):
+    # A field read as an attribute or named in a string is read; one read
+    # only off an imported module, or only assigned, is not.  A plain
+    # class's annotations are not dataclass fields.
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "lib.py").write_text(
+        "import dataclasses\n"
+        "import math\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    y: float\n"
+        "    pi: float\n"
+        "    label: str = ''\n"
+        "\n"
+        "    def __post_init__(self):\n"
+        "        for name in ('y',):\n"
+        "            getattr(self, name)\n"
+        "\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class Box:\n"
+        "    side: float\n"
+        "\n"
+        "\n"
+        "class Plain:\n"
+        "    width: float\n"
+        "\n"
+        "\n"
+        "def norm(p, box):\n"
+        "    box.side = math.pi\n"
+        "    return p.x\n")
+    assert unread_fields(tmp_path) == {"lib.Point.pi", "lib.Point.label", "lib.Box.side"}
