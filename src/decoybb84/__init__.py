@@ -21,7 +21,7 @@ from .channel import ChannelStrategy, ClassCounts, apply_bit_errors, classify, s
 from .decoy import (EstimateInterval, ObservedRates, SourceDistribution,
                     estimate_interval_symmetric, estimate_vacuum_single, minimize_key_term)
 from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
-from .hashing import ToeplitzHash, build_toeplitz, sample_seed, universality_profile
+from .hashing import build_toeplitz, sample_seed, universality_profile
 from .oracle import (EveFigures, PauliErrorDistribution, pairwise_figures,
                      phase_error_probability, reduce_code_channel)
 from .protocol import SessionConfig, SessionOutcome, error_correct, run_session

@@ -122,21 +122,20 @@ def estimate_vacuum_single(nu: SourceDistribution, obs: ObservedRates
             raise InfeasibleObservation("+ basis rates match no multi-photon-free channel")
     if denom <= 0.0:
         return 0.0, 0.0, True
-    r1_raw = s_num / denom
-    r1_raw = _detector_corrected(r1_raw, obs.p_s)
-    q1, cq = _clamp01(q1_raw)
-    r1, cr = _clamp01(r1_raw)
-    return q1, r1, cq or cr
+    return _clamped_pair(q1_raw, denom, s_num, obs.p_s)
 
 
-def _detector_corrected(r1_raw: float, p_s: float) -> float:
-    """Remove the detector/generator flip rate from an observed error rate.
+def _clamped_pair(q1_raw: float, den: float, err_num: float, p_s: float
+                  ) -> tuple[float, float, bool]:
+    """(q1, r1, clamped): q1_raw and the error rate err_num / den, each clamped
+    to [0, 1] after the rate loses the detector/generator flip rate.
 
-    Inverts  r' = p_S (1 - r) + (1 - p_S) r, so r = (r' - p_S)/(1 - 2 p_S).
-    Unchecked, for estimates that may leave [0, 1] before their clamp;
+    Inverts  r' = p_S (1 - r) + (1 - p_S) r, so r = (r' - p_S)/(1 - 2 p_S);
     ``ObservedRates`` has already checked p_s.
     """
-    return (r1_raw - p_s) / (1.0 - 2.0 * p_s)
+    q1, cq = _clamp01(q1_raw)
+    r1, cr = _clamp01((err_num / den - p_s) / (1.0 - 2.0 * p_s))
+    return q1, r1, cq or cr
 
 
 def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
@@ -156,11 +155,8 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
     q1_max_raw, den_max, s_num = _x_balance(nu, obs, pd)
     den_min = _x_balance(nu, obs, 1.0)[1]
 
-    r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
-    r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
-    r1_min_tilde, c = _clamp01(r1_min_raw)
-    clamped |= c
-    q1_max, c = _clamp01(q1_max_raw)
+    err_min = s_num - (1.0 - pd) * v2
+    q1_max, r1_min_tilde, c = _clamped_pair(q1_max_raw, den_max, err_min, obs.p_s)
     clamped |= c
 
     q1_width = v2 * (1.0 - pd) / v1
@@ -169,7 +165,7 @@ def estimate_interval_symmetric(nu: SourceDistribution, obs: ObservedRates
         # numerator; when the raw lower end is negative (clamped to 0) the
         # width is r1_max itself, which the max(., 0) form still covers.
         ratio = (1.0 - pd) * v2 / den_min
-        a_pos = max(s_num - (1.0 - pd) * v2, 0.0)
+        a_pos = max(err_min, 0.0)
         r1_width_bound = ratio * (1.0 + a_pos / den_min)
     else:
         r1_width_bound = 1.0
@@ -222,11 +218,7 @@ def _key_term_corner(nu: SourceDistribution, obs: ObservedRates
     if den <= 0.0:
         # No single-photon credit survives the worst case.
         return 0.0, 1.0, True
-    r1_raw = s_num / den
-    r1_raw = _detector_corrected(r1_raw, obs.p_s)
-    r1, cr = _clamp01(r1_raw)
-    q1, cq = _clamp01(q1_raw)
-    return q1, r1, cr or cq
+    return _clamped_pair(q1_raw, den, s_num, obs.p_s)
 
 
 def minimize_key_term(nu: SourceDistribution, obs: ObservedRates

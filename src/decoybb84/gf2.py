@@ -51,10 +51,6 @@ _CHUNK = 62
 _WEIGHTS = np.int64(1) << np.arange(_CHUNK, dtype=np.int64)
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def lex_key(bits: int, length: int) -> int:
     """Integer whose ordering equals lexicographic order of the bit tuple:
     the ``length`` bits reversed, so it is its own inverse."""
@@ -167,7 +163,7 @@ def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
         raise DimensionMismatch(f"matrix cols {m.cols} != vector length {v.length}")
     out = 0
     for i, row in enumerate(m.row_bits):
-        out |= _parity(row & v.bits) << i
+        out |= ((row & v.bits).bit_count() & 1) << i
     return BitVector(m.rows, out)
 
 

@@ -4,7 +4,7 @@ The hash matrix is the l x (l+m) block matrix (X, I): X is l x m with
 ``X[i][j] = seed[i+j]`` (0-based; seed bit k is the textbook-indexed random
 variable Y_{k+1}, so the diagonals run over Y_1..Y_{l+m-1}) and I is the l x l identity in the
 last l columns.  Compressing an (l+m)-bit string Z to the l bits M_p Z
-(``mat_vec_mul`` with ``ToeplitzHash.matrix()``) sacrifices m bits.
+(``mat_vec_mul`` with ``build_toeplitz(l, m, seed)``) sacrifices m bits.
 
 The security condition on the hash family is that for every nonzero Z the
 seed-fraction with Z in Im M_p^T is at most 2^-m.  ``universality_profile``
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,36 +36,19 @@ from .gf2 import BitMatrix, BitVector, mat_vec_mul  # noqa: F401
 DEFAULT_SEED_GUARD = 20
 
 
-@dataclass(frozen=True)
-class ToeplitzHash:
-    """Hash matrix (X, I) realized from an (l+m-1)-bit seed."""
-
-    l: int
-    m: int
-    seed: BitVector
-
-    def __post_init__(self):
-        if self.l < 1 or self.m < 0:
-            raise ValueError("need l >= 1 and m >= 0")
-        if self.seed.length != self.l + self.m - 1:
-            raise DimensionMismatch(
-                f"seed length {self.seed.length} != l+m-1 = {self.l + self.m - 1}")
-
-    def matrix(self) -> BitMatrix:
-        return build_toeplitz(self.l, self.m, self.seed)
-
-
 def build_toeplitz(l: int, m: int, seed: BitVector) -> BitMatrix:
     """Realize the hash matrix (X, I) from its seed bits."""
+    if l < 1 or m < 0:
+        raise ValueError("need l >= 1 and m >= 0")
     if seed.length != l + m - 1:
         raise DimensionMismatch(f"seed length {seed.length} != l+m-1 = {l + m - 1}")
     mask = (1 << m) - 1
     return BitMatrix(l, l + m, tuple(seed.bits >> i & mask | 1 << (m + i) for i in range(l)))
 
 
-def sample_seed(rng: np.random.Generator, l: int, m: int) -> ToeplitzHash:
-    """Uniform hash seed drawn from the given deterministic source."""
-    return ToeplitzHash(l, m, BitVector.from_bits(rng.integers(0, 2, size=l + m - 1)))
+def sample_seed(rng: np.random.Generator, l: int, m: int) -> BitVector:
+    """Uniform (l+m-1)-bit hash seed drawn from the given deterministic source."""
+    return BitVector.from_bits(rng.integers(0, 2, size=l + m - 1))
 
 
 class UniversalityProfile(Mapping):

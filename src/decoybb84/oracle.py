@@ -232,9 +232,9 @@ def _normalize_channel(channel, n: int) -> tuple[str, object]:
             if key not in _SITE_KEYS:
                 raise ValueError(f"site {i} key {key!r} outside {{0, 1}}^2")
         mat = np.zeros((2, 2))
-        for (x, z), p in law.items():
+        for (x, z), p in zip(law, check_law(f"site {i} law", list(law.values()))):
             mat[int(x), int(z)] = p  # a key equal to a bit pair, such as (1.0, 0), indexes as it
-        site_laws.append(check_law(f"site {i} law", mat))
+        site_laws.append(mat)
     if len(site_laws) != n:
         raise DimensionMismatch(f"channel has {len(site_laws)} sites, code expects {n}")
     return "product", site_laws

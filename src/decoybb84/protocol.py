@@ -45,7 +45,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import kernels
+from . import hashing, kernels
 from .channel import (NORMAL, PLUS, TIMES, UNDETECTED, VACUUM, ChannelStrategy,
                       apply_bit_errors, categorical, classify, group_uniforms,
                       sample_detection, sample_flips, uniform_mask)
@@ -451,11 +451,11 @@ def _correct_and_amplify(cfg: SessionConfig, rng: np.random.Generator, log: list
     raw = {"alice": BitVector.from_bits(x_alice), "bob": BitVector.from_bits(x_bob)}
     m_e = random_full_rank_matrix(rng, cfg.n, res.lm)
     z, masked, z_hat = error_correct(raw[sender], raw[receiver], m_e, rng, cfg.decode_guard)
-    hash_fn = sample_seed(rng, res.length, res.m)
+    seed = sample_seed(rng, res.length, res.m)
     log.extend([(step, "both", "{} code {:code}", (name, m_e.row_bits)),
                 (step, sender, "{} masked {:x}", (name, masked.bits)),
-                (step + 1, "both", "{} pa-seed {:x}", (name, hash_fn.seed.bits))])
-    m_p = hash_fn.matrix()
+                (step + 1, "both", "{} pa-seed {:x}", (name, seed.bits))])
+    m_p = hashing.build_toeplitz(res.length, res.m, seed)
     seeds = {sender: z, receiver: z_hat}
     res.alice_key = mat_vec_mul(m_p, seeds["alice"])
     res.bob_key = mat_vec_mul(m_p, seeds["bob"])

@@ -92,14 +92,15 @@ def initial_eve_information_asymptotic(nu: SourceDistribution, q1: float,
     """Initial Eve information for an N-bit raw key, rate form.
 
     Forward credits the vacuum counting contribution, reverse the dark
-    counts; either way the single-photon fraction contributes only its
+    counts and two-way only the vacuum dark counts (``EC_DIRECTIONS``);
+    in each the single-photon fraction contributes only its
     entropy-degraded share.
     """
     if p_nu_plus <= 0.0:
         raise ValueError("counting rate must be positive")
     photon = nu.v1 * q1 * (1.0 - hbar(r1)) / p_nu_plus
-    if direction not in ("forward", "reverse"):
-        raise ValueError("direction must be 'forward' or 'reverse'")
+    if direction not in EC_DIRECTIONS:
+        raise ValueError(f"unknown error-correction direction {direction!r}")
     credit = EC_DIRECTIONS[direction][1](nu, p0, p_dark) / p_nu_plus
     return n * (1.0 - photon - credit)
 

@@ -36,11 +36,9 @@ import numpy as np
 from decoybb84.bounds import BoundInputs, averaged_bound, hbar, k2_count
 from decoybb84.channel import (DARK, MULTI, NORMAL, PLUS, SINGLE, TIMES, UNDETECTED, VACUUM,
                                ChannelStrategy)
-from decoybb84.decoy import (EstimateInterval, ObservedRates, SourceDistribution,
-                             _detector_corrected)
+from decoybb84.decoy import EstimateInterval, ObservedRates, SourceDistribution
 from decoybb84.errors import CapacityError, DimensionMismatch, InfeasibleObservation
 from decoybb84.gf2 import BitMatrix, BitVector, lex_key, pack_rows
-from decoybb84.hashing import ToeplitzHash
 from decoybb84.kernels import decode_table
 from decoybb84.oracle import PauliErrorDistribution
 from decoybb84.protocol import DExperimental, DInitial, initial_eve_info_m_rule
@@ -82,16 +80,17 @@ def min_distance_decode(received: BitVector, codewords: Sequence[BitVector],
     return best
 
 
-def transpose_image_membership(h: ToeplitzHash, z: BitVector) -> bool:
-    """True iff z = (x, y) lies in Im M_p^T, i.e. x = X^T y."""
-    if z.length != h.l + h.m:
+def transpose_image_membership(l: int, m: int, seed: BitVector, z: BitVector) -> bool:
+    """True iff z = (x, y) lies in Im M_p^T for the hash of the (l+m-1)-bit
+    seed, i.e. x = X^T y."""
+    if z.length != l + m:
         raise DimensionMismatch("z must have length l+m")
-    x_part = z.bits & ((1 << h.m) - 1)
-    y_part = z.bits >> h.m
+    x_part = z.bits & ((1 << m) - 1)
+    y_part = z.bits >> m
     acc = 0
-    for i in range(h.l):
+    for i in range(l):
         if (y_part >> i) & 1:
-            acc ^= (h.seed.bits >> i) & ((1 << h.m) - 1)
+            acc ^= (seed.bits >> i) & ((1 << m) - 1)
     return acc == x_part
 
 
@@ -449,7 +448,8 @@ def interval_symmetric_reference(nu: SourceDistribution, obs: ObservedRates
     else:
         r1_max_raw = s_num / den_min
         if obs.p_s > 0.0:
-            r1_max_raw = _detector_corrected(r1_max_raw, obs.p_s)
+            # Invert r' = p_S (1 - r) + (1 - p_S) r.
+            r1_max_raw = (r1_max_raw - obs.p_s) / (1.0 - 2.0 * obs.p_s)
         r1_max, c = _clamp01(r1_max_raw)
         clamped |= c
         q1_min, c = _clamp01(q1_min_raw)
@@ -457,7 +457,7 @@ def interval_symmetric_reference(nu: SourceDistribution, obs: ObservedRates
 
     r1_min_raw = (s_num - (1.0 - pd) * v2) / den_max
     if obs.p_s > 0.0:
-        r1_min_raw = _detector_corrected(r1_min_raw, obs.p_s)
+        r1_min_raw = (r1_min_raw - obs.p_s) / (1.0 - 2.0 * obs.p_s)
     r1_min_tilde, c = _clamp01(r1_min_raw)
     clamped |= c
     q1_max, c = _clamp01(q1_max_raw)

@@ -7,9 +7,8 @@ import pytest
 
 from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank
-from decoybb84.hashing import (ToeplitzHash, UniversalityProfile,
-                               build_toeplitz, profile_summary, sample_seed,
-                               universality_profile)
+from decoybb84.hashing import (UniversalityProfile, build_toeplitz, profile_summary,
+                               sample_seed, universality_profile)
 from oracles import (matrix_from_rows, random_matrix_universality_profile,
                      transpose_image_membership)
 
@@ -35,6 +34,11 @@ class TestBuildToeplitz:
         with pytest.raises(DimensionMismatch):
             build_toeplitz(2, 2, bv(1, 0))
 
+    @pytest.mark.parametrize("l, m", [(0, 1), (0, 3), (-1, 2), (2, -1), (1, -1)])
+    def test_rejects_empty_key_or_negative_sacrifice(self, l, m):
+        with pytest.raises(ValueError, match="need l >= 1 and m >= 0"):
+            build_toeplitz(l, m, BitVector(max(l + m - 1, 0), 0))
+
     def test_matches_diagonal_rule_entrywise(self):
         rng = np.random.default_rng(4)
         for l, m in ((1, 0), (3, 0), (1, 5), (4, 4), (7, 3), (2, 70), (40, 30)):
@@ -51,34 +55,31 @@ class TestBuildToeplitz:
             m = int(rng.integers(0, 5))
             if l + m - 1 < 1:
                 continue
-            h = sample_seed(rng, l, m)
-            assert rank(h.matrix()) == l
+            assert rank(build_toeplitz(l, m, sample_seed(rng, l, m))) == l
 
 
 class TestHashKey:
     def test_zero_maps_to_zero(self):
-        h = ToeplitzHash(2, 2, bv(1, 0, 1))
-        assert mat_vec_mul(h.matrix(), bv(0, 0, 0, 0)) == bv(0, 0)
+        assert mat_vec_mul(build_toeplitz(2, 2, bv(1, 0, 1)), bv(0, 0, 0, 0)) == bv(0, 0)
 
     def test_single_row_cases(self):
-        h = ToeplitzHash(1, 1, bv(1))
-        assert mat_vec_mul(h.matrix(), bv(1, 0)) == bv(1)
-        assert mat_vec_mul(h.matrix(), bv(1, 1)) == bv(0)
+        mp = build_toeplitz(1, 1, bv(1))
+        assert mat_vec_mul(mp, bv(1, 0)) == bv(1)
+        assert mat_vec_mul(mp, bv(1, 1)) == bv(0)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             l = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
-            h = sample_seed(rng, l, m)
+            mp = build_toeplitz(l, m, sample_seed(rng, l, m))
             z1 = BitVector(l + m, int(rng.integers(0, 1 << (l + m))))
             z2 = BitVector(l + m, int(rng.integers(0, 1 << (l + m))))
-            mp = h.matrix()
             assert mat_vec_mul(mp, z1 ^ z2) == mat_vec_mul(mp, z1) ^ mat_vec_mul(mp, z2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_vec_mul(ToeplitzHash(1, 1, bv(0)).matrix(), bv(1, 0, 0))
+            mat_vec_mul(build_toeplitz(1, 1, bv(0)), bv(1, 0, 0))
 
 
 class TestUniversalityProfile:
@@ -107,9 +108,7 @@ class TestUniversalityProfile:
         denom = 1 << (l + m - 1)
         for z in range(1, 1 << (l + m)):
             hits = sum(
-                transpose_image_membership(
-                    ToeplitzHash(l, m, BitVector(l + m - 1, s)),
-                    BitVector(l + m, z))
+                transpose_image_membership(l, m, BitVector(l + m - 1, s), BitVector(l + m, z))
                 for s in range(denom))
             assert profile[z] == Fraction(hits, denom)
 
@@ -175,12 +174,12 @@ class TestUniversalityProfile:
         for _ in range(20):
             l = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
-            h = sample_seed(rng, l, m)
-            kern = kernel_basis(h.matrix())
+            seed = sample_seed(rng, l, m)
+            kern = kernel_basis(build_toeplitz(l, m, seed))
             for z in range(1 << (l + m)):
                 zv = BitVector(l + m, z)
                 ortho = all((k.bits & z).bit_count() % 2 == 0 for k in kern)
-                assert transpose_image_membership(h, zv) == ortho
+                assert transpose_image_membership(l, m, seed, zv) == ortho
 
 
 def _break_a_rank(profile, rng):
@@ -234,8 +233,7 @@ class TestSampleSeed:
         assert c != a  # distinct sources give distinct hashes here
 
     def test_seed_length_contract(self):
-        h = sample_seed(np.random.default_rng(0), 1, 1)
-        assert h.seed.length == 1
+        assert sample_seed(np.random.default_rng(0), 1, 1).length == 1
 
     def test_uniform_over_full_enumeration(self):
         # Feed the sampler every raw bit pattern once; each distinct hash
@@ -251,7 +249,7 @@ class TestSampleSeed:
                 assert (low, high, size) == (0, 2, n_bits)
                 return np.array([(self.value >> i) & 1 for i in range(n_bits)])
 
-        seen = [sample_seed(PatternSource(v), l, m).seed.bits
+        seen = [sample_seed(PatternSource(v), l, m).bits
                 for v in range(1 << n_bits)]
         counts = np.bincount(seen, minlength=1 << n_bits)
         expected = 1.0

@@ -424,6 +424,17 @@ class TestReduceCodeChannel:
         with pytest.raises(ValueError, match="joint channel law"):
             reduce_code_channel(joint, m_e, m_p)
 
+    @pytest.mark.parametrize("channel, name", [
+        ([{(0, 0): 1.0}, {(0, 0): True}, {(0, 0): 1.0}], "site 1 law"),
+        ([{(0, 0): 1.0}, {(0, 0): "1"}, {(0, 0): 1.0}], "site 1 law"),
+        ({(0, 0): True}, "joint channel law"),
+    ], ids=["site-bool", "site-string", "joint-bool"])
+    def test_non_numeric_law_rejected(self, channel, name):
+        # A bool or string must not reach the float array as 1.0.
+        m_e, m_p = self._repetition_pair()
+        with pytest.raises(TypeError, match=f"^{name} must hold real numbers only$"):
+            reduce_code_channel(channel, m_e, m_p)
+
     @pytest.mark.parametrize("key", [(-1, 0), (0, 2)], ids=["negative", "two"])
     def test_site_key_outside_bits_rejected(self, key):
         m_e, m_p = self._repetition_pair()

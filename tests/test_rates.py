@@ -146,16 +146,16 @@ class TestFiniteBoundMeetsAsymptoticRate:
     NU = SourceDistribution(0.1, 0.6, 0.3)
     Q1, Q2, R1 = 0.3, 0.5, 0.03
 
-    def class_rates(self, p_dark):
-        # J0 .. J5 per signal pulse; the vacuum fires only by dark counts (p0 = p_D).
+    def class_rates(self, p_dark, p0):
+        # J0 .. J5 per signal pulse; the vacuum fires beyond its dark counts at p0 - p_D.
         nu = self.NU
-        return (0.0, nu.v1 * self.Q1, nu.v2 * self.Q2,
+        return (nu.v0 * (p0 - p_dark), nu.v1 * self.Q1, nu.v2 * self.Q2,
                 nu.v0 * p_dark, nu.v1 * p_dark, nu.v2 * p_dark)
 
-    @pytest.mark.parametrize("p_dark", [0.0, 0.01])
-    @pytest.mark.parametrize("direction", ["forward", "reverse"])
-    def test_least_sacrifice_falls_to_the_asymptotic_rate(self, direction, p_dark):
-        rates = self.class_rates(p_dark)
+    def check_limit(self, direction, p_dark, p0):
+        """Check m/N against the limit and the formula against both pairs;
+        return (limit, concavity slack)."""
+        rates = self.class_rates(p_dark, p0)
         p = sum(rates)
         limit = (rates[1] * hbar(self.R1) + k2_count(rates, direction)) / p
         per_bit = [least_sacrifice([round(n * r / p) for r in rates], self.R1, direction) / n
@@ -164,14 +164,30 @@ class TestFiniteBoundMeetsAsymptoticRate:
         assert per_bit[-1] > limit and per_bit[-1] - limit < 0.01, (per_bit, limit)
 
         def asymptotic(q1, r1):
-            return initial_eve_information_asymptotic(self.NU, q1, r1, p_dark, p_dark, p,
+            return initial_eve_information_asymptotic(self.NU, q1, r1, p0, p_dark, p,
                                                       n=1, direction=direction)
 
         assert asymptotic(self.Q1, self.R1) == pytest.approx(limit, abs=1e-12)
         q1_bar, r1_bar = gllp_effective_params(self.Q1, self.R1, p_dark)
         slack = self.NU.v1 / p * (q1_bar * hbar(r1_bar) - self.Q1 * hbar(self.R1) - p_dark)
         assert asymptotic(q1_bar, r1_bar) - limit == pytest.approx(slack, abs=1e-12)
+        return limit, slack
+
+    @pytest.mark.parametrize("p_dark", [0.0, 0.01])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_least_sacrifice_falls_to_the_asymptotic_rate(self, direction, p_dark):
+        # The vacuum fires only by dark counts (p0 = p_D), so J0 = 0 and
+        # two-way's limit is forward's.
+        _, slack = self.check_limit(direction, p_dark, p_dark)
         assert slack == pytest.approx(0.02467 if p_dark else 0.0, abs=1e-5)
+
+    @pytest.mark.parametrize("direction, want", [
+        ("forward", 0.56393), ("reverse", 0.54939), ("twoway", 0.57555)])
+    def test_vacuum_counts_above_dark_counts(self, direction, want):
+        # p0 > p_D gives J0 > 0, which reverse and two-way sacrifice and
+        # forward credits: the three limits part.
+        limit, _ = self.check_limit(direction, 0.01, 0.05)
+        assert limit == pytest.approx(want, abs=1e-5)
 
 
 class TestOrderingChain:

@@ -15,6 +15,9 @@ attribute of its name (again not off an imported module) or names it in a
 string constant, as the ``getattr`` loops of ``__post_init__`` do.
 
 Everything else must be on an allowlist, with the reason it stays.
+
+The reference oracles in ``tests/oracles.py`` import no private name of
+the package, so no reference shares the code it checks.
 """
 
 import ast
@@ -226,3 +229,31 @@ def test_field_scan_counts_attribute_reads_and_named_strings(tmp_path):
         "    box.side = math.pi\n"
         "    return p.x\n")
     assert unread_fields(tmp_path) == {"lib.Point.pi", "lib.Point.label", "lib.Box.side"}
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def private_imports(path):
+    """``module.name`` of each ``_``-prefixed name that the file imports from
+    the package."""
+    return {f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "decoybb84"
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_reference_oracles_share_no_private_code():
+    # An oracle that calls the checked code's private helpers checks
+    # nothing about them.
+    assert private_imports(ORACLES) == set()
+
+
+def test_private_import_scan(tmp_path):
+    (tmp_path / "ref.py").write_text(
+        "from decoybb84.decoy import ObservedRates, _clamp01\n"
+        "from decoybb84 import _version\n"
+        "from numpy import _core\n"
+        "from .local import _helper\n")
+    assert private_imports(tmp_path / "ref.py") == {"decoybb84.decoy._clamp01",
+                                                    "decoybb84._version"}
