@@ -27,7 +27,7 @@ All logarithms are base 2; information is in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -102,8 +102,8 @@ def min_decoding_bound(k1: int, k2: int, t: int, m: int) -> float:
 class BoundInputs:
     """Classification counts plus the privacy-amplification parameters.
 
-    ``t_distribution`` maps the phase-error count t (0..J1) to its
-    probability; bounds that average over t require it.  The counts are
+    ``m`` and ``t_distribution``, which maps the phase-error count t (0..J1)
+    to its probability, are keyword-only and required.  The counts are
     integers (not bool), ``n_bar`` and ``n_under`` at least 1 when given.
     """
 
@@ -113,10 +113,10 @@ class BoundInputs:
     j3: int = 0
     j4: int = 0
     j5: int = 0
-    m: int = 0
+    m: int = field(kw_only=True)
     n_bar: int | None = None
     n_under: int | None = None
-    t_distribution: Mapping[int, float] | None = None
+    t_distribution: Mapping[int, float] = field(kw_only=True)
 
     def __post_init__(self):
         for name in ("j0", "j1", "j2", "j3", "j4", "j5", "m", "n_bar", "n_under"):
@@ -126,8 +126,6 @@ class BoundInputs:
                 continue
             if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        if self.t_distribution is None:
-            return
         if not isinstance(self.t_distribution, Mapping):
             raise TypeError("t_distribution must be an object mapping t to its probability")
         dist = {}
@@ -170,8 +168,6 @@ def k2_count(j: Sequence[int], direction: str) -> int:
 
 def averaged_bound(inputs: BoundInputs, direction: str) -> float:
     """The phase-error bound averaged over t for the given direction."""
-    if inputs.t_distribution is None:
-        raise ValueError("t_distribution required")
     k2 = k2_count((inputs.j0, inputs.j1, inputs.j2, inputs.j3, inputs.j4, inputs.j5),
                   direction)
     return sum(p * min_decoding_bound(inputs.j1, k2, t, inputs.m)

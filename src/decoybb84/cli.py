@@ -65,16 +65,15 @@ def _load(path: str) -> str:
 # given twice, on two lines or inside one JSON object, is an error: plain
 # ``json.loads`` would keep the last one without a word.
 
-# format -> (dataclass built, keys required beyond the fields without a
-# default, keys accepted beside the fields and not passed to the dataclass,
-# fields a file may not set)
+# format -> (dataclass built, keys read beside its fields, each required and
+# not passed to it, fields a file may not set)
 INPUT_FORMATS = {
-    "bound": (bounds_mod.BoundInputs, ("m", "t_distribution"), (), ()),
-    "estimate-decoy": (decoy_mod.ObservedRates, ("nu",), ("nu",), ()),
-    "rates": (rates_mod.RateInputs, (), (), ()),
+    "bound": (bounds_mod.BoundInputs, (), ()),
+    "estimate-decoy": (decoy_mod.ObservedRates, ("nu",), ()),
+    "rates": (rates_mod.RateInputs, (), ()),
     # Trial seeds come from --seed.
-    "session": (SessionConfig, (), (), ("rng_seed",)),
-    "strategy": (ChannelStrategy, (), (), ()),
+    "session": (SessionConfig, (), ("rng_seed",)),
+    "strategy": (ChannelStrategy, (), ()),
 }
 
 # Values that files give as JSON lists.
@@ -134,20 +133,19 @@ def _check_keys(spec, accepted, required) -> None:
 
 def input_keys(fmt: str) -> tuple[list[str], list[str]]:
     """The accepted and the required keys of input format ``fmt``."""
-    cls, required, extra, skip = INPUT_FORMATS[fmt]
+    cls, beside, skip = INPUT_FORMATS[fmt]
     fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
-    accepted = [f.name for f in fields] + list(extra)
-    return accepted, [f.name for f in fields
-                      if f.default is dataclasses.MISSING] + list(required)
+    return ([f.name for f in fields] + list(beside),
+            [f.name for f in fields if f.default is dataclasses.MISSING] + list(beside))
 
 
 def load_input(fmt: str, spec):
     """Format ``fmt``'s dataclass from the parsed file ``spec``: every key
     must be accepted and every required key given."""
     _check_keys(spec, *input_keys(fmt))
-    cls, _, extra, _ = INPUT_FORMATS[fmt]
+    cls, beside, _ = INPUT_FORMATS[fmt]
     return cls(**{key: _CONVERT[key](val) if key in _CONVERT else val
-                  for key, val in spec.items() if key not in extra})
+                  for key, val in spec.items() if key not in beside})
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +173,8 @@ def cmd_oracle_check(args) -> tuple[dict, bool]:
         raise ValueError("--suite-size must be at least 1")
     if args.l_min > args.l_max:
         raise ValueError(f"empty logical range --l-min {args.l_min} > --l-max {args.l_max}")
+    for l in (args.l_min, args.l_max):  # before any suite is drawn
+        oracle_mod.check_logical_width(l)
     rng = np.random.default_rng(args.seed)
     slacks = {}
     l_values = list(range(args.l_min, args.l_max + 1))

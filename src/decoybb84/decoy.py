@@ -45,9 +45,9 @@ class ObservedRates:
 
     ``p0`` is the vacuum counting rate (dark counts included), ``p_D`` the
     dark-count rate, ``p_nu_*``/``s_nu_*`` the per-basis counting and error
-    rates of the nu-distributed pulses, and ``p_S`` the x basis's
-    detector/generator error probability.  The + basis rates enter only
-    feasibility checks, which take no flip rate.
+    rates of the nu-distributed pulses (``s_nu_plus`` only with ``p_nu_plus``),
+    and ``p_S`` the x basis's detector/generator error probability.  The +
+    basis rates enter only feasibility checks, which take no flip rate.
     """
 
     p0: float
@@ -65,6 +65,8 @@ class ObservedRates:
         for name in ("p_nu_plus", "s_nu_plus"):
             if getattr(self, name) is not None:
                 check_probability(name, getattr(self, name))
+        if self.p_nu_plus is None and self.s_nu_plus is not None:
+            raise ValueError("s_nu_plus needs p_nu_plus: no estimator reads a lone + error rate")
 
     def symmetric(self) -> bool:
         return (self.p_nu_plus is None or

@@ -56,7 +56,7 @@ _SITE_KEYS = {(0, 0), (0, 1), (1, 0), (1, 1)}
 _SUM_TOL = 1e-12
 
 
-def _check_logical_width(l: int) -> None:
+def check_logical_width(l: int) -> None:
     if l < 1:
         raise ValueError("l must be >= 1")
     if l > ORACLE_GUARD_L:
@@ -71,7 +71,7 @@ class PauliErrorDistribution:
     probs: np.ndarray  # shape (2^l, 2^l), probs[x, z]
 
     def __post_init__(self):
-        _check_logical_width(self.l)
+        check_logical_width(self.l)
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (1 << self.l, 1 << self.l):
             raise DimensionMismatch(f"probs must have shape (2^l, 2^l), got {p.shape}")
@@ -264,14 +264,13 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
         raise DimensionMismatch("m_p columns must equal m_e columns")
     if n > REDUCE_GUARD_N:
         raise CapacityError(f"N={n} exceeds reduction guard {REDUCE_GUARD_N}")
-    _check_logical_width(l)  # before any 2^N x 2^l table
+    check_logical_width(l)  # before any 2^N x 2^l table
     if rank(m_e) != lm:
         raise ValueError("m_e must be injective (full column rank)")
     if rank(m_p) != l:
         raise ValueError("m_p must have full row rank")
 
     kind, law = _normalize_channel(channel, n)
-    size = 1 << n
     n_lab = 1 << l
 
     # --- key-error side: code Im(m_e), labels M_p Z, shifted by codewords

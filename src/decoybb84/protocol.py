@@ -101,6 +101,8 @@ class SessionConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.decode_guard < 1:
+            raise ValueError(f"decode_guard must be at least 1, got {self.decode_guard}")
         k = len(self.nus)
         if k < 1:
             raise ValueError("need at least one source distribution")

@@ -539,7 +539,7 @@ def least_sacrifice(j: Sequence[int], r1: float, direction: str,
            for t in range(n1 + 1)}
     kept = {t: p for t, p in pmf.items() if p >= 1e-18}
     total = math.fsum(kept.values())
-    inputs = BoundInputs(*j, t_distribution={t: p / total for t, p in kept.items()})
+    inputs = BoundInputs(*j, m=0, t_distribution={t: p / total for t, p in kept.items()})
     lo, hi = 0, n1 + k2_count(j, direction) + math.ceil(-math.log2(target))
     while lo < hi:
         mid = (lo + hi) // 2

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from decoybb84 import kernels
 from decoybb84.bounds import (EC_DIRECTIONS, BoundInputs, DecodingCheck, averaged_bound,
                               averaged_eve_info_bound, binary_entropy,
                               distinguishability_bounds, eve_info_bound, hbar, k2_count,
                               min_decoding_bound, per_bit_eve_info_bound, success_bound,
                               verify_proposition_decoding)
 from decoybb84.decoy import SourceDistribution
-from decoybb84.errors import CapacityError
+from decoybb84.errors import BoundViolation, CapacityError
 from decoybb84.gf2 import BitMatrix, BitVector, kernel_basis, lex_key, mat_vec_mul, span_ints
 from decoybb84.hashing import build_toeplitz
 from decoybb84.protocol import random_full_rank_matrix
@@ -154,10 +155,16 @@ class TestBoundInputs:
     ])
     def test_bad_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            BoundInputs(**{"j1": 4, "m": 2, field: value})
+            BoundInputs(**{"j1": 4, "m": 2, "t_distribution": {0: 1.0}, field: value})
+
+    def test_m_required(self):
+        # No bound exists without the sacrifice, so m has no default.
+        with pytest.raises(TypeError, match="required keyword-only argument: 'm'"):
+            BoundInputs(j1=3, t_distribution={0: 1.0})
 
     def test_numpy_integers_accepted(self):
-        inputs = BoundInputs(j1=np.int64(3), m=np.int64(2), n_bar=np.int64(4), n_under=1)
+        inputs = BoundInputs(j1=np.int64(3), m=np.int64(2), n_bar=np.int64(4), n_under=1,
+                             t_distribution={0: 1.0})
         assert inputs.n_bar == 4 and inputs.n_under == 1
 
     @pytest.mark.parametrize("dist", [
@@ -165,18 +172,18 @@ class TestBoundInputs:
     ], ids=["negative", "nan", "short", "empty"])
     def test_bad_t_distribution_rejected_at_construction(self, dist):
         with pytest.raises(ValueError, match="t_distribution"):
-            BoundInputs(j1=1, t_distribution=dist)
+            BoundInputs(j1=1, m=0, t_distribution=dist)
 
     def test_t_outside_support_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            BoundInputs(j1=1, t_distribution={2: 1.0})
+            BoundInputs(j1=1, m=0, t_distribution={2: 1.0})
 
     def test_non_mapping_t_distribution_rejected(self):
         with pytest.raises(TypeError, match="t_distribution"):
-            BoundInputs(j1=1, t_distribution=[1.0])
+            BoundInputs(j1=1, m=0, t_distribution=[1.0])
 
     def test_t_distribution_normalized(self):
-        inputs = BoundInputs(j1=2, t_distribution={"1": 1})
+        inputs = BoundInputs(j1=2, m=0, t_distribution={"1": 1})
         assert inputs.t_distribution == {1: 1.0}
         assert isinstance(inputs.t_distribution[1], float)
         inputs = BoundInputs(j1=4, m=2, t_distribution={"0": 0.25, "01": 0.25, np.int64(2): 0.5})
@@ -296,8 +303,9 @@ class TestAveragedBounds:
             assert bound(j_up, m, t) >= base - 1e-15
 
     def test_missing_distribution(self):
-        with pytest.raises(ValueError):
-            averaged_bound(make_inputs((0, 3, 0, 0, 0, 0), 2, None), "forward")
+        # No bound exists without the t law, so it has no default.
+        with pytest.raises(TypeError, match="required keyword-only argument: 't_distribution'"):
+            BoundInputs(j1=3, m=2)
 
     def test_nan_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -412,6 +420,14 @@ class TestPropositionDecoding:
                                           rng=np.random.default_rng(0))
         assert res.bound == pytest.approx(2.0 ** -3)
         assert res.empirical_max <= res.bound
+
+    def test_violation_raised(self, monkeypatch):
+        # A decoder that failed under every seed would beat the bound 2^-3.
+        monkeypatch.setattr(kernels, "restricted_decode_flags",
+                            lambda cands, cls, mask1, ys, n_bits: np.full(len(ys), len(cands)))
+        with pytest.raises(BoundViolation, match="^decoding failure 1.0 exceeds bound 0.125$"):
+            verify_proposition_decoding(n0=2, n1=4, n2=0, t=0, c1_dim=5, m=3,
+                                        rng=np.random.default_rng(0))
 
     def test_worked_bound_value(self):
         res = verify_proposition_decoding(n0=2, n1=4, n2=1, t=2,

@@ -276,6 +276,19 @@ class TestOracleCheck:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--l-max", "5"], "l=5 exceeds oracle guard 4"),
+        (["--l-min", "0"], "l must be >= 1"),
+    ], ids=["above-guard", "below-1"])
+    def test_width_checked_before_any_suite(self, monkeypatch, capsys, flags, message):
+        # A width outside 1..ORACLE_GUARD_L exits 2 before any figure is computed.
+        real, calls = cli_mod.oracle_mod.pairwise_figures, []
+        monkeypatch.setattr(cli_mod.oracle_mod, "pairwise_figures",
+                            lambda dist: calls.append(dist) or real(dist))
+        assert main(["oracle-check", "--suite-size", "2"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
 
 def readme_block(name: str) -> str:
     """The README's example file ``name``, from its ``# name`` line."""
@@ -599,6 +612,33 @@ BAD_INPUTS = {
                       "t_distribution must hold real numbers only"),
     "string-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution={"0": "0.5", "1": "0.5"}),
                        "t_distribution must hold real numbers only"),
+    # null is not an object, as a list is not: no "not given" value exists.
+    "null-bound-t": (BOUND_FLAG, dict(BOUND_INPUTS, t_distribution=None),
+                     "t_distribution must be an object mapping t to its probability"),
+    # Every estimator would ignore a + basis error rate without its counting rate.
+    "lone-estimate-decoy-s_nu_plus": (DECOY_FLAG, dict(INTERVAL_OBSERVATIONS, s_nu_plus=0.45),
+                                      "s_nu_plus needs p_nu_plus: no estimator reads a lone "
+                                      "+ error rate"),
+    # A guard below 1 would stop the first missed decode mid-session.
+    "zero-session-decode_guard": (SESSION_FLAG, SESSION_CONFIG + "decode_guard = 0\n",
+                                  "decode_guard must be at least 1, got 0"),
+    "negative-session-decode_guard": (SESSION_FLAG, SESSION_CONFIG + "decode_guard = -5\n",
+                                      "decode_guard must be at least 1, got -5"),
+    "no-equals-session": (SESSION_FLAG, SESSION_CONFIG + "n_bar\n",
+                          "line 8: expected 'key = value'"),
+    "three-strategy-single_error_plus": (
+        STRATEGY_FLAG, NOISELESS_STRATEGY.replace("single_error_plus = [1.0, 0.0, 0.0, 0.0]",
+                                                  "single_error_plus = [1.0, 0.0, 0.0]"),
+        "single_error_plus must hold 4 probabilities"),
+    "empty-session-nus": (SESSION_FLAG, SESSION_CONFIG.replace("[[0.0, 1.0, 0.0]]", "[]"),
+                          "need at least one source distribution"),
+    "short-session-p_bar": (SESSION_FLAG, SESSION_CONFIG.replace("[0.1, 0.45, 0.45]", "[0.5, 0.5]"),
+                            "p_bar must have 2k+1 = 3 entries"),
+    "twoway-session-ec_direction": (SESSION_FLAG, SESSION_CONFIG + 'ec_direction = "twoway"\n',
+                                    "ec_direction must be 'forward' or 'reverse'"),
+    "no-single-session-nus": (SESSION_FLAG, SESSION_CONFIG.replace("[[0.0, 1.0, 0.0]]",
+                                                                   "[[0.5, 0.0, 0.5]]"),
+                              "estimators need a nonzero single-photon weight"),
 }
 
 

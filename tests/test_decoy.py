@@ -57,6 +57,13 @@ class TestEstimateVacuumSingle:
         q1, _, _ = estimate_vacuum_single(nu, obs)
         assert q1 == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_denominator_flags_undefined_error_rate(self):
+        # p_nu = nu0 p0 + nu1 p_D exactly: no single-photon click remains, so
+        # q1 = 0 and r1 is undefined, reported as 0 with the warning flag.
+        nu = SourceDistribution(0.5, 0.5)
+        obs = ObservedRates(p0=0.1, p_dark=0.1, p_nu_times=0.1, s_nu_times=0.5)
+        assert estimate_vacuum_single(nu, obs) == (0.0, 0.0, True)
+
     def test_infeasible_raises(self):
         nu = SourceDistribution(0.5, 0.5)
         obs = ObservedRates(p0=0.5, p_dark=0.0, p_nu_times=0.1, s_nu_times=0.1)
@@ -368,9 +375,8 @@ class TestMinimizeKeyTerm:
         # Fewer x-basis errors than the vacuum and dark counts explain: r1
         # clamps to 0 in both branches instead of raising.
         nu = SourceDistribution(0.3, 0.6, 0.1)
-        for p_nu_plus in (None, 0.205):
-            obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.001,
-                                p_nu_plus=p_nu_plus, s_nu_plus=0.05)
+        for plus in ({}, {"p_nu_plus": 0.205, "s_nu_plus": 0.05}):
+            obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.2, s_nu_times=0.001, **plus)
             q1, r1, value = minimize_key_term(nu, obs)
             assert r1 == 0.0 and value == q1 > 0.0
 

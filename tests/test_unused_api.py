@@ -16,6 +16,9 @@ string constant, as the ``getattr`` loops of ``__post_init__`` do.
 
 Everything else must be on an allowlist, with the reason it stays.
 
+No function assigns a local name that it never reads, itself or in a
+function nested in it; ``_`` is the name for a value that is dropped.
+
 The reference oracles in ``tests/oracles.py`` import no private name of
 the package, so no reference shares the code it checks.
 """
@@ -229,6 +232,62 @@ def test_field_scan_counts_attribute_reads_and_named_strings(tmp_path):
         "    box.side = math.pi\n"
         "    return p.x\n")
     assert unread_fields(tmp_path) == {"lib.Point.pi", "lib.Point.label", "lib.Box.side"}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(fn):
+    """The nodes of ``fn``'s body outside the functions and classes nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(src):
+    """``module.function.name`` of each name a function assigns and neither it
+    nor a function nested in it reads."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stored = {node.id for node in own_nodes(fn)
+                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+                read = {node.id for node in ast.walk(fn)
+                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+                out |= {f"{path.stem}.{fn.name}.{name}" for name in stored - read - {"_"}}
+    return out
+
+
+def test_every_local_is_read():
+    assert unread_locals(SRC) == set()
+
+
+def test_unread_local_scan(tmp_path):
+    # A local read in a closure is read; one read only in a function nested
+    # in it is the nested function's own; a dropped value is named ``_``.
+    (tmp_path / "lib.py").write_text(
+        "def area(grid):\n"
+        "    rows, cols, depth = grid\n"
+        "    size = rows * cols\n"
+        "    total = 0\n"
+        "    total += size\n"
+        "    for _ in range(2):\n"
+        "        pass\n"
+        "    return rows\n"
+        "\n"
+        "\n"
+        "def outer(x):\n"
+        "    scale = 2\n"
+        "\n"
+        "    def inner(y):\n"
+        "        shift = 1\n"
+        "        return y * scale\n"
+        "    return inner(x)\n")
+    assert unread_locals(tmp_path) == {"lib.area.depth", "lib.area.total", "lib.inner.shift"}
 
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
