@@ -26,5 +26,4 @@ from .oracle import (EveFigures, PauliErrorDistribution, pairwise_figures,
                      phase_error_probability, reduce_code_channel)
 from .protocol import SessionConfig, SessionOutcome, error_correct, run_session
 from .rates import RateInputs, all_rates, gllp_effective_params, verify_rate_ordering
-
-__version__ = "0.1.0"
+from .reports import TOOL_VERSION as __version__

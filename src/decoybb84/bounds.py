@@ -227,11 +227,9 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
         raise CapacityError(f"N={n} exceeds guard {DECODING_GUARD_N}")
     if not 0 <= t <= n1:
         raise ValueError("need 0 <= t <= n1")
-    if not 1 <= m <= c1_dim <= n:
-        raise ValueError("need 1 <= m <= c1_dim <= N")
+    if not 1 <= m < c1_dim <= n:
+        raise ValueError("need 1 <= m < c1_dim <= N")
     l = c1_dim - m
-    if l < 1:
-        raise ValueError("c1_dim - m must be >= 1")
     rng = rng or np.random.default_rng(0)
 
     # Imported here: protocol imports this module through decoy and rates,

@@ -105,24 +105,13 @@ class BitVector:
             raise ValueError("bits must be a flat sequence")
         return cls(len(bits), pack_rows(bits[np.newaxis])[0])
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise DimensionMismatch("vector lengths differ")
         return BitVector(self.length, self.bits ^ other.bits)
 
-    def __len__(self) -> int:
-        return self.length
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
-
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.to_tuple())
+        return "".join(str(self.bits >> i & 1) for i in range(self.length))
 
 
 @dataclass(frozen=True)

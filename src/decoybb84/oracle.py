@@ -283,9 +283,9 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
     sub_rows = tuple(mat_vec_mul(m_e, u).bits for u in ker_p)
     c2perp_basis = kernel_basis(BitMatrix(len(sub_rows), n, sub_rows))
 
-    # Complete the C1perp basis to a C2perp basis in Gray order; the added
-    # generators carry the l logical phase labels.  A word is picked when
-    # it does not reduce to zero against the pivots of C1perp + chosen.
+    # Complete the C1perp basis to a C2perp basis in Gray order, picking each
+    # word that does not reduce to zero against C1perp + chosen.  Full ranks
+    # give C2perp / C1perp dimension lm - m = l: l words carry the phase labels.
     mask = (1 << n) - 1
     pivots, _ = _reduce(c1_basis, mask)
     chosen: list[int] = []
@@ -294,8 +294,6 @@ def reduce_code_channel(channel, m_e: BitMatrix, m_p: BitMatrix):
             break
         if not _reduce([v], mask, pivots)[1]:
             chosen.append(v)
-    if len(chosen) != l:
-        raise ValueError("code pair does not expose l logical phase bits")
 
     # Logical coset lbl is C1perp + span_ints(chosen)[lbl]: the chosen words
     # at the set bits of gray(lbl) = lbl ^ (lbl >> 1).  The inverse Gray code

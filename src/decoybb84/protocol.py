@@ -147,7 +147,7 @@ class SessionOutcome:
     abort_reason: str | None
     plus: BasisResult | None
     times: BasisResult | None
-    experiment: DExperimental | None
+    experiment: DExperimental
     # (step, party, template, args): each line of the log is
     # f"{step} {party} " + _PAYLOAD.format(template, *args), with args bound
     # at announce time.

@@ -1,5 +1,7 @@
 """Closed-form bound formulas: worked values, clamps, monotonicity, decoding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -532,3 +534,27 @@ def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng):
     return DecodingCheck(float(rate.reshape(1 << n2, len(part1)).mean(axis=1).max()),
                          float(rate.max()), 2.0 ** ((n1 * hbar(t / n1) if n1 else 0.0) + n2 - m),
                          len(seeds), len(ys))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: success_bound(0.1, 0), "key length must be >= 1", id="success-l0"),
+    pytest.param(lambda: min_decoding_bound(-1, 0, 0, 0), "counts must be non-negative",
+                 id="decoding-k1"),
+    pytest.param(lambda: min_decoding_bound(0, -1, 0, 0), "counts must be non-negative",
+                 id="decoding-k2"),
+    pytest.param(lambda: min_decoding_bound(0, 0, 0, -1), "counts must be non-negative",
+                 id="decoding-m"),
+    pytest.param(lambda: per_bit_eve_info_bound(0.1, 0), "minimum key size must be >= 1",
+                 id="per-bit-n0"),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 0, 3, 2, 1), "need 0 <= t <= n1",
+                 id="verify-t"),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 0),
+                 "need 1 <= m < c1_dim <= N", id="verify-m0"),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 2),
+                 "need 1 <= m < c1_dim <= N", id="verify-m-eq-c1"),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 4, 1),
+                 "need 1 <= m < c1_dim <= N", id="verify-c1-above-n"),
+])
+def test_validation_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

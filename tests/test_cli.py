@@ -858,6 +858,19 @@ class TestManifest:
         assert report["manifest"]["digest"] == \
             payload_digest(report["payload"])
 
+    def test_tool_version_is_package_version(self, tmp_path):
+        import tomllib
+
+        import decoybb84
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(RATE_PARAMS))
+        out = tmp_path / "r.json"
+        main(["--format", "json", "--out", str(out), "rates", "--params", str(path)])
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml")
+                                  .read_text())
+        assert json.loads(out.read_text())["manifest"]["tool_version"] == \
+            decoybb84.__version__ == pyproject["project"]["version"]
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_value_rejected(self, value):
         from decoybb84.reports import build_report, to_json

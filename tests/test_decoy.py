@@ -43,6 +43,13 @@ class TestEstimateVacuumSingle:
         assert r1 == pytest.approx(0.0875, abs=1e-12)
         assert not clamped
 
+    def test_rejects_multi_photon_source(self):
+        obs = ObservedRates(p0=0.01, p_dark=0.001, p_nu_times=0.1055,
+                            s_nu_times=0.0115 / 0.1055)
+        with pytest.raises(ValueError, match="^source has a multi-photon component; "
+                                             "use the interval estimator$"):
+            estimate_vacuum_single(SourceDistribution(0.2, 0.5, 0.3), obs)
+
     def test_perfect_source(self):
         nu = SourceDistribution(0.0, 1.0)
         obs = ObservedRates(p0=0.0, p_dark=0.0, p_nu_times=1.0, s_nu_times=0.0)

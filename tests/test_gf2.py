@@ -1,6 +1,7 @@
 """GF(2) linear algebra: worked examples plus exhaustive consistency checks."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestKernelBasis:
 
     def test_parity_check(self):
         basis = kernel_basis(matrix_from_rows([[1, 1]]))
-        assert [b.to_tuple() for b in basis] == [(1, 1)]
+        assert [str(b) for b in basis] == ["11"]
 
     def test_zero_matrix(self):
         assert len(kernel_basis(BitMatrix(2, 3, (0, 0)))) == 3
@@ -239,10 +240,15 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(2, 0b100)
 
+    def test_str_lists_coordinates_from_zero(self):
+        for n in range(6):
+            for v in range(1 << n):
+                assert str(BitVector(n, v)) == format(v, f"0{n}b")[::-1] * (n > 0)
+
     def test_lex_key_orders_tuples(self):
         vs = [BitVector(3, v) for v in range(8)]
         by_key = sorted(vs, key=lambda v: lex_key(v.bits, v.length))
-        by_tuple = sorted(vs, key=lambda v: v.to_tuple())
+        by_tuple = sorted(vs, key=lambda v: tuple(v.bits >> i & 1 for i in range(v.length)))
         assert [v.bits for v in by_key] == [v.bits for v in by_tuple]
 
     def test_lex_key_matches_bit_loop(self):
@@ -401,3 +407,26 @@ def test_pinned_gf2_outputs():
                                ",".join("-" if s is None else str(s.bits) for s in sols)]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (240, PINNED_GF2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: BitVector(-1, 0), ValueError, "length must be non-negative",
+                 id="vector-length"),
+    pytest.param(lambda: BitVector(2, 1) ^ BitVector(3, 1), DimensionMismatch,
+                 "vector lengths differ", id="xor-lengths"),
+    pytest.param(lambda: BitMatrix(-1, 2, ()), ValueError, "negative shape", id="matrix-rows"),
+    pytest.param(lambda: BitMatrix(1, -1, (0,)), ValueError, "negative shape", id="matrix-cols"),
+    pytest.param(lambda: BitMatrix(2, 2, (1,)), ValueError, "row count mismatch",
+                 id="row-count"),
+    pytest.param(lambda: BitMatrix(1, 2, (4,)), ValueError, "row bits outside [0, 2^cols)",
+                 id="row-high"),
+    pytest.param(lambda: BitMatrix(1, 2, (-1,)), ValueError, "row bits outside [0, 2^cols)",
+                 id="row-negative"),
+    pytest.param(lambda: solve(BitMatrix(2, 2, (1, 2)), BitVector(3, 0)), DimensionMismatch,
+                 "matrix rows 2 != vector length 3", id="solve-length"),
+    pytest.param(lambda: span_ints([1] * 21), CapacityError,
+                 "span of dimension 21 exceeds guard 1048576", id="span-guard"),
+])
+def test_validation_raises(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -43,7 +43,7 @@ class TestBuildToeplitz:
         rng = np.random.default_rng(4)
         for l, m in ((1, 0), (3, 0), (1, 5), (4, 4), (7, 3), (2, 70), (40, 30)):
             seed = BitVector.from_bits(rng.integers(0, 2, size=l + m - 1))
-            want = [[seed[i + j] for j in range(m)] + [int(i == j) for j in range(l)]
+            want = [[seed.bits >> (i + j) & 1 for j in range(m)] + [int(i == j) for j in range(l)]
                     for i in range(l)]
             assert build_toeplitz(l, m, seed).to_array().tolist() == want
 

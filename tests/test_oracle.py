@@ -13,7 +13,7 @@ import pytest
 
 from decoybb84.bounds import (distinguishability_bounds, eve_info_bound,
                               success_bound)
-from decoybb84.errors import CapacityError
+from decoybb84.errors import CapacityError, DimensionMismatch
 from decoybb84.gf2 import (BitMatrix, BitVector, kernel_basis, mat_vec_mul, rank,
                            span_array, span_ints)
 from decoybb84.oracle import (REDUCE_GUARD_N, PauliErrorDistribution, _contract,
@@ -751,3 +751,25 @@ def test_law_equals_oracle():
         law, _ = logical_law_reference(channel, m_e, m_p)
         dist, _ = reduce_code_channel(channel, m_e, m_p)
         np.testing.assert_allclose(dist.probs, law, rtol=0, atol=1e-12, err_msg=str(case))
+
+
+_CODE = BitMatrix(3, 2, (1, 2, 3))
+_HASH = BitMatrix(1, 2, (1,))
+_CLEAN = [{(0, 0): 1.0}] * 3
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: PauliErrorDistribution(1, np.full((2, 3), 1 / 6)), DimensionMismatch,
+                 "probs must have shape (2^l, 2^l), got (2, 3)", id="law-shape"),
+    pytest.param(lambda: reduce_code_channel(_CLEAN[:2], _CODE, _HASH), DimensionMismatch,
+                 "channel has 2 sites, code expects 3", id="site-count"),
+    pytest.param(lambda: reduce_code_channel(_CLEAN, _CODE, BitMatrix(1, 3, (1,))),
+                 DimensionMismatch, "m_p columns must equal m_e columns", id="hash-cols"),
+    pytest.param(lambda: reduce_code_channel(_CLEAN, BitMatrix(3, 2, (1, 1, 0)), _HASH),
+                 ValueError, "m_e must be injective (full column rank)", id="code-rank"),
+    pytest.param(lambda: reduce_code_channel(_CLEAN, _CODE, BitMatrix(2, 2, (1, 1))),
+                 ValueError, "m_p must have full row rank", id="hash-rank"),
+])
+def test_validation_raises(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

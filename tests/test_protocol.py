@@ -1023,3 +1023,15 @@ class TestPinnedSessions:
 
 
 PINNED_DESK_DECODES = (512, "d3d3591530fceee6463c5d7f26db4c691a792a3a1ae29269d90b6878212acf93")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: random_full_rank_matrix(np.random.default_rng(0), 2, 3),
+                 "need cols <= rows for an injective generator", id="generator-shape"),
+    pytest.param(lambda: error_correct(BitVector(2, 0), BitVector(3, 0),
+                                       gf2.BitMatrix(3, 1, (1, 0, 0)), np.random.default_rng(0)),
+                 "raw keys must match the code length", id="raw-key-length"),
+])
+def test_validation_raises(call, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        call()

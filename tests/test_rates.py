@@ -130,6 +130,11 @@ class TestInitialEveInformation:
             nu, q1, r1, p0, pd, p_nu, n=n, direction="forward")
         assert counts_form == pytest.approx(asym_form, rel=1e-12)
 
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError, match="^unknown error-correction direction 'sideways'$"):
+            initial_eve_information_asymptotic(
+                SourceDistribution(0.0, 1.0), 1.0, 0.0, 0.0, 0.0, 1.0, 10, direction="sideways")
+
     def test_requires_positive_rate(self):
         with pytest.raises(ValueError):
             initial_eve_information_asymptotic(

@@ -16,6 +16,11 @@ string constant, as the ``getattr`` loops of ``__post_init__`` do.
 
 Everything else must be on an allowlist, with the reason it stays.
 
+The scan skips dunders, which Python calls by protocol (``len(v)``,
+``v[i]``, ``str(v)``) where ``ast`` sees no name.  The line trace of
+``checks/linecov.py`` is what catches an unrun dunder, such as a
+``__len__`` that nothing calls: its body never runs under tier-1.
+
 No function assigns a local name that it never reads, itself or in a
 function nested in it; ``_`` is the name for a value that is dropped.
 
