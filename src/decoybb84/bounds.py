@@ -206,8 +206,7 @@ class DecodingCheck:
 
 
 def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
-                                c1_dim: int, m: int,
-                                rng: np.random.Generator | None = None) -> DecodingCheck:
+                                c1_dim: int, m: int, rng: np.random.Generator) -> DecodingCheck:
     """Replay the decoding-error bound 2^(n1 hbar(t/n1) + n2 - m) exactly.
 
     Coordinates are split into a noiseless part (n0 bits), a part with at
@@ -230,7 +229,6 @@ def verify_proposition_decoding(n0: int, n1: int, n2: int, t: int,
     if not 1 <= m < c1_dim <= n:
         raise ValueError("need 1 <= m < c1_dim <= N")
     l = c1_dim - m
-    rng = rng or np.random.default_rng(0)
 
     # Imported here: protocol imports this module through decoy and rates,
     # and perfbench's LAYER_MAP lists no second binder of the sampler.

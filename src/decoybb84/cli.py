@@ -98,10 +98,6 @@ def _parse_json(text: str):
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
-def _load_json(path: str):
-    return _parse_json(_load(path))
-
-
 def parse_key_values(text: str) -> dict:
     """The ``key = value`` lines of a config text; values are JSON and ``#``
     starts a comment."""
@@ -275,7 +271,7 @@ def cmd_simulate(args) -> tuple[dict, bool]:
 
 
 def cmd_bound(args) -> tuple[dict, bool]:
-    spec = _load_json(args.inputs)
+    spec = _parse_json(_load(args.inputs))
     inputs = load_input("bound", spec)
     payload = {"inputs": spec}
     for direction in bounds_mod.EC_DIRECTIONS:
@@ -295,7 +291,7 @@ def cmd_bound(args) -> tuple[dict, bool]:
 
 
 def cmd_estimate_decoy(args) -> tuple[dict, bool]:
-    spec = _load_json(args.observations)
+    spec = _parse_json(_load(args.observations))
     obs = load_input("estimate-decoy", spec)
     nu = _CONVERT["nu"](spec["nu"])
     payload: dict = {"nu": [nu.v0, nu.v1, nu.v2], "observations": spec}
@@ -315,7 +311,7 @@ def cmd_estimate_decoy(args) -> tuple[dict, bool]:
 
 
 def cmd_rates(args) -> tuple[dict, bool]:
-    spec = _load_json(args.params)
+    spec = _parse_json(_load(args.params))
     rows = [spec]
     if isinstance(spec, dict) and "sweep" in spec:
         _check_keys(spec, ("sweep",), ())

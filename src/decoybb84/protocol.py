@@ -133,24 +133,27 @@ class BasisResult:
     observed_error: float
     lm: int
     m: int
-    length: int
     alice_key: BitVector | None = None
     bob_key: BitVector | None = None
     ec_success: bool = False
     m_clamped: bool = False
 
+    @property
+    def length(self) -> int:
+        """l = lm - m, the final key length."""
+        return self.lm - self.m
+
 
 @dataclass
 class SessionOutcome:
-    status: str                        # "completed" or "aborted"
     abort_step: int | None
     abort_reason: str | None
     plus: BasisResult | None
     times: BasisResult | None
     experiment: DExperimental
     # (step, party, template, args): each line of the log is
-    # f"{step} {party} " + _PAYLOAD.format(template, *args), with args bound
-    # at announce time.
+    # f"{step} {party} " + _PAYLOAD.format(template, *args), with args the
+    # announced values, bound at announce time.
     announcements: tuple[tuple[int, str, str, tuple], ...] = field(repr=False, compare=False)
     truth: dict
     config: SessionConfig
@@ -164,7 +167,11 @@ class SessionOutcome:
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return self.abort_reason is None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.completed else "aborted"
 
     def keys_match(self) -> bool:
         return (self.completed
@@ -183,15 +190,15 @@ def _ints(values: np.ndarray) -> str:
 class _Payload(string.Formatter):
     """Renders a log entry's payload template when a transcript is read.
 
-    Spec ``ints`` joins an integer array, ``bits`` packs a bit array, or
-    ``bits[at]`` of a pair ``(bits, at)``, to hex, and ``code`` digests the
-    rows of an EC code; any other spec is ``format``'s."""
+    Spec ``ints`` joins an integer array, ``bits`` packs a bit array to
+    hex, and ``code`` digests the rows of an EC code; any other spec is
+    ``format``'s."""
 
     def format_field(self, value, spec):
         if spec == "ints":
             return _ints(value)
         if spec == "bits":
-            return _hexbits(value[0][value[1]] if isinstance(value, tuple) else value)
+            return _hexbits(value)
         if spec == "code":
             rows = b"".join(r.to_bytes(16, "little") for r in value)
             return hashlib.sha256(rows).hexdigest()[:16]
@@ -362,11 +369,10 @@ def _transmit(cfg: SessionConfig, strategy: ChannelStrategy, rng: np.random.Gene
     xflip, zflip = sample_flips(strategy, cls, det, basis_alice, rng)
     bob_bits = apply_bit_errors(alice_bits, xflip,
                                 uniform_mask(cls, det, basis_alice, bob_basis), rng)
-    # Detector/generator errors on signal bits, per measured basis.
+    # Detector/generator errors on signal bits: p~_S if measured in +, p_S in x.
     sig = (det == NORMAL) & (cls != VACUUM) & common
     ud = rng.random(cfg.n_prime)
-    flip_det = sig & (((bob_basis == TIMES) & (ud < cfg.p_s))
-                      | ((bob_basis == PLUS) & (ud < cfg.p_s_tilde)))
+    flip_det = sig & (ud < np.array([cfg.p_s_tilde, cfg.p_s]).take(bob_basis))
     return (kinds, cls + 3 * det, zflip, detected, common,
             alice_bits, bob_bits ^ flip_det.astype(np.int8))
 
@@ -393,19 +399,20 @@ def _check_bits(cfg: SessionConfig, rng: np.random.Generator, log: list,
     for name, tag, offset, _ in reversed(_BASES):
         kind = cfg.i0 + cfg.k * offset
         pos = np.flatnonzero(common & (kinds == kind))
-        chosen = np.sort(rng.choice(len(pos), size=len(pos) - cfg.n, replace=False))
-        check_pos = pos[chosen]
-        raw[name] = np.delete(pos, chosen)
-        h_counts[kind] = errs = int((alice_bits[check_pos] != bob_bits[check_pos]).sum())
+        check = np.zeros(len(pos), dtype=bool)
+        check[rng.choice(len(pos), size=len(pos) - cfg.n, replace=False)] = True
+        check_pos, raw[name] = pos[check], pos[~check]
+        sent = alice_bits[check_pos]
+        h_counts[kind] = errs = int((sent != bob_bits[check_pos]).sum())
         log.extend([(4, "alice", "check-{} positions {:ints}", (tag, check_pos)),
-                    (4, "alice", "check-{} bits {:bits}", (tag, (alice_bits, check_pos))),
+                    (4, "alice", "check-{} bits {:bits}", (tag, sent)),
                     (4, "bob", "H[{}]={}", (kind, errs))])
     for kind in sorted(set(range(1, len(h_counts))) - {cfg.i0, cfg.i0 + cfg.k}):
         pos = np.flatnonzero(common & (kinds == kind))
-        h_counts[kind] = errs = int((alice_bits[pos] != bob_bits[pos]).sum())
-        log.extend([(5, "alice", "bits kind={} {:bits}", (kind, (alice_bits, pos))),
-                    (5, "bob", "bits kind={0} {1:bits} H[{0}]={2}",
-                     (kind, (bob_bits, pos), errs))])
+        sent, got = alice_bits[pos], bob_bits[pos]
+        h_counts[kind] = errs = int((sent != got).sum())
+        log.extend([(5, "alice", "bits kind={} {:bits}", (kind, sent)),
+                    (5, "bob", "bits kind={0} {1:bits} H[{0}]={2}", (kind, got, errs))])
     return h_counts, [raw[name] for name, *_ in _BASES]
 
 
@@ -439,8 +446,7 @@ def decide_sizes(cfg: SessionConfig, d_init: DInitial,
         clamped = lm - m_bits > cfg.n_bar
         if clamped:
             m_bits = lm - cfg.n_bar
-        results.append(BasisResult(observed_error=err, lm=lm, m=m_bits,
-                                   length=lm - m_bits, m_clamped=clamped))
+        results.append(BasisResult(observed_error=err, lm=lm, m=m_bits, m_clamped=clamped))
     return results, None
 
 
@@ -493,7 +499,6 @@ def run_session(cfg: SessionConfig, strategy: ChannelStrategy) -> SessionOutcome
         log.append((step, "both", "abort {}", (reason,)))
         results = [None, None]
     return SessionOutcome(
-        status="aborted" if reason else "completed",
         abort_step=step if reason else None, abort_reason=reason,
         plus=results[0], times=results[1], experiment=experiment,
         announcements=tuple(log), truth=truth, config=cfg,

@@ -496,7 +496,7 @@ class TestPropositionDecoding:
 
     def test_guard(self):
         with pytest.raises(CapacityError):
-            verify_proposition_decoding(8, 8, 0, 1, 10, 4)
+            verify_proposition_decoding(8, 8, 0, 1, 10, 4, np.random.default_rng(0))
 
     def test_binary_entropy_helper(self):
         assert binary_entropy(0.5) == pytest.approx(1.0)
@@ -546,13 +546,13 @@ def _brute_force_check(n0, n1, n2, t, c1_dim, m, rng):
                  id="decoding-m"),
     pytest.param(lambda: per_bit_eve_info_bound(0.1, 0), "minimum key size must be >= 1",
                  id="per-bit-n0"),
-    pytest.param(lambda: verify_proposition_decoding(0, 2, 0, 3, 2, 1), "need 0 <= t <= n1",
-                 id="verify-t"),
-    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 0),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 0, 3, 2, 1, np.random.default_rng(0)),
+                 "need 0 <= t <= n1", id="verify-t"),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 0, np.random.default_rng(0)),
                  "need 1 <= m < c1_dim <= N", id="verify-m0"),
-    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 2),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 2, 2, np.random.default_rng(0)),
                  "need 1 <= m < c1_dim <= N", id="verify-m-eq-c1"),
-    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 4, 1),
+    pytest.param(lambda: verify_proposition_decoding(0, 2, 1, 0, 4, 1, np.random.default_rng(0)),
                  "need 1 <= m < c1_dim <= N", id="verify-c1-above-n"),
 ])
 def test_validation_raises(call, message):

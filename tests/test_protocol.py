@@ -732,6 +732,34 @@ class TestTranscriptAndReport:
         assert all(steps == sorted(steps) for steps in session_steps)  # protocol order
         assert set(session_steps[0]) >= {2, 3, 4, 6, 7, 8, 9, 10}
 
+    def test_transcript_announces_what_it_counts(self):
+        # Each step-5 H[k] is the Hamming distance between the two announced
+        # bit strings of kind k, and each step-4 bit string holds one bit per
+        # announced check position, zero-padded to whole bytes.
+        configs = ([desk_config(seed) for seed in PINNED_DESK_SESSIONS]
+                   + [eleven_kind_config(seed) for seed in PINNED_ELEVEN_KIND_SESSIONS])
+        pairs = checks = 0
+        for cfg in configs:
+            alice, positions = {}, {}
+            for line in run_session(cfg, DESK_STRATEGY).transcript:
+                if m := re.fullmatch(r"5 alice bits kind=(\d+) ([0-9a-f]*)", line):
+                    alice[m[1]] = m[2]
+                elif m := re.fullmatch(r"5 bob bits kind=(\d+) ([0-9a-f]*) H\[\1\]=(\d+)", line):
+                    sent, got = alice.pop(m[1]), m[2]
+                    assert len(sent) == len(got)
+                    assert int(m[3]) == (int(sent or "0", 16) ^ int(got or "0", 16)).bit_count()
+                    pairs += bool(sent)
+                elif m := re.fullmatch(r"4 alice check-(.) positions ([0-9,]+)", line):
+                    positions[m[1]] = len(m[2].split(","))
+                elif m := re.fullmatch(r"4 alice check-(.) bits ([0-9a-f]+)", line):
+                    n_bits = positions.pop(m[1])
+                    pad = -n_bits % 8
+                    assert len(m[2]) == (n_bits + pad) // 4
+                    assert int(m[2], 16) & ((1 << pad) - 1) == 0
+                    checks += 1
+            assert alice == positions == {}
+        assert (pairs, checks) == (32, 40)
+
     def test_truth_bounds_attached(self):
         out = run_session(single_photon_config(), ChannelStrategy())
         entry = _session_entry(out)
